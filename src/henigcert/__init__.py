@@ -4,7 +4,7 @@ convex-analysis kernel."""
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, PURE_NUMPY_ENV  # noqa: F401
+from ._kernels import BACKEND  # noqa: F401
 from .certificates import (  # noqa: F401
     EpiCertificate,
     EpsCertificate,

@@ -1,34 +1,17 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The two hot numeric kernels, in numpy.
 
 The simplex pivot loop and the batch max-affine evaluator dominate the
-package's runtime (a single certificate verification issues thousands of
-small LPs; the grid oracles evaluate max-affine functions at 10^4+ points).
-Both kernels are compiled with ``numba.njit`` when numba is importable and
-``HENIGCERT_PURE_NUMPY`` is unset; otherwise the same source runs as plain
-numpy.  ``benchmarks/bench_kernels.py`` compares the two paths.
+package's runtime: a single certificate verification issues thousands of
+small LPs, and the grid oracles evaluate max-affine functions at 10^4+
+points.  ``perfbench/README.md`` describes how their time is measured.
 """
-
-import os
 
 import numpy as np
 
-PURE_NUMPY_ENV = "HENIGCERT_PURE_NUMPY"
-
-_force_pure = os.environ.get(PURE_NUMPY_ENV, "") not in ("", "0")
-
-HAS_NUMBA = False
-if not _force_pure:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-def _simplex_core_impl(T, basis, allowed, tol_piv, tol_profit, max_pivots):
+def simplex_core(T, basis, allowed, tol_piv, tol_profit, max_pivots):
     """Run Bland-rule pivots on tableau ``T`` in place.
 
     T has one objective row at the bottom (reduced profits for a
@@ -86,52 +69,9 @@ def _simplex_core_impl(T, basis, allowed, tol_piv, tol_profit, max_pivots):
     return 2
 
 
-def _max_affine_core_impl(A, b, X, out):
-    # out[q] = max_k A[k]@X[q] + b[k]
-    nq = X.shape[0]
-    K = A.shape[0]
-    n = A.shape[1]
-    for q in range(nq):
-        best = -np.inf
-        for k in range(K):
-            s = b[k]
-            for t in range(n):
-                s += A[k, t] * X[q, t]
-            if s > best:
-                best = s
-        out[q] = best
-
-
-if HAS_NUMBA:
-    simplex_core = njit(cache=True)(_simplex_core_impl)
-    _max_affine_jit = njit(cache=True)(_max_affine_core_impl)
-
-    def max_affine_batch(A, b, X):
-        """Evaluate max_k(<A[k],x>+b[k]) at every row of X."""
-        out = np.empty(X.shape[0], dtype=np.float64)
-        _max_affine_jit(
-            np.ascontiguousarray(A, dtype=np.float64),
-            np.ascontiguousarray(b, dtype=np.float64),
-            np.ascontiguousarray(X, dtype=np.float64),
-            out,
-        )
-        return out
-
-else:
-    simplex_core = _simplex_core_impl
-
-    def max_affine_batch(A, b, X):
-        """Evaluate max_k(<A[k],x>+b[k]) at every row of X."""
-        A = np.asarray(A, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        X = np.asarray(X, dtype=np.float64)
-        return (X @ A.T + b[None, :]).max(axis=1)
-
-
-def warmup():
-    """Trigger JIT compilation (no-op on the pure-numpy path)."""
-    T = np.array([[1.0, 1.0, 1.0, 4.0], [1.0, 0.0, 0.0, 2.0], [1.0, 0.0, 0.0, 0.0]])
-    basis = np.array([1, 2], dtype=np.int64)
-    allowed = np.ones(3, dtype=np.bool_)
-    simplex_core(T, basis, allowed, 1e-9, 1e-8, 10)
-    max_affine_batch(np.array([[1.0], [-1.0]]), np.zeros(2), np.array([[0.5]]))
+def max_affine_batch(A, b, X):
+    """Evaluate max_k(<A[k],x>+b[k]) at every row of X."""
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    return (X @ A.T + b[None, :]).max(axis=1)

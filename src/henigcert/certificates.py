@@ -11,6 +11,22 @@ entries approximating the asymptotic conditions:
 * exact form: exact subgradients at nearby points that converge to the
   candidate.
 
+All three read one sum rule at xbar, whose summands are listed once, in
+paper order, by a block table built per call from (problem, xbar,
+lambda): for each objective i the numerator lambda_i f_i (block f[i]) and
+the denominator term lambda_i nu_i (-g_i) (block w[i]), then the indicator
+of C (block C), the cone term for Y+ at h(xbar) (block Y) and the
+composite (-vstar) o h (block comp).  Each block owns one field of every
+form: its functional (xstar, wstar, cstar, ystar, ustar), its epigraph
+height (a, b, d, s, t) and its exact point (x, w, c, y, u).  The
+generator, the three verifiers, both transfers and the multiplier check
+all walk that table, so membership names come out in table order:
+
+* epigraph form: epi_f[i], epi_w[i] for each i, epi_C, ystar_polar,
+  s_nonneg, vstar_polar, epi_comp;
+* eps-subdifferential and exact forms: subdiff_f[i], subdiff_w[i] for
+  each i, normal_C, normal_Y, vstar_polar, subdiff_comp.
+
 Verifiers check every membership by LP and apply an explicit finite-
 horizon convergence rule to the residual traces.  The generator solves
 one small LP per entry, minimizing the dual residual over the membership
@@ -24,13 +40,14 @@ counts as convergent when its last value clears tol_conv and its tail is
 non-increasing up to jitter.  Every report carries this caveat.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .cones import PolyhedralCone
+from .cones import PolyhedralCone, in_minus_cone_batch
 from .convex import (
+    TOL_MEMBERSHIP,
     Polyhedron,
     PolyhedralFn,
     ScaledFn,
@@ -67,7 +84,6 @@ from .errors import (
 )
 from .fractional import FractionalProblem, feasible, nu_values
 
-TOL_MEMBERSHIP = 1e-7
 DEFAULT_TOL_CONV = 1e-3
 JITTER = 1e-9
 VSTAR_ZERO_TOL = 1e-12
@@ -77,6 +93,16 @@ HEURISTIC_NOTE = (
     "documented convergence rule (last value within tol_conv, tail "
     "non-increasing up to jitter), which is a heuristic, not a proof"
 )
+
+# block kind -> (functional field, epigraph height, exact point, transfer
+# label), in paper order; f and w repeat once per objective
+_SUMMANDS = {
+    "f": ("xstar", "a", "x", "objective"),
+    "w": ("wstar", "b", "w", "denominator"),
+    "C": ("cstar", "d", "c", "set_C"),
+    "Y": ("ystar", "s", "y", "set_Y"),
+    "comp": ("ustar", "t", "u", "composite"),
+}
 
 
 def _check_lambda(lam, m: int) -> np.ndarray:
@@ -105,6 +131,31 @@ def converged(trace, tol_conv: float, jitter: float = JITTER) -> bool:
 # certificate tables
 
 
+def _field_shapes(m, N, n, p) -> dict:
+    """Shape of every table field: f and w fields carry a leading objective
+    axis, heights are scalars per entry, Y and vstar live in R^p."""
+    shapes = {"vstar": (N, p)}
+    for kind, (star, height, point, _) in _SUMMANDS.items():
+        lead = (m, N) if kind in ("f", "w") else (N,)
+        shapes[height] = lead
+        shapes[star] = shapes[point] = lead + ((p,) if kind == "Y" else (n,))
+    return shapes
+
+
+def _check_table(cert, objectives: np.ndarray, constraints: np.ndarray):
+    """Shared __post_init__: m and n come from ``objectives`` (m, N, n), p
+    from ``constraints`` (N, p), N from ``cert.N``."""
+    m = objectives.shape[0]
+    object.__setattr__(cert, "lam", _check_lambda(cert.lam, m))
+    if (np.asarray(getattr(cert, "gamma", 0.0)) < 0).any():
+        raise ValueError("gamma values must be nonnegative")
+    want = _field_shapes(m, cert.N, objectives.shape[2], constraints.shape[1])
+    for f in fields(cert):
+        if f.name in want and getattr(cert, f.name).shape != want[f.name]:
+            got = getattr(cert, f.name).shape
+            raise DimensionMismatch(f"{f.name} has shape {got}, want {want[f.name]}")
+
+
 @dataclass(frozen=True)
 class EpsCertificate:
     """Per-n approximate subgradients and normals at the candidate itself."""
@@ -119,20 +170,7 @@ class EpsCertificate:
     ustar: np.ndarray        # (N, n)
 
     def __post_init__(self):
-        lam = _check_lambda(self.lam, self.xstar.shape[0])
-        object.__setattr__(self, "lam", lam)
-        if (np.asarray(self.gamma) < 0).any():
-            raise ValueError("gamma values must be nonnegative")
-        N = self.N
-        m, n, p = self.xstar.shape[0], self.xstar.shape[2], self.ystar.shape[1]
-        shapes = {
-            "xstar": (m, N, n), "wstar": (m, N, n), "cstar": (N, n),
-            "ystar": (N, p), "vstar": (N, p), "ustar": (N, n),
-        }
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise DimensionMismatch(f"{name} has shape {got}, want {want}")
+        _check_table(self, self.xstar, self.ystar)
 
     @property
     def N(self) -> int:
@@ -157,19 +195,7 @@ class EpiCertificate:
     t: np.ndarray            # (N,)
 
     def __post_init__(self):
-        lam = _check_lambda(self.lam, self.xstar.shape[0])
-        object.__setattr__(self, "lam", lam)
-        m, N, n = self.xstar.shape
-        p = self.ystar.shape[1]
-        shapes = {
-            "a": (m, N), "wstar": (m, N, n), "b": (m, N), "cstar": (N, n),
-            "d": (N,), "ystar": (N, p), "s": (N,), "vstar": (N, p),
-            "ustar": (N, n), "t": (N,),
-        }
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise DimensionMismatch(f"{name} has shape {got}, want {want}")
+        _check_table(self, self.xstar, self.ystar)
 
     @property
     def N(self) -> int:
@@ -195,19 +221,7 @@ class ExactCertificate:
     br_bounds: Optional[dict] = None   # block name -> (N, 3) bound values
 
     def __post_init__(self):
-        lam = _check_lambda(self.lam, self.x.shape[0])
-        object.__setattr__(self, "lam", lam)
-        m, N, n = self.x.shape
-        p = self.y.shape[1]
-        shapes = {
-            "xstar": (m, N, n), "w": (m, N, n), "wstar": (m, N, n),
-            "c": (N, n), "cstar": (N, n), "u": (N, n), "ustar": (N, n),
-            "y": (N, p), "ystar": (N, p), "vstar": (N, p),
-        }
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise DimensionMismatch(f"{name} has shape {got}, want {want}")
+        _check_table(self, self.x, self.y)
 
     @property
     def N(self) -> int:
@@ -231,7 +245,107 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# shared verification plumbing
+# the block table
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One summand of the sum rule at xbar and the table fields it owns."""
+
+    kind: str                # "f", "w", "C", "Y" or "comp"
+    row: Optional[int]       # objective index of an f or w block
+    fn: object               # the scaled ConvexFn, the set C, the cone, or None for comp
+    base: np.ndarray         # xbar, or h(xbar) for Y
+    star: str
+    height: str
+    point: str
+    label: str               # name in br_bounds and in transfer errors
+
+    @property
+    def name(self) -> str:
+        return self.kind if self.row is None else f"{self.kind}[{self.row}]"
+
+    def of(self, tab: dict, field: str) -> np.ndarray:
+        """This block's slice of a field of ``tab`` (a certificate's vars)."""
+        arr = tab[field]
+        return arr if self.row is None else arr[self.row]
+
+
+class _Blocks:
+    """The block table at xbar.  ``rows`` holds the summands in paper order
+    (f[i], w[i] for each i, then C, Y, comp); ``lp_order`` lists every f
+    block first, the column layout of the generator and multiplier LPs,
+    on which Bland's rule makes their optima depend."""
+
+    def __init__(self, prob: FractionalProblem, xbar, lam):
+        nu = nu_values(prob, xbar)
+        self.prob, self.xbar, self.hbar = prob, xbar, prob.h_values(xbar)
+        self.rows = []
+        for i, (f, ng) in enumerate(prob.objectives):
+            coef = lam[i] * nu[i]
+            if coef < 0:
+                raise UnsupportedData(
+                    f"objective {i}: negative ratio nu = {nu[i]:g} leaves the "
+                    "scaled denominator term nonconvex"
+                )
+            self._add("f", i, ScaledFn(lam[i], f), xbar)
+            self._add("w", i, ScaledFn(coef, ng), xbar)
+        self._add("C", None, prob.C, xbar)
+        self._add("Y", None, prob.cone, self.hbar)
+        self._add("comp", None, None, xbar)
+        self.lp_order = sorted(self.rows, key=lambda blk: blk.kind != "f")
+        self._comp = {}
+
+    def _add(self, kind, row, fn, base):
+        star, height, point, label = _SUMMANDS[kind]
+        label = label if row is None else f"{label}[{row}]"
+        self.rows.append(_Block(kind, row, fn, base, star, height, point, label))
+
+    def fn(self, blk: _Block, vstar):
+        """The block's ConvexFn at an entry with multiplier ``vstar``; None
+        for the set blocks."""
+        if blk.kind == "comp":
+            return _composite_fn(self.prob, vstar, self._comp)
+        return blk.fn if blk.kind in ("f", "w") else None
+
+
+def _composite_fn(prob, vstar, cache: dict):
+    """(-vstar) o h as a ConvexFn; zero-scaled when vstar vanishes."""
+    key = vstar.tobytes()
+    if key not in cache:
+        if np.abs(vstar).max(initial=0.0) <= VSTAR_ZERO_TOL:
+            cache[key] = ScaledFn(0.0, prob.hmap[0])
+        else:
+            weights = np.maximum(-vstar, 0.0)
+            if (-vstar < -1e-9).any():
+                raise UnsupportedData(
+                    "composite term needs componentwise nonnegative -vstar"
+                )
+            cache[key] = weighted_sum_polyhedral(weights, prob.hmap)
+    return cache[key]
+
+
+def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool):
+    """Shared preamble of the verifiers and transfers: the horizon (for
+    verifiers), the m/n/p shape check, then the block table."""
+    xbar = np.asarray(xbar, float).reshape(-1)
+    if horizon and cert.N < 4:
+        raise HorizonTooShort(f"need a horizon of at least 4 entries, got {cert.N}")
+    if (cert.lam.shape[0], cert.ustar.shape[1], cert.vstar.shape[1]) != (prob.m, prob.n, prob.p):
+        raise DimensionMismatch("certificate shapes do not match the problem")
+    return xbar, _Blocks(prob, xbar, cert.lam)
+
+
+def _generators(cone: PolyhedralCone) -> np.ndarray:
+    if cone.G is None:
+        raise GeneratorFormRequired(
+            "certificate checks need the generator form of the ordering cone"
+        )
+    return cone.G
+
+
+# ---------------------------------------------------------------------------
+# verifiers
 
 
 class _Memo:
@@ -253,52 +367,12 @@ class _Memo:
         return self._c[k]
 
 
-def _objective_fns(prob: FractionalProblem, xbar, lam):
-    """The scaled summand pairs (lam_i f_i, lam_i nu_i (-g_i)) at xbar."""
-    nu = nu_values(prob, xbar)
-    f_fns, w_fns = [], []
-    for i, (f, ng) in enumerate(prob.objectives):
-        f_fns.append(ScaledFn(lam[i], f))
-        coef = lam[i] * nu[i]
-        if coef < 0:
-            raise UnsupportedData(
-                f"objective {i}: negative ratio nu = {nu[i]:g} leaves the "
-                "scaled denominator term nonconvex"
-            )
-        w_fns.append(ScaledFn(coef, ng))
-    return nu, f_fns, w_fns
-
-
-def _generators(cone: PolyhedralCone) -> np.ndarray:
-    if cone.G is None:
-        raise GeneratorFormRequired(
-            "certificate checks need the generator form of the ordering cone"
-        )
-    return cone.G
-
-
-def _composite_fn(prob, vstar, cache: dict):
-    """(-vstar) o h as a ConvexFn; zero-scaled when vstar vanishes."""
-    key = vstar.tobytes()
-    if key not in cache:
-        if np.abs(vstar).max(initial=0.0) <= VSTAR_ZERO_TOL:
-            cache[key] = ScaledFn(0.0, prob.hmap[0])
-        else:
-            weights = np.maximum(-vstar, 0.0)
-            if (-vstar < -1e-9).any():
-                raise UnsupportedData(
-                    "composite term needs componentwise nonnegative -vstar"
-                )
-            cache[key] = weighted_sum_polyhedral(weights, prob.hmap)
-    return cache[key]
-
-
 def _polar_slacks(G, V):
     """Per-row smallest generator inner product for a stack of vectors."""
     return (V @ G.T).min(axis=1)
 
 
-def _verdict(memberships, residual_checks, tol_membership):
+def _verdict(memberships, residual_checks):
     reasons = []
     for name, ok in memberships.items():
         if not ok.all():
@@ -311,8 +385,115 @@ def _verdict(memberships, residual_checks, tol_membership):
     return verdict, tuple(reasons)
 
 
-# ---------------------------------------------------------------------------
-# verifiers
+def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None):
+    """One membership loop over the block table with the slack rule of the
+    form named by ``theorem``, then the shared residual traces."""
+    xbar, table = _prepare(prob, xbar, cert, horizon=True)
+    G = _generators(prob.cone)
+    memo = _Memo()
+    tab, N, vstar = vars(cert), cert.N, cert.vstar
+    memberships, slacks, gaps = {}, {}, {}
+
+    def put(name, sl):
+        memberships[name] = sl >= -tol_membership
+        slacks[name] = sl
+
+    def conj(blk, k):
+        star = blk.of(tab, blk.star)[k]
+        if blk.kind == "C":
+            return memo.supp("C", prob.C, star)
+        key = ("comp", vstar[k].tobytes()) if blk.kind == "comp" else blk.name
+        return memo.conj(key, table.fn(blk, vstar[k]), star)
+
+    for blk in table.rows:
+        stars = blk.of(tab, blk.star)
+        if blk.kind == "comp":
+            put("vstar_polar", _polar_slacks(G, -vstar))
+        if theorem == "4.2":
+            # (functional, height) in the epigraph of the conjugate
+            if blk.kind == "Y":
+                put("ystar_polar", _polar_slacks(G, stars))
+                put("s_nonneg", cert.s.copy())
+            else:
+                heights = blk.of(tab, blk.height)
+                put(f"epi_{blk.name}", np.array([heights[k] - conj(blk, k) for k in range(N)]))
+        elif theorem == "4.3" and blk.kind == "Y":
+            # ystar in Y* and in the gamma_n-normal set of -Y+ at h(xbar):
+            # the support of -Y+ is 0 on Y* and infinite elsewhere
+            put("normal_Y", np.minimum(_polar_slacks(G, stars), cert.gamma + stars @ blk.base))
+        elif theorem == "4.3":
+            # Young-Fenchel gap at xbar within gamma_n; the indicator of C
+            # vanishes there, the composite changes with vstar per entry
+            fval = None if blk.kind == "comp" else 0.0 if blk.kind == "C" else blk.fn.eval(xbar)
+            if blk.row is not None and not np.isfinite(fval):
+                raise PointOutsideDomain("candidate lies outside an objective domain")
+            sl = np.empty(N)
+            for k in range(N):
+                cval = conj(blk, k)
+                fk = table.fn(blk, vstar[k]).eval(xbar) if fval is None else fval
+                gap = cval + fk - stars[k] @ xbar if np.isfinite(cval) else np.inf
+                sl[k] = cert.gamma[k] - gap
+            put(("normal_" if blk.kind == "C" else "subdiff_") + blk.name, sl)
+        elif blk.kind in ("C", "Y"):
+            # the nearby point lies in the set, with a zero Young-Fenchel gap
+            # there; the support of -Y+ is 0 on Y* and infinite elsewhere
+            pts = blk.of(tab, blk.point)
+            dots = np.einsum("ij,ij->i", stars, pts)
+            if blk.kind == "C":
+                inside = prob.C.contains_batch(pts, tol=tol_membership)
+                sl = -(np.array([conj(blk, k) for k in range(N)]) - dots)
+            else:
+                inside = in_minus_cone_batch(prob.cone, pts, tol=tol_membership)
+                sl = np.minimum(_polar_slacks(G, stars), dots)
+            put(f"normal_{blk.name}", np.where(inside, sl, -np.inf))
+            gaps[f"gap_{blk.name}"] = np.abs(np.einsum("ij,ij->i", stars, pts - blk.base))
+        else:
+            # zero Young-Fenchel gap at the nearby point, and its value gap
+            pts = blk.of(tab, blk.point)
+            fbase = None if blk.kind == "comp" else blk.fn.eval(xbar)
+            sl, gap = np.empty(N), np.empty(N)
+            for k in range(N):
+                fn = table.fn(blk, vstar[k])
+                fval = fn.eval(pts[k])
+                if not np.isfinite(fval):
+                    sl[k], gap[k] = -np.inf, np.inf
+                    continue
+                cval = conj(blk, k)
+                sl[k] = -(cval + fval - stars[k] @ pts[k]) if np.isfinite(cval) else -np.inf
+                moved = stars[k] @ (pts[k] - xbar)
+                if fbase is None:  # the composite's value change, read through h
+                    gap[k] = abs(moved + vstar[k] @ (prob.h_values(pts[k]) - table.hbar))
+                else:
+                    gap[k] = abs(fval - moved - fbase)
+            put(f"subdiff_{blk.name}", sl)
+            gaps[f"gap_{blk.name}"] = gap
+
+    dual = np.abs(
+        cert.xstar.sum(axis=0) + cert.wstar.sum(axis=0) + cert.cstar + cert.ustar
+    ).max(axis=1)
+    yres = np.abs(cert.ystar + vstar).max(axis=1)
+    if theorem == "4.2":
+        scalar = np.abs(cert.a.sum(axis=0) + cert.b.sum(axis=0) + cert.d + cert.s + cert.t)
+    elif theorem == "4.3":
+        scalar = cert.gamma.astype(float)
+    else:
+        scalar = np.max(np.column_stack(list(gaps.values())), axis=1)
+    residuals = {"dual": dual, "y": yres, "scalar": scalar, **gaps}
+    checks = {name: converged(residuals[name], tol_conv) for name in ("dual", "y", "scalar")}
+    tolerances = {"tol_membership": tol_membership, "tol_conv": tol_conv}
+    if theorem == "4.4":
+        tolerances["tol_points"] = tol_points
+        # the report lists the point traces x, w, c, u, y
+        for blk in sorted(table.rows, key=lambda b: b.kind == "Y"):
+            name = f"point_{blk.point}" + ("" if blk.row is None else f"[{blk.row}]")
+            residuals[name] = np.linalg.norm(blk.of(tab, blk.point) - blk.base, axis=1)
+            checks[name] = converged(residuals[name], tol_points)
+    verdict, reasons = _verdict(memberships, checks)
+    return VerificationReport(
+        theorem=theorem, verdict=verdict, reasons=reasons,
+        memberships=memberships, slacks=slacks, residuals=residuals,
+        tolerances=tolerances,
+    )
 
 
 def verify_epi_certificate(
@@ -324,64 +505,7 @@ def verify_epi_certificate(
 ) -> VerificationReport:
     """Check every conjugate-epigraph membership and the three residual
     traces of the epigraph-form certificate."""
-    xbar = np.asarray(xbar, float).reshape(-1)
-    m, N, n = cert.xstar.shape
-    if N < 4:
-        raise HorizonTooShort(f"need a horizon of at least 4 entries, got {N}")
-    if m != prob.m or n != prob.n or cert.ystar.shape[1] != prob.p:
-        raise DimensionMismatch("certificate shapes do not match the problem")
-    nu, f_fns, w_fns = _objective_fns(prob, xbar, cert.lam)
-    G = _generators(prob.cone)
-    memo = _Memo()
-    comp_cache: dict = {}
-
-    memberships, slacks = {}, {}
-    for i in range(m):
-        sl = np.array(
-            [cert.a[i, k] - memo.conj(("f", i), f_fns[i], cert.xstar[i, k]) for k in range(N)]
-        )
-        memberships[f"epi_f[{i}]"] = sl >= -tol_membership
-        slacks[f"epi_f[{i}]"] = sl
-        sl = np.array(
-            [cert.b[i, k] - memo.conj(("w", i), w_fns[i], cert.wstar[i, k]) for k in range(N)]
-        )
-        memberships[f"epi_w[{i}]"] = sl >= -tol_membership
-        slacks[f"epi_w[{i}]"] = sl
-    sl = np.array(
-        [cert.d[k] - memo.supp("C", prob.C, cert.cstar[k]) for k in range(N)]
-    )
-    memberships["epi_C"] = sl >= -tol_membership
-    slacks["epi_C"] = sl
-
-    sl = _polar_slacks(G, cert.ystar)
-    memberships["ystar_polar"] = sl >= -tol_membership
-    slacks["ystar_polar"] = sl
-    memberships["s_nonneg"] = cert.s >= -tol_membership
-    slacks["s_nonneg"] = cert.s.copy()
-    sl = _polar_slacks(G, -cert.vstar)
-    memberships["vstar_polar"] = sl >= -tol_membership
-    slacks["vstar_polar"] = sl
-
-    sl = np.empty(N)
-    for k in range(N):
-        fn = _composite_fn(prob, cert.vstar[k], comp_cache)
-        sl[k] = cert.t[k] - memo.conj(("comp", cert.vstar[k].tobytes()), fn, cert.ustar[k])
-    memberships["epi_comp"] = sl >= -tol_membership
-    slacks["epi_comp"] = sl
-
-    dual = np.abs(
-        cert.xstar.sum(axis=0) + cert.wstar.sum(axis=0) + cert.cstar + cert.ustar
-    ).max(axis=1)
-    yres = np.abs(cert.ystar + cert.vstar).max(axis=1)
-    scalar = np.abs(cert.a.sum(axis=0) + cert.b.sum(axis=0) + cert.d + cert.s + cert.t)
-    residuals = {"dual": dual, "y": yres, "scalar": scalar}
-    checks = {name: converged(tr, tol_conv) for name, tr in residuals.items()}
-    verdict, reasons = _verdict(memberships, checks, tol_membership)
-    return VerificationReport(
-        theorem="4.2", verdict=verdict, reasons=reasons,
-        memberships=memberships, slacks=slacks, residuals=residuals,
-        tolerances={"tol_membership": tol_membership, "tol_conv": tol_conv},
-    )
+    return _verify("4.2", prob, xbar, cert, tol_membership, tol_conv)
 
 
 def verify_eps_certificate(
@@ -392,82 +516,7 @@ def verify_eps_certificate(
     tol_conv: float = DEFAULT_TOL_CONV,
 ) -> VerificationReport:
     """Check the gamma_n-approximate memberships at the candidate point."""
-    xbar = np.asarray(xbar, float).reshape(-1)
-    m, N, n = cert.xstar.shape
-    if N < 4:
-        raise HorizonTooShort(f"need a horizon of at least 4 entries, got {N}")
-    if m != prob.m or n != prob.n or cert.ystar.shape[1] != prob.p:
-        raise DimensionMismatch("certificate shapes do not match the problem")
-    nu, f_fns, w_fns = _objective_fns(prob, xbar, cert.lam)
-    G = _generators(prob.cone)
-    memo = _Memo()
-    comp_cache: dict = {}
-    hbar = prob.h_values(xbar)
-    gam = cert.gamma
-
-    def subdiff_slacks(key, fn, stars):
-        fval = fn.eval(xbar)
-        if not np.isfinite(fval):
-            raise PointOutsideDomain("candidate lies outside an objective domain")
-        out = np.empty(N)
-        for k in range(N):
-            cval = memo.conj(key, fn, stars[k])
-            gap = cval + fval - stars[k] @ xbar if np.isfinite(cval) else np.inf
-            out[k] = gam[k] - gap
-        return out
-
-    memberships, slacks = {}, {}
-    for i in range(m):
-        sl = subdiff_slacks(("f", i), f_fns[i], cert.xstar[i])
-        memberships[f"subdiff_f[{i}]"] = sl >= -tol_membership
-        slacks[f"subdiff_f[{i}]"] = sl
-        sl = subdiff_slacks(("w", i), w_fns[i], cert.wstar[i])
-        memberships[f"subdiff_w[{i}]"] = sl >= -tol_membership
-        slacks[f"subdiff_w[{i}]"] = sl
-
-    sl = np.array(
-        [
-            gam[k] - (memo.supp("C", prob.C, cert.cstar[k]) - cert.cstar[k] @ xbar)
-            for k in range(N)
-        ]
-    )
-    memberships["normal_C"] = sl >= -tol_membership
-    slacks["normal_C"] = sl
-
-    # ystar in Y* and in the gamma_n-normal set of -Y+ at h(xbar): the
-    # support of -Y+ is 0 on Y* and infinite elsewhere
-    polar = _polar_slacks(G, cert.ystar)
-    gap = gam + cert.ystar @ hbar
-    sl = np.minimum(polar, gap)
-    memberships["normal_Y"] = sl >= -tol_membership
-    slacks["normal_Y"] = sl
-
-    sl = _polar_slacks(G, -cert.vstar)
-    memberships["vstar_polar"] = sl >= -tol_membership
-    slacks["vstar_polar"] = sl
-
-    sl = np.empty(N)
-    for k in range(N):
-        fn = _composite_fn(prob, cert.vstar[k], comp_cache)
-        cval = memo.conj(("comp", cert.vstar[k].tobytes()), fn, cert.ustar[k])
-        fval = fn.eval(xbar)
-        gap = cval + fval - cert.ustar[k] @ xbar if np.isfinite(cval) else np.inf
-        sl[k] = gam[k] - gap
-    memberships["subdiff_comp"] = sl >= -tol_membership
-    slacks["subdiff_comp"] = sl
-
-    dual = np.abs(
-        cert.xstar.sum(axis=0) + cert.wstar.sum(axis=0) + cert.cstar + cert.ustar
-    ).max(axis=1)
-    yres = np.abs(cert.ystar + cert.vstar).max(axis=1)
-    residuals = {"dual": dual, "y": yres, "scalar": gam.astype(float)}
-    checks = {name: converged(tr, tol_conv) for name, tr in residuals.items()}
-    verdict, reasons = _verdict(memberships, checks, tol_membership)
-    return VerificationReport(
-        theorem="4.3", verdict=verdict, reasons=reasons,
-        memberships=memberships, slacks=slacks, residuals=residuals,
-        tolerances={"tol_membership": tol_membership, "tol_conv": tol_conv},
-    )
+    return _verify("4.3", prob, xbar, cert, tol_membership, tol_conv)
 
 
 def verify_exact_certificate(
@@ -485,133 +534,57 @@ def verify_exact_certificate(
     tolerance eps pairs with a point tolerance sqrt(eps) in the nearby-
     pair bounds, so the two rules are kept on matching scales.
     """
-    xbar = np.asarray(xbar, float).reshape(-1)
     if tol_points is None:
         tol_points = float(np.sqrt(tol_conv))
-    m, N, n = cert.x.shape
-    if N < 4:
-        raise HorizonTooShort(f"need a horizon of at least 4 entries, got {N}")
-    if m != prob.m or n != prob.n or cert.y.shape[1] != prob.p:
-        raise DimensionMismatch("certificate shapes do not match the problem")
-    nu, f_fns, w_fns = _objective_fns(prob, xbar, cert.lam)
-    G = _generators(prob.cone)
-    memo = _Memo()
-    comp_cache: dict = {}
-    hbar = prob.h_values(xbar)
-
-    def exact_slacks(key, fn, points, stars):
-        out = np.empty(N)
-        for k in range(N):
-            fval = fn.eval(points[k])
-            if not np.isfinite(fval):
-                out[k] = -np.inf
-                continue
-            cval = memo.conj(key, fn, stars[k])
-            out[k] = -(cval + fval - stars[k] @ points[k]) if np.isfinite(cval) else -np.inf
-        return out
-
-    memberships, slacks = {}, {}
-    value_gaps = {}
-    for i in range(m):
-        sl = exact_slacks(("f", i), f_fns[i], cert.x[i], cert.xstar[i])
-        memberships[f"subdiff_f[{i}]"] = sl >= -tol_membership
-        slacks[f"subdiff_f[{i}]"] = sl
-        sl = exact_slacks(("w", i), w_fns[i], cert.w[i], cert.wstar[i])
-        memberships[f"subdiff_w[{i}]"] = sl >= -tol_membership
-        slacks[f"subdiff_w[{i}]"] = sl
-        fb = f_fns[i].eval(xbar)
-        value_gaps[f"gap_f[{i}]"] = np.array(
-            [
-                abs(f_fns[i].eval(cert.x[i, k]) - cert.xstar[i, k] @ (cert.x[i, k] - xbar) - fb)
-                for k in range(N)
-            ]
-        )
-        wb = w_fns[i].eval(xbar)
-        value_gaps[f"gap_w[{i}]"] = np.array(
-            [
-                abs(w_fns[i].eval(cert.w[i, k]) - cert.wstar[i, k] @ (cert.w[i, k] - xbar) - wb)
-                for k in range(N)
-            ]
-        )
-
-    in_C = prob.C.contains_batch(cert.c, tol=tol_membership)
-    supp = np.array([memo.supp("C", prob.C, cert.cstar[k]) for k in range(N)])
-    sl = np.where(in_C, -(supp - np.einsum("ij,ij->i", cert.cstar, cert.c)), -np.inf)
-    memberships["normal_C"] = sl >= -tol_membership
-    slacks["normal_C"] = sl
-    value_gaps["gap_C"] = np.abs(np.einsum("ij,ij->i", cert.cstar, cert.c - xbar))
-
-    from .cones import in_minus_cone_batch
-
-    in_mY = in_minus_cone_batch(prob.cone, cert.y, tol=tol_membership)
-    polar = _polar_slacks(G, cert.ystar)
-    comp_slack = np.einsum("ij,ij->i", cert.ystar, cert.y)
-    sl = np.where(in_mY, np.minimum(polar, comp_slack), -np.inf)
-    memberships["normal_Y"] = sl >= -tol_membership
-    slacks["normal_Y"] = sl
-    value_gaps["gap_Y"] = np.abs(np.einsum("ij,ij->i", cert.ystar, cert.y - hbar))
-
-    sl = _polar_slacks(G, -cert.vstar)
-    memberships["vstar_polar"] = sl >= -tol_membership
-    slacks["vstar_polar"] = sl
-
-    sl = np.empty(N)
-    comp_gap = np.empty(N)
-    for k in range(N):
-        fn = _composite_fn(prob, cert.vstar[k], comp_cache)
-        fval = fn.eval(cert.u[k])
-        if not np.isfinite(fval):
-            sl[k] = -np.inf
-            comp_gap[k] = np.inf
-            continue
-        cval = memo.conj(("comp", cert.vstar[k].tobytes()), fn, cert.ustar[k])
-        sl[k] = -(cval + fval - cert.ustar[k] @ cert.u[k]) if np.isfinite(cval) else -np.inf
-        hu = prob.h_values(cert.u[k])
-        comp_gap[k] = abs(cert.ustar[k] @ (cert.u[k] - xbar) + cert.vstar[k] @ (hu - hbar))
-    memberships["subdiff_comp"] = sl >= -tol_membership
-    slacks["subdiff_comp"] = sl
-    value_gaps["gap_comp"] = comp_gap
-
-    dual = np.abs(
-        cert.xstar.sum(axis=0) + cert.wstar.sum(axis=0) + cert.cstar + cert.ustar
-    ).max(axis=1)
-    yres = np.abs(cert.ystar + cert.vstar).max(axis=1)
-    scalar = np.max(np.column_stack(list(value_gaps.values())), axis=1)
-    residuals = {"dual": dual, "y": yres, "scalar": scalar}
-    residuals.update(value_gaps)
-    point_traces = {}
-    for i in range(m):
-        point_traces[f"point_x[{i}]"] = np.linalg.norm(cert.x[i] - xbar, axis=1)
-        point_traces[f"point_w[{i}]"] = np.linalg.norm(cert.w[i] - xbar, axis=1)
-    point_traces["point_c"] = np.linalg.norm(cert.c - xbar, axis=1)
-    point_traces["point_u"] = np.linalg.norm(cert.u - xbar, axis=1)
-    point_traces["point_y"] = np.linalg.norm(cert.y - hbar, axis=1)
-    residuals.update(point_traces)
-
-    checks = {name: converged(residuals[name], tol_conv) for name in ("dual", "y", "scalar")}
-    for name, tr in point_traces.items():
-        checks[name] = converged(tr, tol_points)
-    verdict, reasons = _verdict(memberships, checks, tol_membership)
-    return VerificationReport(
-        theorem="4.4", verdict=verdict, reasons=reasons,
-        memberships=memberships, slacks=slacks, residuals=residuals,
-        tolerances={
-            "tol_membership": tol_membership,
-            "tol_conv": tol_conv,
-            "tol_points": tol_points,
-        },
-    )
+    return _verify("4.4", prob, xbar, cert, tol_membership, tol_conv, tol_points)
 
 
 # ---------------------------------------------------------------------------
 # generation
 
 
-def _poly_or_none(fn):
-    p = as_polyhedral(fn)
-    if p is not None and not p.domain.is_full_space():
-        raise UnsupportedDomain("certificate generation needs full-space objective domains")
-    return p
+def _polyhedral_data(table: _Blocks, composite: bool = True, hint: str = "") -> dict:
+    """Max-affine data of the f, w and composite blocks (None for a zero
+    denominator term), checked to be polyhedral with full-space domains."""
+    polys = {}
+    for blk in table.lp_order:
+        if blk.kind == "w" and is_zero_fn(blk.fn):
+            polys[blk.name] = None  # wstar stays identically zero
+        elif blk.kind in ("f", "w"):
+            poly = as_polyhedral(blk.fn)
+            if poly is not None and not poly.domain.is_full_space():
+                raise UnsupportedDomain("certificate generation needs full-space objective domains")
+            if poly is None:
+                term = "numerator" if blk.kind == "f" else "denominator term"
+                raise ConjugateUnsupported(f"objective {blk.row}: {term} is not polyhedral")
+            polys[blk.name] = poly
+    if composite:
+        h_polys = [as_polyhedral(h) for h in table.prob.hmap]
+        if any(poly is None for poly in h_polys):
+            raise ConjugateUnsupported("constraint components are not polyhedral" + hint)
+        if not all(poly.domain.is_full_space() for poly in h_polys):
+            raise UnsupportedDomain("composite encoding needs full-space h components")
+        polys["comp"] = h_polys
+    return polys
+
+
+def _objective_lp(table: _Blocks, polys: dict, eps: float):
+    """A BlockLP holding the eps-subdifferential blocks of f and w and the
+    exact (eps = 0) normal-cone block of C, in ``lp_order``; returns it
+    with each block's functional expression.  Callers add Y and the
+    composite after them."""
+    lp, ex = BlockLP(), {}
+    for blk in table.lp_order:
+        if blk.kind == "C":
+            ex["C"] = add_eps_normal_block(lp, blk.fn, table.xbar, 0.0)
+        elif blk.kind in ("f", "w") and polys[blk.name] is not None:
+            ex[blk.name] = add_eps_subdiff_block(lp, polys[blk.name], table.xbar, eps)
+    return lp, ex
+
+
+def _dual_parts(ex: dict) -> list:
+    """The expressions summed in the dual residual, in column order."""
+    return [e for name, e in ex.items() if name not in ("Y", "v") and e.idx.size]
 
 
 def generate_eps_certificate(
@@ -649,95 +622,36 @@ def generate_eps_certificate(
     N = gamma.shape[0]
     lam = np.ones(prob.m) if lam is None else np.asarray(lam, float).reshape(-1)
     lam = _check_lambda(lam, prob.m)
-    nu, f_fns, w_fns = _objective_fns(prob, xbar, lam)
+    table = _Blocks(prob, xbar, lam)
     G = _generators(prob.cone)
+    polys = _polyhedral_data(table, not pin_vstar, "; rerun with vstar pinned to 0")
 
-    f_polys = []
-    for i, fn in enumerate(f_fns):
-        p = _poly_or_none(fn)
-        if p is None:
-            raise ConjugateUnsupported(f"objective {i}: numerator is not polyhedral")
-        f_polys.append(p)
-    w_polys = []
-    for i, fn in enumerate(w_fns):
-        if is_zero_fn(fn):
-            w_polys.append(None)  # wstar stays identically zero
-            continue
-        wp = _poly_or_none(fn)
-        if wp is None:
-            raise ConjugateUnsupported(f"objective {i}: denominator term is not polyhedral")
-        w_polys.append(wp)
-    if not pin_vstar:
-        h_polys = [as_polyhedral(h) for h in prob.hmap]
-        if any(p is None for p in h_polys):
-            raise ConjugateUnsupported(
-                "constraint components are not polyhedral; rerun with vstar pinned to 0"
-            )
-        for p in h_polys:
-            if not p.domain.is_full_space():
-                raise UnsupportedDomain("composite encoding needs full-space h components")
-    hbar = prob.h_values(xbar)
-
-    m, n, p = prob.m, prob.n, prob.p
-    xstar = np.zeros((m, N, n))
-    wstar = np.zeros((m, N, n))
-    cstar = np.zeros((N, n))
-    ystar = np.zeros((N, p))
-    vstar = np.zeros((N, p))
-    ustar = np.zeros((N, n))
+    shapes = _field_shapes(prob.m, N, prob.n, prob.p)
+    out = {f: np.zeros(shapes[f]) for f in ("xstar", "wstar", "cstar", "ystar", "vstar", "ustar")}
     trace = np.zeros(N)
-
     for k in range(N):
         g = float(gamma[k])
-        lp = BlockLP()
-        dual_parts = []
-        f_exprs = [add_eps_subdiff_block(lp, fp, xbar, g) for fp in f_polys]
-        dual_parts.extend(f_exprs)
-        w_exprs = []
-        for wp in w_polys:
-            if wp is None:
-                w_exprs.append(None)
-            else:
-                e = add_eps_subdiff_block(lp, wp, xbar, g)
-                w_exprs.append(e)
-                dual_parts.append(e)
-        c_expr = add_eps_normal_block(lp, prob.C, xbar, 0.0)
-        if c_expr.idx.size:
-            dual_parts.append(c_expr)
-        y_expr = add_polar_member(lp, G, sign=1.0)
-        add_inner_product_ub(lp, y_expr, hbar, 0.0, sign=-1.0)  # <ystar, hbar> >= 0
-        y_parts = [y_expr]
-        v_expr = None
-        u_expr = None
+        lp, ex = _objective_lp(table, polys, g)
+        ex["Y"] = add_polar_member(lp, G, sign=1.0)
+        add_inner_product_ub(lp, ex["Y"], table.hbar, 0.0, sign=-1.0)  # <ystar, hbar> >= 0
         if not pin_vstar:
-            v_expr = add_polar_member(lp, G, sign=-1.0)
-            y_parts.append(v_expr)
-            weights = LinExpr(idx=v_expr.idx, M=-v_expr.M)
-            u_expr = add_composite_subdiff_block(lp, h_polys, xbar, g, weights)
-            dual_parts.append(u_expr)
-        t_idx = add_linf_elastic(lp, dual_parts)
-        q_idx = add_l1_elastic(lp, y_parts)
+            ex["v"] = v = add_polar_member(lp, G, sign=-1.0)
+            weights = LinExpr(idx=v.idx, M=-v.M)
+            ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, g, weights)
+        t_idx = add_linf_elastic(lp, _dual_parts(ex))
+        q_idx = add_l1_elastic(lp, [ex[name] for name in ("Y", "v") if name in ex])
         obj_idx = np.concatenate([t_idx, q_idx])
-        out = require_optimal(
+        res = require_optimal(
             lp.solve(obj_idx, -np.ones(obj_idx.shape[0])),
             "certificate generation",
         )
-        trace[k] = -out.value
-        sol = out.x
-        for i in range(m):
-            xstar[i, k] = f_exprs[i].value(sol)
-            if w_exprs[i] is not None:
-                wstar[i, k] = w_exprs[i].value(sol)
-        cstar[k] = c_expr.value(sol)
-        ystar[k] = y_expr.value(sol)
-        if v_expr is not None:
-            vstar[k] = v_expr.value(sol)
-            ustar[k] = u_expr.value(sol)
-    cert = EpsCertificate(
-        lam=lam, gamma=gamma, xstar=xstar, wstar=wstar,
-        cstar=cstar, ystar=ystar, vstar=vstar, ustar=ustar,
-    )
-    return cert, trace
+        trace[k] = -res.value
+        for blk in table.rows:
+            if blk.name in ex:
+                blk.of(out, blk.star)[k] = ex[blk.name].value(res.x)
+        if "v" in ex:
+            out["vstar"][k] = ex["v"].value(res.x)
+    return EpsCertificate(lam=lam, gamma=gamma, **out), trace
 
 
 # ---------------------------------------------------------------------------
@@ -761,87 +675,58 @@ def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCe
     sqrt(gamma_n), value gap at most 2*gamma_n) are recorded per block in
     ``br_bounds``.
     """
-    xbar = np.asarray(xbar, float).reshape(-1)
-    m, N, n = cert.xstar.shape
-    nu, f_fns, w_fns = _objective_fns(prob, xbar, cert.lam)
-    hbar = prob.h_values(xbar)
-    delta_C = PolyhedralFn.indicator(prob.C)
-    delta_mY = PolyhedralFn.indicator(minus_cone_polyhedron(prob.cone))
-    comp_cache: dict = {}
-
-    x = np.tile(xbar, (m, N, 1))
-    w = np.tile(xbar, (m, N, 1))
-    c = np.tile(xbar, (N, 1))
-    u = np.tile(xbar, (N, 1))
-    y = np.tile(hbar, (N, 1))
-    xstar = np.zeros_like(cert.xstar)
-    wstar = np.zeros_like(cert.wstar)
-    cstar = np.zeros_like(cert.cstar)
-    ustar = np.zeros_like(cert.ustar)
-    ystar = np.zeros_like(cert.ystar)
+    xbar, table = _prepare(prob, xbar, cert, horizon=False)
+    tab = vars(cert)
+    indicators = {
+        "C": PolyhedralFn.indicator(prob.C),
+        "Y": PolyhedralFn.indicator(minus_cone_polyhedron(prob.cone)),
+    }
+    out = {}
+    for blk in table.rows:
+        if blk.star not in out:
+            out[blk.point] = np.tile(blk.base, tab[blk.star].shape[:-1] + (1,))
+            out[blk.star] = np.zeros_like(tab[blk.star])
     bounds = {}
-
-    def run(name, fn, base, star, k):
-        try:
-            res = br_regularize(fn, base, float(cert.gamma[k]), star)
-        except BRSearchFailed as exc:
-            raise BRSearchFailed(f"block {name}, entry n={k + 1}: {exc}") from exc
-        rec = bounds.setdefault(name, np.zeros((N, 3)))
-        rec[k] = (res.dist_x, res.dist_xstar, res.value_gap)
-        return res
-
-    for k in range(N):
-        for i in range(m):
-            res = run(f"objective[{i}]", f_fns[i], xbar, cert.xstar[i, k], k)
-            x[i, k], xstar[i, k] = res.x, res.xstar
-            res = run(f"denominator[{i}]", w_fns[i], xbar, cert.wstar[i, k], k)
-            w[i, k], wstar[i, k] = res.x, res.xstar
-        res = run("set_C", delta_C, xbar, cert.cstar[k], k)
-        c[k], cstar[k] = res.x, res.xstar
-        res = run("set_Y", delta_mY, hbar, cert.ystar[k], k)
-        y[k], ystar[k] = res.x, res.xstar
-        fn = _composite_fn(prob, cert.vstar[k], comp_cache)
-        res = run("composite", fn, xbar, cert.ustar[k], k)
-        u[k], ustar[k] = res.x, res.xstar
-    return ExactCertificate(
-        lam=cert.lam, x=x, xstar=xstar, w=w, wstar=wstar, c=c, cstar=cstar,
-        u=u, ustar=ustar, y=y, ystar=ystar, vstar=cert.vstar.copy(),
-        br_bounds=bounds,
-    )
+    for k in range(cert.N):
+        for blk in table.rows:
+            fn = indicators[blk.kind] if blk.kind in indicators else table.fn(blk, cert.vstar[k])
+            try:
+                res = br_regularize(fn, blk.base, float(cert.gamma[k]), blk.of(tab, blk.star)[k])
+            except BRSearchFailed as exc:
+                raise BRSearchFailed(f"block {blk.label}, entry n={k + 1}: {exc}") from exc
+            rec = bounds.setdefault(blk.label, np.zeros((cert.N, 3)))
+            rec[k] = (res.dist_x, res.dist_xstar, res.value_gap)
+            blk.of(out, blk.point)[k], blk.of(out, blk.star)[k] = res.x, res.xstar
+    return ExactCertificate(lam=cert.lam, vstar=cert.vstar.copy(), br_bounds=bounds, **out)
 
 
 def epi_from_eps(prob: FractionalProblem, xbar, cert: EpsCertificate) -> EpiCertificate:
     """Lift the subdifferential form to the epigraph form by arithmetic.
 
-    Heights follow a = <xstar, xbar> + gamma_n - value(xbar) per block
-    (d and s drop the value term, which is zero for indicators); the
-    composite height t is pinned to the exact value 0 whenever vstar
-    vanishes, which reproduces the six-summand scalar count of the
-    worked examples.
+    Each block's height is <functional, base> + gamma_n - value(base):
+    the indicator blocks C and Y vanish at their base, and the composite
+    takes its value -<vstar, h(xbar)>.  The composite height t is pinned
+    to the exact value 0 whenever vstar vanishes, which reproduces the
+    six-summand scalar count of the worked examples.
     """
-    xbar = np.asarray(xbar, float).reshape(-1)
-    m, N, n = cert.xstar.shape
-    nu, f_fns, w_fns = _objective_fns(prob, xbar, cert.lam)
-    hbar = prob.h_values(xbar)
-    gam = cert.gamma
-    a = np.empty((m, N))
-    b = np.empty((m, N))
-    for i in range(m):
-        fv = f_fns[i].eval(xbar)
-        wv = w_fns[i].eval(xbar)
-        a[i] = cert.xstar[i] @ xbar + gam - fv
-        b[i] = cert.wstar[i] @ xbar + gam - wv
-    d = cert.cstar @ xbar + gam
-    s = cert.ystar @ hbar + gam
-    comp_val = -(cert.vstar @ hbar)  # (-vstar o h)(xbar)
-    t = cert.ustar @ xbar + gam - comp_val
+    xbar, table = _prepare(prob, xbar, cert, horizon=False)
+    tab = vars(cert)
+    out = {star: tab[star].copy() for star, *_ in _SUMMANDS.values()}
+    for blk in table.rows:
+        if blk.kind in ("f", "w"):
+            value = blk.fn.eval(xbar)
+        elif blk.kind == "comp":
+            value = -(cert.vstar @ table.hbar)  # (-vstar o h)(xbar), per entry
+        else:
+            value = 0.0  # the indicators vanish at their base
+        height = blk.of(tab, blk.star) @ blk.base + cert.gamma - value
+        if blk.row is None:
+            out[blk.height] = height
+        else:
+            out.setdefault(blk.height, np.empty((prob.m, cert.N)))[blk.row] = height
     zero_v = np.abs(cert.vstar).max(axis=1) <= VSTAR_ZERO_TOL
-    t = np.where(zero_v, 0.0, t)
-    return EpiCertificate(
-        lam=cert.lam, xstar=cert.xstar.copy(), a=a, wstar=cert.wstar.copy(), b=b,
-        cstar=cert.cstar.copy(), d=d, ystar=cert.ystar.copy(), s=s,
-        vstar=cert.vstar.copy(), ustar=cert.ustar.copy(), t=t,
-    )
+    out["t"] = np.where(zero_v, 0.0, out["t"])
+    return EpiCertificate(lam=cert.lam, vstar=cert.vstar.copy(), **out)
 
 
 # ---------------------------------------------------------------------------
@@ -871,51 +756,22 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
     lam = np.ones(prob.m) if lam is None else np.asarray(lam, float).reshape(-1)
     lam = _check_lambda(lam, prob.m)
     try:
-        nu, f_fns, w_fns = _objective_fns(prob, xbar, lam)
-        f_polys = []
-        for i, fn in enumerate(f_fns):
-            fp = _poly_or_none(fn)
-            if fp is None:
-                raise ConjugateUnsupported(f"objective {i} numerator is not polyhedral")
-            f_polys.append(fp)
-        w_polys = []
-        for i, fn in enumerate(w_fns):
-            if is_zero_fn(fn):
-                w_polys.append(None)
-                continue
-            wp = _poly_or_none(fn)
-            if wp is None:
-                raise ConjugateUnsupported(f"objective {i} denominator term is not polyhedral")
-            w_polys.append(wp)
-        h_polys = [as_polyhedral(h) for h in prob.hmap]
-        if any(hp is None for hp in h_polys):
-            raise ConjugateUnsupported("constraint components are not polyhedral")
-        for hp in h_polys:
-            if not hp.domain.is_full_space():
-                raise UnsupportedDomain("composite encoding needs full-space h components")
+        table = _Blocks(prob, xbar, lam)
+        polys = _polyhedral_data(table)
         G = _generators(prob.cone)
     except (ConjugateUnsupported, UnsupportedDomain, GeneratorFormRequired, UnsupportedData) as exc:
         return KKTResult(holds=False, reason=f"unsupported data: {exc}")
 
-    hbar = prob.h_values(xbar)
-    lp = BlockLP()
-    parts = [add_eps_subdiff_block(lp, fp, xbar, 0.0) for fp in f_polys]
-    for wp in w_polys:
-        if wp is not None:
-            parts.append(add_eps_subdiff_block(lp, wp, xbar, 0.0))
-    c_expr = add_eps_normal_block(lp, prob.C, xbar, 0.0)
-    if c_expr.idx.size:
-        parts.append(c_expr)
-    y_expr = add_polar_member(lp, G, sign=1.0)
-    add_inner_product_eq(lp, y_expr, hbar, 0.0)  # complementarity
-    u_expr = add_composite_subdiff_block(lp, h_polys, xbar, 0.0, weights=y_expr)
-    parts.append(u_expr)
-    total = expr_sum(parts)
+    lp, ex = _objective_lp(table, polys, 0.0)
+    ex["Y"] = add_polar_member(lp, G, sign=1.0)
+    add_inner_product_eq(lp, ex["Y"], table.hbar, 0.0)  # complementarity
+    ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, 0.0, weights=ex["Y"])
+    total = expr_sum(_dual_parts(ex))
     for coord in range(prob.n):
         lp.add_eq(total.idx, total.M[coord], 0.0)
     out = lp.solve()
     if out.is_optimal:
-        return KKTResult(holds=True, ystar=y_expr.value(out.x))
+        return KKTResult(holds=True, ystar=ex["Y"].value(out.x))
     return KKTResult(holds=False, reason="multiplier system infeasible")
 
 

@@ -23,6 +23,7 @@ on stdout.
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -55,9 +56,11 @@ from .fractional import (
     FractionalProblem,
     feasible,
     henig_check_bruteforce,
-    parametric_equivalence_check,
+    henig_check_parametric,
+    parametric_problem,
 )
 from .grids import GridSpec
+from .linprog import TOL_FEAS
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -66,7 +69,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
-TOL_FEAS_DEFAULT = 1e-9
 # CLI default convergence gate: 1e-2 keeps the default horizon N=100 with
 # the default 1/n schedule self-consistent (gamma_N = 1e-2 must pass).
 CLI_TOL_CONV = 1e-2
@@ -176,7 +178,13 @@ def cmd_check(args):
     _check_feasible(prob, point, args.tol_feas)
     t0 = time.time()
     verdict = henig_check_bruteforce(prob, point, grid, ladder)
-    equiv = parametric_equivalence_check(prob, point, grid, ladder)
+    # the reformulation's verdict is compared with the one in hand, so the
+    # grid is scanned by the brute-force oracle once; parametric_problem's
+    # data-assumption warnings are not part of the report
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, point)
+    equiv = henig_check_parametric(param, grid, ladder).kind == verdict.kind
     doc = {
         "command": "check",
         "problem": args.problem,
@@ -406,7 +414,7 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--grid", required=True, help='e.g. "201x201:[0,10]x[0,1]"')
     p.add_argument("--eps-ladder", type=int, help="largest ladder exponent k (eps down to 2^-k)")
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS_DEFAULT)
+    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("certify", help="generate a certificate at a candidate point")
@@ -418,7 +426,7 @@ def _build_parser():
     p.add_argument("--grid", help="pre-check grid (required unless --force)")
     p.add_argument("--eps-ladder", type=int)
     p.add_argument("--tol-conv", type=float, default=CLI_TOL_CONV)
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS_DEFAULT)
+    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.add_argument("--pin-vstar", action="store_true", help="fix vstar = 0")
     p.add_argument("--force", action="store_true", help="skip the oracle pre-check")
     p.set_defaults(func=cmd_certify)
@@ -433,7 +441,7 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--grid", required=True, help="grid for the interior-point search")
     p.add_argument("--lambda", dest="lam")
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS_DEFAULT)
+    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.set_defaults(func=cmd_kkt)
 
     p = sub.add_parser("example-q", help="run the embedded worked example")

@@ -55,7 +55,6 @@ def expr_sum(exprs) -> LinExpr:
     exprs = [e for e in exprs if e.idx.size]
     if not exprs:
         raise ValueError("expr_sum needs at least one nonzero expression")
-    dim = exprs[0].dim
     return LinExpr(
         idx=np.concatenate([e.idx for e in exprs]),
         M=np.hstack([e.M for e in exprs]),
@@ -189,7 +188,6 @@ def add_composite_subdiff_block(
     is the support gap of the piecewise encoding.
     """
     xbar = np.asarray(xbar, float).reshape(-1)
-    n = xbar.shape[0]
     parts = []
     gap_idx, gap_coef = [], []
     for j, poly in enumerate(h_polys):
@@ -229,11 +227,6 @@ def add_l1_elastic(lp: BlockLP, exprs) -> np.ndarray:
         lp.add_ub(row_idx, np.concatenate([total.M[k], [-1.0]]), 0.0)
         lp.add_ub(row_idx, np.concatenate([-total.M[k], [-1.0]]), 0.0)
     return q
-
-
-def solve_feasibility(lp: BlockLP):
-    out = lp.solve()
-    return out
 
 
 def require_optimal(out, what: str):

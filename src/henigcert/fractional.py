@@ -27,10 +27,9 @@ from .cones import (
     PolyhedralCone,
     in_minus_cone,
     in_minus_cone_batch,
-    in_minus_k_eps_polar,
     in_minus_k_eps_polar_batch,
 )
-from .convex import ConvexFn, Polyhedron, ScaledFn
+from .convex import Polyhedron, ScaledFn
 from .errors import DenominatorNearZero, DimensionMismatch, PointOutsideDomain, UnsupportedData
 from .grids import GridSpec
 from .linprog import TOL_FEAS

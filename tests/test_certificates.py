@@ -26,6 +26,7 @@ from henigcert.cones import PolyhedralCone
 from henigcert.convex import BlackBoxFn, Polyhedron, PolyhedralFn
 from henigcert.errors import (
     ConjugateUnsupported,
+    DimensionMismatch,
     HorizonTooShort,
     PointOutsideDomain,
 )
@@ -307,6 +308,14 @@ def test_verify_epi_reference_table_q():
     assert any("epi_f[0]" in r for r in rep3.reasons)
 
 
+@pytest.mark.parametrize("consumer", [epi_from_eps, eps_to_exact, verify_eps_certificate])
+def test_certificate_shape_checked_against_problem(consumer):
+    # a 2-D table (from the worked example's shapes) against the 1-D toy
+    cert = zero_eps_certificate(q_problem(), 10)
+    with pytest.raises(DimensionMismatch):
+        consumer(toy_problem(), [0.0], cert)
+
+
 # ---------------------------------------------------------------------------
 # exact form
 
@@ -526,3 +535,200 @@ def test_slater_q_false():
     # h1 = (max{0,x})^2 >= 0 everywhere on C, so no strictly interior image
     grid = GridSpec(lows=[0.0, 0.0], highs=[10.0, 1.0], counts=[51, 51])
     assert slater_check(q_problem(), grid) is False
+
+
+# ---------------------------------------------------------------------------
+# differential check of the three verifiers beyond one dimension
+
+
+def blocks_problem(rng):
+    # the benchmark recipe at small size: n=2, m=3, p=2, six pieces per
+    # function, C the box [-1, 1]^2, Y+ the nonnegative orthant
+    n, m, p, pieces = 2, 3, 2, 6
+    objectives = [
+        (
+            PolyhedralFn(rng.normal(size=(pieces, n)), np.abs(rng.normal(size=pieces)) + 1.0),
+            PolyhedralFn(
+                0.1 * rng.normal(size=(pieces, n)), -5.0 - np.abs(rng.normal(size=pieces))
+            ),
+        )
+        for _ in range(m)
+    ]
+    hmap = [
+        PolyhedralFn(rng.normal(size=(pieces, n)), -1.0 - np.abs(rng.normal(size=pieces)))
+        for _ in range(p)
+    ]
+    return FractionalProblem(
+        n, objectives, hmap, PolyhedralCone.nonneg_orthant(p),
+        Polyhedron.box([-1.0] * n, [1.0] * n),
+    )
+
+
+def test_verifier_slacks_match_independent_recomputation():
+    from henigcert.convex import (
+        ScaledFn,
+        as_polyhedral,
+        conjugate,
+        support_function,
+        weighted_sum_polyhedral,
+    )
+    from henigcert.fractional import feasible, nu_values
+
+    rng = np.random.default_rng(20230220)
+    prob = blocks_problem(rng)
+    m, n, p, N = prob.m, prob.n, prob.p, 6
+    xbar = np.array([0.25, -0.15])
+    assert feasible(prob, xbar)
+    hbar = prob.h_values(xbar)
+    lam = rng.uniform(0.5, 2.0, m)
+    nu = nu_values(prob, xbar)
+    f_fns = [ScaledFn(lam[i], f) for i, (f, _) in enumerate(prob.objectives)]
+    w_fns = [ScaledFn(lam[i] * nu[i], ng) for i, (_, ng) in enumerate(prob.objectives)]
+    G = prob.cone.G
+    gam = 1.0 / np.arange(1, N + 1)
+
+    def functional(fn, at, k):
+        # entry k cycles through an exact subgradient at ``at`` (the
+        # membership holds), a random mix of the pieces (finite conjugate,
+        # either sign of slack) and a random vector (infinite conjugate)
+        A, b = as_polyhedral(fn).A, as_polyhedral(fn).b
+        if k % 3 == 0:
+            return A[int(np.argmax(A @ at + b))]
+        if k % 3 == 1:
+            return rng.dirichlet(np.ones(A.shape[0])) @ A
+        return rng.normal(scale=3.0, size=A.shape[1])
+
+    vstar = -np.abs(rng.normal(size=(N, p)))
+    vstar[::3] = 0.0  # vanishing rows take the zero-scaled composite
+    vstar[1, 0] = 0.0
+
+    def comp_fn(v):
+        if np.abs(v).max() <= 1e-12:
+            return ScaledFn(0.0, prob.hmap[0])
+        return weighted_sum_polyhedral(np.maximum(-v, 0.0), prob.hmap)
+
+    comps = [comp_fn(vstar[k]) for k in range(N)]
+    x = xbar + rng.uniform(-0.6, 0.6, (m, N, n))
+    w = xbar + rng.uniform(-0.6, 0.6, (m, N, n))
+    c = xbar + rng.uniform(-1.2, 1.2, (N, n))  # some points leave C
+    u = xbar + rng.uniform(-0.6, 0.6, (N, n))
+    y = -np.abs(rng.normal(size=(N, p)))
+    y[[2, 5], 0] = 0.5  # two points leave -Y+
+    xstar = np.array([[functional(f_fns[i], x[i, k], k) for k in range(N)] for i in range(m)])
+    wstar = np.array([[functional(w_fns[i], w[i, k], k + 1) for k in range(N)] for i in range(m)])
+    ustar = np.array([functional(comps[k], u[k], k) for k in range(N)])
+    cstar = rng.normal(scale=0.3, size=(N, n))
+    ystar = rng.normal(size=(N, p))
+    ystar[::2] = np.abs(ystar[::2])
+
+    def supp(s):
+        return support_function(prob.C, s)
+
+    def polar(V):
+        return (V @ G.T).min(axis=1)
+
+    def eps_gap(fn, s, at):
+        cv = conjugate(fn, s)
+        return cv + fn.eval(at) - s @ at if np.isfinite(cv) else np.inf
+
+    def exact_slack(fn, s, at):
+        if not np.isfinite(fn.eval(at)):
+            return -np.inf
+        return -eps_gap(fn, s, at)
+
+    # ----- epigraph form
+    def heights(shape):
+        return rng.normal(scale=2.0, size=shape)
+
+    epi = EpiCertificate(
+        lam=lam, xstar=xstar, a=heights((m, N)), wstar=wstar, b=heights((m, N)),
+        cstar=cstar, d=heights(N), ystar=ystar, s=heights(N), vstar=vstar,
+        ustar=ustar, t=heights(N),
+    )
+    want = {}
+    for i in range(m):
+        want[f"epi_f[{i}]"] = [epi.a[i, k] - conjugate(f_fns[i], xstar[i, k]) for k in range(N)]
+        want[f"epi_w[{i}]"] = [epi.b[i, k] - conjugate(w_fns[i], wstar[i, k]) for k in range(N)]
+    want["epi_C"] = [epi.d[k] - supp(cstar[k]) for k in range(N)]
+    want["ystar_polar"] = polar(ystar)
+    want["s_nonneg"] = epi.s
+    want["vstar_polar"] = polar(-vstar)
+    want["epi_comp"] = [epi.t[k] - conjugate(comps[k], ustar[k]) for k in range(N)]
+    rep_epi = verify_epi_certificate(prob, xbar, epi)
+
+    # ----- eps-subdifferential form
+    eps = EpsCertificate(
+        lam=lam, gamma=gam, xstar=xstar, wstar=wstar, cstar=cstar,
+        ystar=ystar, vstar=vstar, ustar=ustar,
+    )
+    want_eps = {}
+    for i in range(m):
+        want_eps[f"subdiff_f[{i}]"] = [
+            gam[k] - eps_gap(f_fns[i], xstar[i, k], xbar) for k in range(N)
+        ]
+        want_eps[f"subdiff_w[{i}]"] = [
+            gam[k] - eps_gap(w_fns[i], wstar[i, k], xbar) for k in range(N)
+        ]
+    want_eps["normal_C"] = [gam[k] - (supp(cstar[k]) - cstar[k] @ xbar) for k in range(N)]
+    want_eps["normal_Y"] = np.minimum(polar(ystar), gam + ystar @ hbar)
+    want_eps["vstar_polar"] = polar(-vstar)
+    want_eps["subdiff_comp"] = [gam[k] - eps_gap(comps[k], ustar[k], xbar) for k in range(N)]
+    rep_eps = verify_eps_certificate(prob, xbar, eps)
+
+    # ----- exact form
+    exact = ExactCertificate(
+        lam=lam, x=x, xstar=xstar, w=w, wstar=wstar, c=c, cstar=cstar,
+        u=u, ustar=ustar, y=y, ystar=ystar, vstar=vstar,
+    )
+    in_c = (c @ prob.C.A.T <= prob.C.b + 1e-7).all(axis=1)
+    in_my = (y <= 1e-7).all(axis=1)
+    want_ex = {}
+    for i in range(m):
+        want_ex[f"subdiff_f[{i}]"] = [
+            exact_slack(f_fns[i], xstar[i, k], x[i, k]) for k in range(N)
+        ]
+        want_ex[f"subdiff_w[{i}]"] = [
+            exact_slack(w_fns[i], wstar[i, k], w[i, k]) for k in range(N)
+        ]
+    want_ex["normal_C"] = [
+        -(supp(cstar[k]) - cstar[k] @ c[k]) if in_c[k] else -np.inf for k in range(N)
+    ]
+    want_ex["normal_Y"] = np.where(
+        in_my, np.minimum(polar(ystar), (ystar * y).sum(axis=1)), -np.inf
+    )
+    want_ex["vstar_polar"] = polar(-vstar)
+    want_ex["subdiff_comp"] = [exact_slack(comps[k], ustar[k], u[k]) for k in range(N)]
+    rep_ex = verify_exact_certificate(prob, xbar, exact)
+    gaps = {}
+    for i in range(m):
+        for name, fn, pts, st in ((f"gap_f[{i}]", f_fns[i], x[i], xstar[i]),
+                                  (f"gap_w[{i}]", w_fns[i], w[i], wstar[i])):
+            gaps[name] = [
+                abs(fn.eval(pts[k]) - st[k] @ (pts[k] - xbar) - fn.eval(xbar)) for k in range(N)
+            ]
+    gaps["gap_C"] = np.abs(((c - xbar) * cstar).sum(axis=1))
+    gaps["gap_Y"] = np.abs(((y - hbar) * ystar).sum(axis=1))
+    gaps["gap_comp"] = [
+        abs(ustar[k] @ (u[k] - xbar) + vstar[k] @ (prob.h_values(u[k]) - hbar)) for k in range(N)
+    ]
+    for name, gap in gaps.items():
+        np.testing.assert_allclose(rep_ex.residuals[name], gap, rtol=0, atol=1e-12, err_msg=name)
+
+    for rep, expected in ((rep_epi, want), (rep_eps, want_eps), (rep_ex, want_ex)):
+        # documented order: per objective f then w, then C, Y, the polar
+        # check on vstar, and the composite last
+        assert list(rep.memberships) == list(expected), rep.theorem
+        assert list(rep.slacks) == list(expected), rep.theorem
+        for name, sl in expected.items():
+            np.testing.assert_allclose(rep.slacks[name], np.asarray(sl, float), rtol=0, atol=1e-12,
+                                       err_msg=f"{rep.theorem} {name}")
+            assert np.array_equal(rep.memberships[name], rep.slacks[name] >= -1e-7)
+        held = np.concatenate([v for v in rep.memberships.values()])
+        assert held.any() and not held.all(), rep.theorem
+        assert rep.verdict == "Reject"
+    for rep in (rep_eps, rep_ex):
+        # finite failing slacks, not only infinite ones
+        sl = np.concatenate([v for v in rep.slacks.values()])
+        assert (np.isfinite(sl) & (sl < -1e-7)).any(), rep.theorem
+    # the composite block ran with a nonzero weight
+    assert any(not isinstance(fn, ScaledFn) for fn in comps)

@@ -57,6 +57,36 @@ def test_check_toy_dominated(files, capsys):
     assert doc["verdict"]["counterexample"] is not None
 
 
+@pytest.mark.parametrize(
+    "problem, point, grid",
+    [("toy", "0", TOY_GRID), ("toy", "1", TOY_GRID), ("q", "0,0.5", Q_GRID)],
+)
+def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, grid):
+    # the parametric-equivalence field reuses the verdict already in hand
+    # instead of rerunning the brute-force oracle
+    from henigcert import fractional
+    from henigcert.grids import GridSpec
+
+    original = fractional.henig_check_bruteforce
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fractional, "henig_check_bruteforce", counted)
+    monkeypatch.setattr(cli, "henig_check_bruteforce", counted)
+    cli.main(["check", "--problem", files[problem], "--point", point, "--grid", grid])
+    doc = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    prob = serialization.problem_from_json(serialization.load_json(files[problem]))
+    want = fractional.parametric_equivalence_check(
+        prob, cli._parse_vector(point, "point"), GridSpec.parse(grid)
+    )
+    assert doc["parametric_equivalence"] is want
+
+
 def test_check_infeasible_point_is_usage_error(files, capsys):
     rc = cli.main(
         ["check", "--problem", files["q"], "--point", "0.5,0.5", "--grid", Q_GRID]
