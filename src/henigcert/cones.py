@@ -4,8 +4,8 @@ K_eps is the conic hull of {e_i + eps*e}.  Its generator matrix I + eps*E
 (E all-ones) is invertible with a rank-one inverse update, so membership
 has a closed form: v is in K_eps iff v_i >= eps*sum(v)/(1 + eps*m) for
 every i.  Polar membership reduces to the finite generator test
-<v, e_i + eps*e> >= 0.  Both avoid an LP per query; the brute-force
-efficiency oracle calls them on whole grids at once.
+<v, e_i + eps*e> >= 0.  Both avoid an LP per query; the grid oracle uses
+the polar test as max(v) + eps*sum(v) <= tol, one max and sum per row.
 
 Polar cones follow the sign convention <z*, z> >= 0 for all z in the cone
 (the dual cone), matching the feasibility test h(x) in -Y+.

@@ -562,7 +562,6 @@ def _exactness_lp(poly: PolyhedralFn, x, target):
     x = np.asarray(x, float).reshape(-1)
     n = poly.dim
     dom = poly.domain
-    fval = poly.eval(x)
     if target is None:
         # variables: mu (K), eta (mA), zeta (mE); minimize YF gap
         K = poly.npieces

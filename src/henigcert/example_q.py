@@ -69,20 +69,20 @@ def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) ->
     """Run the five stages; returns a report dict with ``ok`` aggregated."""
     prob = build_problem()
     stages = []
-    t_start = time.time()
+    t_start = time.perf_counter()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     nu = nu_values(prob, XBAR)
     stages.append(
         {
             "stage": "ratio_values",
             "ok": bool(np.array_equal(nu, np.zeros(2))),
             "nu": nu.tolist(),
-            "seconds": time.time() - t0,
+            "seconds": time.perf_counter() - t0,
         }
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     pts = grid.points()
     mask = feasible_mask(prob, pts)
     first = pts[mask][:, 0]
@@ -93,22 +93,22 @@ def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) ->
             "ok": collapse,
             "feasible_points": int(mask.sum()),
             "max_first_coordinate": float(np.abs(first).max()) if mask.any() else None,
-            "seconds": time.time() - t0,
+            "seconds": time.perf_counter() - t0,
         }
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     slater = slater_check(prob, grid)
     stages.append(
         {
             "stage": "interior_point_fails",
             "ok": slater is False,
             "slater": slater,
-            "seconds": time.time() - t0,
+            "seconds": time.perf_counter() - t0,
         }
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = henig_check_bruteforce(prob, XBAR, grid)
     stages.append(
         {
@@ -116,11 +116,11 @@ def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) ->
             "ok": verdict.kind == "properly_efficient",
             "kind": verdict.kind,
             "eps_witness": verdict.eps_witness,
-            "seconds": time.time() - t0,
+            "seconds": time.perf_counter() - t0,
         }
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     cert = reference_certificate(N)
     report = verify_epi_certificate(prob, XBAR, cert, tol_conv=tol_conv)
     dual_last = float(report.residuals["dual"][-1])
@@ -141,7 +141,7 @@ def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) ->
             "y_residual_max": y_max,
             "scalar_residual_last": scalar_last,
             "tol_conv": tol_conv,
-            "seconds": time.time() - t0,
+            "seconds": time.perf_counter() - t0,
         }
     )
 
@@ -151,5 +151,5 @@ def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) ->
         "grid": {"lows": grid.lows, "highs": grid.highs, "counts": grid.counts},
         "stages": stages,
         "ok": all(s["ok"] for s in stages),
-        "seconds": time.time() - t_start,
+        "seconds": time.perf_counter() - t_start,
     }

@@ -7,13 +7,14 @@ candidate point keeps each objective as the pair (f_i, nu_i * (-g_i)) so
 the certificate layer can address the two summands separately.
 
 The efficiency oracle is a grid scan: a point is refuted at dilation eps
-when some feasible lattice point's ratio-difference vector lies in
--K_eps* (excluding near-ties).  Since -K_eps* only grows with eps, the
-ladder runs decreasing and stops at the first eps with no counterexample,
-which is the strongest grid certificate available; a witness that
-dominates at the finest eps is re-verified at every ladder value before a
-Dominated verdict is issued.  Grid verdicts mean "no counterexample on
-this grid", never a proof over the continuum.
+when some feasible lattice point's ratio-difference vector v lies in
+-K_eps* (excluding near-ties), i.e. max(v) + eps*sum(v) <= TOL_CONE, so
+each ladder rung is one pass over every row's max and sum.  Since -K_eps*
+only grows with eps, the ladder runs decreasing and stops at the first eps
+with no counterexample, the strongest grid certificate available; the rows
+refuting every rung so far are kept along the way, and the first one left
+at the end is the Dominated witness.  Grid verdicts mean "no
+counterexample on this grid", never a proof over the continuum.
 """
 
 import warnings
@@ -22,13 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import (
-    HenigCone,
-    PolyhedralCone,
-    in_minus_cone,
-    in_minus_cone_batch,
-    in_minus_k_eps_polar_batch,
-)
+from .cones import TOL_CONE, PolyhedralCone, in_minus_cone, in_minus_cone_batch
 from .convex import Polyhedron, ScaledFn
 from .errors import DenominatorNearZero, DimensionMismatch, PointOutsideDomain, UnsupportedData
 from .grids import GridSpec
@@ -120,6 +115,12 @@ def nu_values(prob: FractionalProblem, xbar) -> np.ndarray:
     return nu + 0.0  # normalize -0.0 away
 
 
+def _candidate_ratios(prob: FractionalProblem, xbar) -> np.ndarray:
+    if not feasible(prob, xbar):
+        raise PointOutsideDomain("candidate point is not feasible")
+    return nu_values(prob, xbar)
+
+
 def ratio_matrix(prob: FractionalProblem, X):
     """Ratio rows for a batch of points; second output flags rows where every
     denominator clears TOL_DIV and every value is finite."""
@@ -181,9 +182,7 @@ def parametric_problem(prob: FractionalProblem, xbar) -> ParametricProblem:
     needs nu >= 0 and g(xbar) != 0 at the candidate itself.
     """
     xbar = np.asarray(xbar, float).reshape(-1)
-    if not feasible(prob, xbar):
-        raise PointOutsideDomain("candidate point is not feasible")
-    nu = nu_values(prob, xbar)
+    nu = _candidate_ratios(prob, xbar)
     for i, (f, ng) in enumerate(prob.objectives):
         fv, gv = f.eval(xbar), -ng.eval(xbar)
         if fv < 0:
@@ -232,55 +231,47 @@ def _validate_ladder(ladder):
     ladder = [float(e) for e in (DEFAULT_LADDER if ladder is None else ladder)]
     if not ladder or any(e <= 0 for e in ladder):
         raise ValueError("ladder must be a nonempty list of positive eps")
+    if not np.isfinite(ladder).all():
+        raise ValueError("ladder eps must be finite")
     return sorted(set(ladder), reverse=True)
 
 
 def _ladder_verdict(D, X, ladder, grid) -> EfficiencyVerdict:
     """Shared scan: D holds the objective-difference rows of the candidate
-    against each feasible sample in X (lattice order)."""
-    m = D.shape[1]
-    nonzero = np.abs(D).max(axis=1) > ZERO_DIFF_TOL if D.size else np.zeros(0, bool)
-    Dn, Xn = D[nonzero], X[nonzero]
-    if Dn.shape[0] == 0:
-        # only the candidate's own ratio vector shows up on the grid
-        return EfficiencyVerdict.properly_efficient(ladder[0], grid)
+    against each feasible sample in X (lattice order).  Rounding is monotone,
+    so max_i fl(v_i + c) == fl(max(v) + c): the rung test below matches
+    cones.in_minus_k_eps_polar_batch bit for bit."""
+    nonzero = np.abs(D).max(axis=1) > ZERO_DIFF_TOL  # drop ties with the candidate
+    vmax, S = D.max(axis=1)[nonzero], D.sum(axis=1)[nonzero]
+    # rows refuting every rung so far; tolerance slack near the boundary
+    # can leave every rung refuted by some row but none by a single one
+    survives = np.ones(vmax.shape, bool)
     for eps in ladder:
-        hits = in_minus_k_eps_polar_batch(HenigCone(m, eps), Dn)
+        hits = vmax + eps * S <= TOL_CONE
         if not hits.any():
             return EfficiencyVerdict.properly_efficient(eps, grid)
-    # refuted everywhere; promote a witness only if one row survives the
-    # whole ladder (tolerance slack can break this near the boundary)
-    finest_hits = in_minus_k_eps_polar_batch(HenigCone(m, ladder[-1]), Dn)
-    survives = finest_hits.copy()
-    for eps in ladder[:-1]:
-        survives &= in_minus_k_eps_polar_batch(HenigCone(m, eps), Dn)
-        if not survives.any():
-            break
+        survives &= hits
     if survives.any():
-        first = int(np.argmax(survives))
-        return EfficiencyVerdict.dominated(Xn[first], ladder[-1], grid)
+        first = np.flatnonzero(nonzero)[np.argmax(survives)]
+        return EfficiencyVerdict.dominated(X[first], ladder[-1], grid)
     return EfficiencyVerdict.inconclusive(
         "every ladder eps is refuted but no single witness dominates at all of them",
         grid,
     )
 
 
-def henig_check_bruteforce(
-    prob: FractionalProblem, xbar, grid: GridSpec, ladder=None
-) -> EfficiencyVerdict:
-    """Grid oracle for Henig proper efficiency of xbar in the ratio problem."""
-    ladder = _validate_ladder(ladder)
-    xbar = np.asarray(xbar, float).reshape(-1)
-    if not feasible(prob, xbar):
-        raise PointOutsideDomain("candidate point is not feasible")
-    nu = nu_values(prob, xbar)
+def _feasible_samples(prob: FractionalProblem, grid: GridSpec):
+    """The feasible lattice points in lattice order, or None if there are none."""
     X = grid.points()
     if X.shape[1] != prob.n:
         raise DimensionMismatch("grid dimension does not match problem")
     mask = feasible_mask(prob, X)
-    if not mask.any():
+    return X[mask] if mask.any() else None
+
+
+def _ratio_verdict(prob, nu, Xf, ladder, grid) -> EfficiencyVerdict:
+    if Xf is None:
         return EfficiencyVerdict.inconclusive("no feasible samples", grid)
-    Xf = X[mask]
     R, ok = ratio_matrix(prob, Xf)
     if not ok.any():
         return EfficiencyVerdict.inconclusive(
@@ -289,20 +280,9 @@ def henig_check_bruteforce(
     return _ladder_verdict(R[ok] - nu, Xf[ok], ladder, grid)
 
 
-def henig_check_parametric(
-    param: ParametricProblem, grid: GridSpec, ladder=None
-) -> EfficiencyVerdict:
-    """The same oracle run on the reformulated objectives: the comparison
-    vector is phi(x) - phi(xbar) = phi(x)."""
-    ladder = _validate_ladder(ladder)
-    prob = param.base
-    X = grid.points()
-    if X.shape[1] != prob.n:
-        raise DimensionMismatch("grid dimension does not match problem")
-    mask = feasible_mask(prob, X)
-    if not mask.any():
+def _parametric_verdict(param, Xf, ladder, grid) -> EfficiencyVerdict:
+    if Xf is None:
         return EfficiencyVerdict.inconclusive("no feasible samples", grid)
-    Xf = X[mask]
     P = param.phi_values_batch(Xf)
     ok = np.isfinite(P).all(axis=1)
     if not ok.any():
@@ -312,13 +292,44 @@ def henig_check_parametric(
     return _ladder_verdict(P[ok], Xf[ok], ladder, grid)
 
 
+def henig_check_bruteforce(
+    prob: FractionalProblem, xbar, grid: GridSpec, ladder=None
+) -> EfficiencyVerdict:
+    """Grid oracle for Henig proper efficiency of xbar in the ratio problem."""
+    ladder = _validate_ladder(ladder)
+    nu = _candidate_ratios(prob, xbar)
+    return _ratio_verdict(prob, nu, _feasible_samples(prob, grid), ladder, grid)
+
+
+def henig_check_parametric(
+    param: ParametricProblem, grid: GridSpec, ladder=None
+) -> EfficiencyVerdict:
+    """The same oracle run on the reformulated objectives: the comparison
+    vector is phi(x) - phi(xbar) = phi(x)."""
+    ladder = _validate_ladder(ladder)
+    return _parametric_verdict(param, _feasible_samples(param.base, grid), ladder, grid)
+
+
+def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
+    """The ratio problem's verdict, and whether its reformulation at xbar
+    agrees on the verdict kind, both from one lattice and feasibility mask.
+    The reformulation's data-assumption warnings are suppressed."""
+    ladder = _validate_ladder(ladder)
+    nu = _candidate_ratios(prob, xbar)
+    Xf = _feasible_samples(prob, grid)
+    verdict = _ratio_verdict(prob, nu, Xf, ladder, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, xbar)
+    return verdict, _parametric_verdict(param, Xf, ladder, grid).kind == verdict.kind
+
+
 def parametric_equivalence_check(
     prob: FractionalProblem, xbar, grid: GridSpec, ladder=None
 ) -> bool:
     """Do the ratio problem and its reformulation agree on the verdict kind?"""
+    # the reformulation's errors come before the ladder and grid ones here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        param = parametric_problem(prob, xbar)
-    a = henig_check_bruteforce(prob, xbar, grid, ladder)
-    b = henig_check_parametric(param, grid, ladder)
-    return a.kind == b.kind
+        parametric_problem(prob, xbar)
+    return henig_check(prob, xbar, grid, ladder)[1]

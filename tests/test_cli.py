@@ -62,23 +62,25 @@ def test_check_toy_dominated(files, capsys):
     [("toy", "0", TOY_GRID), ("toy", "1", TOY_GRID), ("q", "0,0.5", Q_GRID)],
 )
 def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, grid):
-    # the parametric-equivalence field reuses the verdict already in hand
-    # instead of rerunning the brute-force oracle
+    # the ratio problem and its reformulation share one lattice, one
+    # feasibility mask and one ratio evaluation
     from henigcert import fractional
     from henigcert.grids import GridSpec
 
-    original = fractional.henig_check_bruteforce
-    calls = []
+    calls = {"points": 0, "feasible_mask": 0, "ratio_matrix": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(fractional, "henig_check_bruteforce", counted)
-    monkeypatch.setattr(cli, "henig_check_bruteforce", counted)
+    monkeypatch.setattr(GridSpec, "points", counted("points", GridSpec.points))
+    for name in ("feasible_mask", "ratio_matrix"):
+        monkeypatch.setattr(fractional, name, counted(name, getattr(fractional, name)))
     cli.main(["check", "--problem", files[problem], "--point", point, "--grid", grid])
     doc = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
+    assert calls == {"points": 1, "feasible_mask": 1, "ratio_matrix": 1}
     monkeypatch.undo()
     prob = serialization.problem_from_json(serialization.load_json(files[problem]))
     want = fractional.parametric_equivalence_check(

@@ -13,6 +13,7 @@ from henigcert.errors import (
 )
 from henigcert.fractional import (
     DEFAULT_LADDER,
+    ZERO_DIFF_TOL,
     EfficiencyVerdict,
     FractionalProblem,
     ParametricProblem,
@@ -24,6 +25,8 @@ from henigcert.fractional import (
     parametric_equivalence_check,
     parametric_problem,
     ratio_matrix,
+    _ladder_verdict,
+    _validate_ladder,
 )
 from henigcert.grids import GridSpec
 
@@ -234,6 +237,80 @@ def test_oracle_rejects_infeasible_candidate():
         henig_check_bruteforce(toy(), [5.0], GridSpec.parse("5:[-1,1]"))
     with pytest.raises(ValueError):
         henig_check_bruteforce(toy(), [0.0], GridSpec.parse("5:[-1,1]"), ladder=[-1.0])
+    # no ladder rung may be NaN or infinite, whatever the grid
+    for grid, ladder in [("1:[0,0]", [np.nan]), ("21:[-1,1]", [np.inf, 0.5])]:
+        with pytest.raises(ValueError):
+            henig_check_bruteforce(toy(), [0.0], GridSpec.parse(grid), ladder=ladder)
+        with pytest.raises(ValueError):
+            parametric_equivalence_check(toy(), [0.0], GridSpec.parse(grid), ladder=ladder)
+
+
+# reference scan: one HenigCone batch test per rung, then a separate pass
+# that intersects every rung's hits to find a surviving witness
+def _reference_ladder_verdict(D, X, ladder, grid) -> EfficiencyVerdict:
+    """Shared scan: D holds the objective-difference rows of the candidate
+    against each feasible sample in X (lattice order)."""
+    m = D.shape[1]
+    nonzero = np.abs(D).max(axis=1) > ZERO_DIFF_TOL if D.size else np.zeros(0, bool)
+    Dn, Xn = D[nonzero], X[nonzero]
+    if Dn.shape[0] == 0:
+        # only the candidate's own ratio vector shows up on the grid
+        return EfficiencyVerdict.properly_efficient(ladder[0], grid)
+    for eps in ladder:
+        hits = in_minus_k_eps_polar_batch(HenigCone(m, eps), Dn)
+        if not hits.any():
+            return EfficiencyVerdict.properly_efficient(eps, grid)
+    # refuted everywhere; promote a witness only if one row survives the
+    # whole ladder (tolerance slack can break this near the boundary)
+    finest_hits = in_minus_k_eps_polar_batch(HenigCone(m, ladder[-1]), Dn)
+    survives = finest_hits.copy()
+    for eps in ladder[:-1]:
+        survives &= in_minus_k_eps_polar_batch(HenigCone(m, eps), Dn)
+        if not survives.any():
+            break
+    if survives.any():
+        first = int(np.argmax(survives))
+        return EfficiencyVerdict.dominated(Xn[first], ladder[-1], grid)
+    return EfficiencyVerdict.inconclusive(
+        "every ladder eps is refuted but no single witness dominates at all of them",
+        grid,
+    )
+
+
+def test_ladder_scan_matches_per_rung_cone_tests():
+    # the (max, sum) scan against a per-rung HenigCone scan with a separate
+    # survivor pass, on rows from N(0,1), rows at TOL_CONE's scale, zero-sum
+    # rows shifted by 1e-10, and rounded rows with ties, mixed per case
+    rng = np.random.default_rng(2024)
+    ladders = [
+        _validate_ladder(lad)
+        for lad in (DEFAULT_LADDER, (1.0, 0.5, 0.25, 0.125, 0.0625), (4.0, 1.0, 1e-3, 1e-9))
+    ]
+    kinds = {"properly_efficient": 0, "dominated": 0, "inconclusive": 0}
+    for _ in range(1000):
+        m, N = int(rng.integers(2, 5)), int(rng.integers(0, 41))
+        Z = rng.normal(size=(N, m))
+        families = [
+            Z,
+            Z * 1e-9,
+            Z - Z.mean(axis=1, keepdims=True) + rng.choice([-1e-10, 1e-10], size=(N, 1)),
+            np.round(Z),
+        ]
+        pick = rng.choice(rng.permutation(4)[: rng.integers(1, 5)], size=N)
+        D = np.choose(pick[:, None], families)
+        X = rng.normal(size=(N, 2))
+        for ladder in ladders:
+            want = _reference_ladder_verdict(D, X, ladder, None)
+            got = _ladder_verdict(D, X, ladder, None)
+            assert (got.kind, got.eps_witness, got.at_eps, got.reason) == (
+                want.kind, want.eps_witness, want.at_eps, want.reason
+            )
+            if want.counterexample is None:
+                assert got.counterexample is None
+            else:
+                assert np.array_equal(got.counterexample, want.counterexample)
+            kinds[want.kind] += 1
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_counterexample_sets_grow_with_eps():
