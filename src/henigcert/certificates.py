@@ -671,9 +671,12 @@ def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCe
     """Regularize each block of the subdifferential-form certificate into an
     exact pair at a nearby point, with eps = gamma_n per entry.
 
-    The nearby-pair bounds (point distance and functional distance at most
-    sqrt(gamma_n), value gap at most 2*gamma_n) are recorded per block in
-    ``br_bounds``.
+    Each pair comes from ``br_regularize``: Ekeland's construction with the
+    Euclidean norm as cutting planes, the exact subgradient read off the LP
+    row multipliers.  The nearby-pair bounds (point distance and functional
+    distance at most sqrt(gamma_n), value gap at most 2*gamma_n) are
+    recorded per block in ``br_bounds``; a failed search raises
+    BRSearchFailed naming the block and entry.
     """
     xbar, table = _prepare(prob, xbar, cert, horizon=False)
     tab = vars(cert)

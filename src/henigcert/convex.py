@@ -4,8 +4,11 @@ Everything here reduces to small LPs solved by :mod:`henigcert.linprog`:
 Fenchel conjugates, support functions, epigraph-of-conjugate membership,
 eps-subdifferential and eps-normal membership (Young-Fenchel form), exact
 subgradient selection, and the nearby-exact-pair search behind the
-Brondsted-Rockafellar bounds.  Black-box functions from the builtin
-whitelist can only be evaluated; asking for their conjugate raises.
+Brondsted-Rockafellar bounds.  That search is Ekeland's construction,
+exact for polyhedral functions: the Euclidean norm enters as Kelley
+cutting planes, and the nearby subgradient comes from the LP multipliers
+of the cut rows.  Black-box functions from the builtin whitelist can only
+be evaluated; asking for their conjugate raises.
 
 Function values are extended reals: plain floats with ``numpy.inf`` for
 points outside the domain.  A ``ScaledFn`` with coefficient zero is the
@@ -36,6 +39,10 @@ TOL_MEMBERSHIP = 1e-7
 ZERO_FN_TOL = 1e-9
 _ACTIVE_TOL = 1e-9
 _PIECE_CAP = 512
+# br_regularize: Ekeland's weight as a fraction of sqrt(eps), a hair below 1
+# so that ||x* - x̄*|| <= sqrt(eps) survives rounding, and its LP-round cap
+_BR_LAMBDA = 1.0 - 1e-9
+_BR_ROUNDS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -545,100 +552,46 @@ def subdiff_element(fn: ConvexFn, xbar) -> np.ndarray:
     if ineq_active.size == 0 and dom.E.shape[0] == 0:
         k = int(_active_pieces(poly, xbar)[0])
         return poly.A[k].copy()
-    xstar, gap = _exactness_lp(poly, xbar, target=None)
+    xstar, gap = _exactness_lp(poly, xbar)
     if gap > 1e-6:
         raise NumericalFailure("exactness LP did not close the Young-Fenchel gap")
     return xstar
 
 
-def _exactness_lp(poly: PolyhedralFn, x, target):
-    """Pick x* in the subdifferential of ``poly`` at x.
-
-    target None: minimize the Young-Fenchel gap itself (returns its optimum).
-    target vector: restrict to active pieces / active domain rows (an exact
-    description of the subdifferential) and minimize ||x* - target||_inf;
-    returns (x*, gap) with the gap re-verified via the conjugate LP.
-    """
+def _exactness_lp(poly: PolyhedralFn, x):
+    """Pick x* in the subdifferential of ``poly`` at x by minimizing the
+    Young-Fenchel gap over the conjugate encoding; returns (x*, gap)."""
     x = np.asarray(x, float).reshape(-1)
-    n = poly.dim
     dom = poly.domain
-    if target is None:
-        # variables: mu (K), eta (mA), zeta (mE); minimize YF gap
-        K = poly.npieces
-        mA, mE = dom.A.shape[0], dom.E.shape[0]
-        nv = K + mA + 2 * mE  # zeta split into +/- parts
-        c = np.zeros(nv)
-        # gap = -sum mu b + b_D eta + d_D zeta + f(x) - <xstar, x>
-        # xstar = A^T mu + A_D^T eta + E_D^T zeta
-        c[:K] = poly.b + poly.A @ x
-        if mA:
-            # x in dom, so the slack is nonnegative up to noise; snap it
-            c[K:K + mA] = -np.maximum(dom.b - dom.A @ x, 0.0)
-        if mE:
-            resid = dom.d - dom.E @ x
-            resid[np.abs(resid) <= 1e-9 * (1.0 + np.abs(dom.d))] = 0.0
-            c[K + mA:K + mA + mE] = -resid
-            c[K + mA + mE:] = resid
-        A_eq = np.zeros((1, nv))
-        A_eq[0, :K] = 1.0
-        out = lp_solve(
-            LinearProgram(c=c, A_eq=A_eq, b_eq=[1.0], lb=np.zeros(nv))
-        )
-        if out.status != OPTIMAL:
-            raise NumericalFailure("subgradient exactness LP failed")
-        mu = out.x[:K]
-        xstar = poly.A.T @ mu
-        if mA:
-            xstar = xstar + dom.A.T @ out.x[K:K + mA]
-        if mE:
-            zeta = out.x[K + mA:K + mA + mE] - out.x[K + mA + mE:]
-            xstar = xstar + dom.E.T @ zeta
-        gap = young_fenchel_gap(poly, x, xstar)
-        return xstar, gap
-    # active-set form with a min-distance objective
-    act = _active_pieces(poly, x)
-    Aact = poly.A[act]
-    ineq_act = (
-        np.where(dom.A @ x >= dom.b - _ACTIVE_TOL * (1.0 + np.abs(dom.b)))[0]
-        if dom.A.shape[0]
-        else np.array([], dtype=int)
-    )
-    Din = dom.A[ineq_act]
-    mE = dom.E.shape[0]
-    Ka, mI = Aact.shape[0], Din.shape[0]
-    target = np.asarray(target, float).reshape(-1)
-    # variables: mu (Ka), eta (mI), zeta+ (mE), zeta- (mE), t
-    nv = Ka + mI + 2 * mE + 1
+    # variables: mu (K), eta (mA), zeta (mE); minimize YF gap
+    K = poly.npieces
+    mA, mE = dom.A.shape[0], dom.E.shape[0]
+    nv = K + mA + 2 * mE  # zeta split into +/- parts
     c = np.zeros(nv)
-    c[-1] = -1.0  # maximize -t  == minimize t
-    rows = []
-    rhs = []
-    for sign in (1.0, -1.0):
-        # sign*(xstar_c - target_c) <= t  for each coordinate c
-        block = np.zeros((n, nv))
-        block[:, :Ka] = sign * Aact.T
-        if mI:
-            block[:, Ka:Ka + mI] = sign * Din.T
-        if mE:
-            block[:, Ka + mI:Ka + mI + mE] = sign * dom.E.T
-            block[:, Ka + mI + mE:Ka + mI + 2 * mE] = -sign * dom.E.T
-        block[:, -1] = -1.0
-        rows.append(block)
-        rhs.append(sign * target)
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :Ka] = 1.0
-    lb = np.zeros(nv)
-    out = lp_solve(LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], lb=lb))
-    if out.status != OPTIMAL:
-        raise NumericalFailure("min-distance subgradient LP failed")
-    mu = out.x[:Ka]
-    xstar = Aact.T @ mu
-    if mI:
-        xstar = xstar + Din.T @ out.x[Ka:Ka + mI]
+    # gap = -sum mu b + b_D eta + d_D zeta + f(x) - <xstar, x>
+    # xstar = A^T mu + A_D^T eta + E_D^T zeta
+    c[:K] = poly.b + poly.A @ x
+    if mA:
+        # x in dom, so the slack is nonnegative up to noise; snap it
+        c[K:K + mA] = -np.maximum(dom.b - dom.A @ x, 0.0)
     if mE:
-        zeta = out.x[Ka + mI:Ka + mI + mE] - out.x[Ka + mI + mE:Ka + mI + 2 * mE]
+        resid = dom.d - dom.E @ x
+        resid[np.abs(resid) <= 1e-9 * (1.0 + np.abs(dom.d))] = 0.0
+        c[K + mA:K + mA + mE] = -resid
+        c[K + mA + mE:] = resid
+    A_eq = np.zeros((1, nv))
+    A_eq[0, :K] = 1.0
+    out = lp_solve(
+        LinearProgram(c=c, A_eq=A_eq, b_eq=[1.0], lb=np.zeros(nv))
+    )
+    if out.status != OPTIMAL:
+        raise NumericalFailure("subgradient exactness LP failed")
+    mu = out.x[:K]
+    xstar = poly.A.T @ mu
+    if mA:
+        xstar = xstar + dom.A.T @ out.x[K:K + mA]
+    if mE:
+        zeta = out.x[K + mA:K + mA + mE] - out.x[K + mA + mE:]
         xstar = xstar + dom.E.T @ zeta
     gap = young_fenchel_gap(poly, x, xstar)
     return xstar, gap
@@ -750,42 +703,21 @@ class BRResult:
     value_gap: float    # |f(x)-f(x̄)-<x*,x-x̄>| (bound: 2 eps)
 
 
-def _ball_directions(n: int, count: int) -> np.ndarray:
-    """Deterministic unit directions: axes first, then a seeded spread."""
-    dirs = [np.eye(n)[j] * s for j in range(n) for s in (1.0, -1.0)]
-    if n == 1:
-        return np.array(dirs[:2])
-    if n == 2:
-        extra = max(count - len(dirs), 0)
-        ang = 2.0 * np.pi * (np.arange(extra) + 0.5) / max(extra, 1)
-        dirs += [np.array([np.cos(a), np.sin(a)]) for a in ang[:extra]]
-    else:
-        rng = np.random.default_rng(1234)
-        while len(dirs) < count:
-            v = rng.normal(size=n)
-            nv = np.linalg.norm(v)
-            if nv > 1e-9:
-                dirs.append(v / nv)
-    return np.array(dirs)
+def _br_pair(poly, xbar, xbarstar, x, xstar) -> BRResult:
+    # the three bound values, true Euclidean norm (value gap inf off the domain)
+    return BRResult(
+        x=np.asarray(x, float), xstar=np.asarray(xstar, float),
+        dist_x=float(np.linalg.norm(x - xbar)),
+        dist_xstar=float(np.linalg.norm(xstar - xbarstar)),
+        value_gap=float(abs(poly.eval(x) - poly.eval(xbar) - xstar @ (x - xbar))),
+    )
 
 
-def _br_check(poly, xbar, eps, xbarstar, x, xstar, tol):
-    fx = poly.eval(x)
-    fb = poly.eval(xbar)
-    if not (np.isfinite(fx) and np.isfinite(fb)):
-        return None
-    if young_fenchel_gap(poly, x, xstar) > tol:
-        return None
-    # the three distance bounds are checked strictly: a returned pair
-    # satisfies them in exact float comparison, true Euclidean norm
-    d_x = float(np.linalg.norm(x - xbar))
-    d_s = float(np.linalg.norm(xstar - xbarstar))
-    v_g = float(abs(fx - fb - xstar @ (x - xbar)))
+def _br_excess(res: BRResult, eps: float) -> float:
+    # largest overshoot of a bound; <= 0 iff all three hold in exact float
+    # comparison (a - b <= 0 iff a <= b)
     root = np.sqrt(max(eps, 0.0))
-    if d_x <= root and d_s <= root and v_g <= 2.0 * eps:
-        return BRResult(x=np.asarray(x, float), xstar=np.asarray(xstar, float),
-                        dist_x=d_x, dist_xstar=d_s, value_gap=v_g)
-    return None
+    return max(res.dist_x - root, res.dist_xstar - root, res.value_gap - 2.0 * eps)
 
 
 def br_regularize(
@@ -793,123 +725,86 @@ def br_regularize(
     xbar,
     eps: float,
     xbarstar,
-    facets: int = 16,
-    max_doublings: int = 4,
     tol: float = TOL_MEMBERSHIP,
 ) -> BRResult:
     """Find (x, x*) with x* an exact subgradient at x and the three
     Brondsted-Rockafellar bounds: ||x-x̄|| <= sqrt(eps),
     ||x*-x̄*|| <= sqrt(eps), |f(x)-f(x̄)-<x*,x-x̄>| <= 2 eps.
 
-    Given x̄* in the eps-subdifferential at x̄, such a pair exists; the
-    search tries the base point itself, then minimizes f - <x̄*, .> over a
-    circumscribed polyhedral ball of radius sqrt(eps) (clamping the result
-    onto the true Euclidean ball), doubling the facet count on failure,
-    with a penalty-form sweep as the last fallback.  Bounds are verified
-    with the true Euclidean norm before returning; BRSearchFailed otherwise.
+    Given x̄* in the eps-subdifferential at x̄, such a pair exists.  Unless
+    x̄* is already exact at x̄, the search is Ekeland's construction made
+    exact by cutting planes: x minimizes f - <x̄*, .> + lam*||. - x̄|| with
+    lam a hair below sqrt(eps), the norm written as t >= <u_j, . - x̄> over
+    unit cuts u_j (the axes first, then Kelley's cut (x-x̄)/||x-x̄|| while
+    ||x-x̄|| > t), one LP per round.  The cut rows' multipliers theta give
+    x* = x̄* - sum_j theta_j u_j in the subdifferential at x with
+    ||x*-x̄*|| <= lam, and the value gap is at most eps by optimality.
+    The pair is verified (exactness by the conjugate LP, bounds in the true
+    Euclidean norm) before returning; BRSearchFailed, with the best bound
+    values reached, otherwise.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     xbar = np.asarray(xbar, float).reshape(-1)
     xbarstar = np.asarray(xbarstar, float).reshape(-1)
     if is_zero_fn(fn):
-        res = _br_check(as_polyhedral(fn), xbar, eps, xbarstar, xbar, np.zeros(fn.dim), tol)
-        if res is None:
+        res = _br_pair(as_polyhedral(fn), xbar, xbarstar, xbar, np.zeros(fn.dim))
+        if _br_excess(res, eps) > 0:
             raise BRSearchFailed("zero function: x̄* is not within sqrt(eps) of 0")
         return res
     poly = as_polyhedral(fn)
     if poly is None:
         raise ConjugateUnsupported("br_regularize needs a polyhedral function")
-    fb = poly.eval(xbar)
-    if not np.isfinite(fb):
+    if not np.isfinite(poly.eval(xbar)):
         raise PointOutsideDomain("base point is outside the function domain")
 
     # already exact at the base point?
     if young_fenchel_gap(poly, xbar, xbarstar) <= tol:
         return BRResult(x=xbar, xstar=xbarstar, dist_x=0.0, dist_xstar=0.0, value_gap=0.0)
-    # nearest exact subgradient at the base point
-    xstar0, gap0 = _exactness_lp(poly, xbar, target=xbarstar)
-    if gap0 <= tol:
-        res = _br_check(poly, xbar, eps, xbarstar, xbar, xstar0, tol)
-        if res is not None:
-            return res
 
-    root = np.sqrt(eps)
-    n = poly.dim
+    # variables (y, s, t): maximize <x̄*,y> - s - lam*t subject to s >= every
+    # piece, y in the domain, and t >= <u_j, y - x̄> for every cut u_j
+    n, K = poly.dim, poly.npieces
     dom = poly.domain
-
-    def try_point(y):
-        d = y - xbar
-        nd = np.linalg.norm(d)
-        if nd > root:
-            y = xbar + d * (root / nd) * (1.0 - 1e-14)
-        if not np.isfinite(poly.eval(y)):
-            return None
-        xs, g = _exactness_lp(poly, y, target=xbarstar)
-        if g > tol:
-            return None
-        return _br_check(poly, xbar, eps, xbarstar, y, xs, tol)
-
-    count = facets
-    for _ in range(max_doublings + 1):
-        dirs = _ball_directions(n, count)
-        # trust region: minimize f(y) - <x̄*, y> over dom ∩ {<u_j, y-x̄> <= root}
-        K = poly.npieces
-        A_ub = np.vstack(
-            [
-                np.hstack([poly.A, -np.ones((K, 1))]),
-                np.hstack([dom.A, np.zeros((dom.A.shape[0], 1))]),
-                np.hstack([dirs, np.zeros((dirs.shape[0], 1))]),
-            ]
-        )
-        b_ub = np.concatenate([-poly.b, dom.b, dirs @ xbar + root])
-        A_eq = b_eq = None
-        if dom.E.shape[0]:
-            A_eq = np.hstack([dom.E, np.zeros((dom.E.shape[0], 1))])
-            b_eq = dom.d
-        out = lp_solve(
-            LinearProgram(
-                c=np.concatenate([xbarstar, [-1.0]]),
-                A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    lam = np.sqrt(eps) * _BR_LAMBDA
+    fixed = np.vstack([
+        np.hstack([poly.A, -np.ones((K, 1)), np.zeros((K, 1))]),
+        np.hstack([dom.A, np.zeros((dom.A.shape[0], 2))]),
+    ])
+    cuts = np.vstack([np.eye(n), -np.eye(n)])
+    best = (np.inf, None, np.inf)  # (excess, pair, Young-Fenchel gap)
+    for _ in range(_BR_ROUNDS):
+        cut_rows = np.hstack([cuts, np.zeros((len(cuts), 1)), -np.ones((len(cuts), 1))])
+        out = lp_solve(LinearProgram(
+            c=np.concatenate([xbarstar, [-1.0, -lam]]),
+            A_ub=np.vstack([fixed, cut_rows]),
+            b_ub=np.concatenate([-poly.b, dom.b, cuts @ xbar]),
+            A_eq=np.hstack([dom.E, np.zeros((dom.E.shape[0], 2))]), b_eq=dom.d,
+        ))
+        if not out.is_optimal:
+            raise BRSearchFailed(
+                f"Ekeland LP {out.status} (eps={eps:g}, weight {lam:.6g}): "
+                "x̄* is not an eps-subgradient at x̄"
             )
-        )
-        if out.is_optimal:
-            res = try_point(out.x[:n])
-            if res is not None:
-                return res
-        count *= 2
-
-    # penalty sweep: minimize f(y) - <x̄*,y> + lam * gauge(y - x̄)
-    dirs = _ball_directions(n, count)
-    for frac in (1.0, 0.75, 0.5, 0.25):
-        lam = root * frac if root > 0 else frac
-        K = poly.npieces
-        A_ub = np.vstack(
-            [
-                np.hstack([poly.A, -np.ones((K, 1)), np.zeros((K, 1))]),
-                np.hstack([dom.A, np.zeros((dom.A.shape[0], 2))]),
-                np.hstack([dirs, np.zeros((dirs.shape[0], 1)), -np.ones((dirs.shape[0], 1))]),
-            ]
-        )
-        b_ub = np.concatenate([-poly.b, dom.b, dirs @ xbar])
-        A_eq = b_eq = None
-        if dom.E.shape[0]:
-            A_eq = np.hstack([dom.E, np.zeros((dom.E.shape[0], 2))])
-            b_eq = dom.d
-        out = lp_solve(
-            LinearProgram(
-                c=np.concatenate([xbarstar, [-1.0], [-lam]]),
-                A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                lb=np.concatenate([np.full(n + 1, -np.inf), [0.0]]),
-            )
-        )
-        if out.is_optimal:
-            res = try_point(out.x[:n])
-            if res is not None:
-                return res
+        y, t = out.x[:n], out.x[n + 1]
+        res = _br_pair(poly, xbar, xbarstar, y, xbarstar - out.duals[len(fixed):] @ cuts)
+        excess = _br_excess(res, eps)
+        gap = young_fenchel_gap(poly, y, res.xstar) if excess <= 0 else np.inf
+        if gap <= tol:
+            return res
+        if best[1] is None or excess < best[0]:
+            best = (excess, res, gap)
+        nd = np.linalg.norm(y - xbar)
+        if nd <= t:
+            break
+        cuts = np.vstack([cuts, (y - xbar) / nd])
+    _, res, gap = best
+    root = np.sqrt(eps)
     raise BRSearchFailed(
-        "no nearby exact pair satisfied the distance bounds "
-        f"(eps={eps:g}, facets up to {count})"
+        f"no nearby exact pair after {len(cuts)} cuts: best dist_x={res.dist_x:.6g}, "
+        f"dist_xstar={res.dist_xstar:.6g}, value_gap={res.value_gap:.6g} against "
+        f"bounds {root:.6g}, {root:.6g}, {2.0 * eps:.6g}"
+        + (f"; Young-Fenchel gap {gap:.3g} above {tol:g}" if np.isfinite(gap) else "")
     )
 
 

@@ -104,7 +104,9 @@ def nu_values(prob: FractionalProblem, xbar) -> np.ndarray:
     nu = np.empty(prob.m)
     for i, (f, ng) in enumerate(prob.objectives):
         g = -ng.eval(xbar)
-        if not np.isfinite(g) or abs(g) < TOL_DIV:
+        if not np.isfinite(g):
+            raise PointOutsideDomain(f"objective {i}: denominator infinite at xbar")
+        if abs(g) < TOL_DIV:
             raise DenominatorNearZero(
                 f"objective {i}: |g(xbar)| = {abs(g):.3e} below {TOL_DIV:g}"
             )

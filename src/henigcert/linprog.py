@@ -116,15 +116,18 @@ class LinearProgram:
 class LpOutcome:
     """Solve result: ``status`` is one of optimal / infeasible / unbounded.
 
-    ``x`` and ``value`` are populated only for optimal outcomes; an
-    unbounded maximization reports ``value = inf``.  Optimal solutions
+    ``x``, ``value`` and ``duals`` are populated only for optimal outcomes;
+    an unbounded maximization reports ``value = inf``.  Optimal solutions
     satisfy the constraints within a small multiple of ``TOL_FEAS``
     (checked before returning; violations raise NumericalFailure).
+    ``duals`` holds one multiplier per ``A_ub`` row (nonnegative up to
+    ``TOL_OBJ``, zero on rows with slack).
     """
 
     status: str
     x: Optional[np.ndarray] = None
     value: float = field(default=np.nan)
+    duals: Optional[np.ndarray] = None
 
     @property
     def is_optimal(self) -> bool:
@@ -256,7 +259,10 @@ def lp_solve(lp: LinearProgram, max_pivots: Optional[int] = None) -> LpOutcome:
     x = offset + S @ u[:nu]
     value = float(lp.c @ x)
     _check_feasible(lp, x)
-    return LpOutcome(OPTIMAL, x=x, value=value)
+    # a row's multiplier is minus the reduced profit of its slack column; a
+    # row negated for a negative rhs negated its slack too, so the sign holds
+    duals = 0.0 - T[m, nu:nu + lp.A_ub.shape[0]]
+    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals)
 
 
 def _reduce_objective(T, basis, m):

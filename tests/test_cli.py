@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from henigcert import cli, example_q, serialization
+from henigcert.convex import Polyhedron, PolyhedralFn
+from henigcert.fractional import FractionalProblem
 from henigcert.serialization import certificate_from_json, certificate_to_json
 
 
@@ -95,6 +97,19 @@ def test_check_infeasible_point_is_usage_error(files, capsys):
     )
     assert rc == 64
     assert "not feasible" in capsys.readouterr().err
+
+
+def test_check_point_outside_denominator_domain_is_usage_error(tmp_path, capsys):
+    # x = 0.8 is feasible, but g1 = 1 only on x <= 0.5: usage (64), not internal (70)
+    prob = cli._toy_problem()
+    one_left = PolyhedralFn([[0.0]], [-1.0], Polyhedron(A=[[1.0]], b=[0.5]))
+    prob = FractionalProblem(1, [(prob.objectives[0][0], one_left), prob.objectives[1]],
+                             prob.hmap, prob.cone, prob.C)
+    path = tmp_path / "restricted.json"
+    serialization.dump_json(serialization.problem_to_json(prob), path)
+    rc = cli.main(["check", "--problem", str(path), "--point", "0.8", "--grid", TOY_GRID])
+    assert rc == 64
+    assert "objective 0: denominator infinite at xbar" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

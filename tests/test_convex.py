@@ -8,6 +8,8 @@ membership LP) and the lattice lower-bound oracle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henigcert.convex import (
     BUILTINS,
@@ -407,11 +409,16 @@ def test_br_already_exact():
 
 def test_br_moves_to_kink():
     # x* = 0.9 at xbar = -0.01 needs the nearby kink at 0
+    # Ekeland's construction stops at the kink and pays its weight
+    # lam = sqrt(eps) (up to a hair) on the one active cut: x* = 0.9 - lam
     res = br_regularize(relufn(), [-0.01], 0.04, [0.9])
     assert res.x == pytest.approx([0.0], abs=1e-9)
-    assert res.xstar == pytest.approx([0.9], abs=1e-9)
+    assert res.xstar == pytest.approx([0.7], abs=1e-9)
     assert res.dist_x == pytest.approx(0.01, abs=1e-9)
-    assert res.value_gap == pytest.approx(0.009, abs=1e-9)
+    assert res.dist_xstar == pytest.approx(0.2, abs=1e-9)
+    assert res.value_gap == pytest.approx(0.007, abs=1e-9)
+    assert res.dist_x <= 0.2 and res.dist_xstar <= 0.2 and res.value_gap <= 0.08
+    assert young_fenchel_gap(relufn(), res.x, res.xstar) <= 1e-7
 
 
 def test_br_bounds_random():
@@ -456,8 +463,58 @@ def test_br_zero_fn():
 
 def test_br_precondition_violated():
     # 2.0 is not even a 0.01-subgradient of |.| at 0; no nearby pair exists
-    with pytest.raises(BRSearchFailed):
+    with pytest.raises(BRSearchFailed, match="Ekeland LP unbounded"):
         br_regularize(absfn(), [0.0], 0.01, [2.0])
+
+
+def test_br_failure_reports_best_values():
+    # 1 is a 1-subgradient (not a 0.01-one) of the indicator of [-1,1] at 0:
+    # Ekeland's point is the corner 1 with x* = 1 - lam, a full radius away
+    box = PolyhedralFn.indicator(Polyhedron.box([-1.0], [1.0]))
+    with pytest.raises(BRSearchFailed) as err:
+        br_regularize(box, [0.0], 0.01, [1.0])
+    assert str(err.value) == (
+        "no nearby exact pair after 2 cuts: best dist_x=1, dist_xstar=0.1, "
+        "value_gap=0.9 against bounds 0.1, 0.1, 0.02"
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    K=st.integers(1, 6),
+    boxed=st.booleans(),
+    in_hull=st.booleans(),
+    exact_gap=st.booleans(),
+)
+def test_br_pair_bounds_property(seed, n, K, boxed, in_hull, exact_gap):
+    # Brondsted-Rockafellar: every eps-subgradient has a nearby exact pair
+    rng = np.random.default_rng(seed)
+    A, b = rng.normal(size=(K, n)), rng.normal(size=K)
+    if boxed:
+        lo, hi = -rng.uniform(0.2, 2.0, size=n), rng.uniform(0.2, 2.0, size=n)
+        f = PolyhedralFn(A, b, Polyhedron.box(lo, hi))
+        xbar = rng.uniform(lo, hi)
+    else:
+        f = PolyhedralFn(A, b)
+        xbar = rng.normal(size=n)
+    xbarstar = rng.dirichlet(np.ones(K)) @ A if in_hull else rng.normal(size=n)
+    gap = young_fenchel_gap(f, xbar, xbarstar)
+    if not np.isfinite(gap):
+        # x̄* outside the hull of the gradients (f* = +inf), farther from it
+        # than sqrt(eps) (l_inf distance <= l_2): no exact x* is near enough
+        d_inf = -SubdiffPolytope(A, np.zeros(K), 0.0, 0.0).contains(xbarstar, tol=0.0).slack
+        with pytest.raises(BRSearchFailed):
+            br_regularize(f, xbar, d_inf**2 * float(rng.uniform(0.1, 0.9)), xbarstar)
+        return
+    eps = max(gap, 0.0) * (1.0 if exact_gap else float(rng.uniform(1.0, 3.0)))
+    res = br_regularize(f, xbar, eps, xbarstar)
+    root = np.sqrt(eps)
+    assert np.linalg.norm(res.x - xbar) <= root
+    assert np.linalg.norm(res.xstar - xbarstar) <= root
+    assert abs(f(res.x) - f(xbar) - res.xstar @ (res.x - xbar)) <= 2.0 * eps
+    assert young_fenchel_gap(f, res.x, res.xstar) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

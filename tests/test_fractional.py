@@ -126,6 +126,24 @@ def test_nu_denominator_guard():
         nu_values(prob, [0.0])
 
 
+def test_nu_point_outside_denominator_domain():
+    # g1 = 1 only on x <= 0.5; C = [-1,1] and h = 0 leave 0.8 feasible
+    prob = FractionalProblem(
+        n=1,
+        objectives=[
+            (abs1d(), PolyhedralFn([[0.0]], [-1.0], Polyhedron(A=[[1.0]], b=[0.5]))),
+            (abs1d(), const(-1.0)),
+        ],
+        hmap=[const(0.0)],
+        cone=PolyhedralCone.nonneg_orthant(1),
+        C=Polyhedron.box([-1.0], [1.0]),
+    )
+    assert feasible(prob, [0.8])
+    with pytest.raises(PointOutsideDomain, match="objective 0: denominator infinite"):
+        nu_values(prob, [0.8])
+    assert nu_values(prob, [0.4]) == pytest.approx([0.4, 0.4])
+
+
 def test_ratio_matrix_masks_bad_rows():
     prob = FractionalProblem(
         n=1,

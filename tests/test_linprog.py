@@ -167,3 +167,68 @@ def test_redundant_equality_rows():
     )
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
+
+
+def _random_integer_lp(rng):
+    n = int(rng.integers(1, 6))
+    m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
+    for j, kind in enumerate(rng.integers(0, 3, size=n)):  # free, lower, boxed
+        if kind:
+            lb[j] = float(rng.integers(-3, 2))
+        if kind == 2:
+            ub[j] = lb[j] + float(rng.integers(0, 5))
+    return LinearProgram(
+        c=rng.integers(-3, 4, size=n).astype(float),
+        A_ub=rng.integers(-3, 4, size=(m_ub, n)).astype(float),
+        b_ub=rng.integers(-2, 6, size=m_ub).astype(float),
+        A_eq=rng.integers(-2, 3, size=(m_eq, n)).astype(float),
+        b_eq=rng.integers(-3, 4, size=m_eq).astype(float),
+        lb=lb, ub=ub,
+    )
+
+
+def test_status_value_and_duals_against_highs():
+    # Differential test against HiGHS, run without presolve: with it, HiGHS
+    # calls some feasible, unbounded LPs of this family infeasible.  The row
+    # duals are not compared entry by entry (degenerate LPs have many); they
+    # must certify optimality: y >= 0, complementary slackness, and some
+    # equality multipliers z giving reduced costs r = c - A^T y - E^T z of the
+    # sign each variable's active bound allows.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    rng = np.random.default_rng(7)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    tol = 1e-7
+    for _ in range(600):
+        lp = _random_integer_lp(rng)
+        out = lp_solve(lp)
+        ref = linprog(
+            -lp.c,
+            A_ub=lp.A_ub if lp.A_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
+            A_eq=lp.A_eq if lp.A_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
+            bounds=list(zip(lp.lb, lp.ub)), method="highs", options={"presolve": False},
+        )
+        assert out.status == highs[ref.status]
+        seen[out.status] += 1
+        if not out.is_optimal:
+            assert out.duals is None
+            continue
+        assert out.value == pytest.approx(-ref.fun, abs=1e-7)
+        y, x = out.duals, out.x
+        assert y.shape == lp.b_ub.shape
+        assert (y >= -1e-9).all()
+        assert np.abs(y * (lp.b_ub - lp.A_ub @ x)).max(initial=0.0) <= tol
+        r0 = lp.c - lp.A_ub.T @ y
+        at_lb, at_ub = x <= lp.lb + 1e-9, x >= lp.ub - 1e-9
+        # r <= tol unless at the upper bound, r >= -tol unless at the lower
+        # one: rows G z <= h for r = r0 - E^T z
+        G = np.vstack([-lp.A_eq.T[~at_ub], lp.A_eq.T[~at_lb]])
+        h = np.concatenate([tol - r0[~at_ub], tol + r0[~at_lb]])
+        if lp.A_eq.shape[0] == 0:
+            assert (h >= 0).all()
+            continue
+        z = linprog(np.zeros(lp.A_eq.shape[0]), A_ub=G, b_ub=h,
+                    bounds=[(None, None)] * lp.A_eq.shape[0], method="highs")
+        assert z.status == 0
+    assert min(seen.values()) >= 100 and seen[OPTIMAL] >= 200
