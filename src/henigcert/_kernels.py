@@ -1,14 +1,28 @@
-"""The two hot numeric kernels, in numpy.
+"""The hot numeric kernels, in numpy.
 
-The simplex pivot loop and the batch max-affine evaluator dominate the
-package's runtime: a single certificate verification issues thousands of
-small LPs, and the grid oracles evaluate max-affine functions at 10^4+
-points.  ``perfbench/README.md`` describes how their time is measured.
+The simplex pivot loops (primal and dual, sharing one pivot) and the
+batch max-affine evaluator dominate the package's runtime: a single
+certificate verification issues thousands of small LPs, and the grid
+oracles evaluate max-affine functions at 10^4+ points.
+``perfbench/README.md`` describes how their time is measured.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
+
+
+def pivot(T, basis, leave, enter):
+    """Pivot tableau ``T`` in place on row ``leave`` and column ``enter``."""
+    T[leave] /= T[leave, enter]
+    T[leave, enter] = 1.0
+    for i in range(T.shape[0]):
+        if i != leave:
+            f = T[i, enter]
+            if f != 0.0:
+                T[i] -= f * T[leave]
+                T[i, enter] = 0.0
+    basis[leave] = enter
 
 
 def simplex_core(T, basis, allowed, tol_piv, tol_profit, max_pivots):
@@ -17,9 +31,9 @@ def simplex_core(T, basis, allowed, tol_piv, tol_profit, max_pivots):
     T has one objective row at the bottom (reduced profits for a
     maximization) and the right-hand side in the last column.  ``basis``
     maps each constraint row to its basic column; ``allowed`` masks the
-    columns eligible to enter.  Returns 0 when optimal (no profit above
-    tol_profit), 1 when an entering column has no pivot entry above
-    tol_piv (unbounded), 2 when max_pivots was hit.
+    columns eligible to enter.  Returns ``(code, pivots)``: code 0 when
+    optimal (no profit above tol_profit), 1 when an entering column has no
+    pivot entry above tol_piv (unbounded), 2 when max_pivots was hit.
     """
     m = T.shape[0] - 1
     last = T.shape[1] - 1
@@ -32,7 +46,7 @@ def simplex_core(T, basis, allowed, tol_piv, tol_profit, max_pivots):
                 enter = j
                 break
         if enter == -1:
-            return 0
+            return 0, pivots
         # Ratio test; ties broken on the smallest basic-variable index.
         leave = -1
         best = 0.0
@@ -54,19 +68,43 @@ def simplex_core(T, basis, allowed, tol_piv, tol_profit, max_pivots):
                     leave = i
                     bestbas = basis[i]
         if not found:
-            return 1
-        piv = T[leave, enter]
-        T[leave] /= piv
-        T[leave, enter] = 1.0
-        for i in range(m + 1):
-            if i != leave:
-                f = T[i, enter]
-                if f != 0.0:
-                    T[i] -= f * T[leave]
-                    T[i, enter] = 0.0
-        basis[leave] = enter
+            return 1, pivots
+        pivot(T, basis, leave, enter)
         pivots += 1
-    return 2
+    return 2, pivots
+
+
+def dual_simplex_core(T, basis, allowed, tol_piv, tol_feas, max_pivots):
+    """Run dual simplex pivots on tableau ``T`` in place.
+
+    The layout is simplex_core's; the reduced profits must be <= 0 up to
+    rounding (positive ones count as 0).  The leaving row is the one with
+    a value below -tol_feas whose basic variable has the smallest index;
+    the entering column is, among the allowed ones with an entry below
+    -tol_piv in that row, the one of smallest ratio profit/entry, ties
+    broken on the smallest column index (Bland's rule for the dual).
+    Returns ``(code, pivots)``: code 0 when every value is >= -tol_feas,
+    1 when the leaving row has no entering column (the rows are
+    inconsistent), 2 when max_pivots was hit.
+    """
+    m = T.shape[0] - 1
+    last = T.shape[1] - 1
+    pivots = 0
+    while pivots < max_pivots:
+        low = np.flatnonzero(T[:m, last] < -tol_feas)
+        if low.size == 0:
+            return 0, pivots
+        leave = int(low[np.argmin(basis[low])])
+        row = T[leave, :last]
+        cand = np.flatnonzero(allowed & (row < -tol_piv))
+        if cand.size == 0:
+            return 1, pivots
+        ratio = np.minimum(T[m, cand], 0.0) / row[cand]
+        best = ratio.min()
+        enter = int(cand[np.argmax(ratio <= best + 1e-12 * (1.0 + best))])
+        pivot(T, basis, leave, enter)
+        pivots += 1
+    return 2, pivots
 
 
 def max_affine_batch(A, b, X):

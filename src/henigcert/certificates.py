@@ -48,14 +48,14 @@ import numpy as np
 from .cones import PolyhedralCone, in_minus_cone_batch
 from .convex import (
     TOL_MEMBERSHIP,
+    Conjugate,
     Polyhedron,
     PolyhedralFn,
     ScaledFn,
+    Support,
     as_polyhedral,
     br_regularize,
-    conjugate,
     is_zero_fn,
-    support_function,
     weighted_sum_polyhedral,
 )
 from .encodings import (
@@ -83,6 +83,7 @@ from .errors import (
     UnsupportedDomain,
 )
 from .fractional import FractionalProblem, feasible, nu_values
+from .linprog import LpSession
 
 DEFAULT_TOL_CONV = 1e-3
 JITTER = 1e-9
@@ -349,22 +350,31 @@ def _generators(cone: PolyhedralCone) -> np.ndarray:
 
 
 class _Memo:
-    """Memoized conjugate and support values keyed by functional bytes."""
+    """Conjugate and support values memoized per block, function key and
+    functional bytes.  Each block holds one evaluator (``Conjugate`` or
+    ``Support``) for its current function key, so its LP runs phase 1 once
+    per key: once for f, w and C, once per run of equal vstar rows for the
+    composite, whose rows change with vstar.  A new key replaces the
+    block's evaluator, which bounds the tableaux held at one per block."""
 
     def __init__(self):
-        self._c = {}
+        self._values = {}
+        self._evaluators = {}  # block name -> (function key, evaluator)
 
-    def conj(self, key, fn, xs):
-        k = (key, xs.tobytes())
-        if k not in self._c:
-            self._c[k] = conjugate(fn, xs)
-        return self._c[k]
+    def _value(self, name, fkey, make, xs):
+        k = (name, fkey, xs.tobytes())
+        if k not in self._values:
+            held = self._evaluators.get(name)
+            if held is None or held[0] != fkey:
+                held = self._evaluators[name] = (fkey, make())
+            self._values[k] = held[1](xs)
+        return self._values[k]
 
-    def supp(self, key, C, xs):
-        k = (key, xs.tobytes())
-        if k not in self._c:
-            self._c[k] = support_function(C, xs)
-        return self._c[k]
+    def conj(self, name, fkey, fn, xs):
+        return self._value(name, fkey, lambda: Conjugate(fn), xs)
+
+    def supp(self, C, xs):
+        return self._value("C", None, lambda: Support(C), xs)
 
 
 def _polar_slacks(G, V):
@@ -401,9 +411,9 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     def conj(blk, k):
         star = blk.of(tab, blk.star)[k]
         if blk.kind == "C":
-            return memo.supp("C", prob.C, star)
-        key = ("comp", vstar[k].tobytes()) if blk.kind == "comp" else blk.name
-        return memo.conj(key, table.fn(blk, vstar[k]), star)
+            return memo.supp(prob.C, star)
+        fkey = vstar[k].tobytes() if blk.kind == "comp" else None
+        return memo.conj(blk.name, fkey, table.fn(blk, vstar[k]), star)
 
     for blk in table.rows:
         stars = blk.of(tab, blk.star)
@@ -568,17 +578,17 @@ def _polyhedral_data(table: _Blocks, composite: bool = True, hint: str = "") -> 
     return polys
 
 
-def _objective_lp(table: _Blocks, polys: dict, eps: float):
-    """A BlockLP holding the eps-subdifferential blocks of f and w and the
-    exact (eps = 0) normal-cone block of C, in ``lp_order``; returns it
-    with each block's functional expression.  Callers add Y and the
-    composite after them."""
+def _objective_lp(table: _Blocks, polys: dict):
+    """A BlockLP holding the eps-subdifferential blocks of f and w (eps is
+    the program's) and the exact (eps = 0) normal-cone block of C, in
+    ``lp_order``; returns it with each block's functional expression.
+    Callers add Y and the composite after them."""
     lp, ex = BlockLP(), {}
     for blk in table.lp_order:
         if blk.kind == "C":
             ex["C"] = add_eps_normal_block(lp, blk.fn, table.xbar, 0.0)
         elif blk.kind in ("f", "w") and polys[blk.name] is not None:
-            ex[blk.name] = add_eps_subdiff_block(lp, polys[blk.name], table.xbar, eps)
+            ex[blk.name] = add_eps_subdiff_block(lp, polys[blk.name], table.xbar)
     return lp, ex
 
 
@@ -601,7 +611,11 @@ def generate_eps_certificate(
     polytopes for the objective summands and the composite term, EXACT
     (eps = 0) normal-cone encodings for the set blocks, generator rows for
     the polar memberships.  The objective is the dual residual's sup-norm
-    plus the l1 norm of ystar + vstar.  Returns the certificate and the
+    plus the l1 norm of ystar + vstar.  Entries differ only in the
+    right-hand side of the gamma_n rows, so the LP is built and solved
+    once and every later entry is re-solved from the last optimal basis
+    (``LpSession.resolve_rhs``); an entry may hold another optimal vertex
+    than a fresh solve of its LP would.  Returns the certificate and the
     per-n LP optima; a residual trace that tends to zero is the existence
     side of the subdifferential form, a floor bounded away from zero is
     its converse.
@@ -629,22 +643,23 @@ def generate_eps_certificate(
     shapes = _field_shapes(prob.m, N, prob.n, prob.p)
     out = {f: np.zeros(shapes[f]) for f in ("xstar", "wstar", "cstar", "ystar", "vstar", "ustar")}
     trace = np.zeros(N)
-    for k in range(N):
-        g = float(gamma[k])
-        lp, ex = _objective_lp(table, polys, g)
-        ex["Y"] = add_polar_member(lp, G, sign=1.0)
-        add_inner_product_ub(lp, ex["Y"], table.hbar, 0.0, sign=-1.0)  # <ystar, hbar> >= 0
-        if not pin_vstar:
-            ex["v"] = v = add_polar_member(lp, G, sign=-1.0)
-            weights = LinExpr(idx=v.idx, M=-v.M)
-            ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, g, weights)
-        t_idx = add_linf_elastic(lp, _dual_parts(ex))
-        q_idx = add_l1_elastic(lp, [ex[name] for name in ("Y", "v") if name in ex])
-        obj_idx = np.concatenate([t_idx, q_idx])
-        res = require_optimal(
-            lp.solve(obj_idx, -np.ones(obj_idx.shape[0])),
-            "certificate generation",
-        )
+    lp, ex = _objective_lp(table, polys)
+    ex["Y"] = add_polar_member(lp, G, sign=1.0)
+    add_inner_product_ub(lp, ex["Y"], table.hbar, 0.0, sign=-1.0)  # <ystar, hbar> >= 0
+    if not pin_vstar:
+        ex["v"] = v = add_polar_member(lp, G, sign=-1.0)
+        weights = LinExpr(idx=v.idx, M=-v.M)
+        ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, weights)
+    t_idx = add_linf_elastic(lp, _dual_parts(ex))
+    q_idx = add_l1_elastic(lp, [ex[name] for name in ("Y", "v") if name in ex])
+    obj_idx = np.concatenate([t_idx, q_idx])
+    for k, g in enumerate(gamma.tolist()):
+        if k == 0:
+            session = LpSession(lp.program(obj_idx, -np.ones(obj_idx.shape[0]), g))
+            res = session.maximize()
+        else:
+            res = session.resolve_rhs(lp.b_ub(g))
+        res = require_optimal(res, "certificate generation")
         trace[k] = -res.value
         for blk in table.rows:
             if blk.name in ex:
@@ -765,10 +780,10 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
     except (ConjugateUnsupported, UnsupportedDomain, GeneratorFormRequired, UnsupportedData) as exc:
         return KKTResult(holds=False, reason=f"unsupported data: {exc}")
 
-    lp, ex = _objective_lp(table, polys, 0.0)
+    lp, ex = _objective_lp(table, polys)
     ex["Y"] = add_polar_member(lp, G, sign=1.0)
     add_inner_product_eq(lp, ex["Y"], table.hbar, 0.0)  # complementarity
-    ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, 0.0, weights=ex["Y"])
+    ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, weights=ex["Y"])
     total = expr_sum(_dual_parts(ex))
     for coord in range(prob.n):
         lp.add_eq(total.idx, total.M[coord], 0.0)

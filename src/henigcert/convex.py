@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedDomain,
 )
 from .grids import GridSpec
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_solve
+from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSession, lp_solve
 
 TOL_MEMBERSHIP = 1e-7
 ZERO_FN_TOL = 1e-9
@@ -403,64 +403,95 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # conjugation
 
-def conjugate(fn: ConvexFn, xstar) -> float:
-    """Fenchel conjugate f*(x*) = sup_x <x*,x> - f(x), exact via one LP.
+class Conjugate:
+    """f*(x*) = sup_x <x*,x> - f(x) for one function, exact via LPs.
 
     Supported: PolyhedralFn, ScaledFn chains over a PolyhedralFn, and
     zero-scaled functions (conjugate is the indicator of {0}, with a
     1e-9 snap on ||x*||_inf).  Black boxes raise ConjugateUnsupported.
+    The conjugate LP (variables (x, t): maximize <x*,x> - t s.t. t >=
+    every piece, x in the domain) is one LpSession: phase 1 runs here,
+    once, and each call runs phase 2 for its x* from the last basis.
     """
+
+    def __init__(self, fn: ConvexFn):
+        self.dim = fn.dim
+        coef, base = collapse_scale(fn)
+        self._session = None
+        if coef == 0.0:
+            return
+        if not isinstance(base, PolyhedralFn):
+            raise ConjugateUnsupported(
+                "conjugate needs a polyhedral (or zero-scaled) function"
+            )
+        poly = base.scale(coef) if coef != 1.0 else base
+        n = poly.dim
+        K = poly.npieces
+        dom = poly.domain
+        A_ub = np.zeros((K + dom.A.shape[0], n + 1))
+        b_ub = np.zeros(K + dom.A.shape[0])
+        A_ub[:K, :n] = poly.A
+        A_ub[:K, n] = -1.0
+        b_ub[:K] = -poly.b
+        if dom.A.shape[0]:
+            A_ub[K:, :n] = dom.A
+            b_ub[K:] = dom.b
+        A_eq = None
+        b_eq = None
+        if dom.E.shape[0]:
+            A_eq = np.hstack([dom.E, np.zeros((dom.E.shape[0], 1))])
+            b_eq = dom.d
+        self._session = LpSession(
+            LinearProgram(c=np.zeros(n + 1), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        )
+
+    def __call__(self, xstar) -> float:
+        xstar = _functional(xstar, self.dim, "function")
+        if self._session is None:
+            return 0.0 if np.abs(xstar).max(initial=0.0) <= ZERO_FN_TOL else np.inf
+        out = self._session.maximize(np.concatenate([xstar, [-1.0]]))
+        return _sup_value(out, "conjugate LP reported infeasible on a nonempty domain")
+
+
+class Support:
+    """sigma_C(x*) = sup_{x in C} <x*,x> for one polyhedron (+inf when
+    unbounded): one LpSession, phase 1 here, phase 2 per call."""
+
+    def __init__(self, C: Polyhedron):
+        self.dim = C.n
+        self._session = LpSession(
+            LinearProgram(c=np.zeros(C.n), A_ub=C.A, b_ub=C.b, A_eq=C.E, b_eq=C.d)
+        )
+
+    def __call__(self, xstar) -> float:
+        out = self._session.maximize(_functional(xstar, self.dim, "set"))
+        return _sup_value(out, "support LP reported infeasible on a nonempty set")
+
+
+def _functional(xstar, dim: int, what: str) -> np.ndarray:
     xstar = np.asarray(xstar, float).reshape(-1)
-    if xstar.shape[0] != fn.dim:
-        raise DimensionMismatch("functional dimension does not match function")
-    coef, base = collapse_scale(fn)
-    if coef == 0.0:
-        return 0.0 if np.abs(xstar).max(initial=0.0) <= ZERO_FN_TOL else np.inf
-    if not isinstance(base, PolyhedralFn):
-        raise ConjugateUnsupported(
-            "conjugate needs a polyhedral (or zero-scaled) function"
-        )
-    poly = base.scale(coef) if coef != 1.0 else base
-    n = poly.dim
-    # variables (x, t): maximize <x*,x> - t  s.t. t >= pieces, x in domain
-    K = poly.npieces
-    dom = poly.domain
-    A_ub = np.zeros((K + dom.A.shape[0], n + 1))
-    b_ub = np.zeros(K + dom.A.shape[0])
-    A_ub[:K, :n] = poly.A
-    A_ub[:K, n] = -1.0
-    b_ub[:K] = -poly.b
-    if dom.A.shape[0]:
-        A_ub[K:, :n] = dom.A
-        b_ub[K:] = dom.b
-    A_eq = None
-    b_eq = None
-    if dom.E.shape[0]:
-        A_eq = np.hstack([dom.E, np.zeros((dom.E.shape[0], 1))])
-        b_eq = dom.d
-    out = lp_solve(
-        LinearProgram(
-            c=np.concatenate([xstar, [-1.0]]), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq
-        )
-    )
+    if xstar.shape[0] != dim:
+        raise DimensionMismatch(f"functional dimension does not match {what}")
+    return xstar
+
+
+def _sup_value(out, infeasible: str) -> float:
     if out.status == UNBOUNDED:
         return np.inf
     if out.status != OPTIMAL:
-        raise NumericalFailure("conjugate LP reported infeasible on a nonempty domain")
+        raise NumericalFailure(infeasible)
     return out.value
+
+
+def conjugate(fn: ConvexFn, xstar) -> float:
+    """Fenchel conjugate f*(x*), one LP; see ``Conjugate``."""
+    xstar = _functional(xstar, fn.dim, "function")  # before ConjugateUnsupported
+    return Conjugate(fn)(xstar)
 
 
 def support_function(C: Polyhedron, xstar) -> float:
     """sigma_C(x*) = sup_{x in C} <x*,x> via one LP (+inf when unbounded)."""
-    xstar = np.asarray(xstar, float).reshape(-1)
-    if xstar.shape[0] != C.n:
-        raise DimensionMismatch("functional dimension does not match set")
-    out = lp_solve(LinearProgram(c=xstar, A_ub=C.A, b_ub=C.b, A_eq=C.E, b_eq=C.d))
-    if out.status == UNBOUNDED:
-        return np.inf
-    if out.status != OPTIMAL:
-        raise NumericalFailure("support LP reported infeasible on a nonempty set")
-    return out.value
+    return Support(C)(xstar)
 
 
 def epi_conjugate_contains(fn: ConvexFn, xstar, r: float, tol: float = TOL_MEMBERSHIP) -> Verdict:

@@ -15,7 +15,9 @@ Every certificate block is a polyhedral set of functionals:
   variables: per-piece masses rho_jk >= 0 linked by sum_k rho_jk = w_j.
 
 ``BlockLP`` accumulates variables and sparse rows, then hands a dense
-tableau to the simplex core.  Functional values are tracked as linear
+tableau to the simplex core.  The eps-subdifferential blocks take their
+eps from the program, not from the block, so one BlockLP serves every
+eps of a certificate.  Functional values are tracked as linear
 expressions (column indices plus a coefficient matrix) so linking and
 elastic-norm rows can be assembled without caring which block owns which
 column.
@@ -63,7 +65,9 @@ def expr_sum(exprs) -> LinExpr:
 
 class BlockLP:
     """Incremental LP: nonneg or free variables, sparse <= and == rows,
-    solved by maximizing a sparse objective."""
+    solved by maximizing a sparse objective.  A <= row added with
+    ``plus_eps`` has right-hand side ``rhs + eps`` for the eps the LP is
+    materialized with (``program``, ``b_ub``)."""
 
     def __init__(self):
         self.nv = 0
@@ -78,33 +82,39 @@ class BlockLP:
             self._free.extend(idx.tolist())
         return idx
 
-    def add_ub(self, idx, coef, rhs: float):
-        self._ub.append((np.asarray(idx, dtype=int), np.asarray(coef, float), float(rhs)))
+    def add_ub(self, idx, coef, rhs: float, plus_eps: bool = False):
+        self._ub.append((np.asarray(idx, dtype=int), np.asarray(coef, float), float(rhs), plus_eps))
 
     def add_eq(self, idx, coef, rhs: float):
         self._eq.append((np.asarray(idx, dtype=int), np.asarray(coef, float), float(rhs)))
 
     def _densify(self, rows):
         A = np.zeros((len(rows), self.nv))
-        b = np.zeros(len(rows))
-        for r, (idx, coef, rhs) in enumerate(rows):
+        for r, (idx, coef, *_) in enumerate(rows):
             np.add.at(A[r], idx, coef)
-            b[r] = rhs
-        return A, b
+        return A
 
-    def solve(self, obj_idx=None, obj_coef=None, max_pivots=None):
+    def b_ub(self, eps: float = 0.0) -> np.ndarray:
+        """Right-hand sides of the <= rows at ``eps``."""
+        return np.array([rhs + eps if plus_eps else rhs for *_, rhs, plus_eps in self._ub])
+
+    def program(self, obj_idx=None, obj_coef=None, eps: float = 0.0) -> LinearProgram:
+        """The dense LinearProgram at ``eps``, maximizing the sparse objective."""
         c = np.zeros(self.nv)
         if obj_idx is not None:
             np.add.at(c, np.asarray(obj_idx, dtype=int), np.asarray(obj_coef, float))
         lb = np.zeros(self.nv)
         if self._free:
             lb[self._free] = -np.inf
-        A_ub, b_ub = self._densify(self._ub) if self._ub else (None, None)
-        A_eq, b_eq = self._densify(self._eq) if self._eq else (None, None)
-        return lp_solve(
-            LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb),
-            max_pivots=max_pivots,
+        A_ub, b_ub = (self._densify(self._ub), self.b_ub(eps)) if self._ub else (None, None)
+        A_eq, b_eq = (
+            (self._densify(self._eq), np.array([rhs for *_, rhs in self._eq]))
+            if self._eq else (None, None)
         )
+        return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb)
+
+    def solve(self, obj_idx=None, obj_coef=None):
+        return lp_solve(self.program(obj_idx, obj_coef))
 
 
 def _pieces(poly: PolyhedralFn):
@@ -113,15 +123,16 @@ def _pieces(poly: PolyhedralFn):
     return poly.A, poly.b
 
 
-def add_eps_subdiff_block(lp: BlockLP, poly: PolyhedralFn, xbar, eps: float) -> LinExpr:
-    """Functionals in the eps-subdifferential of ``poly`` at xbar."""
+def add_eps_subdiff_block(lp: BlockLP, poly: PolyhedralFn, xbar) -> LinExpr:
+    """Functionals in the eps-subdifferential of ``poly`` at xbar, for the
+    eps of the program."""
     A, b = _pieces(poly)
     xbar = np.asarray(xbar, float).reshape(-1)
     vals = A @ xbar + b
     K = A.shape[0]
     mu = lp.add_vars(K)
     lp.add_eq(mu, np.ones(K), 1.0)
-    lp.add_ub(mu, -vals, float(eps) - vals.max())
+    lp.add_ub(mu, -vals, -vals.max(), plus_eps=True)
     return LinExpr(idx=mu, M=A.T.copy())
 
 
@@ -174,14 +185,12 @@ def add_inner_product_eq(lp: BlockLP, expr: LinExpr, vec, rhs: float):
     lp.add_eq(expr.idx, expr.M.T @ vec, float(rhs))
 
 
-def add_composite_subdiff_block(
-    lp: BlockLP, h_polys, xbar, eps: float, weights: LinExpr
-) -> LinExpr:
-    """Functionals in the eps-subdifferential at xbar of sum_j w_j h_j,
-    where the weight vector w is itself the LP expression ``weights``
-    (componentwise nonnegative on the feasible set).  Per-piece masses
-    rho_jk >= 0 satisfy sum_k rho_jk = w_j; the functional is
-    sum_jk rho_jk a_jk and the conjugate bound
+def add_composite_subdiff_block(lp: BlockLP, h_polys, xbar, weights: LinExpr) -> LinExpr:
+    """Functionals in the eps-subdifferential at xbar of sum_j w_j h_j, for
+    the eps of the program, where the weight vector w is itself the LP
+    expression ``weights`` (componentwise nonnegative on the feasible
+    set).  Per-piece masses rho_jk >= 0 satisfy sum_k rho_jk = w_j; the
+    functional is sum_jk rho_jk a_jk and the conjugate bound
 
         sum_jk rho_jk (h_j(xbar) - b_jk - <a_jk, xbar>) <= eps
 
@@ -202,7 +211,7 @@ def add_composite_subdiff_block(
         parts.append(LinExpr(idx=rho, M=A.T.copy()))
         gap_idx.append(rho)
         gap_coef.append(hj - b - A @ xbar)
-    lp.add_ub(np.concatenate(gap_idx), np.concatenate(gap_coef), float(eps))
+    lp.add_ub(np.concatenate(gap_idx), np.concatenate(gap_coef), 0.0, plus_eps=True)
     return expr_sum(parts)
 
 

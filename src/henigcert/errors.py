@@ -10,7 +10,11 @@ class DimensionMismatch(HenigcertError, ValueError):
 
 
 class NumericalFailure(HenigcertError):
-    """The LP core exceeded its pivot budget or broke a solve invariant."""
+    """The LP core exceeded its pivot budget or broke a solve invariant.
+
+    From the simplex itself the message names the run (phase 1, phase 2 or
+    dual simplex), the pivots it used against its budget and the tableau
+    shape."""
 
 
 class ConjugateUnsupported(HenigcertError):

@@ -7,6 +7,13 @@ guarantees termination), and fixed tolerances.  Problem sizes are desk scale
 (tens of variables and rows); there is no factorization, pricing, or
 presolve beyond the bound substitution.
 
+An ``LpSession`` keeps the tableau and basis of one program between calls,
+for loops that solve it again with another objective or another
+inequality right-hand side; ``lp_solve`` is a session with one call.
+Determinism is per session call history: the same sequence of calls
+takes the same pivots, and ``lp_solve`` takes the same pivots for the
+same program.
+
 Conventions
 -----------
 maximize  c @ x
@@ -17,12 +24,13 @@ finite bounds are substituted away so the tableau only ever sees
 nonnegative variables.
 """
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import simplex_core
+from ._kernels import dual_simplex_core, pivot, simplex_core
 from .errors import DimensionMismatch, NumericalFailure
 
 TOL_FEAS = 1e-9
@@ -137,132 +145,232 @@ class LpOutcome:
 def lp_solve(lp: LinearProgram, max_pivots: Optional[int] = None) -> LpOutcome:
     """Solve a LinearProgram with the two-phase Bland-rule simplex.
 
-    Deterministic: identical inputs take identical pivot sequences.  The
-    pivot budget defaults to ``400 + 60*(rows+cols)``; exceeding it (or
-    failing the post-solve feasibility check) raises NumericalFailure.
+    One ``LpSession`` and one ``maximize``, so identical inputs take
+    identical pivot sequences.  The pivot budget of each simplex run
+    defaults to ``400 + 60*(rows+cols)``; exceeding it (or failing the
+    post-solve feasibility check) raises NumericalFailure.
     """
-    n = lp.nvars
-    lo, hi = lp.lb, lp.ub
-    if np.any(lo > hi):
-        return LpOutcome(INFEASIBLE)
+    return LpSession(lp, max_pivots).maximize()
 
-    # Substitute bounds so that internal variables are all >= 0.
-    # x_j = offset_j + sign_j * u_k  (free variables get a split pair).
-    cols: list[tuple[int, float]] = []  # (original var, sign) per internal column
-    offset = np.zeros(n)
-    extra_rows: list[tuple[int, float]] = []  # (internal col, upper value) u_k <= value
-    for j in range(n):
-        ljf, ujf = np.isfinite(lo[j]), np.isfinite(hi[j])
-        if ljf:
-            offset[j] = lo[j]
-            cols.append((j, 1.0))
-            if ujf:
-                extra_rows.append((len(cols) - 1, hi[j] - lo[j]))
-        elif ujf:
-            offset[j] = hi[j]
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    nu = len(cols)
-    S = np.zeros((n, nu))
-    for k, (j, sgn) in enumerate(cols):
-        S[j, k] = sgn
 
-    c_std = S.T @ lp.c
-    rows_le = [lp.A_ub @ S, lp.b_ub - lp.A_ub @ offset]
-    if extra_rows:
-        Aex = np.zeros((len(extra_rows), nu))
+class LpSession:
+    """One LP, standardized once and re-solved from its last basis.
+
+    The constructor substitutes the bounds, builds the tableau and runs
+    phase 1.  ``maximize(c)`` then runs phase 2 for the objective ``c``
+    (default: the last one) from the last basis.  ``resolve_rhs(b_ub)``
+    recomputes the basic values for a new inequality right-hand side from
+    the columns that started as the identity (B^-1 b), restores primal
+    feasibility with a Bland-rule dual simplex from the last basis and
+    runs phase 2; ``A_ub``, the equality rows and the bounds never change.
+    A session whose phase 1 found no feasible point has no basis to keep,
+    so its next ``resolve_rhs`` starts a new session.
+
+    Outcomes are deterministic per call history: the same sequence of
+    calls takes the same pivots, but an optimum reached from another
+    basis may be another optimal vertex than a fresh ``lp_solve`` finds,
+    with the same value up to rounding.  ``lp`` is the program as it now
+    stands (the last objective and right-hand side); ``pivots`` counts
+    the pivots of each run ("phase 1", "phase 2", "dual simplex") over the
+    session's life.
+    """
+
+    def __init__(self, lp: LinearProgram, max_pivots: Optional[int] = None):
+        self.pivots = {"phase 1": 0, "phase 2": 0, "dual simplex": 0}
+        self._max_pivots = max_pivots
+        self._start(lp)
+
+    def _start(self, lp: LinearProgram):
+        self.lp = lp
+        self._phase1_ok = self._feasible = False
+        self._T = None
+        n = lp.nvars
+        lo, hi = lp.lb, lp.ub
+        if np.any(lo > hi):
+            return
+
+        # Substitute bounds so that internal variables are all >= 0.
+        # x_j = offset_j + sign_j * u_k  (free variables get a split pair).
+        cols: list[tuple[int, float]] = []  # (original var, sign) per internal column
+        offset = np.zeros(n)
+        extra_rows: list[tuple[int, float]] = []  # (internal col, upper value) u_k <= value
+        for j in range(n):
+            ljf, ujf = np.isfinite(lo[j]), np.isfinite(hi[j])
+            if ljf:
+                offset[j] = lo[j]
+                cols.append((j, 1.0))
+                if ujf:
+                    extra_rows.append((len(cols) - 1, hi[j] - lo[j]))
+            elif ujf:
+                offset[j] = hi[j]
+                cols.append((j, -1.0))
+            else:
+                cols.append((j, 1.0))
+                cols.append((j, -1.0))
+        nu = len(cols)
+        S = np.zeros((n, nu))
+        for k, (j, sgn) in enumerate(cols):
+            S[j, k] = sgn
+
+        rows_le = [lp.A_ub @ S, lp.b_ub - lp.A_ub @ offset]
         bex = np.zeros(len(extra_rows))
-        for i, (k, val) in enumerate(extra_rows):
-            Aex[i, k] = 1.0
-            bex[i] = val
-        A_le = np.vstack([rows_le[0], Aex])
-        b_le = np.concatenate([rows_le[1], bex])
-    else:
-        A_le, b_le = rows_le
-    A_eq = lp.A_eq @ S
-    b_eq = lp.b_eq - lp.A_eq @ offset
-
-    m_le, m_eq = A_le.shape[0], A_eq.shape[0]
-    m = m_le + m_eq
-
-    # Column layout: structural | slack(one per <= row) | artificial.
-    # Rows with negative rhs are negated first; <= rows then carry either a
-    # slack basis (+1) or a surplus (-1) plus an artificial.
-    n_slack = m_le
-    art_of_row = np.full(m, -1, dtype=np.int64)
-    n_art = 0
-    for i in range(m_le):
-        if b_le[i] < 0:
-            art_of_row[i] = n_art
-            n_art += 1
-    for i in range(m_eq):
-        art_of_row[m_le + i] = n_art
-        n_art += 1
-    ncols = nu + n_slack + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(m_le):
-        sgn = 1.0 if b_le[i] >= 0 else -1.0
-        T[i, :nu] = sgn * A_le[i]
-        T[i, ncols] = sgn * b_le[i]
-        T[i, nu + i] = sgn  # slack or surplus
-        if art_of_row[i] >= 0:
-            T[i, nu + n_slack + art_of_row[i]] = 1.0
-            basis[i] = nu + n_slack + art_of_row[i]
+        if extra_rows:
+            Aex = np.zeros((len(extra_rows), nu))
+            for i, (k, val) in enumerate(extra_rows):
+                Aex[i, k] = 1.0
+                bex[i] = val
+            A_le = np.vstack([rows_le[0], Aex])
+            b_le = np.concatenate([rows_le[1], bex])
         else:
-            basis[i] = nu + i
-    for i in range(m_eq):
-        r = m_le + i
-        sgn = 1.0 if b_eq[i] >= 0 else -1.0
-        T[r, :nu] = sgn * A_eq[i]
-        T[r, ncols] = sgn * b_eq[i]
-        T[r, nu + n_slack + art_of_row[r]] = 1.0
-        basis[r] = nu + n_slack + art_of_row[r]
+            A_le, b_le = rows_le
+        A_eq = lp.A_eq @ S
+        b_eq = lp.b_eq - lp.A_eq @ offset
 
-    if max_pivots is None:
-        max_pivots = 400 + 60 * (m + ncols)
-    allowed = np.ones(ncols, dtype=np.bool_)
+        m_le, m_eq = A_le.shape[0], A_eq.shape[0]
+        m = m_le + m_eq
 
-    if n_art:
-        # Phase 1: maximize -(sum of artificials).
-        obj1 = np.zeros(ncols + 1)
-        obj1[nu + n_slack:ncols] = -1.0
-        T[m] = obj1
-        _reduce_objective(T, basis, m)
-        code = simplex_core(T, basis, allowed, TOL_FEAS, TOL_OBJ, max_pivots)
-        if code == 2:
-            raise NumericalFailure("phase-1 pivot budget exhausted")
-        if code == 1:
-            raise NumericalFailure("phase-1 reported unbounded")
-        phase1 = -T[m, ncols]
-        if phase1 < -1e-7 * (1.0 + float(np.abs(T[:, ncols]).max(initial=0.0))):
+        # Column layout: structural | slack(one per <= row) | artificial.
+        # Rows with negative rhs are negated first; <= rows then carry either a
+        # slack basis (+1) or a surplus (-1) plus an artificial.
+        n_slack = m_le
+        art_of_row = np.full(m, -1, dtype=np.int64)
+        n_art = 0
+        for i in range(m_le):
+            if b_le[i] < 0:
+                art_of_row[i] = n_art
+                n_art += 1
+        for i in range(m_eq):
+            art_of_row[m_le + i] = n_art
+            n_art += 1
+        ncols = nu + n_slack + n_art
+        T = np.zeros((m + 1, ncols + 1))
+        basis = np.empty(m, dtype=np.int64)
+        for i in range(m_le):
+            sgn = 1.0 if b_le[i] >= 0 else -1.0
+            T[i, :nu] = sgn * A_le[i]
+            T[i, ncols] = sgn * b_le[i]
+            T[i, nu + i] = sgn  # slack or surplus
+            if art_of_row[i] >= 0:
+                T[i, nu + n_slack + art_of_row[i]] = 1.0
+                basis[i] = nu + n_slack + art_of_row[i]
+            else:
+                basis[i] = nu + i
+        eq_sign = np.where(b_eq >= 0, 1.0, -1.0)
+        for i in range(m_eq):
+            r = m_le + i
+            T[r, :nu] = eq_sign[i] * A_eq[i]
+            T[r, ncols] = eq_sign[i] * b_eq[i]
+            T[r, nu + n_slack + art_of_row[r]] = 1.0
+            basis[r] = nu + n_slack + art_of_row[r]
+
+        self._T, self._basis = T, basis
+        self._S, self._offset, self._nu, self._bex, self._eq_sign = S, offset, nu, bex, eq_sign
+        # B^-1 e_i for row i: its slack column times the row's sign for a
+        # <= row (the signs cancel against the signed rhs), its artificial
+        # for an == row
+        self._unit = np.concatenate([nu + np.arange(m_le), nu + n_slack + art_of_row[m_le:]])
+        self._budget = (400 + 60 * (m + ncols)) if self._max_pivots is None else self._max_pivots
+        self._allowed = np.ones(ncols, dtype=np.bool_)
+
+        if n_art:
+            # Phase 1: maximize -(sum of artificials).
+            obj1 = np.zeros(ncols + 1)
+            obj1[nu + n_slack:ncols] = -1.0
+            T[m] = obj1
+            _reduce_objective(T, basis, m)
+            self._run("phase 1", simplex_core, TOL_OBJ)
+            phase1 = -T[m, ncols]
+            if phase1 < -1e-7 * (1.0 + float(np.abs(T[:, ncols]).max(initial=0.0))):
+                return
+            _pivot_out_artificials(T, basis, nu + n_slack, m)
+        self._allowed[nu + n_slack:] = False
+        self._phase1_ok = self._feasible = True
+
+    def maximize(self, c=None) -> LpOutcome:
+        """Phase 2 for objective ``c`` (default: the last one) from the last basis."""
+        if c is not None:
+            c = _as_vector(c, self.lp.nvars, "c")
+            if not np.all(np.isfinite(c)):
+                raise ValueError("c contains non-finite entries")
+            self.lp = copy.copy(self.lp)  # the caller's program stays as given
+            self.lp.c = c
+        if not self._feasible:
             return LpOutcome(INFEASIBLE)
-        _pivot_out_artificials(T, basis, nu + n_slack, m, ncols)
+        T, m, nu = self._T, self._T.shape[0] - 1, self._nu
+        obj2 = np.zeros(T.shape[1])
+        obj2[:nu] = self._S.T @ self.lp.c
+        T[m] = obj2
+        _reduce_objective(T, self._basis, m)
+        if self._run("phase 2", simplex_core, TOL_OBJ) == 1:
+            return LpOutcome(UNBOUNDED, value=np.inf)
 
-    # Phase 2.
-    allowed[nu + n_slack:] = False
-    obj2 = np.zeros(ncols + 1)
-    obj2[:nu] = c_std
-    T[m] = obj2
-    _reduce_objective(T, basis, m)
-    code = simplex_core(T, basis, allowed, TOL_FEAS, TOL_OBJ, max_pivots)
-    if code == 2:
-        raise NumericalFailure("phase-2 pivot budget exhausted")
-    if code == 1:
-        return LpOutcome(UNBOUNDED, value=np.inf)
+        last = T.shape[1] - 1
+        u = np.zeros(last)
+        for i in range(m):
+            u[self._basis[i]] = max(T[i, last], 0.0)
+        x = self._offset + self._S @ u[:nu]
+        value = float(self.lp.c @ x)
+        self._check_feasible(x)
+        # a row's multiplier is minus the reduced profit of its slack column; a
+        # row negated for a negative rhs negated its slack too, so the sign holds
+        duals = 0.0 - T[m, nu:nu + self.lp.A_ub.shape[0]]
+        return LpOutcome(OPTIMAL, x=x, value=value, duals=duals)
 
-    u = np.zeros(ncols)
-    for i in range(m):
-        u[basis[i]] = max(T[i, ncols], 0.0)
-    x = offset + S @ u[:nu]
-    value = float(lp.c @ x)
-    _check_feasible(lp, x)
-    # a row's multiplier is minus the reduced profit of its slack column; a
-    # row negated for a negative rhs negated its slack too, so the sign holds
-    duals = 0.0 - T[m, nu:nu + lp.A_ub.shape[0]]
-    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals)
+    def resolve_rhs(self, b_ub) -> LpOutcome:
+        """Re-solve for a new ``b_ub``: B^-1 b, dual simplex, then phase 2."""
+        lp = replace(self.lp, b_ub=b_ub)
+        if not self._phase1_ok:
+            self._start(lp)
+            return self.maximize()
+        self.lp = lp
+        T, m = self._T, self._T.shape[0] - 1
+        rhs = np.concatenate([lp.b_ub - lp.A_ub @ self._offset, self._bex,
+                              self._eq_sign * (lp.b_eq - lp.A_eq @ self._offset)])
+        T[:m, -1] = T[:m, self._unit] @ rhs
+        # B^-1 b leaves rounding where a fresh solve reads an exact 0
+        band = TOL_FEAS * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+        T[:m, -1][np.abs(T[:m, -1]) <= band] = 0.0
+        if (T[m, :-1][self._allowed] > TOL_OBJ).any():
+            # not dual feasible (the last phase 2 stopped unbounded): restore
+            # feasibility for the zero objective, which every basis is optimal for
+            T[m] = 0.0
+        self._feasible = self._run("dual simplex", dual_simplex_core, band) == 0
+        return self.maximize()
+
+    def _run(self, phase, core, tol: float) -> int:
+        """One run of ``core`` (the primal or the dual simplex); returns
+        code 0 (done) or 1 (unbounded for the primal, inconsistent rows for
+        the dual).  An unbounded phase 1 or an exhausted budget raises
+        NumericalFailure."""
+        code, pivots = core(self._T, self._basis, self._allowed, TOL_FEAS, tol, self._budget)
+        self.pivots[phase] += pivots
+        self._last = (phase, pivots)
+        if code == 2:
+            raise self._failure("pivot budget exhausted")
+        if code == 1 and phase == "phase 1":
+            raise self._failure("unbounded")
+        return code
+
+    def _failure(self, what: str) -> NumericalFailure:
+        phase, pivots = self._last
+        rows, cols = self._T.shape
+        return NumericalFailure(
+            f"{phase}: {what} after {pivots} of {self._budget} pivots "
+            f"on a {rows}x{cols} tableau"
+        )
+
+    def _check_feasible(self, x: np.ndarray):
+        lp = self.lp
+        scale = 1.0 + float(np.abs(lp.b_ub).max(initial=0.0)) + float(np.abs(x).max(initial=0.0))
+        tol = 100.0 * TOL_FEAS * scale
+        for name, excess in (
+            ("an inequality row", lp.A_ub @ x - lp.b_ub),
+            ("an equality row", np.abs(lp.A_eq @ x - lp.b_eq)),
+            ("a variable bound", np.concatenate([lp.lb - x, x - lp.ub])),
+        ):
+            worst = float(excess.max(initial=-np.inf))
+            if worst > tol:
+                raise self._failure(f"optimal point violates {name} by {worst:.3g} > {tol:.3g}")
 
 
 def _reduce_objective(T, basis, m):
@@ -274,7 +382,7 @@ def _reduce_objective(T, basis, m):
             T[m, basis[i]] = 0.0
 
 
-def _pivot_out_artificials(T, basis, first_art: int, m: int, ncols: int):
+def _pivot_out_artificials(T, basis, first_art: int, m: int):
     # Basic artificials sit at value ~0 after a feasible phase 1; pivot them
     # onto any usable structural/slack column.  Rows with no such column are
     # redundant and stay parked (the artificial can never re-enter).
@@ -282,23 +390,5 @@ def _pivot_out_artificials(T, basis, first_art: int, m: int, ncols: int):
         if basis[i] >= first_art:
             for j in range(first_art):
                 if abs(T[i, j]) > 1e-9:
-                    piv = T[i, j]
-                    T[i] /= piv
-                    T[i, j] = 1.0
-                    for r in range(T.shape[0]):
-                        if r != i and T[r, j] != 0.0:
-                            T[r] -= T[r, j] * T[i]
-                            T[r, j] = 0.0
-                    basis[i] = j
+                    pivot(T, basis, i, j)
                     break
-
-
-def _check_feasible(lp: LinearProgram, x: np.ndarray):
-    scale = 1.0 + float(np.abs(lp.b_ub).max(initial=0.0)) + float(np.abs(x).max(initial=0.0))
-    tol = 100.0 * TOL_FEAS * scale
-    if lp.A_ub.shape[0] and float((lp.A_ub @ x - lp.b_ub).max()) > tol:
-        raise NumericalFailure("optimal point violates an inequality row")
-    if lp.A_eq.shape[0] and float(np.abs(lp.A_eq @ x - lp.b_eq).max()) > tol:
-        raise NumericalFailure("optimal point violates an equality row")
-    if float((lp.lb - x).max(initial=-np.inf)) > tol or float((x - lp.ub).max(initial=-np.inf)) > tol:
-        raise NumericalFailure("optimal point violates a variable bound")

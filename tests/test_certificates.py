@@ -8,6 +8,7 @@ from hand arithmetic before the implementation ran.
 import numpy as np
 import pytest
 
+from henigcert import certificates, convex
 from henigcert.certificates import (
     EpiCertificate,
     EpsCertificate,
@@ -32,6 +33,7 @@ from henigcert.errors import (
 )
 from henigcert.fractional import FractionalProblem, feasible_mask, henig_check_bruteforce
 from henigcert.grids import GridSpec
+from henigcert.linprog import LpSession
 
 
 def toy_problem():
@@ -541,10 +543,10 @@ def test_slater_q_false():
 # differential check of the three verifiers beyond one dimension
 
 
-def blocks_problem(rng):
-    # the benchmark recipe at small size: n=2, m=3, p=2, six pieces per
-    # function, C the box [-1, 1]^2, Y+ the nonnegative orthant
-    n, m, p, pieces = 2, 3, 2, 6
+def blocks_problem(rng, n=2):
+    # the benchmark recipe, by default at small size: n=2, m=3, p=2, six
+    # pieces per function, C the box [-1, 1]^n, Y+ the nonnegative orthant
+    m, p, pieces = 3, 2, 6
     objectives = [
         (
             PolyhedralFn(rng.normal(size=(pieces, n)), np.abs(rng.normal(size=pieces)) + 1.0),
@@ -732,3 +734,121 @@ def test_verifier_slacks_match_independent_recomputation():
         assert (np.isfinite(sl) & (sl < -1e-7)).any(), rep.theorem
     # the composite block ran with a nonzero weight
     assert any(not isinstance(fn, ScaledFn) for fn in comps)
+
+
+# ---------------------------------------------------------------------------
+# warm-started LP sessions
+
+
+def efficient_at_zero(rng):
+    # blocks_problem at the benchmark's n=4, with f[0] tilted by a
+    # subgradient s of phi = sum_i f_i + nu_i (-g_i) at 0, so that 0
+    # minimizes phi: 0 is then properly efficient, h(0) < 0 and 0 is inside
+    # C, and its lambda = 1 certificates have a zero dual residual (the
+    # tilt keeps every value at 0, hence nu)
+    from henigcert.fractional import nu_values
+
+    prob = blocks_problem(rng, n=4)
+    nu = nu_values(prob, np.zeros(4))
+    s = sum(f.A[np.argmax(f.b)] + nu_i * ng.A[np.argmax(ng.b)]
+            for (f, ng), nu_i in zip(prob.objectives, nu))
+    (f0, ng0), *rest = prob.objectives
+    return FractionalProblem(4, [(PolyhedralFn(f0.A - s, f0.b), ng0), *rest], prob.hmap,
+                             prob.cone, prob.C)
+
+
+def test_warm_generation_entries_match_cold_solves(monkeypatch):
+    # one session per certificate; every entry after the first is
+    # resolve_rhs, which must run no phase 1, pivot at most a third as
+    # often as a fresh solve of that entry's program, and reach its value
+    sessions = []
+
+    class Recorded(LpSession):
+        def __init__(self, lp):
+            super().__init__(lp)
+            self.entries = []
+            sessions.append(self)
+
+        def resolve_rhs(self, b_ub):
+            before = dict(self.pivots)
+            out = super().resolve_rhs(b_ub)
+            cold = LpSession(self.lp)
+            want = cold.maximize()
+            assert self.pivots["phase 1"] == before["phase 1"]
+            warm = sum(self.pivots.values()) - sum(before.values())
+            self.entries.append((warm, sum(cold.pivots.values()), out.value, want.value))
+            return out
+
+    monkeypatch.setattr(certificates, "LpSession", Recorded)
+    rng = np.random.default_rng(5)
+    xbar, N = np.zeros(4), 40
+    for _ in range(4):
+        prob = efficient_at_zero(rng)
+        cert, trace = generate_eps_certificate(prob, xbar, N=N)
+        (session,) = sessions
+        sessions.clear()
+        warm, cold, value, want = map(np.array, zip(*session.entries))
+        assert len(warm) == N - 1
+        assert (3 * warm <= cold).all(), (warm, cold)
+        np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(trace[1:], -value)
+        rep = verify_eps_certificate(prob, xbar, cert, tol_conv=0.05)
+        assert rep.verdict == "Accept", rep.reasons
+
+
+def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
+    # the verifier keeps one Conjugate (or Support) per block and function,
+    # so one LpSession and one phase 1; each value must equal a one-shot call
+    made, sessions, calls = [], [], []
+
+    def recorded(base, one_shot):
+        class Recorded(base):
+            def __init__(self, fn):
+                before = len(sessions)
+                super().__init__(fn)
+                assert len(sessions) == before + 1
+                self.fn = fn
+                made.append(self)
+
+            def __call__(self, xs):
+                before = len(sessions)
+                got = super().__call__(xs)
+                assert len(sessions) == before  # no new session, no phase 1
+                want = one_shot(self.fn, xs)
+                assert got == want or abs(got - want) <= 1e-12, (got, want)
+                calls.append(got)
+                return got
+
+        return Recorded
+
+    class Counted(LpSession):
+        def __init__(self, lp):
+            super().__init__(lp)
+            sessions.append(self)
+
+    monkeypatch.setattr(certificates, "Conjugate", recorded(convex.Conjugate, convex.conjugate))
+    monkeypatch.setattr(certificates, "Support", recorded(convex.Support, convex.support_function))
+    monkeypatch.setattr(convex, "LpSession", Counted)
+    rng = np.random.default_rng(8)
+    prob = blocks_problem(rng)
+    xbar, N = np.array([0.25, -0.15]), 12
+    # functionals: mixes of the pieces (finite conjugates) and, every
+    # fourth entry, a random vector (infinite); vstar takes one nonzero row
+    # for the first half of the table and another for the second, so the
+    # composite has two functions
+    polys = [convex.as_polyhedral(f) for pair in prob.objectives for f in pair]
+    stars = [np.array([rng.dirichlet(np.ones(6)) @ p.A if k % 4 else rng.normal(size=2) * 3
+                       for k in range(N)]) for p in polys]
+    vstar = np.repeat([[-0.5, -0.2], [-0.1, -0.7]], N // 2, axis=0)
+    comp = convex.weighted_sum_polyhedral([0.5, 0.2], prob.hmap).A
+    cert = EpsCertificate(
+        lam=np.ones(3), gamma=1.0 / np.arange(1, N + 1),
+        xstar=np.array(stars[0::2]), wstar=np.array(stars[1::2]),
+        cstar=rng.normal(size=(N, 2)), ystar=np.abs(rng.normal(size=(N, 2))), vstar=vstar,
+        ustar=np.array([rng.dirichlet(np.ones(comp.shape[0])) @ comp for _ in range(N)]),
+    )
+    verify_eps_certificate(prob, xbar, cert)
+    # f[i], w[i] for three objectives, C, two composite functions
+    assert len(made) == 9
+    assert len(calls) == 8 * N
+    assert np.isinf(calls).any() and np.isfinite(calls).any()

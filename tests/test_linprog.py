@@ -1,12 +1,17 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from lp_reference import lp_solve as reference_lp_solve
 
-from henigcert.errors import DimensionMismatch
+from henigcert.errors import DimensionMismatch, NumericalFailure
 from henigcert.linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpSession,
     lp_solve,
 )
 
@@ -232,3 +237,119 @@ def test_status_value_and_duals_against_highs():
                     bounds=[(None, None)] * lp.A_eq.shape[0], method="highs")
         assert z.status == 0
     assert min(seen.values()) >= 100 and seen[OPTIMAL] >= 200
+
+
+def _random_box_lp(rng):
+    # the family of test_random_instances_feasible_and_locally_best, with
+    # real-valued data so that rounding differences would show
+    n = int(rng.integers(1, 5))
+    mrows = int(rng.integers(0, 5))
+    A = rng.normal(size=(mrows, n))
+    b = A @ rng.uniform(-2.0, 2.0, size=n) + rng.uniform(0.0, 1.5, size=mrows)
+    return LinearProgram(c=rng.normal(size=n), A_ub=A, b_ub=b,
+                         lb=np.full(n, -10.0), ub=np.full(n, 10.0))
+
+
+def test_lp_solve_matches_the_one_shot_reference_bit_for_bit():
+    # lp_solve is one session and one maximize; it must take the pivots of
+    # the one-shot solver it replaced, so x, value and duals are identical
+    rng = np.random.default_rng(20240818)
+    lps = [_random_integer_lp(rng) for _ in range(400)] + [_random_box_lp(rng) for _ in range(200)]
+    for lp in lps:
+        try:
+            want = reference_lp_solve(lp)
+        except NumericalFailure:
+            with pytest.raises(NumericalFailure):
+                lp_solve(lp)
+            continue
+        got = lp_solve(lp)
+        assert got.status == want.status
+        assert float(got.value).hex() == float(want.value).hex()
+        for name in ("x", "duals"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_pivot_budget_failure_reports_phase_pivots_and_shape():
+    # phase 2: three columns enter, one pivot allowed; 3 rows, 3 structural
+    # and 3 slack columns, so the tableau is 4x7 with the objective and rhs
+    lp = LinearProgram(c=[1.0, 1.0, 1.0], A_ub=np.eye(3), b_ub=[1.0, 1.0, 1.0], lb=np.zeros(3))
+    with pytest.raises(NumericalFailure, match=r"^phase 2: pivot budget exhausted after 1 of 1 "
+                       r"pivots on a 4x7 tableau$"):
+        lp_solve(lp, max_pivots=1)
+    # phase 1: x_i >= 1 needs a surplus and an artificial per row
+    lp = replace(lp, b_ub=[-1.0, -1.0, -1.0], A_ub=-np.eye(3), c=-np.ones(3))
+    with pytest.raises(NumericalFailure, match=r"^phase 1: pivot budget exhausted after 2 of 2 "
+                       r"pivots on a 4x10 tableau$"):
+        lp_solve(lp, max_pivots=2)
+    # dual simplex: the same rows met from x = 0, where the slack basis is
+    # optimal without a pivot
+    session = LpSession(replace(lp, b_ub=np.zeros(3)), max_pivots=2)
+    assert session.maximize().value == 0.0
+    with pytest.raises(NumericalFailure, match=r"^dual simplex: pivot budget exhausted after 2 of 2 "
+                       r"pivots on a 4x7 tableau$"):
+        session.resolve_rhs([-1.0, -1.0, -1.0])
+    assert session.pivots == {"phase 1": 0, "phase 2": 0, "dual simplex": 2}
+
+
+def _highs(linprog, lp):
+    ref = linprog(
+        -lp.c,
+        A_ub=lp.A_ub if lp.A_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
+        A_eq=lp.A_eq if lp.A_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
+        bounds=list(zip(lp.lb, lp.ub)), method="highs", options={"presolve": False},
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    return status, (-ref.fun if status == OPTIMAL else None)
+
+
+def test_session_sequences_against_highs():
+    # Each session takes a seeded sequence of maximize(c) and resolve_rhs(b)
+    # calls; after every call the status and value must match HiGHS on the
+    # program as it now stands, and an optimal x must be feasible for it.
+    # From an optimal basis the dual simplex keeps the reduced profits
+    # optimal, so phase 2 must find nothing left to do.  Every third
+    # program is degenerate: each row twice, all rhs 0 at first.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(11)
+    seen = Counter()
+    for trial in range(300):
+        lp = _random_integer_lp(rng)
+        if trial % 3 == 0:
+            lp = replace(lp, A_ub=np.vstack([lp.A_ub, lp.A_ub]), b_ub=np.zeros(2 * lp.b_ub.size))
+        session, status = LpSession(lp), None
+        for step in range(6):
+            m_ub = lp.b_ub.size
+            if step == 0:
+                call, out = "first", session.maximize()
+            elif rng.random() < 0.4 or m_ub == 0:
+                lp = replace(lp, c=rng.integers(-3, 4, size=lp.nvars).astype(float))
+                call, out = "maximize", session.maximize(lp.c)
+            else:
+                b = lp.b_ub.copy()
+                i = int(rng.integers(0, m_ub))
+                if rng.random() < 0.5:
+                    b[i] = -b[i] - float(rng.integers(1, 3))  # flips the row's sign
+                    seen["sign flip"] += 1
+                else:
+                    b = rng.integers(-2, 6, size=m_ub).astype(float)
+                lp = replace(lp, b_ub=b)
+                phase2 = session.pivots["phase 2"]
+                call, out = "resolve", session.resolve_rhs(b)
+                if status == OPTIMAL and out.is_optimal:
+                    assert session.pivots["phase 2"] == phase2, (trial, step)
+            want, value = _highs(linprog, lp)
+            assert out.status == want, (trial, step, call)
+            if out.is_optimal:
+                assert out.value == pytest.approx(value, abs=1e-7)
+                assert out.value == pytest.approx(lp.c @ out.x, abs=1e-9)
+                assert (lp.A_ub @ out.x <= lp.b_ub + 1e-7).all()
+                assert np.abs(lp.A_eq @ out.x - lp.b_eq).max(initial=0.0) <= 1e-7
+                assert (out.x >= lp.lb - 1e-7).all() and (out.x <= lp.ub + 1e-7).all()
+            seen[(call, status, out.status)] += 1
+            status = out.status
+    assert seen["sign flip"] >= 200
+    for key in (("maximize", UNBOUNDED, OPTIMAL), ("resolve", INFEASIBLE, OPTIMAL),
+                ("resolve", OPTIMAL, INFEASIBLE), ("resolve", OPTIMAL, OPTIMAL),
+                ("resolve", UNBOUNDED, UNBOUNDED)):
+        assert seen[key] >= 10, (key, seen)
