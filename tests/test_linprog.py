@@ -193,6 +193,17 @@ def _random_integer_lp(rng):
     )
 
 
+def _highs(linprog, lp):
+    ref = linprog(
+        -lp.c,
+        A_ub=lp.A_ub if lp.A_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
+        A_eq=lp.A_eq if lp.A_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
+        bounds=list(zip(lp.lb, lp.ub)), method="highs", options={"presolve": False},
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+    return status, (-ref.fun if status == OPTIMAL else None)
+
+
 def test_status_value_and_duals_against_highs():
     # Differential test against HiGHS, run without presolve: with it, HiGHS
     # calls some feasible, unbounded LPs of this family infeasible.  The row
@@ -201,25 +212,19 @@ def test_status_value_and_duals_against_highs():
     # equality multipliers z giving reduced costs r = c - A^T y - E^T z of the
     # sign each variable's active bound allows.
     linprog = pytest.importorskip("scipy.optimize").linprog
-    highs = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
     rng = np.random.default_rng(7)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     tol = 1e-7
     for _ in range(600):
         lp = _random_integer_lp(rng)
         out = lp_solve(lp)
-        ref = linprog(
-            -lp.c,
-            A_ub=lp.A_ub if lp.A_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
-            A_eq=lp.A_eq if lp.A_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
-            bounds=list(zip(lp.lb, lp.ub)), method="highs", options={"presolve": False},
-        )
-        assert out.status == highs[ref.status]
+        status, value = _highs(linprog, lp)
+        assert out.status == status
         seen[out.status] += 1
         if not out.is_optimal:
             assert out.duals is None
             continue
-        assert out.value == pytest.approx(-ref.fun, abs=1e-7)
+        assert out.value == pytest.approx(value, abs=1e-7)
         y, x = out.duals, out.x
         assert y.shape == lp.b_ub.shape
         assert (y >= -1e-9).all()
@@ -290,17 +295,6 @@ def test_pivot_budget_failure_reports_phase_pivots_and_shape():
                        r"pivots on a 4x7 tableau$"):
         session.resolve_rhs([-1.0, -1.0, -1.0])
     assert session.pivots == {"phase 1": 0, "phase 2": 0, "dual simplex": 2}
-
-
-def _highs(linprog, lp):
-    ref = linprog(
-        -lp.c,
-        A_ub=lp.A_ub if lp.A_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
-        A_eq=lp.A_eq if lp.A_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
-        bounds=list(zip(lp.lb, lp.ub)), method="highs", options={"presolve": False},
-    )
-    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
-    return status, (-ref.fun if status == OPTIMAL else None)
 
 
 def test_session_sequences_against_highs():
