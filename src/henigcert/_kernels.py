@@ -1,9 +1,11 @@
 """The hot numeric kernels, in numpy.
 
 The simplex pivot loops (primal and dual, sharing one pivot) and the
-batch max-affine evaluator dominate the package's runtime: a single
-certificate verification issues thousands of small LPs, and the grid
-oracles evaluate max-affine functions at 10^4+ points.
+batch max-affine evaluator are the package's numeric core: a
+certificate verification solves a small LP per block and function (and
+prices its entries against that LP's basis), generation pivots only at
+the breakpoints of its gamma schedule, and the grid oracles evaluate
+max-affine functions at 10^4+ points.
 ``perfbench/README.md`` describes how their time is measured.
 """
 

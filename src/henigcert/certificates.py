@@ -78,12 +78,13 @@ from .errors import (
     DimensionMismatch,
     GeneratorFormRequired,
     HorizonTooShort,
+    NumericalFailure,
     PointOutsideDomain,
     UnsupportedData,
     UnsupportedDomain,
 )
 from .fractional import FractionalProblem, feasible, nu_values
-from .linprog import LpSession
+from .linprog import INFEASIBLE, UNBOUNDED, LpSession
 
 DEFAULT_TOL_CONV = 1e-3
 JITTER = 1e-9
@@ -118,14 +119,29 @@ def _check_lambda(lam, m: int) -> np.ndarray:
 def converged(trace, tol_conv: float, jitter: float = JITTER) -> bool:
     """Finite-horizon convergence rule: trace[-1] <= tol_conv and the last
     ceil(N/2) values are non-increasing up to jitter."""
+    return not _convergence_failures(trace, tol_conv, jitter)
+
+
+def _convergence_failures(trace, tol_conv: float, jitter: float = JITTER,
+                          tol_name: str = "tol_conv") -> list:
+    """What fails the convergence rule, one phrase per failing part: a
+    tail that rises (its largest rise and the n it reaches) and a last
+    value above tol_conv (that value, against the tolerance named
+    ``tol_name``); empty when the trace converges."""
     trace = np.asarray(trace, float).reshape(-1)
     N = trace.shape[0]
     if N < 4:
         raise HorizonTooShort(f"need a horizon of at least 4 entries, got {N}")
-    tail = trace[-int(np.ceil(N / 2)):]
-    if (np.diff(tail) > jitter).any():
-        return False
-    return bool(trace[-1] <= tol_conv)
+    start = N - int(np.ceil(N / 2))
+    with np.errstate(invalid="ignore"):  # inf - inf: not a rise
+        rises = np.diff(trace[start:])
+    failures = []
+    if (rises > jitter).any():
+        i = int(np.argmax(rises))
+        failures.append(f"rises by {rises[i]:.3g} at n={start + i + 2}")
+    if not trace[-1] <= tol_conv:
+        failures.append(f"ends at {trace[-1]:.3g} above {tol_name} {tol_conv:g}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +371,40 @@ class _Memo:
     ``Support``) for its current function key, so its LP runs phase 1 once
     per key: once for f, w and C, once per run of equal vstar rows for the
     composite, whose rows change with vstar.  A new key replaces the
-    block's evaluator, which bounds the tableaux held at one per block."""
+    block's evaluator, which bounds the tableaux held at one per block.
+    A lookup takes a stack of functionals; those not seen before go to the
+    evaluator in one batched call, in order of first occurrence."""
 
     def __init__(self):
         self._values = {}
         self._evaluators = {}  # block name -> (function key, evaluator)
 
-    def _value(self, name, fkey, make, xs):
-        k = (name, fkey, xs.tobytes())
-        if k not in self._values:
+    def _lookup(self, name, fkey, make, stars):
+        keys = [(name, fkey, s.tobytes()) for s in stars]
+        todo = {}
+        for key, star in zip(keys, stars):
+            if key not in self._values and key not in todo:
+                todo[key] = star
+        if todo:
             held = self._evaluators.get(name)
             if held is None or held[0] != fkey:
                 held = self._evaluators[name] = (fkey, make())
-            self._values[k] = held[1](xs)
-        return self._values[k]
+            self._values.update(zip(todo, held[1].values(np.array(list(todo.values())))))
+        return np.array([self._values[k] for k in keys], dtype=float)
 
-    def conj(self, name, fkey, fn, xs):
-        return self._value(name, fkey, lambda: Conjugate(fn), xs)
+    def conj(self, name, fkey, fn, stars):
+        return self._lookup(name, fkey, lambda: Conjugate(fn), stars)
 
-    def supp(self, C, xs):
-        return self._value("C", None, lambda: Support(C), xs)
+    def supp(self, C, stars):
+        return self._lookup("C", None, lambda: Support(C), stars)
+
+
+def _runs(rows) -> list:
+    """Slices over the runs of bytewise equal consecutive rows."""
+    bits = np.ascontiguousarray(rows).view(np.uint8)
+    cuts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    edges = [0, *cuts.tolist(), rows.shape[0]]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
 def _polar_slacks(G, V):
@@ -388,9 +418,8 @@ def _verdict(memberships, residual_checks):
         if not ok.all():
             bad = int(np.argmin(ok))
             reasons.append(f"{name} fails at n={bad + 1}")
-    for name, is_conv in residual_checks.items():
-        if not is_conv:
-            reasons.append(f"residual trace '{name}' does not converge")
+    for name, failures in residual_checks.items():
+        reasons.extend(f"residual trace '{name}' {why}" for why in failures)
     verdict = "Accept" if not reasons else "Reject"
     return verdict, tuple(reasons)
 
@@ -408,13 +437,21 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
         memberships[name] = sl >= -tol_membership
         slacks[name] = sl
 
-    def conj(blk, k):
-        star = blk.of(tab, blk.star)[k]
+    def conj(blk, ks):
+        # conjugate (support for C) values of the block's functionals at
+        # the entries ks: one memo lookup per run of equal function key
+        stars = blk.of(tab, blk.star)[ks]
         if blk.kind == "C":
-            return memo.supp(prob.C, star)
-        fkey = vstar[k].tobytes() if blk.kind == "comp" else None
-        return memo.conj(blk.name, fkey, table.fn(blk, vstar[k]), star)
+            return memo.supp(prob.C, stars)
+        if blk.kind != "comp":
+            return memo.conj(blk.name, None, blk.fn, stars)
+        vals = np.empty(len(ks))
+        for run in _runs(vstar[ks]):
+            v = vstar[ks[run.start]]
+            vals[run] = memo.conj(blk.name, v.tobytes(), table.fn(blk, v), stars[run])
+        return vals
 
+    every = np.arange(N)
     for blk in table.rows:
         stars = blk.of(tab, blk.star)
         if blk.kind == "comp":
@@ -425,8 +462,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
                 put("ystar_polar", _polar_slacks(G, stars))
                 put("s_nonneg", cert.s.copy())
             else:
-                heights = blk.of(tab, blk.height)
-                put(f"epi_{blk.name}", np.array([heights[k] - conj(blk, k) for k in range(N)]))
+                put(f"epi_{blk.name}", blk.of(tab, blk.height) - conj(blk, every))
         elif theorem == "4.3" and blk.kind == "Y":
             # ystar in Y* and in the gamma_n-normal set of -Y+ at h(xbar):
             # the support of -Y+ is 0 on Y* and infinite elsewhere
@@ -434,16 +470,18 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
         elif theorem == "4.3":
             # Young-Fenchel gap at xbar within gamma_n; the indicator of C
             # vanishes there, the composite changes with vstar per entry
-            fval = None if blk.kind == "comp" else 0.0 if blk.kind == "C" else blk.fn.eval(xbar)
-            if blk.row is not None and not np.isfinite(fval):
-                raise PointOutsideDomain("candidate lies outside an objective domain")
-            sl = np.empty(N)
-            for k in range(N):
-                cval = conj(blk, k)
-                fk = table.fn(blk, vstar[k]).eval(xbar) if fval is None else fval
-                gap = cval + fk - stars[k] @ xbar if np.isfinite(cval) else np.inf
-                sl[k] = cert.gamma[k] - gap
-            put(("normal_" if blk.kind == "C" else "subdiff_") + blk.name, sl)
+            if blk.kind == "comp":
+                fval = np.empty(N)
+                for run in _runs(vstar):
+                    fval[run] = table.fn(blk, vstar[run.start]).eval(xbar)
+            else:
+                fval = 0.0 if blk.kind == "C" else blk.fn.eval(xbar)
+                if not np.isfinite(fval):
+                    raise PointOutsideDomain("candidate lies outside an objective domain")
+            cval = conj(blk, every)
+            with np.errstate(invalid="ignore"):
+                gap = np.where(np.isfinite(cval), cval + fval - stars @ xbar, np.inf)
+            put(("normal_" if blk.kind == "C" else "subdiff_") + blk.name, cert.gamma - gap)
         elif blk.kind in ("C", "Y"):
             # the nearby point lies in the set, with a zero Young-Fenchel gap
             # there; the support of -Y+ is 0 on Y* and infinite elsewhere
@@ -451,7 +489,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
             dots = np.einsum("ij,ij->i", stars, pts)
             if blk.kind == "C":
                 inside = prob.C.contains_batch(pts, tol=tol_membership)
-                sl = -(np.array([conj(blk, k) for k in range(N)]) - dots)
+                sl = -(conj(blk, every) - dots)
             else:
                 inside = in_minus_cone_batch(prob.cone, pts, tol=tol_membership)
                 sl = np.minimum(_polar_slacks(G, stars), dots)
@@ -459,24 +497,25 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
             gaps[f"gap_{blk.name}"] = np.abs(np.einsum("ij,ij->i", stars, pts - blk.base))
         else:
             # zero Young-Fenchel gap at the nearby point, and its value gap
+            # (the composite's value change read through h); a point off
+            # the domain fails with an infinite gap
             pts = blk.of(tab, blk.point)
-            fbase = None if blk.kind == "comp" else blk.fn.eval(xbar)
-            sl, gap = np.empty(N), np.empty(N)
-            for k in range(N):
-                fn = table.fn(blk, vstar[k])
-                fval = fn.eval(pts[k])
-                if not np.isfinite(fval):
-                    sl[k], gap[k] = -np.inf, np.inf
-                    continue
-                cval = conj(blk, k)
-                sl[k] = -(cval + fval - stars[k] @ pts[k]) if np.isfinite(cval) else -np.inf
-                moved = stars[k] @ (pts[k] - xbar)
-                if fbase is None:  # the composite's value change, read through h
-                    gap[k] = abs(moved + vstar[k] @ (prob.h_values(pts[k]) - table.hbar))
+            fval = np.array([table.fn(blk, v).eval(x) for v, x in zip(vstar, pts)])
+            live = np.flatnonzero(np.isfinite(fval))
+            cval = np.full(N, np.inf)
+            cval[live] = conj(blk, live)
+            dots = np.einsum("ij,ij->i", stars, pts)
+            moved = np.einsum("ij,ij->i", stars, pts - xbar)
+            fbase = blk.fn.eval(xbar) if blk.kind != "comp" else None
+            with np.errstate(invalid="ignore"):
+                sl = np.where(np.isfinite(cval), -(cval + fval - dots), -np.inf)
+                if fbase is None:
+                    hv = np.array([prob.h_values(x) for x in pts])
+                    gap = np.abs(moved + np.einsum("ij,ij->i", vstar, hv - table.hbar))
                 else:
-                    gap[k] = abs(fval - moved - fbase)
+                    gap = np.abs(fval - moved - fbase)
             put(f"subdiff_{blk.name}", sl)
-            gaps[f"gap_{blk.name}"] = gap
+            gaps[f"gap_{blk.name}"] = np.where(np.isfinite(fval), gap, np.inf)
 
     dual = np.abs(
         cert.xstar.sum(axis=0) + cert.wstar.sum(axis=0) + cert.cstar + cert.ustar
@@ -489,7 +528,8 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     else:
         scalar = np.max(np.column_stack(list(gaps.values())), axis=1)
     residuals = {"dual": dual, "y": yres, "scalar": scalar, **gaps}
-    checks = {name: converged(residuals[name], tol_conv) for name in ("dual", "y", "scalar")}
+    checks = {name: _convergence_failures(residuals[name], tol_conv)
+              for name in ("dual", "y", "scalar")}
     tolerances = {"tol_membership": tol_membership, "tol_conv": tol_conv}
     if theorem == "4.4":
         tolerances["tol_points"] = tol_points
@@ -497,7 +537,8 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
         for blk in sorted(table.rows, key=lambda b: b.kind == "Y"):
             name = f"point_{blk.point}" + ("" if blk.row is None else f"[{blk.row}]")
             residuals[name] = np.linalg.norm(blk.of(tab, blk.point) - blk.base, axis=1)
-            checks[name] = converged(residuals[name], tol_points)
+            checks[name] = _convergence_failures(residuals[name], tol_points,
+                                                 tol_name="tol_points")
     verdict, reasons = _verdict(memberships, checks)
     return VerificationReport(
         theorem=theorem, verdict=verdict, reasons=reasons,
@@ -613,12 +654,15 @@ def generate_eps_certificate(
     the polar memberships.  The objective is the dual residual's sup-norm
     plus the l1 norm of ystar + vstar.  Entries differ only in the
     right-hand side of the gamma_n rows, so the LP is built and solved
-    once and every later entry is re-solved from the last optimal basis
-    (``LpSession.resolve_rhs``); an entry may hold another optimal vertex
-    than a fresh solve of its LP would.  Returns the certificate and the
-    per-n LP optima; a residual trace that tends to zero is the existence
-    side of the subdifferential form, a floor bounded away from zero is
-    its converse.
+    once and the later entries follow as one right-hand-side path from
+    the last optimal basis (``LpSession.resolve_path``): the entries a
+    basis stays feasible for are read off it, and the dual simplex runs
+    only where gamma leaves that range.  An entry may hold another
+    optimal vertex than a fresh solve of its LP would.  The table fields
+    come from one product per block over the N solutions.  Returns the
+    certificate and the per-n LP optima; a residual trace that tends to
+    zero is the existence side of the subdifferential form, a floor
+    bounded away from zero is its converse.
 
     ``pin_vstar`` fixes vstar = 0 and drops the composite block (the only
     route when h has non-polyhedral components).
@@ -642,7 +686,6 @@ def generate_eps_certificate(
 
     shapes = _field_shapes(prob.m, N, prob.n, prob.p)
     out = {f: np.zeros(shapes[f]) for f in ("xstar", "wstar", "cstar", "ystar", "vstar", "ustar")}
-    trace = np.zeros(N)
     lp, ex = _objective_lp(table, polys)
     ex["Y"] = add_polar_member(lp, G, sign=1.0)
     add_inner_product_ub(lp, ex["Y"], table.hbar, 0.0, sign=-1.0)  # <ystar, hbar> >= 0
@@ -653,19 +696,22 @@ def generate_eps_certificate(
     t_idx = add_linf_elastic(lp, _dual_parts(ex))
     q_idx = add_l1_elastic(lp, [ex[name] for name in ("Y", "v") if name in ex])
     obj_idx = np.concatenate([t_idx, q_idx])
-    for k, g in enumerate(gamma.tolist()):
-        if k == 0:
-            session = LpSession(lp.program(obj_idx, -np.ones(obj_idx.shape[0]), g))
-            res = session.maximize()
-        else:
-            res = session.resolve_rhs(lp.b_ub(g))
-        res = require_optimal(res, "certificate generation")
-        trace[k] = -res.value
-        for blk in table.rows:
-            if blk.name in ex:
-                blk.of(out, blk.star)[k] = ex[blk.name].value(res.x)
-        if "v" in ex:
-            out["vstar"][k] = ex["v"].value(res.x)
+    session = LpSession(lp.program(obj_idx, -np.ones(obj_idx.shape[0]), gamma[0]))
+    first = require_optimal(session.maximize(), "certificate generation")
+    values, X = session.resolve_path(lp.b_ub(gamma[1:]))
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise NumericalFailure(
+            f"certificate generation: LP reported {UNBOUNDED if bad > 0 else INFEASIBLE}"
+        )
+    trace = -np.concatenate([[first.value], values])
+    X = np.vstack([first.x, X])
+    for blk in table.rows:
+        if blk.name in ex:
+            e = ex[blk.name]
+            blk.of(out, blk.star)[:] = X[:, e.idx] @ e.M.T
+    if "v" in ex:
+        out["vstar"][:] = X[:, ex["v"].idx] @ ex["v"].M.T
     return EpsCertificate(lam=lam, gamma=gamma, **out), trace
 
 

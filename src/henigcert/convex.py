@@ -25,15 +25,12 @@ from .errors import (
     BRSearchFailed,
     ConjugateUnsupported,
     DimensionMismatch,
-    EmptyEffectiveGrid,
     EmptyPolyhedron,
     NumericalFailure,
     PointOutsideDomain,
     UnsupportedData,
-    UnsupportedDomain,
 )
-from .grids import GridSpec
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSession, lp_solve
+from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, LpSession, lp_solve
 
 TOL_MEMBERSHIP = 1e-7
 ZERO_FN_TOL = 1e-9
@@ -411,7 +408,8 @@ class Conjugate:
     1e-9 snap on ||x*||_inf).  Black boxes raise ConjugateUnsupported.
     The conjugate LP (variables (x, t): maximize <x*,x> - t s.t. t >=
     every piece, x in the domain) is one LpSession: phase 1 runs here,
-    once, and each call runs phase 2 for its x* from the last basis.
+    once.  ``values`` prices a stack of functionals against the last
+    basis (``LpSession.values``); a call is the one-functional case.
     """
 
     def __init__(self, fn: ConvexFn):
@@ -445,17 +443,23 @@ class Conjugate:
             LinearProgram(c=np.zeros(n + 1), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
         )
 
-    def __call__(self, xstar) -> float:
-        xstar = _functional(xstar, self.dim, "function")
+    def values(self, xstars) -> np.ndarray:
+        """f* at each row of ``xstars``, in order (+inf off its domain)."""
+        xstars = _functionals(xstars, self.dim, "function")
         if self._session is None:
-            return 0.0 if np.abs(xstar).max(initial=0.0) <= ZERO_FN_TOL else np.inf
-        out = self._session.maximize(np.concatenate([xstar, [-1.0]]))
-        return _sup_value(out, "conjugate LP reported infeasible on a nonempty domain")
+            return np.where(np.abs(xstars).max(axis=1, initial=0.0) <= ZERO_FN_TOL, 0.0, np.inf)
+        objs = np.hstack([xstars, np.full((xstars.shape[0], 1), -1.0)])
+        return _sup_values(self._session.values(objs),
+                           "conjugate LP reported infeasible on a nonempty domain")
+
+    def __call__(self, xstar) -> float:
+        return float(self.values(_functional(xstar, self.dim, "function")[None])[0])
 
 
 class Support:
     """sigma_C(x*) = sup_{x in C} <x*,x> for one polyhedron (+inf when
-    unbounded): one LpSession, phase 1 here, phase 2 per call."""
+    unbounded): one LpSession, phase 1 here; ``values`` prices a stack of
+    functionals, a call is the one-functional case."""
 
     def __init__(self, C: Polyhedron):
         self.dim = C.n
@@ -463,9 +467,13 @@ class Support:
             LinearProgram(c=np.zeros(C.n), A_ub=C.A, b_ub=C.b, A_eq=C.E, b_eq=C.d)
         )
 
+    def values(self, xstars) -> np.ndarray:
+        """sigma_C at each row of ``xstars``, in order."""
+        return _sup_values(self._session.values(_functionals(xstars, self.dim, "set")),
+                           "support LP reported infeasible on a nonempty set")
+
     def __call__(self, xstar) -> float:
-        out = self._session.maximize(_functional(xstar, self.dim, "set"))
-        return _sup_value(out, "support LP reported infeasible on a nonempty set")
+        return float(self.values(_functional(xstar, self.dim, "set")[None])[0])
 
 
 def _functional(xstar, dim: int, what: str) -> np.ndarray:
@@ -475,12 +483,18 @@ def _functional(xstar, dim: int, what: str) -> np.ndarray:
     return xstar
 
 
-def _sup_value(out, infeasible: str) -> float:
-    if out.status == UNBOUNDED:
-        return np.inf
-    if out.status != OPTIMAL:
+def _functionals(xstars, dim: int, what: str) -> np.ndarray:
+    xstars = np.asarray(xstars, float)
+    if xstars.ndim != 2 or xstars.shape[1] != dim:
+        raise DimensionMismatch(f"functional dimension does not match {what}")
+    return xstars
+
+
+def _sup_values(values, infeasible: str) -> np.ndarray:
+    # a session's values are -inf only on an empty feasible set
+    if (values == -np.inf).any():
         raise NumericalFailure(infeasible)
-    return out.value
+    return values
 
 
 def conjugate(fn: ConvexFn, xstar) -> float:
@@ -628,97 +642,6 @@ def _exactness_lp(poly: PolyhedralFn, x):
     return xstar, gap
 
 
-@dataclass(frozen=True)
-class SubdiffPolytope:
-    """LP description of the eps-subdifferential of a full-domain max-affine f.
-
-    The set is { A^T mu : mu >= 0, sum mu = 1, fval - mu @ vals <= eps },
-    where vals[k] is piece k evaluated at the base point.  ``interval``
-    projects the set onto a direction (two LPs); ``contains`` solves the
-    membership LP directly.
-    """
-
-    A: np.ndarray       # (K, n) piece gradients
-    vals: np.ndarray    # (K,) piece values at the base point
-    fval: float
-    eps: float
-
-    @property
-    def npieces(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
-
-    def _constraints(self):
-        K = self.npieces
-        A_ub = np.zeros((1, K))
-        A_ub[0] = -self.vals
-        b_ub = np.array([self.eps - self.fval])
-        A_eq = np.ones((1, K))
-        b_eq = np.array([1.0])
-        return A_ub, b_ub, A_eq, b_eq
-
-    def interval(self, direction) -> tuple:
-        direction = np.asarray(direction, float).reshape(-1)
-        A_ub, b_ub, A_eq, b_eq = self._constraints()
-        K = self.npieces
-        proj = self.A @ direction
-        hi = lp_solve(LinearProgram(c=proj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(K)))
-        lo = lp_solve(LinearProgram(c=-proj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(K)))
-        if not (hi.is_optimal and lo.is_optimal):
-            raise NumericalFailure("projection LP failed")
-        return (-lo.value, hi.value)
-
-    def contains(self, xstar, tol: float = TOL_MEMBERSHIP) -> Verdict:
-        xstar = np.asarray(xstar, float).reshape(-1)
-        K = self.npieces
-        n = self.dim
-        # feasibility with an l_inf elastic: minimize t s.t. |A^T mu - x*| <= t
-        nv = K + 1
-        A_ub, b_ub, A_eq, b_eq = self._constraints()
-        A_ub = np.hstack([A_ub, np.zeros((A_ub.shape[0], 1))])
-        blocks = []
-        rhs = []
-        for sign in (1.0, -1.0):
-            blk = np.zeros((n, nv))
-            blk[:, :K] = sign * self.A.T
-            blk[:, -1] = -1.0
-            blocks.append(blk)
-            rhs.append(sign * xstar)
-        A_ub = np.vstack([A_ub] + blocks)
-        b_ub = np.concatenate([b_ub] + rhs)
-        A_eq = np.hstack([A_eq, np.zeros((1, 1))])
-        out = lp_solve(
-            LinearProgram(c=-np.eye(nv)[-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(nv))
-        )
-        if not out.is_optimal:
-            raise NumericalFailure("membership LP failed")
-        dist = -out.value
-        return Verdict(bool(dist <= tol), float(-dist))
-
-
-def eps_subdiff_polytope(fn: ConvexFn, xbar, eps: float) -> SubdiffPolytope:
-    """Exact polytope description of the eps-subdifferential at x̄.
-
-    Requires a full-space domain (UnsupportedDomain otherwise); zero-scaled
-    functions yield the singleton {0} via the single zero piece.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    xbar = np.asarray(xbar, float).reshape(-1)
-    poly = as_polyhedral(fn)
-    if poly is None:
-        raise ConjugateUnsupported("eps_subdiff_polytope needs a polyhedral function")
-    if not poly.domain.is_full_space():
-        raise UnsupportedDomain(
-            "eps_subdiff_polytope supports full-space domains only"
-        )
-    vals = poly.piece_values(xbar)
-    return SubdiffPolytope(A=poly.A.copy(), vals=vals, fval=float(vals.max()), eps=float(eps))
-
-
 # ---------------------------------------------------------------------------
 # Brondsted-Rockafellar regularization
 
@@ -837,25 +760,3 @@ def br_regularize(
         f"bounds {root:.6g}, {root:.6g}, {2.0 * eps:.6g}"
         + (f"; Young-Fenchel gap {gap:.3g} above {tol:g}" if np.isfinite(gap) else "")
     )
-
-
-# ---------------------------------------------------------------------------
-# grid oracle
-
-
-def brute_conjugate(fn: ConvexFn, xstar, grid: GridSpec) -> float:
-    """Grid lower bound for f*(x*): max over lattice points of <x*,x> - f(x).
-
-    This is an oracle for tests, not an exact conjugate: it underestimates
-    whenever the supremum lies off the lattice (or escapes the grid box).
-    """
-    xstar = np.asarray(xstar, float).reshape(-1)
-    if xstar.shape[0] != fn.dim:
-        raise DimensionMismatch("functional dimension does not match function")
-    X = grid.points()
-    vals = fn.eval_batch(X)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise EmptyEffectiveGrid("no lattice point lies in the function domain")
-    scores = X[finite] @ xstar - vals[finite]
-    return float(scores.max())

@@ -94,9 +94,13 @@ class BlockLP:
             np.add.at(A[r], idx, coef)
         return A
 
-    def b_ub(self, eps: float = 0.0) -> np.ndarray:
-        """Right-hand sides of the <= rows at ``eps``."""
-        return np.array([rhs + eps if plus_eps else rhs for *_, rhs, plus_eps in self._ub])
+    def b_ub(self, eps=0.0) -> np.ndarray:
+        """Right-hand sides of the <= rows at ``eps``; for an array of eps
+        values, one row of them per value."""
+        rhs = np.array([row[2] for row in self._ub])
+        plus = np.array([row[3] for row in self._ub], dtype=bool)
+        eps = np.asarray(eps, float)[..., None]
+        return np.where(plus, rhs + eps, rhs)
 
     def program(self, obj_idx=None, obj_coef=None, eps: float = 0.0) -> LinearProgram:
         """The dense LinearProgram at ``eps``, maximizing the sparse objective."""

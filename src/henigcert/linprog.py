@@ -10,6 +10,11 @@ presolve beyond the bound substitution.
 An ``LpSession`` keeps the tableau and basis of one program between calls,
 for loops that solve it again with another objective or another
 inequality right-hand side; ``lp_solve`` is a session with one call.
+Its batched calls take a stack at once: ``values`` prices many
+objectives against the current basis in one product, and
+``resolve_path`` reads many right-hand sides off it (ranging under a
+fixed basis); only the rows the basis does not serve run the simplex,
+so both take the pivots of the same calls made one at a time.
 Determinism is per session call history: the same sequence of calls
 takes the same pivots, and ``lp_solve`` takes the same pivots for the
 same program.
@@ -63,6 +68,13 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     if v.shape[0] != length:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {length}")
     return v
+
+
+def _as_stack(M, ncols: int, name: str) -> np.ndarray:
+    M = _as_matrix(M, ncols, name)
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return M
 
 
 @dataclass
@@ -166,6 +178,10 @@ class LpSession:
     A session whose phase 1 found no feasible point has no basis to keep,
     so its next ``resolve_rhs`` starts a new session.
 
+    ``values(C)`` and ``resolve_path(B)`` are ``maximize`` and
+    ``resolve_rhs`` for a stack of objectives or right-hand sides; rows
+    the current basis already serves are read off it without a pivot.
+
     Outcomes are deterministic per call history: the same sequence of
     calls takes the same pivots, but an optimum reached from another
     basis may be another optimal vertex than a fresh ``lp_solve`` finds,
@@ -182,7 +198,7 @@ class LpSession:
 
     def _start(self, lp: LinearProgram):
         self.lp = lp
-        self._phase1_ok = self._feasible = False
+        self._phase1_ok = self._feasible = self._optimal = False
         self._T = None
         n = lp.nvars
         lo, hi = lp.lb, lp.ub
@@ -292,29 +308,59 @@ class LpSession:
             c = _as_vector(c, self.lp.nvars, "c")
             if not np.all(np.isfinite(c)):
                 raise ValueError("c contains non-finite entries")
-            self.lp = copy.copy(self.lp)  # the caller's program stays as given
-            self.lp.c = c
+            self._use_objective(c)
+        self._optimal = False
         if not self._feasible:
             return LpOutcome(INFEASIBLE)
         T, m, nu = self._T, self._T.shape[0] - 1, self._nu
-        obj2 = np.zeros(T.shape[1])
-        obj2[:nu] = self._S.T @ self.lp.c
-        T[m] = obj2
-        _reduce_objective(T, self._basis, m)
+        self._reduce(self.lp.c)
         if self._run("phase 2", simplex_core, TOL_OBJ) == 1:
             return LpOutcome(UNBOUNDED, value=np.inf)
-
-        last = T.shape[1] - 1
-        u = np.zeros(last)
-        for i in range(m):
-            u[self._basis[i]] = max(T[i, last], 0.0)
-        x = self._offset + self._S @ u[:nu]
+        self._optimal = True
+        x = self._points(T[None, :m, -1])[0]
         value = float(self.lp.c @ x)
-        self._check_feasible(x)
+        self._check_feasible(x[None], self.lp.b_ub[None])
         # a row's multiplier is minus the reduced profit of its slack column; a
         # row negated for a negative rhs negated its slack too, so the sign holds
         duals = 0.0 - T[m, nu:nu + self.lp.A_ub.shape[0]]
         return LpOutcome(OPTIMAL, x=x, value=value, duals=duals)
+
+    def values(self, C) -> np.ndarray:
+        """``maximize(c).value`` for each row c of ``C``, in order, with +inf
+        where the program is unbounded and -inf where it is infeasible.
+
+        Every remaining row is priced against the current basis in one
+        product.  A row whose reduced profits all stay below ``TOL_OBJ`` by
+        more than the rounding of that product is optimal there: phase 2
+        would take no pivot, and its value is c@x at the basis point, read
+        once per basis.  The first row that is not runs through
+        ``maximize``, and pricing resumes from the basis it leaves, so the
+        pivots are those of calling ``maximize`` row by row.
+        """
+        C = _as_stack(C, self.lp.nvars, "C")
+        out = np.full(C.shape[0], -np.inf)
+        if not self._feasible:
+            if C.shape[0]:
+                self._use_objective(C[-1])
+            return out
+        k = 0
+        while k < C.shape[0]:
+            clear = self._priced_optimal(C[k:])
+            j = clear.shape[0] if clear.all() else int(np.argmin(clear))
+            if j:
+                x = self._points(self._T[None, :-1, -1])[0]
+                self._last = ("phase 2", 0)
+                self._check_feasible(x[None], self.lp.b_ub[None])
+                out[k:k + j] = C[k:k + j] @ x
+                k += j
+                if k == C.shape[0]:  # leave the objective row as maximize would
+                    self._use_objective(C[-1])
+                    self._reduce(C[-1])
+                    self._optimal = True
+                    return out
+            out[k] = self.maximize(C[k]).value
+            k += 1
+        return out
 
     def resolve_rhs(self, b_ub) -> LpOutcome:
         """Re-solve for a new ``b_ub``: B^-1 b, dual simplex, then phase 2."""
@@ -336,6 +382,107 @@ class LpSession:
             T[m] = 0.0
         self._feasible = self._run("dual simplex", dual_simplex_core, band) == 0
         return self.maximize()
+
+    def resolve_path(self, B_ub):
+        """``resolve_rhs`` for each row of ``B_ub`` in turn; returns the
+        values (as ``values`` gives them) and the optimal points, one row
+        per right-hand side (NaN where not optimal).
+
+        While the last outcome is optimal, B^-1 b is computed for every
+        remaining row in one product and zeroed within the band of
+        ``resolve_rhs``.  A row whose basic values all clear that band, by
+        more than the rounding of the product, stays primal feasible at the
+        current basis, where the dual simplex and phase 2 would take no
+        pivot, so its point is read off the basis.  The first row that does
+        not goes through ``resolve_rhs``, and reading resumes from the basis
+        it leaves.  Each point read off is checked against its own
+        right-hand side.
+        """
+        B = _as_stack(B_ub, self.lp.A_ub.shape[0], "B_ub")
+        K = B.shape[0]
+        values, X = np.full(K, -np.inf), np.full((K, self.lp.nvars), np.nan)
+        k = 0
+        while k < K:
+            if self._optimal:
+                V, clear = self._basic_values(B[k:])
+                j = clear.shape[0] if clear.all() else int(np.argmin(clear))
+                if j:
+                    X[k:k + j] = self._points(V[:j])
+                    self._last = ("phase 2", 0)
+                    self._check_feasible(X[k:k + j], B[k:k + j])
+                    values[k:k + j] = X[k:k + j] @ self.lp.c
+                    self._T[:-1, -1] = V[j - 1]
+                    self.lp = copy.copy(self.lp)
+                    self.lp.b_ub = B[k + j - 1]
+                    k += j
+                    continue
+            out = self.resolve_rhs(B[k])
+            if out.status != INFEASIBLE:
+                values[k] = out.value
+            if out.is_optimal:
+                X[k] = out.x
+            k += 1
+        return values, X
+
+    def _use_objective(self, c):
+        self.lp = copy.copy(self.lp)  # the caller's program stays as given
+        self.lp.c = c
+
+    def _reduce(self, c):
+        """Write the reduced profits of ``c`` at the current basis into the
+        objective row."""
+        T, m = self._T, self._T.shape[0] - 1
+        obj2 = np.zeros(T.shape[1])
+        obj2[:self._nu] = self._S.T @ c
+        T[m] = obj2
+        _reduce_objective(T, self._basis, m)
+
+    def _points(self, V) -> np.ndarray:
+        """The points whose basic values are the rows of ``V`` (the current
+        basis point is ``_points(T[None, :-1, -1])[0]``)."""
+        structural = self._basis < self._nu
+        U = np.zeros((V.shape[0], self._nu))
+        U[:, self._basis[structural]] = np.maximum(V[:, structural], 0.0)
+        return self._offset + U @ self._S.T
+
+    def _priced_optimal(self, C) -> np.ndarray:
+        """Which objectives (rows of ``C``) phase 2 would leave at the
+        current basis without a pivot.  The reduced profits come from one
+        product instead of ``_reduce_objective``'s row operations; both
+        round by at most (m + 1) units in the last place of the magnitudes
+        summed, so a row clears only with twice that margin to spare."""
+        T, m, nu, basis = self._T, self._T.shape[0] - 1, self._nu, self._basis
+        rows = T[:m, :-1][:, self._allowed]
+        obj = np.zeros((C.shape[0], T.shape[1] - 1))
+        obj[:, :nu] = C @ self._S
+        ob = obj[:, basis]
+        reduced = obj[:, self._allowed] - ob @ rows
+        scale = np.abs(obj[:, self._allowed]) + np.abs(ob) @ np.abs(rows)
+        margin = (m + 2) * np.finfo(float).eps * scale
+        return (reduced + margin <= TOL_OBJ).all(axis=1)
+
+    def _basic_values(self, B):
+        """B^-1 b for every rhs row of ``B`` in one product, zeroed within
+        ``resolve_rhs``'s band; returns them with a flag per row that is set
+        when the dual simplex would take no pivot there.  A row is flagged
+        only when no value lies within the rounding of the product of the
+        band's edge, so the zeroing and the flag match ``resolve_rhs``."""
+        lp, T, m = self.lp, self._T, self._T.shape[0] - 1
+        K = B.shape[0]
+        rhs = np.hstack([
+            B - lp.A_ub @ self._offset,
+            np.broadcast_to(self._bex, (K, self._bex.shape[0])),
+            np.broadcast_to(self._eq_sign * (lp.b_eq - lp.A_eq @ self._offset),
+                            (K, lp.b_eq.shape[0])),
+        ])
+        unit = T[:m, self._unit]
+        V = rhs @ unit.T
+        band = TOL_FEAS * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))[:, None]
+        margin = (rhs.shape[1] + 2) * np.finfo(float).eps * (np.abs(rhs) @ np.abs(unit).T)
+        edge = np.abs(np.abs(V) - band) <= margin
+        clear = ~(edge | (V < -band)).any(axis=1)
+        V[np.abs(V) <= band] = 0.0
+        return V, clear
 
     def _run(self, phase, core, tol: float) -> int:
         """One run of ``core`` (the primal or the dual simplex); returns
@@ -359,18 +506,24 @@ class LpSession:
             f"on a {rows}x{cols} tableau"
         )
 
-    def _check_feasible(self, x: np.ndarray):
+    def _check_feasible(self, X: np.ndarray, B_ub: np.ndarray):
+        """Raise unless each point (row of ``X``) satisfies the program with
+        the inequality right-hand side of the same row of ``B_ub``."""
         lp = self.lp
-        scale = 1.0 + float(np.abs(lp.b_ub).max(initial=0.0)) + float(np.abs(x).max(initial=0.0))
+        scale = 1.0 + np.abs(B_ub).max(axis=1, initial=0.0) + np.abs(X).max(axis=1, initial=0.0)
         tol = 100.0 * TOL_FEAS * scale
         for name, excess in (
-            ("an inequality row", lp.A_ub @ x - lp.b_ub),
-            ("an equality row", np.abs(lp.A_eq @ x - lp.b_eq)),
-            ("a variable bound", np.concatenate([lp.lb - x, x - lp.ub])),
+            ("an inequality row", X @ lp.A_ub.T - B_ub),
+            ("an equality row", np.abs(X @ lp.A_eq.T - lp.b_eq)),
+            ("a variable bound", np.hstack([lp.lb - X, X - lp.ub])),
         ):
-            worst = float(excess.max(initial=-np.inf))
-            if worst > tol:
-                raise self._failure(f"optimal point violates {name} by {worst:.3g} > {tol:.3g}")
+            worst = excess.max(axis=1, initial=-np.inf)
+            bad = np.flatnonzero(worst > tol)
+            if bad.size:
+                i = bad[0]
+                raise self._failure(
+                    f"optimal point violates {name} by {worst[i]:.3g} > {tol[i]:.3g}"
+                )
 
 
 def _reduce_objective(T, basis, m):

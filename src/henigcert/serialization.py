@@ -3,11 +3,13 @@
 Certificates are finite tables; an optional closed_form block holds
 per-field expressions from the tiny grammar {c, c/n, c/n^2} that are
 expanded to N entries at load time, so a 1000-entry 1/n schedule stays a
-one-line file.  All writers emit strict JSON (no NaN/Infinity tokens);
-non-finite numbers are serialized as null.
+one-line file.  All writers emit strict JSON (no NaN/Infinity tokens) as
+one compact line per document; non-finite numbers are serialized as
+null.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -249,21 +251,17 @@ def certificate_to_json(cert) -> dict:
         tag = "4.4"
     else:
         raise SchemaError(f"cannot serialize certificate of type {type(cert).__name__}")
-    m = cert.lam.shape[0]
-    entries = []
-    for k in range(cert.N):
-        entry = {}
-        for field, kind in _FIELDS[tag]:
-            val = getattr(cert, field)
-            if kind == "s":
-                entry[field] = float(val[k])
-            elif kind == "m":
-                entry[field] = [float(val[i, k]) for i in range(m)]
-            elif kind == "mn":
-                entry[field] = [val[i, k].tolist() for i in range(m)]
-            else:
-                entry[field] = val[k].tolist()
-        entries.append(entry)
+    # one list per field with the entry axis first, then one dict per entry
+    names, columns = [], []
+    for field, kind in _FIELDS[tag]:
+        val = np.asarray(getattr(cert, field), float)
+        if kind == "m":
+            val = val.T  # (N, m)
+        elif kind == "mn":
+            val = np.swapaxes(val, 0, 1)  # (N, m, n)
+        names.append(field)
+        columns.append(val.tolist())
+    entries = [dict(zip(names, row)) for row in zip(*columns)]
     return {
         "theorem": tag,
         "lambda": cert.lam.tolist(),
@@ -324,20 +322,31 @@ def certificate_from_json(obj):
 
 
 def _sanitize(value):
-    """JSON-safe copy: numpy to builtins, non-finite floats to None."""
+    """JSON-safe copy: numpy to builtins, non-finite floats to None.
+
+    A plain float, by far the most common item, is recognized by its
+    exact type; float arrays convert whole, with None in place of
+    non-finite entries."""
+    if type(value) is float:
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
+        return [v if type(v) is float and math.isfinite(v) else _sanitize(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_sanitize(v) for v in value.tolist()]
+        if value.dtype.kind == "f":
+            finite = np.isfinite(value)
+            return value.tolist() if finite.all() else np.where(finite, value, None).tolist()
+        if value.dtype.kind in "biu":
+            return value.tolist()
+        return _sanitize(value.tolist())
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     return value
 
 
@@ -356,8 +365,33 @@ def report_to_json(report) -> dict:
     )
 
 
+def _write_json(value, fh, depth: int = 2) -> None:
+    """Write JSON-safe ``value``; the dicts and lists in its top ``depth``
+    levels item by item.  ``json.dumps`` without indentation runs the C
+    encoder (``json.dump`` always runs the pure-Python one), which keeps
+    every small string it encodes until it joins them; per item, a
+    certificate table never sits in memory as tens of thousands of them."""
+    kind = type(value)
+    if depth and kind is dict:
+        fh.write("{")
+        for i, (k, v) in enumerate(value.items()):
+            fh.write((", " if i else "") + json.dumps(k) + ": ")
+            _write_json(v, fh, depth - 1)
+        fh.write("}")
+    elif depth and kind is list:
+        fh.write("[")
+        for i, v in enumerate(value):
+            if i:
+                fh.write(", ")
+            _write_json(v, fh, depth - 1)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value, allow_nan=False))
+
+
 def dump_json_stream(obj, fh) -> None:
-    json.dump(_sanitize(obj), fh, indent=1, allow_nan=False)
+    """Write ``obj`` as one line of compact strict JSON and a newline."""
+    _write_json(_sanitize(obj), fh)
     fh.write("\n")
 
 

@@ -5,6 +5,8 @@ closed-form subdifferentials, so every expected value below is frozen
 from hand arithmetic before the implementation ran.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,21 @@ def test_converged_rule():
     assert not converged([1e-5, 1e-5, 1e-5, 1e-5, 2e-4, 9e-4], tol_conv=1e-3)
     # jitter-sized wiggle is tolerated
     assert converged([1e-4, 1e-4, 1e-4, 1e-4 + 1e-10], tol_conv=1e-3)
+
+
+def test_convergence_reasons_name_the_failing_part():
+    # gamma is the scalar trace of the subdifferential form, and the zero
+    # certificate holds every membership at 0, so only the rule can fail
+    prob = toy_problem()
+    base = zero_eps_certificate(prob, 8)
+    # the tail (last four entries) rises by 2e-4 into entry 6
+    rising = replace(base, gamma=np.array([1.0, 0.5, 0.25, 1e-4, 1e-4, 3e-4, 2e-4, 2e-4]))
+    rep = verify_eps_certificate(prob, [0.0], rising, tol_conv=1e-3)
+    assert rep.reasons == ("residual trace 'scalar' rises by 0.0002 at n=6",)
+    high = replace(base, gamma=np.array([1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05]))
+    rep = verify_eps_certificate(prob, [0.0], high, tol_conv=1e-3)
+    assert rep.reasons == ("residual trace 'scalar' ends at 0.05 above tol_conv 0.001",)
+    assert not converged(rising.gamma, 1e-3) and not converged(high.gamma, 1e-3)
 
 
 def test_converged_horizon_too_short():
@@ -386,6 +403,28 @@ def test_verify_exact_stuck_point_rejected():
     rep = verify_exact_certificate(prob, [0.0], ex, tol_conv=1e-2)
     assert rep.verdict == "Reject"
     assert any("point_x[0]" in r for r in rep.reasons)
+    # point traces are held to tol_points = sqrt(tol_conv)
+    assert "residual trace 'point_x[0]' ends at 1 above tol_points 0.1" in rep.reasons
+
+
+def test_verify_exact_composite_points_all_off_domain():
+    # h restricted to [-1, 1]: with vstar = -1 the composite is h itself,
+    # and every nearby point u = 5 lies off its domain, so no conjugate is
+    # asked for and each entry fails with an infinite gap
+    base = toy_problem()
+    h = PolyhedralFn([[1.0]], [-1.0], domain=Polyhedron.box([-1.0], [1.0]))
+    prob = FractionalProblem(1, base.objectives, [h], base.cone, base.C)
+    N = 6
+    ex = ExactCertificate(
+        lam=np.ones(2), x=np.zeros((2, N, 1)), xstar=np.zeros((2, N, 1)),
+        w=np.zeros((2, N, 1)), wstar=np.zeros((2, N, 1)), c=np.zeros((N, 1)),
+        cstar=np.zeros((N, 1)), u=np.full((N, 1), 5.0), ustar=np.zeros((N, 1)),
+        y=np.full((N, 1), -1.0), ystar=np.zeros((N, 1)), vstar=np.full((N, 1), -1.0),
+    )
+    rep = verify_exact_certificate(prob, [0.0], ex)
+    assert (rep.slacks["subdiff_comp"] == -np.inf).all()
+    assert (rep.residuals["gap_comp"] == np.inf).all()
+    assert rep.verdict == "Reject"
 
 
 def test_verify_exact_bad_functional_rejected():
@@ -758,26 +797,35 @@ def efficient_at_zero(rng):
 
 
 def test_warm_generation_entries_match_cold_solves(monkeypatch):
-    # one session per certificate; every entry after the first is
-    # resolve_rhs, which must run no phase 1, pivot at most a third as
-    # often as a fresh solve of that entry's program, and reach its value
+    # one session per certificate; every entry after the first comes from
+    # one resolve_path call, which must run no phase 1, pivot at most a
+    # third as often per entry as a fresh solve of that entry's program
+    # (an entry read off the basis takes no pivot, one at a breakpoint
+    # takes those of its resolve_rhs), and reach its value
     sessions = []
 
     class Recorded(LpSession):
         def __init__(self, lp):
             super().__init__(lp)
-            self.entries = []
+            self.entries, self.warm = [], {}
             sessions.append(self)
 
         def resolve_rhs(self, b_ub):
-            before = dict(self.pivots)
+            before = sum(self.pivots.values())
             out = super().resolve_rhs(b_ub)
-            cold = LpSession(self.lp)
-            want = cold.maximize()
-            assert self.pivots["phase 1"] == before["phase 1"]
-            warm = sum(self.pivots.values()) - sum(before.values())
-            self.entries.append((warm, sum(cold.pivots.values()), out.value, want.value))
+            self.warm[np.asarray(b_ub).tobytes()] = sum(self.pivots.values()) - before
             return out
+
+        def resolve_path(self, B_ub):
+            phase1 = self.pivots["phase 1"]
+            values, X = super().resolve_path(B_ub)
+            assert self.pivots["phase 1"] == phase1
+            for b, value in zip(B_ub, values):
+                cold = LpSession(replace(self.lp, b_ub=b))
+                want = cold.maximize()
+                self.entries.append(
+                    (self.warm.get(b.tobytes(), 0), sum(cold.pivots.values()), value, want.value))
+            return values, X
 
     monkeypatch.setattr(certificates, "LpSession", Recorded)
     rng = np.random.default_rng(5)
@@ -798,7 +846,8 @@ def test_warm_generation_entries_match_cold_solves(monkeypatch):
 
 def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
     # the verifier keeps one Conjugate (or Support) per block and function,
-    # so one LpSession and one phase 1; each value must equal a one-shot call
+    # so one LpSession and one phase 1, and asks it for a block's values in
+    # batched calls; each value must equal a one-shot call
     made, sessions, calls = [], [], []
 
     def recorded(base, one_shot):
@@ -810,13 +859,14 @@ def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
                 self.fn = fn
                 made.append(self)
 
-            def __call__(self, xs):
+            def values(self, xs):
                 before = len(sessions)
-                got = super().__call__(xs)
+                got = super().values(xs)
                 assert len(sessions) == before  # no new session, no phase 1
-                want = one_shot(self.fn, xs)
-                assert got == want or abs(got - want) <= 1e-12, (got, want)
-                calls.append(got)
+                for x, value in zip(xs, got):
+                    want = one_shot(self.fn, x)
+                    assert value == want or abs(value - want) <= 1e-12, (value, want)
+                calls.extend(got)
                 return got
 
         return Recorded

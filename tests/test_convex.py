@@ -9,6 +9,7 @@ membership LP) and the lattice lower-bound oracle.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from convex_oracles import SubdiffPolytope, brute_conjugate, eps_subdiff_polytope
 from hypothesis import strategies as st
 
 from henigcert.convex import (
@@ -19,15 +20,12 @@ from henigcert.convex import (
     Polyhedron,
     PolyhedralFn,
     ScaledFn,
-    SubdiffPolytope,
     as_polyhedral,
     br_regularize,
-    brute_conjugate,
     collapse_scale,
     conjugate,
     eps_normal_contains,
     eps_subdiff_contains,
-    eps_subdiff_polytope,
     epi_conjugate_contains,
     is_zero_fn,
     subdiff_element,

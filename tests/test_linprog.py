@@ -297,6 +297,11 @@ def test_pivot_budget_failure_reports_phase_pivots_and_shape():
     assert session.pivots == {"phase 1": 0, "phase 2": 0, "dual simplex": 2}
 
 
+def _status_of(value):
+    # the status a batched value stands for
+    return UNBOUNDED if value == np.inf else INFEASIBLE if value == -np.inf else OPTIMAL
+
+
 def test_session_sequences_against_highs():
     # Each session takes a seeded sequence of maximize(c) and resolve_rhs(b)
     # calls; after every call the status and value must match HiGHS on the
@@ -304,21 +309,60 @@ def test_session_sequences_against_highs():
     # From an optimal basis the dual simplex keeps the reduced profits
     # optimal, so phase 2 must find nothing left to do.  Every third
     # program is degenerate: each row twice, all rhs 0 at first.
+    # Then every other session takes two batched calls, an objective stack
+    # (values) and a rhs path from the current b to a new one
+    # (resolve_path), drawn from a second generator; a twin session that
+    # made every earlier call makes them one at a time.  Per row the
+    # status and value must match the twin's (values within 1e-12) and
+    # HiGHS, and both sessions must end on the same basis and pivots.
     linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng(11)
+    rng, brng = np.random.default_rng(11), np.random.default_rng(12)
     seen = Counter()
+
+    class Counted(LpSession):
+        def __init__(self, lp):
+            super().__init__(lp)
+            self.calls = Counter()
+
+        def maximize(self, c=None):
+            out = super().maximize(c)
+            self.calls["maximize", out.status] += 1
+            return out
+
+        def resolve_rhs(self, b_ub):
+            out = super().resolve_rhs(b_ub)
+            self.calls["resolve_rhs", out.status] += 1
+            return out
+
+    def check_rows(call, got, X, want, programs):
+        for k, (out, lp) in enumerate(zip(want, programs)):
+            status = _status_of(got[k])
+            assert status == out.status, (call, k)
+            ref, value = _highs(linprog, lp)
+            assert status == ref, (call, k)
+            if status == OPTIMAL:
+                assert got[k] == pytest.approx(out.value, rel=0, abs=1e-12)
+                assert got[k] == pytest.approx(value, abs=1e-7)
+                if X is not None:
+                    np.testing.assert_allclose(X[k], out.x, rtol=0, atol=1e-12)
+            elif X is not None:
+                assert np.isnan(X[k]).all()
+            seen[(call, status)] += 1
+
     for trial in range(300):
         lp = _random_integer_lp(rng)
         if trial % 3 == 0:
             lp = replace(lp, A_ub=np.vstack([lp.A_ub, lp.A_ub]), b_ub=np.zeros(2 * lp.b_ub.size))
-        session, status = LpSession(lp), None
+        session, twin, status = Counted(lp), LpSession(lp), None
         for step in range(6):
             m_ub = lp.b_ub.size
             if step == 0:
                 call, out = "first", session.maximize()
+                twin.maximize()
             elif rng.random() < 0.4 or m_ub == 0:
                 lp = replace(lp, c=rng.integers(-3, 4, size=lp.nvars).astype(float))
                 call, out = "maximize", session.maximize(lp.c)
+                twin.maximize(lp.c)
             else:
                 b = lp.b_ub.copy()
                 i = int(rng.integers(0, m_ub))
@@ -330,6 +374,7 @@ def test_session_sequences_against_highs():
                 lp = replace(lp, b_ub=b)
                 phase2 = session.pivots["phase 2"]
                 call, out = "resolve", session.resolve_rhs(b)
+                twin.resolve_rhs(b)
                 if status == OPTIMAL and out.is_optimal:
                     assert session.pivots["phase 2"] == phase2, (trial, step)
             want, value = _highs(linprog, lp)
@@ -342,8 +387,58 @@ def test_session_sequences_against_highs():
                 assert (out.x >= lp.lb - 1e-7).all() and (out.x <= lp.ub + 1e-7).all()
             seen[(call, status, out.status)] += 1
             status = out.status
+        if trial % 2:
+            continue
+
+        C = brng.integers(-3, 4, size=(4, lp.nvars)).astype(float)
+        before = session.calls["maximize", OPTIMAL]
+        got = session.values(C)
+        # optimal rows that no maximize call solved
+        seen["values read off"] += int(np.isfinite(got).sum()
+                                    - (session.calls["maximize", OPTIMAL] - before))
+        programs = [replace(lp, c=c) for c in C]
+        check_rows("values", got, None, [twin.maximize(c) for c in C], programs)
+        lp = programs[-1]
+        if lp.b_ub.size:
+            # a straight path to a new rhs, about one in three with its signs flipped
+            end = brng.integers(-2, 6, size=lp.b_ub.size).astype(float)
+            if brng.random() < 0.3:
+                end = -end - 1.0
+            B = lp.b_ub + np.linspace(0.0, 1.0, 6)[1:, None] * (end - lp.b_ub)
+            no_phase1 = not twin._phase1_ok
+            before = session.calls["resolve_rhs", OPTIMAL]
+            dual, want = [], []
+            for b in B:
+                pivots = twin.pivots["dual simplex"]
+                want.append(twin.resolve_rhs(b))
+                dual.append(twin.pivots["dual simplex"] > pivots)
+            got, X = session.resolve_path(B)
+            seen["path read off"] += int(np.isfinite(got).sum()
+                                      - (session.calls["resolve_rhs", OPTIMAL] - before))
+            seen["path breakpoint"] += sum(dual[1:])
+            seen["path without phase 1"] += no_phase1
+            programs = [replace(lp, b_ub=b) for b in B]
+            check_rows("path", got, X, want, programs)
+            lp = programs[-1]
+        # a later call starts from the state the batched calls left
+        lp = replace(lp, c=brng.integers(-3, 4, size=lp.nvars).astype(float))
+        out, want = session.maximize(lp.c), twin.maximize(lp.c)
+        assert out.status == want.status == _highs(linprog, lp)[0], trial
+        if out.is_optimal:
+            assert out.value == pytest.approx(want.value, rel=0, abs=1e-12)
+            np.testing.assert_allclose(out.x, want.x, rtol=0, atol=1e-12)
+        assert np.array_equal(session._basis, twin._basis), trial
+        assert session.pivots == twin.pivots, trial
+
     assert seen["sign flip"] >= 200
     for key in (("maximize", UNBOUNDED, OPTIMAL), ("resolve", INFEASIBLE, OPTIMAL),
                 ("resolve", OPTIMAL, INFEASIBLE), ("resolve", OPTIMAL, OPTIMAL),
                 ("resolve", UNBOUNDED, UNBOUNDED)):
         assert seen[key] >= 10, (key, seen)
+    for key in (("values", OPTIMAL), ("values", UNBOUNDED), ("values", INFEASIBLE),
+                ("path", OPTIMAL), ("path", INFEASIBLE), ("path", UNBOUNDED),
+                "path breakpoint", "path without phase 1"):
+        assert seen[key] >= 10, (key, seen)
+    # many optimal batched rows are read off a basis rather than solved again
+    assert seen["values read off"] >= seen["values", OPTIMAL] // 3, seen
+    assert seen["path read off"] >= seen["path", OPTIMAL] // 2, seen

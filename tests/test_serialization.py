@@ -1,11 +1,12 @@
 """JSON round trips, the closed-form sequence grammar, and schema errors."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from henigcert import example_q
+from henigcert import cli, example_q, serialization
 from henigcert.certificates import (
     EpsCertificate,
     generate_eps_certificate,
@@ -23,6 +24,7 @@ from henigcert.serialization import (
     cone_from_json,
     cone_to_json,
     dump_json,
+    dump_json_stream,
     function_from_json,
     function_to_json,
     load_json,
@@ -265,6 +267,118 @@ def test_dump_json_nan_becomes_null(tmp_path):
     path = tmp_path / "x.json"
     dump_json({"v": float("nan"), "w": float("inf"), "a": np.array([1.0])}, path)
     assert load_json(path) == {"v": None, "w": None, "a": [1.0]}
+
+
+def _sanitize_reference(value):
+    # the item-by-item walk the writers used before, kept as the reference
+    if isinstance(value, dict):
+        return {str(k): _sanitize_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_sanitize_reference(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_sanitize_reference(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if np.isfinite(v) else None
+    return value
+
+
+def _certificate_reference(cert, fields):
+    # the entry-by-entry table the certificate writer built before
+    m = cert.lam.shape[0]
+    entries = []
+    for k in range(cert.N):
+        entry = {}
+        for field, kind in fields:
+            val = getattr(cert, field)
+            if kind == "s":
+                entry[field] = float(val[k])
+            elif kind == "m":
+                entry[field] = [float(val[i, k]) for i in range(m)]
+            elif kind == "mn":
+                entry[field] = [val[i, k].tolist() for i in range(m)]
+            else:
+                entry[field] = val[k].tolist()
+        entries.append(entry)
+    return entries
+
+
+def test_stream_writer_is_one_line_of_strict_json():
+    obj = {
+        "arr": np.array([[1.5, np.inf], [-np.inf, np.nan]]),
+        "ints": np.arange(3),
+        "bools": np.array([True, False]),
+        "scalars": (np.float64(np.nan), np.float32(2.5), np.int64(7), np.bool_(True),
+                    float("-inf"), np.float64(-np.inf)),
+        "nested": {1: {"x": [np.float64(np.inf), None, "s", (1, 2.0)]}},
+        "empty": np.zeros((0, 2)),
+    }
+    buf = io.StringIO()
+    dump_json_stream(obj, buf)
+    text = buf.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert "NaN" not in text and "Infinity" not in text
+    got = json.loads(text)
+    assert got == {
+        "arr": [[1.5, None], [None, None]],
+        "ints": [0, 1, 2],
+        "bools": [True, False],
+        "scalars": [None, 2.5, 7, True, None, None],
+        "nested": {"1": {"x": [None, None, "s", [1, 2.0]]}},
+        "empty": [],
+    }
+    assert [type(v) for v in got["ints"] + got["bools"] + got["scalars"][2:4]] == \
+        [int] * 3 + [bool] * 2 + [int, bool]
+    assert got == _sanitize_reference(obj)
+    # the layout is that of json.dumps with its default separators
+    assert text == json.dumps(_sanitize_reference(obj)) + "\n"
+
+
+def test_certify_output_parses_as_before(tmp_path, monkeypatch, capsys):
+    # a real certify run on a random polyhedral problem whose table does
+    # not converge: the report and the certificate file parse back to the
+    # objects the item walk, the entry-by-entry table and the indented
+    # writer gave
+    rng = np.random.default_rng(3)
+    prob = FractionalProblem(
+        2,
+        [(PolyhedralFn(rng.normal(size=(4, 2)), np.abs(rng.normal(size=4)) + 1.0),
+          PolyhedralFn(0.1 * rng.normal(size=(4, 2)), -5.0 - np.abs(rng.normal(size=4))))
+         for _ in range(2)],
+        [PolyhedralFn(rng.normal(size=(3, 2)), -1.0 - np.abs(rng.normal(size=3)))],
+        PolyhedralCone.nonneg_orthant(1),
+        Polyhedron.box([-1.0, -1.0], [1.0, 1.0]),
+    )
+    problem, cert_path = tmp_path / "p.json", tmp_path / "p.cert.json"
+    dump_json(problem_to_json(prob), problem)
+    made = {}
+    for name in ("certificate_to_json", "report_to_json"):
+        def recording(obj, original=getattr(serialization, name), name=name):
+            made[name] = obj
+            return original(obj)
+        monkeypatch.setattr(serialization, name, recording)
+    rc = cli.main(["certify", "--problem", str(problem), "--point", "0.3,-0.2", "--force",
+                   "--n", "12", "--out", str(cert_path)])
+    out = capsys.readouterr().out
+    assert rc == 2 and out.count("\n") == 1
+    doc = json.loads(out)
+    report = made["report_to_json"]
+    assert doc["report"] == json.loads(json.dumps(_sanitize_reference({
+        "theorem": report.theorem, "verdict": report.verdict, "reasons": list(report.reasons),
+        "memberships": report.memberships, "slacks": report.slacks,
+        "residuals": report.residuals, "tolerances": report.tolerances, "note": report.note,
+    }), indent=1, allow_nan=False))
+    assert doc["report"]["verdict"] == "Reject" and doc["report"]["reasons"]
+    cert = made["certificate_to_json"]
+    text = cert_path.read_text()
+    assert text.count("\n") == 1
+    want = {"theorem": "4.3", "lambda": cert.lam.tolist(), "N": cert.N,
+            "entries": _certificate_reference(cert, serialization._FIELDS["4.3"])}
+    assert json.loads(text) == json.loads(json.dumps(_sanitize_reference(want), indent=1))
 
 
 def test_load_json_bad_file(tmp_path):
