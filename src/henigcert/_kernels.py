@@ -110,8 +110,15 @@ def dual_simplex_core(T, basis, allowed, tol_piv, tol_feas, max_pivots):
 
 
 def max_affine_batch(A, b, X):
-    """Evaluate max_k(<A[k],x>+b[k]) at every row of X."""
+    """Evaluate max_k(<A[k],x>+b[k]) at every row of X.
+
+    The piece values are stored (K, N), one row per piece with the samples
+    along the last axis, so the max over the few pieces is K - 1 whole-row
+    ``maximum`` passes instead of one short inner loop per sample.
+    """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    return (X @ A.T + b[None, :]).max(axis=1)
+    Y = A @ X.T
+    Y += b[:, None]
+    return np.maximum.reduce(Y, axis=0)

@@ -21,6 +21,7 @@ on stdout.
 """
 
 import argparse
+import functools
 import sys
 import time
 
@@ -61,6 +62,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+
+# 2^-k is a positive double up to k = 1074 and rounds to 0 beyond
+MAX_LADDER_EXPONENT = 1074
 
 # CLI default convergence gate: 1e-2 keeps the default horizon N=100 with
 # the default 1/n schedule self-consistent (gamma_N = 1e-2 must pass).
@@ -143,8 +147,10 @@ def _verdict_json(v):
 def _ladder(args):
     if args.eps_ladder is None:
         return None
-    if args.eps_ladder < 0:
-        raise UsageError("--eps-ladder must be a nonnegative exponent bound")
+    if not 0 <= args.eps_ladder <= MAX_LADDER_EXPONENT:
+        raise UsageError(
+            f"--eps-ladder must be an exponent bound from 0 to {MAX_LADDER_EXPONENT}"
+        )
     return tuple(2.0 ** -k for k in range(args.eps_ladder + 1))
 
 
@@ -392,7 +398,9 @@ def _add_common(p, problem=True, point=True):
     p.add_argument("--out", help="write the main output file here")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     top = _Parser(prog="henigcert", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -401,7 +409,6 @@ def _build_parser():
     p.add_argument("--grid", required=True, help='e.g. "201x201:[0,10]x[0,1]"')
     p.add_argument("--eps-ladder", type=int, help="largest ladder exponent k (eps down to 2^-k)")
     p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("certify", help="generate a certificate at a candidate point")
     _add_common(p)
@@ -415,30 +422,25 @@ def _build_parser():
     p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.add_argument("--pin-vstar", action="store_true", help="fix vstar = 0")
     p.add_argument("--force", action="store_true", help="skip the oracle pre-check")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="verify a certificate file")
     _add_common(p)
     p.add_argument("--certificate", required=True, help="certificate JSON file")
     p.add_argument("--tol-conv", type=float, default=CLI_TOL_CONV)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kkt", help="interior-point qualification plus multiplier check")
     _add_common(p)
     p.add_argument("--grid", required=True, help="grid for the interior-point search")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
-    p.set_defaults(func=cmd_kkt)
 
     p = sub.add_parser("example-q", help="run the embedded worked example")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--tol-conv", type=float, default=1e-2)
     p.add_argument("--grid", help="override the default 201x201 grid")
     p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_example_q)
 
-    p = sub.add_parser("selftest", help="quick end-to-end smoke test")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="quick end-to-end smoke test")
 
     return top
 
@@ -446,7 +448,9 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # the handler is looked up per call, not kept in the cached parser,
+        # so a rebinding of a cmd_* function in this module takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"henigcert: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -136,10 +136,11 @@ def in_minus_cone(Y: PolyhedralCone, y, tol: float = TOL_CONE) -> bool:
 
 
 def in_minus_cone_batch(Y: PolyhedralCone, V, tol: float = TOL_CONE) -> np.ndarray:
-    """Row-wise -Y membership for an (N, p) stack."""
+    """Row-wise -Y membership for an (N, p) stack; the inequality rows'
+    values are formed (rows, N), samples last, and reduced over rows."""
     V = np.asarray(V, float)
     if V.ndim != 2 or V.shape[1] != Y.p:
         raise DimensionMismatch("batch shape does not match cone")
     if Y.H is not None:
-        return (V @ Y.H.T <= tol).all(axis=1)
+        return (Y.H @ V.T <= tol).all(axis=0)
     return np.array([in_minus_cone(Y, row, tol) for row in V])

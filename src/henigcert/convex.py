@@ -116,12 +116,13 @@ class Polyhedron:
         return True
 
     def contains_batch(self, X, tol: float = 1e-9) -> np.ndarray:
+        # row values stored (rows, N), samples last, as in max_affine_batch
         X = np.asarray(X, float)
         ok = np.ones(X.shape[0], dtype=bool)
         if self.A.shape[0]:
-            ok &= (X @ self.A.T <= self.b + tol).all(axis=1)
+            ok &= (self.A @ X.T <= (self.b + tol)[:, None]).all(axis=0)
         if self.E.shape[0]:
-            ok &= (np.abs(X @ self.E.T - self.d) <= tol).all(axis=1)
+            ok &= (np.abs(self.E @ X.T - self.d[:, None]) <= tol).all(axis=0)
         return ok
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":

@@ -15,6 +15,16 @@ with no counterexample, the strongest grid certificate available; the rows
 refuting every rung so far are kept along the way, and the first one left
 at the end is the Dominated witness.  Grid verdicts mean "no
 counterexample on this grid", never a proof over the continuum.
+
+Every per-sample stack of the scan (constraint values, ratios, objective
+values, their differences) is stored (k, N), C-contiguous, one row per
+component with the N samples along the last axis; the batch evaluators
+return it as an (N, k) view.  k, a count of objectives or constraint
+components, is small, so a max, sum or all over it is k - 1 elementwise
+passes over whole rows, where the (N, k) layout ran numpy's inner loop
+once per sample over k values.  Masks select samples with
+``np.compress(..., axis=1)``, which keeps the result C-contiguous (boolean
+indexing ``R[:, ok]`` returns it F-ordered).
 """
 
 import warnings
@@ -72,8 +82,12 @@ class FractionalProblem:
         return np.array([h.eval(x) for h in self.hmap])
 
     def h_values_batch(self, X) -> np.ndarray:
+        """Constraint values, shape (N, p): the transpose of a (p, N) stack."""
         X = np.asarray(X, float)
-        return np.column_stack([h.eval_batch(X) for h in self.hmap])
+        H = np.empty((self.p, X.shape[0]))
+        for j, h in enumerate(self.hmap):
+            H[j] = h.eval_batch(X)
+        return H.T
 
 
 def feasible(prob: FractionalProblem, x, tol: float = TOL_FEAS) -> bool:
@@ -91,10 +105,10 @@ def feasible(prob: FractionalProblem, x, tol: float = TOL_FEAS) -> bool:
 def feasible_mask(prob: FractionalProblem, X, tol: float = TOL_FEAS) -> np.ndarray:
     X = np.asarray(X, float)
     ok = prob.C.contains_batch(X, tol=tol)
-    H = prob.h_values_batch(X)
-    ok &= np.isfinite(H).all(axis=1)
-    safe = np.where(ok[:, None], H, 0.0)  # keep NaN/inf out of the cone test
-    ok &= in_minus_cone_batch(prob.cone, safe, tol=tol)
+    H = prob.h_values_batch(X).T
+    ok &= np.isfinite(H).all(axis=0)
+    safe = np.where(ok, H, 0.0)  # keep NaN/inf out of the cone test
+    ok &= in_minus_cone_batch(prob.cone, safe.T, tol=tol)
     return ok
 
 
@@ -124,11 +138,12 @@ def _candidate_ratios(prob: FractionalProblem, xbar) -> np.ndarray:
 
 
 def ratio_matrix(prob: FractionalProblem, X):
-    """Ratio rows for a batch of points; second output flags rows where every
-    denominator clears TOL_DIV and every value is finite."""
+    """Ratio rows for a batch of points, shape (N, m): the transpose of an
+    (m, N) stack; second output flags rows where every denominator clears
+    TOL_DIV and every value is finite."""
     X = np.asarray(X, float)
     N = X.shape[0]
-    R = np.empty((N, prob.m))
+    R = np.empty((prob.m, N))
     ok = np.ones(N, dtype=bool)
     for i, (f, ng) in enumerate(prob.objectives):
         g = -ng.eval_batch(X)
@@ -136,8 +151,8 @@ def ratio_matrix(prob: FractionalProblem, X):
         good = np.isfinite(g) & np.isfinite(fv) & (np.abs(g) >= TOL_DIV)
         ok &= good
         with np.errstate(divide="ignore", invalid="ignore"):
-            R[:, i] = np.where(good, fv / np.where(good, g, 1.0), 0.0)
-    return R, ok
+            R[i] = np.where(good, fv / np.where(good, g, 1.0), 0.0)
+    return R.T, ok
 
 
 class ParametricProblem:
@@ -172,8 +187,12 @@ class ParametricProblem:
         return np.array([f.eval(x) + s.eval(x) for f, s in self.phi])
 
     def phi_values_batch(self, X) -> np.ndarray:
+        """Objective values, shape (N, m): the transpose of an (m, N) stack."""
         X = np.asarray(X, float)
-        return np.column_stack([f.eval_batch(X) + s.eval_batch(X) for f, s in self.phi])
+        P = np.empty((self.m, X.shape[0]))
+        for i, (f, s) in enumerate(self.phi):
+            P[i] = f.eval_batch(X) + s.eval_batch(X)
+        return P.T
 
 
 def parametric_problem(prob: FractionalProblem, xbar) -> ParametricProblem:
@@ -240,11 +259,16 @@ def _validate_ladder(ladder):
 
 def _ladder_verdict(D, X, ladder, grid) -> EfficiencyVerdict:
     """Shared scan: D holds the objective-difference rows of the candidate
-    against each feasible sample in X (lattice order).  Rounding is monotone,
-    so max_i fl(v_i + c) == fl(max(v) + c): the rung test below matches
-    cones.in_minus_k_eps_polar_batch bit for bit."""
-    nonzero = np.abs(D).max(axis=1) > ZERO_DIFF_TOL  # drop ties with the candidate
-    vmax, S = D.max(axis=1)[nonzero], D.sum(axis=1)[nonzero]
+    against each feasible sample in X (lattice order); the scan reduces its
+    C-contiguous (m, N) transpose, which the oracle's own D already is.
+    Rounding is monotone, so max_i fl(v_i + c) == fl(max(v) + c): the rung
+    test below matches cones.in_minus_k_eps_polar_batch bit for bit given
+    the same sum.  The sum here is a running add over the objectives, equal
+    to numpy's row sum for m <= 7; from m = 8 on the row sum is pairwise and
+    the two may differ in the last bit."""
+    Dt = np.ascontiguousarray(D.T)
+    nonzero = np.abs(Dt).max(axis=0) > ZERO_DIFF_TOL  # drop ties with the candidate
+    vmax, S = Dt.max(axis=0)[nonzero], Dt.sum(axis=0)[nonzero]
     # rows refuting every rung so far; tolerance slack near the boundary
     # can leave every rung refuted by some row but none by a single one
     survives = np.ones(vmax.shape, bool)
@@ -279,19 +303,21 @@ def _ratio_verdict(prob, nu, Xf, ladder, grid) -> EfficiencyVerdict:
         return EfficiencyVerdict.inconclusive(
             "no feasible samples with well-defined ratios", grid
         )
-    return _ladder_verdict(R[ok] - nu, Xf[ok], ladder, grid)
+    D = np.compress(ok, R.T, axis=1)
+    D -= nu[:, None]
+    return _ladder_verdict(D.T, Xf[ok], ladder, grid)
 
 
 def _parametric_verdict(param, Xf, ladder, grid) -> EfficiencyVerdict:
     if Xf is None:
         return EfficiencyVerdict.inconclusive("no feasible samples", grid)
-    P = param.phi_values_batch(Xf)
-    ok = np.isfinite(P).all(axis=1)
+    P = param.phi_values_batch(Xf).T
+    ok = np.isfinite(P).all(axis=0)
     if not ok.any():
         return EfficiencyVerdict.inconclusive(
             "no feasible samples inside the objective domains", grid
         )
-    return _ladder_verdict(P[ok], Xf[ok], ladder, grid)
+    return _ladder_verdict(np.compress(ok, P, axis=1).T, Xf[ok], ladder, grid)
 
 
 def henig_check_bruteforce(

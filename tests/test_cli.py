@@ -5,6 +5,7 @@ documented scheme (0 positive, 2 negative, 3 inconclusive, 64 usage,
 65 data, 70 internal).
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -135,6 +136,39 @@ def test_bad_point_grid_gamma(files, capsys):
     )
     assert rc == 64
     capsys.readouterr()
+
+
+def test_main_reuses_one_parser(files, capsys, monkeypatch):
+    # the parser is built once per process; a call leaves nothing behind for
+    # the next one, a usage error after a successful call still exits 64, and
+    # a handler rebound after the build (as a tracer does) is the one called
+    seen = []
+
+    def spy(self, args=None, namespace=None):
+        seen.append(self)
+        return argparse.ArgumentParser.parse_args(self, args, namespace)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    base = ["check", "--problem", files["toy"], "--grid", TOY_GRID, "--point"]
+    assert cli.main(base + ["0"]) == 0
+    assert cli.main(base + ["1"]) == 2
+    assert cli.main(["check", "--problem", files["toy"]]) == 64
+    assert "usage error" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
+    assert cli.main(base + ["0"]) == 42
+    assert len(seen) == 4 and len(set(map(id, seen))) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_eps_ladder_beyond_underflow_is_usage_error(files, capsys, command):
+    # 2^-1075 rounds to 0, so the bound must stop at 1074 (exit 64, not 70)
+    base = [command, "--problem", files["toy"], "--point", "0", "--grid", TOY_GRID]
+    for bound in ("1075", "5000", "-1"):
+        assert cli.main(base + ["--eps-ladder", bound]) == 64
+        assert "--eps-ladder" in capsys.readouterr().err
+    if command == "check":
+        assert cli.main(base + ["--eps-ladder", "1074"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["eps_witness"] == 1.0
 
 
 def test_missing_problem_file(files, capsys):

@@ -1,0 +1,169 @@
+"""The grid oracle's (k, N) stacks, samples last, against the row-major
+formulas they replaced (tests/grid_reference.py), compared byte for byte.
+
+Both layouts reach the same numbers only if ``A @ X.T`` equals
+``(X @ A.T).T`` bit for bit in the BLAS at hand and the reductions over
+the short axis see the same operands; these cases hold that in place on
+seeded inputs: N in {0, 1, 1000}, 1-12 pieces, n in {1, 4, 10}, points
+on a half-integer lattice (exact equality rows and ties) or from N(0,1),
+domains that give inf, and scaled functions with coefficient zero.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import grid_reference as ref
+from henigcert._kernels import max_affine_batch
+from henigcert.cones import PolyhedralCone, in_minus_cone_batch
+from henigcert.convex import Polyhedron, PolyhedralFn, ScaledFn
+from henigcert.fractional import (
+    FractionalProblem,
+    feasible_mask,
+    parametric_problem,
+    ratio_matrix,
+)
+
+CASES = list(itertools.product((0, 1, 1000), (1, 4, 10)))
+
+
+def same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def samples_last(stack):
+    """An (N, k) result must be the transpose of a C-contiguous (k, N) stack."""
+    assert stack.T.flags.c_contiguous
+
+
+def points(rng, N, n, x0=None):
+    if rng.random() < 0.5:
+        X = rng.integers(-4, 5, size=(N, n)) * 0.5
+    else:
+        X = rng.normal(size=(N, n))
+    if x0 is not None and N:
+        X[rng.integers(N)] = x0
+    return X
+
+
+def polyhedron_through(rng, x0, rows, eq_rows=0):
+    """Inequality rows with slack at x0 (integer ones in half the cases, so
+    that lattice points meet them exactly) and integer equality rows
+    through it."""
+    n = x0.shape[0]
+    if rng.random() < 0.5:
+        A = rng.integers(-2, 3, size=(rows, n)).astype(float)
+        slack = rng.integers(0, 3, size=rows) * 0.5
+    else:
+        A = rng.normal(size=(rows, n))
+        slack = np.abs(rng.normal(size=rows))
+    E = rng.integers(-1, 2, size=(eq_rows, n)).astype(float)
+    return Polyhedron(A=A, b=A @ x0 + slack, E=E, d=E @ x0, n=n)
+
+
+@pytest.mark.parametrize("N, n", CASES)
+def test_max_affine_batch_matches_row_major(N, n):
+    rng = np.random.default_rng(100 + 10 * n + N % 7)
+    for k in range(1, 13):
+        A, b = rng.normal(size=(k, n)), rng.normal(size=k)
+        X = points(rng, N, n)
+        same(max_affine_batch(A, b, X), ref.max_affine_batch(A, b, X))
+
+
+@pytest.mark.parametrize("N, n", CASES)
+def test_contains_batch_matches_row_major(N, n):
+    rng = np.random.default_rng(200 + 10 * n + N % 7)
+    seen = np.zeros(2, bool)
+    for rows, eq_rows in itertools.product((0, 1, 5, 12), (0, 1, 2)):
+        x0 = rng.integers(-2, 3, size=n) * 0.5
+        P = polyhedron_through(rng, x0, rows, eq_rows)
+        X = points(rng, N, n, x0)
+        for tol in (0.0, 1e-9, 0.5):
+            got = P.contains_batch(X, tol=tol)
+            same(got, ref.contains_batch(P, X, tol=tol))
+            seen[0] |= got.any()
+            seen[1] |= not got.all()
+    assert seen.all() or N <= 1
+
+
+@pytest.mark.parametrize("N, n", CASES)
+def test_in_minus_cone_batch_matches_row_major(N, n):
+    rng = np.random.default_rng(300 + 10 * n + N % 7)
+    for p in (1, 2, 4):
+        cones = [
+            PolyhedralCone.nonneg_orthant(p),
+            PolyhedralCone(H=rng.normal(size=(int(rng.integers(1, 6)), p))),
+        ]
+        for Y in cones:
+            V = points(rng, N, p)
+            same(in_minus_cone_batch(Y, V), ref.in_minus_cone_batch(Y, V))
+
+
+def random_problem(rng, n):
+    """A problem with a feasible candidate x0 and nonnegative ratios there:
+    every domain is a box around x0, some functions carry one, and some
+    numerators and constraints are ``ScaledFn(0, .)`` over a restricted one."""
+    x0 = rng.integers(-2, 3, size=n) * 0.5
+
+    def domain():
+        if rng.random() < 0.5:
+            return None
+        return Polyhedron.box(x0 - rng.uniform(0.5, 2, n), x0 + rng.uniform(0.5, 2, n))
+
+    def pieces(scale, low, high):
+        # a max-affine function with value in [low, high] at x0
+        k = int(rng.integers(1, 13))
+        A = scale * rng.normal(size=(k, n))
+        return PolyhedralFn(A, rng.uniform(low, high, k) - A @ x0, domain())
+
+    def maybe_zero(fn):
+        if rng.random() < 0.25:
+            restricted = Polyhedron.box(x0 - 0.5, x0 + 0.5)
+            return ScaledFn(0.0, PolyhedralFn(fn.A, fn.b, restricted))
+        return ScaledFn(rng.uniform(0.5, 2), fn) if rng.random() < 0.25 else fn
+
+    m, p = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    objectives = [(maybe_zero(pieces(1.0, 0.0, 2.0)), pieces(0.1, -6.0, -1.0)) for _ in range(m)]
+    hmap = [maybe_zero(pieces(1.0, -2.0, -1.0)) for _ in range(p)]
+    if rng.random() < 0.5:
+        cone = PolyhedralCone.nonneg_orthant(p)
+    else:
+        cone = PolyhedralCone(H=np.abs(rng.normal(size=(int(rng.integers(1, 4)), p))))
+    C = polyhedron_through(rng, x0, int(rng.integers(0, 13)), int(rng.integers(0, 2)))
+    return FractionalProblem(n, objectives, hmap, cone, C), x0
+
+
+@pytest.mark.parametrize("N, n", CASES)
+def test_oracle_stacks_match_row_major(N, n):
+    rng = np.random.default_rng(400 + 10 * n + N % 7)
+    seen = {"feasible": False, "infeasible": False, "bad ratio": False, "inf phi": False}
+    for _ in range(6):
+        prob, x0 = random_problem(rng, n)
+        X = points(rng, N, n, x0)
+
+        mask = feasible_mask(prob, X)
+        same(mask, ref.feasible_mask(prob, X))
+        H = prob.h_values_batch(X)
+        same(H, ref.h_values_batch(prob, X))
+        samples_last(H)
+
+        R, ok = ratio_matrix(prob, X)
+        R_ref, ok_ref = ref.ratio_matrix(prob, X)
+        same(R, R_ref)
+        same(ok, ok_ref)
+        samples_last(R)
+
+        param = parametric_problem(prob, x0)
+        P = param.phi_values_batch(X)
+        same(P, ref.phi_values_batch(param, X))
+        samples_last(P)
+
+        seen["feasible"] |= mask.any()
+        seen["infeasible"] |= not mask.all()
+        seen["bad ratio"] |= not ok.all()
+        seen["inf phi"] |= not np.isfinite(P).all()
+    if N > 1:
+        assert all(seen.values()), seen
