@@ -841,18 +841,19 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
 
 def slater_check(prob: FractionalProblem, grid, strict_margin: float = 1e-6) -> bool:
     """Does some grid point of C map strictly inside -Y+?  Needs the
-    inequality form of the cone: H h(a) <= -strict_margin componentwise."""
+    inequality form of the cone: H h(a) <= -strict_margin componentwise.
+    The lattice is walked in chunks and the walk stops at the first such
+    point."""
     if prob.cone.H is None:
         raise UnsupportedData("interior check needs the inequality form of the cone")
-    X = grid.points()
-    if X.shape[1] != prob.n:
+    if grid.ndim != prob.n:
         raise DimensionMismatch("grid dimension does not match problem")
-    inC = prob.C.contains_batch(X)
-    if not inC.any():
-        return False
-    hv = prob.h_values_batch(X[inC])
-    finite = np.isfinite(hv).all(axis=1)
-    if not finite.any():
-        return False
-    vals = hv[finite] @ prob.cone.H.T
-    return bool((vals <= -strict_margin).all(axis=1).any())
+    for X in grid.chunks():
+        inC = prob.C.contains_batch(X)
+        if not inC.any():
+            continue
+        hv = prob.h_values_batch(X[inC])
+        vals = hv[np.isfinite(hv).all(axis=1)] @ prob.cone.H.T
+        if (vals <= -strict_margin).all(axis=1).any():
+            return True
+    return False

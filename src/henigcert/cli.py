@@ -90,6 +90,8 @@ def _parse_vector(text, what):
         raise UsageError(f"cannot parse {what} {text!r}") from None
     if not vals:
         raise UsageError(f"empty {what} {text!r}")
+    if not np.isfinite(vals).all():
+        raise UsageError(f"{what} {text!r} has a non-finite entry")
     return np.array(vals)
 
 

@@ -83,16 +83,18 @@ def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) ->
     )
 
     t0 = time.perf_counter()
-    pts = grid.points()
-    mask = feasible_mask(prob, pts)
-    first = pts[mask][:, 0]
-    collapse = bool(mask.any()) and bool((first == 0.0).all())
+    count, max_first = 0, None
+    for X in grid.chunks():
+        first = np.abs(X[feasible_mask(prob, X), 0])
+        if first.size:
+            count += first.size
+            max_first = max(max_first or 0.0, float(first.max()))
     stages.append(
         {
             "stage": "feasible_set_collapse",
-            "ok": collapse,
-            "feasible_points": int(mask.sum()),
-            "max_first_coordinate": float(np.abs(first).max()) if mask.any() else None,
+            "ok": max_first == 0.0,
+            "feasible_points": count,
+            "max_first_coordinate": max_first,
             "seconds": time.perf_counter() - t0,
         }
     )

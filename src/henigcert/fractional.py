@@ -8,13 +8,24 @@ the certificate layer can address the two summands separately.
 
 The efficiency oracle is a grid scan: a point is refuted at dilation eps
 when some feasible lattice point's ratio-difference vector v lies in
--K_eps* (excluding near-ties), i.e. max(v) + eps*sum(v) <= TOL_CONE, so
-each ladder rung is one pass over every row's max and sum.  Since -K_eps*
-only grows with eps, the ladder runs decreasing and stops at the first eps
-with no counterexample, the strongest grid certificate available; the rows
-refuting every rung so far are kept along the way, and the first one left
-at the end is the Dominated witness.  Grid verdicts mean "no
-counterexample on this grid", never a proof over the continuum.
+-K_eps* (excluding near-ties), i.e. max(v) + eps*sum(v) <= TOL_CONE.
+Since -K_eps* only grows with eps, the verdict is the first eps of the
+descending ladder with no counterexample, the strongest grid certificate
+available, or Dominated when a single sample refutes every rung.  Grid
+verdicts mean "no counterexample on this grid", never a proof over the
+continuum.
+
+The scan is one walk over the lattice in chunks of consecutive points, in
+lattice order (``GridSpec.chunks``), so its memory does not grow with the
+grid.  Per chunk it takes the feasibility mask and evaluates each f_i and
+-g_i once at the feasible samples; the ratio verdict and the
+reformulation's share those values.  Each verdict is accumulated by a
+``_LadderScan``: rounding is monotone, so one sample's hits form a prefix
+of the descending ladder (sum(v) < 0) or a suffix (sum(v) > 0), and the
+rungs hit so far are two runs [0, lo) and [hi, R) tracked across chunks;
+a sample hitting both end rungs hits them all.  The first such sample in
+lattice order decides Dominated, and the walk stops once every verdict it
+runs is decided.
 
 Every per-sample stack of the scan (constraint values, ratios, objective
 values, their differences) is stored (k, N), C-contiguous, one row per
@@ -137,22 +148,30 @@ def _candidate_ratios(prob: FractionalProblem, xbar) -> np.ndarray:
     return nu_values(prob, xbar)
 
 
+def _objective_stacks(prob: FractionalProblem, X):
+    """Each f_i and -g_i at every row of X, as two C-contiguous (m, N) stacks."""
+    F, NG = np.empty((2, prob.m, X.shape[0]))
+    for i, (f, ng) in enumerate(prob.objectives):
+        F[i] = f.eval_batch(X)
+        NG[i] = ng.eval_batch(X)
+    return F, NG
+
+
+def _well_defined(F, G) -> np.ndarray:
+    """Where a ratio F/G is finite with |G| at least TOL_DIV, elementwise."""
+    return np.isfinite(G) & np.isfinite(F) & (np.abs(G) >= TOL_DIV)
+
+
 def ratio_matrix(prob: FractionalProblem, X):
     """Ratio rows for a batch of points, shape (N, m): the transpose of an
     (m, N) stack; second output flags rows where every denominator clears
     TOL_DIV and every value is finite."""
-    X = np.asarray(X, float)
-    N = X.shape[0]
-    R = np.empty((prob.m, N))
-    ok = np.ones(N, dtype=bool)
-    for i, (f, ng) in enumerate(prob.objectives):
-        g = -ng.eval_batch(X)
-        fv = f.eval_batch(X)
-        good = np.isfinite(g) & np.isfinite(fv) & (np.abs(g) >= TOL_DIV)
-        ok &= good
-        with np.errstate(divide="ignore", invalid="ignore"):
-            R[i] = np.where(good, fv / np.where(good, g, 1.0), 0.0)
-    return R.T, ok
+    F, NG = _objective_stacks(prob, np.asarray(X, float))
+    G = -NG
+    good = _well_defined(F, G)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.where(good, F / np.where(good, G, 1.0), 0.0)
+    return R.T, good.all(axis=0)
 
 
 class ParametricProblem:
@@ -188,11 +207,15 @@ class ParametricProblem:
 
     def phi_values_batch(self, X) -> np.ndarray:
         """Objective values, shape (N, m): the transpose of an (m, N) stack."""
-        X = np.asarray(X, float)
-        P = np.empty((self.m, X.shape[0]))
-        for i, (f, s) in enumerate(self.phi):
-            P[i] = f.eval_batch(X) + s.eval_batch(X)
-        return P.T
+        return self._phi_stack(*_objective_stacks(self.base, np.asarray(X, float))).T
+
+    def _phi_stack(self, F, NG) -> np.ndarray:
+        """phi from the (m, N) stacks of f and -g, by ScaledFn's rule: the
+        second summand is c * (-g_i), or zeros when c is 0."""
+        P = np.empty_like(F)
+        for i, (_, s) in enumerate(self.phi):
+            P[i] = F[i] + (s.c * NG[i] if s.c != 0.0 else 0.0)
+        return P
 
 
 def parametric_problem(prob: FractionalProblem, xbar) -> ParametricProblem:
@@ -257,67 +280,132 @@ def _validate_ladder(ladder):
     return sorted(set(ladder), reverse=True)
 
 
-def _ladder_verdict(D, X, ladder, grid) -> EfficiencyVerdict:
-    """Shared scan: D holds the objective-difference rows of the candidate
-    against each feasible sample in X (lattice order); the scan reduces its
-    C-contiguous (m, N) transpose, which the oracle's own D already is.
-    Rounding is monotone, so max_i fl(v_i + c) == fl(max(v) + c): the rung
-    test below matches cones.in_minus_k_eps_polar_batch bit for bit given
-    the same sum.  The sum here is a running add over the objectives, equal
-    to numpy's row sum for m <= 7; from m = 8 on the row sum is pairwise and
-    the two may differ in the last bit."""
-    Dt = np.ascontiguousarray(D.T)
-    nonzero = np.abs(Dt).max(axis=0) > ZERO_DIFF_TOL  # drop ties with the candidate
-    vmax, S = Dt.max(axis=0)[nonzero], Dt.sum(axis=0)[nonzero]
-    # rows refuting every rung so far; tolerance slack near the boundary
-    # can leave every rung refuted by some row but none by a single one
-    survives = np.ones(vmax.shape, bool)
-    for eps in ladder:
-        hits = vmax + eps * S <= TOL_CONE
-        if not hits.any():
-            return EfficiencyVerdict.properly_efficient(eps, grid)
-        survives &= hits
-    if survives.any():
-        first = np.flatnonzero(nonzero)[np.argmax(survives)]
-        return EfficiencyVerdict.dominated(X[first], ladder[-1], grid)
-    return EfficiencyVerdict.inconclusive(
-        "every ladder eps is refuted but no single witness dominates at all of them",
-        grid,
+class _LadderScan:
+    """The ladder verdict of one comparison, fed a chunk of samples at a time
+    in lattice order.
+
+    A sample with difference vector v hits rung eps when
+    fl(max(v) + fl(eps*S)) <= TOL_CONE, S = sum(v); since rounding is
+    monotone, max_i fl(v_i + c) == fl(max(v) + c), and the test matches
+    cones.in_minus_k_eps_polar_batch bit for bit given the same sum.
+    Monotone rounding also makes fl(eps*S) monotone in eps, so for S < 0 a
+    sample's hits form a prefix of the descending ladder, for S > 0 a
+    suffix, and for S == 0 all rungs or none.  The rungs hit by some sample
+    so far are therefore [0, lo) and [hi, R), and a sample that hits both
+    the top and the bottom rung hits all of them.  The first such sample in
+    lattice order is the Dominated witness, and the scan is decided there;
+    without one, the first rung no sample hits, ladder[lo] when lo < hi, is
+    the properly efficient eps.
+    """
+
+    def __init__(self, ladder, grid):
+        self.ladder, self.grid = ladder, grid
+        self.lo, self.hi = 0, len(ladder)
+        self.fed = False
+        self.verdict = None
+
+    def feed(self, D, X):
+        """D holds one chunk's differences as a C-contiguous (m, k) stack,
+        X the k samples as rows.  The sum is a running add over the m rows,
+        equal to numpy's row sum of the (k, m) transpose for m <= 7; from
+        m = 8 on that row sum is pairwise and the two may differ in the
+        last bit."""
+        self.fed = True
+        vmax, S = D.max(axis=0), D.sum(axis=0)
+        # a tie with the candidate (every |v_i| within ZERO_DIFF_TOL)
+        # never refutes: inf + eps*S is inf or nan, and fails the test
+        vmax[(vmax <= ZERO_DIFF_TOL) & (D.min(axis=0) >= -ZERO_DIFF_TOL)] = np.inf
+
+        def hits(eps):
+            return vmax + eps * S <= TOL_CONE
+
+        ladder = self.ladder
+        every = hits(ladder[0]) & hits(ladder[-1])
+        if every.any():
+            self.verdict = EfficiencyVerdict.dominated(X[np.argmax(every)], ladder[-1], self.grid)
+            return
+        while self.lo < self.hi and hits(ladder[self.lo]).any():
+            self.lo += 1
+        while self.hi > self.lo and hits(ladder[self.hi - 1]).any():
+            self.hi -= 1
+
+    def result(self) -> EfficiencyVerdict:
+        if self.verdict is not None:
+            return self.verdict
+        if self.lo < self.hi:
+            return EfficiencyVerdict.properly_efficient(self.ladder[self.lo], self.grid)
+        # tolerance slack near the boundary can leave every rung refuted
+        # by some sample but none by a single one
+        return EfficiencyVerdict.inconclusive(
+            "every ladder eps is refuted but no single witness dominates at all of them",
+            self.grid,
+        )
+
+
+def _keep(good, S, X):
+    """The columns of the (m, k) stack S and the rows of X where good holds
+    (``np.compress``, several times faster than boolean indexing here)."""
+    if good.all():
+        return S, X
+    return np.compress(good, S, axis=1), np.compress(good, X, axis=0)
+
+
+def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, param=None):
+    """The grid oracle: one walk over the lattice chunks in lattice order.
+
+    Per chunk: the feasibility mask, then each f_i and -g_i once at every
+    feasible sample; the ratio verdict (against the candidate ratios nu)
+    and the reformulation's (param's phi) share those values.  Either
+    comparison is skipped when its argument is None, and the walk stops
+    once every comparison it runs is decided, which happens at the first
+    Dominated witness.  Returns (ratio verdict, reformulation verdict),
+    None for a skipped one.
+    """
+    ratio = None if nu is None else _LadderScan(ladder, grid)
+    phi = None if param is None else _LadderScan(ladder, grid)
+    scans = [scan for scan in (ratio, phi) if scan is not None]
+    any_feasible = False
+    for X in grid.chunks():
+        ok = feasible_mask(prob, X)
+        if not ok.any():
+            continue
+        any_feasible = True
+        Xf = np.compress(ok, X, axis=0)
+        F, NG = _objective_stacks(prob, Xf)
+        if ratio is not None and ratio.verdict is None:
+            G = -NG
+            good = _well_defined(F, G).all(axis=0)
+            if good.any():
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    D, Xg = _keep(good, F / G, Xf)
+                D -= nu[:, None]
+                ratio.feed(D, Xg)
+        if phi is not None and phi.verdict is None:
+            P = param._phi_stack(F, NG)
+            good = np.isfinite(P).all(axis=0)
+            if good.any():
+                phi.feed(*_keep(good, P, Xf))
+        if all(scan.verdict is not None for scan in scans):
+            break
+
+    def finish(scan, nothing_fed):
+        if scan is None:
+            return None
+        if not any_feasible:
+            return EfficiencyVerdict.inconclusive("no feasible samples", grid)
+        if not scan.fed:
+            return EfficiencyVerdict.inconclusive(nothing_fed, grid)
+        return scan.result()
+
+    return (
+        finish(ratio, "no feasible samples with well-defined ratios"),
+        finish(phi, "no feasible samples inside the objective domains"),
     )
 
 
-def _feasible_samples(prob: FractionalProblem, grid: GridSpec):
-    """The feasible lattice points in lattice order, or None if there are none."""
-    X = grid.points()
-    if X.shape[1] != prob.n:
+def _check_grid(prob: FractionalProblem, grid: GridSpec):
+    if grid.ndim != prob.n:
         raise DimensionMismatch("grid dimension does not match problem")
-    mask = feasible_mask(prob, X)
-    return X[mask] if mask.any() else None
-
-
-def _ratio_verdict(prob, nu, Xf, ladder, grid) -> EfficiencyVerdict:
-    if Xf is None:
-        return EfficiencyVerdict.inconclusive("no feasible samples", grid)
-    R, ok = ratio_matrix(prob, Xf)
-    if not ok.any():
-        return EfficiencyVerdict.inconclusive(
-            "no feasible samples with well-defined ratios", grid
-        )
-    D = np.compress(ok, R.T, axis=1)
-    D -= nu[:, None]
-    return _ladder_verdict(D.T, Xf[ok], ladder, grid)
-
-
-def _parametric_verdict(param, Xf, ladder, grid) -> EfficiencyVerdict:
-    if Xf is None:
-        return EfficiencyVerdict.inconclusive("no feasible samples", grid)
-    P = param.phi_values_batch(Xf).T
-    ok = np.isfinite(P).all(axis=0)
-    if not ok.any():
-        return EfficiencyVerdict.inconclusive(
-            "no feasible samples inside the objective domains", grid
-        )
-    return _ladder_verdict(np.compress(ok, P, axis=1).T, Xf[ok], ladder, grid)
 
 
 def henig_check_bruteforce(
@@ -326,7 +414,8 @@ def henig_check_bruteforce(
     """Grid oracle for Henig proper efficiency of xbar in the ratio problem."""
     ladder = _validate_ladder(ladder)
     nu = _candidate_ratios(prob, xbar)
-    return _ratio_verdict(prob, nu, _feasible_samples(prob, grid), ladder, grid)
+    _check_grid(prob, grid)
+    return _grid_verdicts(prob, grid, ladder, nu=nu)[0]
 
 
 def henig_check_parametric(
@@ -335,21 +424,22 @@ def henig_check_parametric(
     """The same oracle run on the reformulated objectives: the comparison
     vector is phi(x) - phi(xbar) = phi(x)."""
     ladder = _validate_ladder(ladder)
-    return _parametric_verdict(param, _feasible_samples(param.base, grid), ladder, grid)
+    _check_grid(param.base, grid)
+    return _grid_verdicts(param.base, grid, ladder, param=param)[1]
 
 
 def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
     """The ratio problem's verdict, and whether its reformulation at xbar
-    agrees on the verdict kind, both from one lattice and feasibility mask.
-    The reformulation's data-assumption warnings are suppressed."""
+    agrees on the verdict kind, both from one walk over the lattice.  The
+    reformulation's data-assumption warnings are suppressed."""
     ladder = _validate_ladder(ladder)
     nu = _candidate_ratios(prob, xbar)
-    Xf = _feasible_samples(prob, grid)
-    verdict = _ratio_verdict(prob, nu, Xf, ladder, grid)
+    _check_grid(prob, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         param = parametric_problem(prob, xbar)
-    return verdict, _parametric_verdict(param, Xf, ladder, grid).kind == verdict.kind
+    verdict, phi_verdict = _grid_verdicts(prob, grid, ladder, nu=nu, param=param)
+    return verdict, phi_verdict.kind == verdict.kind
 
 
 def parametric_equivalence_check(

@@ -1,4 +1,18 @@
-"""Rectangular lattice specifications shared by the grid oracles and the CLI."""
+"""Rectangular lattice specifications shared by the grid oracles and the CLI.
+
+A lattice is walked in blocks of consecutive flat indices: the point with
+flat index j sits at the multi-index ``np.unravel_index(j, counts)``, so
+block [start, stop) is read straight off the axes without building the
+rest of the lattice.  ``GridSpec.chunks`` yields the whole lattice that
+way, in lattice order, ``_CHUNK`` points at a time, and ``GridSpec.points``
+is the single block [0, size) of the same formula.  A scan over the
+chunks holds only one block's stacks at a time, so its memory stays flat
+in the grid size.
+
+A block is row-major, (rows, ndim) and C-contiguous, as the whole lattice
+always was: the evaluators' products ``A @ X.T`` round differently in the
+last bit when X.T is handed to the BLAS C-contiguous instead.
+"""
 
 from dataclasses import dataclass
 
@@ -7,6 +21,9 @@ import numpy as np
 from .errors import DimensionMismatch, SchemaError
 
 MAX_GRID_POINTS = 4_000_000
+# lattice points per block of a walk: smaller blocks pay numpy's per-call
+# overhead once per few points, larger ones fall out of the CPU caches
+_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -34,6 +51,9 @@ class GridSpec:
                 raise SchemaError("grid counts must be >= 1")
             if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
                 raise SchemaError("grid bounds must be finite with high >= low")
+            if not np.isfinite(hi - lo):
+                # linspace would step by inf and put nan on the axis
+                raise SchemaError(f"grid span [{lo:g},{hi:g}] overflows a float")
         total = 1
         for k in counts:
             total *= k
@@ -60,10 +80,54 @@ class GridSpec:
             for lo, hi, k in zip(self.lows, self.highs, self.counts)
         ]
 
+    def _blocks(self, k: int):
+        """The lattice in lexicographic order, as consecutive blocks of at
+        most k points, each of shape (rows, ndim), C-contiguous.
+
+        Axis d's coordinate at flat index j is axes[d][(j // s) % counts[d]],
+        with s the product of the later counts: constant on runs of s
+        points and periodic in counts[d] * s.  An axis whose period fits in
+        a block is sliced out of one column, precomputed over a period and
+        long enough for any offset; a longer one is built from the few runs
+        that meet the block.
+        """
+        size = self.size
+        axes, strides = self.axes(), []
+        s = 1
+        for c in reversed(self.counts):
+            strides.insert(0, s)
+            s *= c
+        columns = []
+        for axis, c, s in zip(axes, self.counts, strides):
+            period = c * s
+            if period > k:
+                columns.append(None)
+                continue
+            span = k if k == size else k + period - 1  # one block starts at 0
+            columns.append(np.tile(np.repeat(axis, s), -(-span // period)))
+        for start in range(0, size, k):
+            stop = min(start + k, size)
+            out = np.empty((stop - start, self.ndim))
+            for d, (axis, c, s, col) in enumerate(zip(axes, self.counts, strides, columns)):
+                if col is not None:
+                    off = start % (c * s)
+                    out[:, d] = col[off : off + stop - start]
+                else:
+                    runs = np.arange(start // s, (stop - 1) // s + 1)
+                    reps = np.full(runs.size, s)
+                    reps[0] -= start - runs[0] * s
+                    reps[-1] -= (runs[-1] + 1) * s - stop
+                    out[:, d] = np.repeat(axis[runs % c], reps)
+            yield out
+
     def points(self) -> np.ndarray:
         """All lattice points, shape (size, ndim), lexicographic order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return next(self._blocks(self.size))
+
+    def chunks(self):
+        """The lattice points in lexicographic order, as consecutive blocks
+        of at most ``_CHUNK`` rows (the last one may be shorter)."""
+        return self._blocks(min(_CHUNK, self.size))
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

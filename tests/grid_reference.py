@@ -13,6 +13,12 @@ from henigcert.fractional import TOL_DIV
 from henigcert.linprog import TOL_FEAS
 
 
+def lattice_points(grid):
+    """``GridSpec.points``: every axis copied to full size, then stacked."""
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
 def max_affine_batch(A, b, X):
     """Evaluate max_k(<A[k],x>+b[k]) at every row of X."""
     A = np.asarray(A, dtype=np.float64)

@@ -65,27 +65,55 @@ def test_check_toy_dominated(files, capsys):
     [("toy", "0", TOY_GRID), ("toy", "1", TOY_GRID), ("q", "0,0.5", Q_GRID)],
 )
 def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, grid):
-    # the ratio problem and its reformulation share one lattice, one
-    # feasibility mask and one ratio evaluation
-    from henigcert import fractional
+    # the ratio problem and its reformulation share one walk over the
+    # lattice: the rows tested for feasibility are a prefix of the lattice
+    # in order, each f_i and -g_i is evaluated once at every feasible row of
+    # that prefix, and a Dominated verdict ends the walk early.  Chunks of
+    # 64 points make the 201-point toy lattice more than one chunk.
+    from henigcert import fractional, grids
+    from henigcert.convex import BlackBoxFn, ScaledFn
     from henigcert.grids import GridSpec
 
-    calls = {"points": 0, "feasible_mask": 0, "ratio_matrix": 0}
+    monkeypatch.setattr(grids, "_CHUNK", 64)
+    tested, evaluated, checked = [], {}, []
+    feasible_mask = fractional.feasible_mask
 
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def mask_spy(prob, X, *args, **kwargs):
+        ok = feasible_mask(prob, X, *args, **kwargs)
+        tested.append((np.array(X), np.array(ok)))
+        return ok
 
-    monkeypatch.setattr(GridSpec, "points", counted("points", GridSpec.points))
-    for name in ("feasible_mask", "ratio_matrix"):
-        monkeypatch.setattr(fractional, name, counted(name, getattr(fractional, name)))
-    cli.main(["check", "--problem", files[problem], "--point", point, "--grid", grid])
+    def eval_spy(original):
+        def spy(self, X):
+            evaluated.setdefault(id(self), []).append(np.array(X, float))
+            return original(self, X)
+        return spy
+
+    monkeypatch.setattr(fractional, "feasible_mask", mask_spy)
+    for cls in (PolyhedralFn, BlackBoxFn, ScaledFn):
+        monkeypatch.setattr(cls, "eval_batch", eval_spy(cls.eval_batch))
+    henig_check = cli.henig_check
+
+    def check_spy(prob, *args):
+        checked.append(prob)
+        return henig_check(prob, *args)
+
+    monkeypatch.setattr(cli, "henig_check", check_spy)
+    rc = cli.main(["check", "--problem", files[problem], "--point", point, "--grid", grid])
     doc = json.loads(capsys.readouterr().out)
-    assert calls == {"points": 1, "feasible_mask": 1, "ratio_matrix": 1}
     monkeypatch.undo()
-    prob = serialization.problem_from_json(serialization.load_json(files[problem]))
+    lattice = GridSpec.parse(grid).points()
+    visited = np.concatenate([X for X, _ in tested])
+    feasible = np.concatenate([X[ok] for X, ok in tested])
+    assert visited.tobytes() == lattice[: len(visited)].tobytes()
+    (prob,) = checked
+    for f, ng in prob.objectives:
+        for fn in (f, ng):
+            assert np.concatenate(evaluated[id(fn)]).tobytes() == feasible.tobytes()
+    if point == "1":
+        assert rc == 2 and len(visited) < len(lattice)
+    else:
+        assert rc == 0 and len(visited) == len(lattice)
     want = fractional.parametric_equivalence_check(
         prob, cli._parse_vector(point, "point"), GridSpec.parse(grid)
     )
@@ -136,6 +164,30 @@ def test_bad_point_grid_gamma(files, capsys):
     )
     assert rc == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_vectors_are_usage_errors(files, capsys, value):
+    # caught at parsing: no numpy warning, no internal error from the LP
+    q = ["--problem", files["q"], "--grid", Q_GRID]
+    assert cli.main(["check", *q, f"--point={value},0.5"]) == 64
+    err = capsys.readouterr().err
+    assert "point" in err and "non-finite" in err and "Warning" not in err
+    assert cli.main(["certify", *q, "--point", "0,0.5", "--force", f"--lambda={value},1"]) == 64
+    err = capsys.readouterr().err
+    assert "lambda" in err and "non-finite" in err and "internal" not in err
+
+
+def test_overflowing_grid_span_is_rejected(files, capsys):
+    # hi - lo = inf would put nan on the axis; the span is refused up front
+    # like any other bad grid argument (usage error, 64), with no warning
+    big = "2x2x2x2:[-1e308,1e308]x[-1,1]x[-1,1]x[-1,1]"
+    base = ["--problem", files["toy"], "--point", "0"]
+    assert cli.main(["check", *base, "--grid", big]) == 64
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Warning" not in err
+    assert cli.main(["check", *base, "--grid", "2:[-1e308,1e308]"]) == 64
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_main_reuses_one_parser(files, capsys, monkeypatch):

@@ -1,7 +1,12 @@
 """Fractional problems, the parametric reformulation, and the grid oracle."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+
+from henigcert import example_q, grids
 
 from henigcert.cones import HenigCone, PolyhedralCone, in_minus_k_eps_polar, in_minus_k_eps_polar_batch
 from henigcert.convex import BlackBoxFn, Polyhedron, PolyhedralFn
@@ -19,13 +24,14 @@ from henigcert.fractional import (
     ParametricProblem,
     feasible,
     feasible_mask,
+    henig_check,
     henig_check_bruteforce,
     henig_check_parametric,
     nu_values,
     parametric_equivalence_check,
     parametric_problem,
     ratio_matrix,
-    _ladder_verdict,
+    _LadderScan,
     _validate_ladder,
 )
 from henigcert.grids import GridSpec
@@ -295,6 +301,26 @@ def _reference_ladder_verdict(D, X, ladder, grid) -> EfficiencyVerdict:
     )
 
 
+def assert_same_verdict(got, want):
+    assert (got.kind, got.eps_witness, got.at_eps, got.reason) == (
+        want.kind, want.eps_witness, want.at_eps, want.reason
+    )
+    if want.counterexample is None:
+        assert got.counterexample is None
+    else:
+        assert got.counterexample.tobytes() == want.counterexample.tobytes()
+
+
+def _chunked_ladder_verdict(D, X, ladder, bounds):
+    """Rows D[a:b] fed chunk by chunk for consecutive (a, b) in bounds,
+    stopping at a Dominated witness as the lattice walk does."""
+    scan = _LadderScan(ladder, None)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if scan.verdict is None:
+            scan.feed(np.ascontiguousarray(D[a:b].T), X[a:b])
+    return scan.result()
+
+
 def test_ladder_scan_matches_per_rung_cone_tests():
     # the (max, sum) scan against a per-rung HenigCone scan with a separate
     # survivor pass, on rows from N(0,1), rows at TOL_CONE's scale, zero-sum
@@ -302,7 +328,11 @@ def test_ladder_scan_matches_per_rung_cone_tests():
     # From m = 8 on, the scan's running sum over the objectives and the
     # reference's pairwise row sum differ in the last bit on some rows; the
     # cases with m in {8, 9} show the verdicts agree all the same.
+    # Every case is also fed to the scan in chunks split at random places
+    # drawn from a third generator, as the lattice walk feeds it.
     narrow, wide = np.random.default_rng(2024), np.random.default_rng(2025)
+    splits = np.random.default_rng(2026)
+    chunked = 0
     ladders = [
         _validate_ladder(lad)
         for lad in (DEFAULT_LADDER, (1.0, 0.5, 0.25, 0.125, 0.0625), (4.0, 1.0, 1e-3, 1e-9))
@@ -323,7 +353,7 @@ def test_ladder_scan_matches_per_rung_cone_tests():
         X = rng.normal(size=(N, 2))
         for ladder in ladders:
             want = _reference_ladder_verdict(D, X, ladder, None)
-            got = _ladder_verdict(D, X, ladder, None)
+            got = _chunked_ladder_verdict(D, X, ladder, [0, N])
             assert (got.kind, got.eps_witness, got.at_eps, got.reason) == (
                 want.kind, want.eps_witness, want.at_eps, want.reason
             )
@@ -332,9 +362,15 @@ def test_ladder_scan_matches_per_rung_cone_tests():
             else:
                 assert np.array_equal(got.counterexample, want.counterexample)
             kinds[want.kind] += 1
+            # the same rows fed as chunks, cut at seeded random places
+            cuts = np.sort(splits.integers(0, N + 1, size=splits.integers(0, 8)))
+            bounds = [0, *cuts.tolist(), N]
+            assert_same_verdict(_chunked_ladder_verdict(D, X, ladder, bounds), want)
+            chunked += len(bounds) > 2
         sums_differ += int((np.ascontiguousarray(D.T).sum(axis=0) != D.sum(axis=1)).sum())
     assert min(kinds.values()) > 0, kinds
     assert sums_differ > 0
+    assert chunked > 3000
 
 
 def test_counterexample_sets_grow_with_eps():
@@ -408,3 +444,105 @@ def test_equivalence_on_toy_verdicts():
     v1 = henig_check_bruteforce(toy(), [1.0], grid)
     v2 = henig_check_parametric(parametric_problem(toy(), [1.0]), grid)
     assert v1.kind == v2.kind == "dominated"
+
+
+def seeded_problem(seed, n=4, m=3, pieces=6, ideal=False):
+    """Max-affine data on C = [-1,1]^n with the nonnegative orthant: f pieces
+    N(0,1) with offsets |N(0,1)| + 1, -g pieces 0.1 N(0,1) with offsets
+    -5 - |N(0,1)|, two h components with offsets -1 - |N(0,1)|, so x = 0 is
+    feasible.  ideal=True makes every f_i >= f_i(0) (pieces in +-pairs) and
+    every g_i constant, so x = 0 is the ideal point and no lattice point
+    refutes it: a check there walks the whole lattice."""
+    rng = np.random.default_rng(seed)
+    objectives = []
+    for _ in range(m):
+        A = rng.normal(size=(pieces, n))
+        if ideal:
+            f = PolyhedralFn(np.vstack([A, -A]), np.ones(2 * pieces))
+            ng = const(-5.0 - abs(rng.normal()), n)
+        else:
+            f = PolyhedralFn(A, np.abs(rng.normal(size=pieces)) + 1.0)
+            ng = PolyhedralFn(0.1 * rng.normal(size=(pieces, n)), -5.0 - np.abs(rng.normal(size=pieces)))
+        objectives.append((f, ng))
+    hmap = [
+        PolyhedralFn(rng.normal(size=(pieces, n)), -1.0 - np.abs(rng.normal(size=pieces)))
+        for _ in range(2)
+    ]
+    return FractionalProblem(
+        n, objectives, hmap, PolyhedralCone.nonneg_orthant(2), Polyhedron.box([-1.0] * n, [1.0] * n)
+    )
+
+
+def _whole_lattice_verdicts(prob, xbar, grid, ladder):
+    """The ratio and reformulation verdicts from the whole lattice at once,
+    through the public batch evaluators and the per-rung reference scan."""
+    X = grid.points()
+    Xf = X[feasible_mask(prob, X)]
+    R, ok = ratio_matrix(prob, Xf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, xbar)
+    P = param.phi_values_batch(Xf)
+    fin = np.isfinite(P).all(axis=1)
+    assert ok.any() and fin.any()
+    return (
+        _reference_ladder_verdict(R[ok] - param.nu, Xf[ok], ladder, grid),
+        _reference_ladder_verdict(P[fin], Xf[fin], ladder, grid),
+    )
+
+
+def _lattice_sum_minimizer(prob, grid):
+    X = grid.points()
+    Xf = X[feasible_mask(prob, X)]
+    R, ok = ratio_matrix(prob, Xf)
+    return Xf[ok][np.argmin(R[ok].sum(axis=1))]
+
+
+def test_henig_check_invariant_to_chunk_size(monkeypatch):
+    # every verdict is the same whether the lattice is walked one point at a
+    # time, in chunks of 7 or 64, or in one chunk, and equals the per-rung
+    # reference run on the whole lattice at once
+    rand = seeded_problem(5)
+    rand_grid = GridSpec.parse("6x6x6x6:[-1,1]x[-1,1]x[-1,1]x[-1,1]")
+    cases = [
+        (toy(), [1.0], GridSpec.parse("21:[-1,1]")),
+        (toy(), [0.0], GridSpec.parse("21:[-1,1]")),
+        (toy(), [0.3], GridSpec.parse("21:[-1,1]")),
+        (example_q.build_problem(), example_q.XBAR, GridSpec.parse("31x31:[0,10]x[0,1]")),
+        (rand, np.zeros(4), rand_grid),
+        (rand, _lattice_sum_minimizer(rand, rand_grid), rand_grid),
+    ]
+    ladder = _validate_ladder(None)
+    kinds = set()
+    for prob, xbar, grid in cases:
+        want_ratio, want_phi = _whole_lattice_verdicts(prob, xbar, grid, ladder)
+        kinds.add(want_ratio.kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            param = parametric_problem(prob, xbar)
+        for chunk in (1, 7, 64, grid.size + 1):
+            monkeypatch.setattr(grids, "_CHUNK", chunk)
+            verdict, equiv = henig_check(prob, xbar, grid)
+            assert_same_verdict(verdict, want_ratio)
+            assert equiv is (want_phi.kind == want_ratio.kind)
+            assert_same_verdict(henig_check_bruteforce(prob, xbar, grid), want_ratio)
+            assert_same_verdict(henig_check_parametric(param, grid), want_phi)
+    assert kinds == {"dominated", "properly_efficient"}
+
+
+def test_grid_scan_memory_is_flat_in_grid_size():
+    # tracemalloc peak of one full walk: a 30^4 lattice (810,000 points)
+    # costs at most 1.5 times a 20^4 one (160,000); a whole-lattice scan
+    # grows with the lattice, about 5 times
+    prob = seeded_problem(9, ideal=True)
+    peaks = []
+    for k in (20, 30):
+        grid = GridSpec.parse("x".join([str(k)] * 4) + ":" + "x".join(["[-1,1]"] * 4))
+        tracemalloc.start()
+        try:
+            verdict, equiv = henig_check(prob, np.zeros(4), grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == "properly_efficient" and equiv
+    assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -15,15 +15,18 @@ import numpy as np
 import pytest
 
 import grid_reference as ref
+from henigcert import grids
 from henigcert._kernels import max_affine_batch
 from henigcert.cones import PolyhedralCone, in_minus_cone_batch
 from henigcert.convex import Polyhedron, PolyhedralFn, ScaledFn
+from henigcert.errors import SchemaError
 from henigcert.fractional import (
     FractionalProblem,
     feasible_mask,
     parametric_problem,
     ratio_matrix,
 )
+from henigcert.grids import GridSpec
 
 CASES = list(itertools.product((0, 1, 1000), (1, 4, 10)))
 
@@ -167,3 +170,34 @@ def test_oracle_stacks_match_row_major(N, n):
         seen["inf phi"] |= not np.isfinite(P).all()
     if N > 1:
         assert all(seen.values()), seen
+
+
+def test_lattice_chunks_are_the_meshgrid_lattice(monkeypatch):
+    # points() and the concatenated chunks() of any chunk size are the
+    # meshgrid lattice byte for byte; every chunk is C-contiguous (rows,
+    # ndim), the layout the evaluators' products round the same way on,
+    # and all but the last hold exactly _CHUNK rows
+    rng = np.random.default_rng(11)
+    specs = ["9x9x9x9:[-1,1]x[-1,1]x[-1,1]x[-1,1]", "1:[0,0]", "1x5x1:[0,0]x[-2,3]x[1,1]"]
+    for _ in range(20):
+        counts = rng.integers(1, 8, size=rng.integers(1, 5))
+        specs.append("x".join(map(str, counts)) + ":" + "x".join(f"[{-i},{i + 0.3}]" for i in range(len(counts))))
+    for spec in specs:
+        grid = GridSpec.parse(spec)
+        want = ref.lattice_points(grid)
+        same(grid.points(), want)
+        assert grid.points().flags.c_contiguous
+        for chunk in (1, 2, 7, 64, 1000, 16384, grid.size, grid.size + 1):
+            monkeypatch.setattr(grids, "_CHUNK", chunk)
+            blocks = list(grid.chunks())
+            same(np.concatenate(blocks), want)
+            assert all(b.flags.c_contiguous for b in blocks)
+            assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+
+
+def test_grid_span_must_fit_a_float():
+    # linspace over [-1e308, 1e308] steps by inf and yields [nan, 1e308]
+    with pytest.raises(SchemaError, match="overflows"):
+        GridSpec(lows=(-1e308, 0.0), highs=(1e308, 1.0), counts=(2, 2))
+    grid = GridSpec(lows=(-1e307,), highs=(1e307,), counts=(3,))
+    assert np.isfinite(grid.points()).all()
