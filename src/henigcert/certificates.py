@@ -28,7 +28,11 @@ all walk that table, so membership names come out in table order:
   each i, normal_C, normal_Y, vstar_polar, subdiff_comp.
 
 Verifiers check every membership by LP and apply an explicit finite-
-horizon convergence rule to the residual traces.  The generator solves
+horizon convergence rule to the residual traces.  Each block keeps one
+conjugate (or support) LP for all its entries; the composite, whose
+weights w = max(-vstar, 0) change per entry, keeps one per support
+pattern of w, since the weights enter only the objective of its
+separable conjugate LP.  The generator solves
 one small LP per entry, minimizing the dual residual over the membership
 encodings.  Transfers map an eps certificate up to the epigraph form
 (pure arithmetic) and down to the exact form (one nearby-pair search per
@@ -311,19 +315,26 @@ class _Blocks:
         self._add("Y", None, prob.cone, self.hbar)
         self._add("comp", None, None, xbar)
         self.lp_order = sorted(self.rows, key=lambda blk: blk.kind != "f")
-        self._comp = {}
 
     def _add(self, kind, row, fn, base):
         star, height, point, label = _SUMMANDS[kind]
         label = label if row is None else f"{label}[{row}]"
         self.rows.append(_Block(kind, row, fn, base, star, height, point, label))
 
-    def fn(self, blk: _Block, vstar):
-        """The block's ConvexFn at an entry with multiplier ``vstar``; None
-        for the set blocks."""
-        if blk.kind == "comp":
-            return _composite_fn(self.prob, vstar, self._comp)
-        return blk.fn if blk.kind in ("f", "w") else None
+
+def _composite_weights(vstar) -> np.ndarray:
+    """The weights w = max(-vstar, 0) of (-vstar) o h = sum_j w_j h_j, per
+    entry (row), zero on the entries where vstar vanishes."""
+    if (-vstar < -1e-9).any():
+        raise UnsupportedData("composite term needs componentwise nonnegative -vstar")
+    w = np.maximum(-vstar, 0.0)
+    w[np.abs(vstar).max(axis=-1, initial=0.0) <= VSTAR_ZERO_TOL] = 0.0
+    return w
+
+
+def _composite_values(w, hv) -> np.ndarray:
+    """sum_{w_j > 0} w_j h_j per entry from the h values ``hv``; zero weights drop out."""
+    return (w * np.where(w > 0, hv, 0.0)).sum(axis=-1)
 
 
 def _composite_fn(prob, vstar, cache: dict):
@@ -333,12 +344,7 @@ def _composite_fn(prob, vstar, cache: dict):
         if np.abs(vstar).max(initial=0.0) <= VSTAR_ZERO_TOL:
             cache[key] = ScaledFn(0.0, prob.hmap[0])
         else:
-            weights = np.maximum(-vstar, 0.0)
-            if (-vstar < -1e-9).any():
-                raise UnsupportedData(
-                    "composite term needs componentwise nonnegative -vstar"
-                )
-            cache[key] = weighted_sum_polyhedral(weights, prob.hmap)
+            cache[key] = weighted_sum_polyhedral(_composite_weights(vstar), prob.hmap)
     return cache[key]
 
 
@@ -366,45 +372,39 @@ def _generators(cone: PolyhedralCone) -> np.ndarray:
 
 
 class _Memo:
-    """Conjugate and support values memoized per block, function key and
-    functional bytes.  Each block holds one evaluator (``Conjugate`` or
-    ``Support``) for its current function key, so its LP runs phase 1 once
-    per key: once for f, w and C, once per run of equal vstar rows for the
-    composite, whose rows change with vstar.  A new key replaces the
-    block's evaluator, which bounds the tableaux held at one per block.
-    A lookup takes a stack of functionals; those not seen before go to the
-    evaluator in one batched call, in order of first occurrence."""
+    """Conjugate and support values memoized per evaluator name and
+    functional (with its weights, for the composite).  Each name holds one
+    evaluator (``Conjugate`` or ``Support``), made at its first lookup, so
+    its LP runs phase 1 once: once for each f and w block and for C, and
+    once per support pattern of the composite's weights, which enter only
+    the objective.  A lookup takes a stack of functionals; those not seen
+    before go to the evaluator in one batched call, in order of first
+    occurrence."""
 
     def __init__(self):
         self._values = {}
-        self._evaluators = {}  # block name -> (function key, evaluator)
+        self._evaluators = {}
 
-    def _lookup(self, name, fkey, make, stars):
-        keys = [(name, fkey, s.tobytes()) for s in stars]
-        todo = {}
-        for key, star in zip(keys, stars):
-            if key not in self._values and key not in todo:
-                todo[key] = star
-        if todo:
-            held = self._evaluators.get(name)
-            if held is None or held[0] != fkey:
-                held = self._evaluators[name] = (fkey, make())
-            self._values.update(zip(todo, held[1].values(np.array(list(todo.values())))))
+    def _lookup(self, name, make, stars, weights=None):
+        rows = stars if weights is None else np.hstack([stars, weights])
+        keys = [(name, r.tobytes()) for r in rows]
+        first = {}
+        for i, key in enumerate(keys):
+            if key not in self._values:
+                first.setdefault(key, i)
+        if first:
+            if name not in self._evaluators:
+                self._evaluators[name] = make()
+            todo = list(first.values())
+            args = (stars[todo],) if weights is None else (stars[todo], weights[todo])
+            self._values.update(zip(first, self._evaluators[name].values(*args)))
         return np.array([self._values[k] for k in keys], dtype=float)
 
-    def conj(self, name, fkey, fn, stars):
-        return self._lookup(name, fkey, lambda: Conjugate(fn), stars)
+    def conj(self, name, fns, stars, weights=None):
+        return self._lookup(name, lambda: Conjugate(fns), stars, weights)
 
     def supp(self, C, stars):
-        return self._lookup("C", None, lambda: Support(C), stars)
-
-
-def _runs(rows) -> list:
-    """Slices over the runs of bytewise equal consecutive rows."""
-    bits = np.ascontiguousarray(rows).view(np.uint8)
-    cuts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-    edges = [0, *cuts.tolist(), rows.shape[0]]
-    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+        return self._lookup("C", lambda: Support(C), stars)
 
 
 def _polar_slacks(G, V):
@@ -431,6 +431,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     G = _generators(prob.cone)
     memo = _Memo()
     tab, N, vstar = vars(cert), cert.N, cert.vstar
+    weights = _composite_weights(vstar)
     memberships, slacks, gaps = {}, {}, {}
 
     def put(name, sl):
@@ -438,17 +439,18 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
         slacks[name] = sl
 
     def conj(blk, ks):
-        # conjugate (support for C) values of the block's functionals at
-        # the entries ks: one memo lookup per run of equal function key
+        # conjugate (support for C) values of the block's functionals at the entries
+        # ks; the composite's per support pattern of its weights, the rest scaled to 0
         stars = blk.of(tab, blk.star)[ks]
         if blk.kind == "C":
             return memo.supp(prob.C, stars)
         if blk.kind != "comp":
-            return memo.conj(blk.name, None, blk.fn, stars)
-        vals = np.empty(len(ks))
-        for run in _runs(vstar[ks]):
-            v = vstar[ks[run.start]]
-            vals[run] = memo.conj(blk.name, v.tobytes(), table.fn(blk, v), stars[run])
+            return memo.conj(blk.name, blk.fn, stars)
+        vals, w = np.empty(len(ks)), weights[ks]
+        for pattern in np.unique(w > 0, axis=0):
+            rows = ((w > 0) == pattern).all(axis=1)
+            fns = [ScaledFn(float(a), h) for a, h in zip(pattern, prob.hmap)]
+            vals[rows] = memo.conj(("comp", *pattern.tolist()), fns, stars[rows], w[rows])
         return vals
 
     every = np.arange(N)
@@ -471,9 +473,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
             # Young-Fenchel gap at xbar within gamma_n; the indicator of C
             # vanishes there, the composite changes with vstar per entry
             if blk.kind == "comp":
-                fval = np.empty(N)
-                for run in _runs(vstar):
-                    fval[run] = table.fn(blk, vstar[run.start]).eval(xbar)
+                fval = _composite_values(weights, table.hbar)
             else:
                 fval = 0.0 if blk.kind == "C" else blk.fn.eval(xbar)
                 if not np.isfinite(fval):
@@ -497,23 +497,23 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
             gaps[f"gap_{blk.name}"] = np.abs(np.einsum("ij,ij->i", stars, pts - blk.base))
         else:
             # zero Young-Fenchel gap at the nearby point, and its value gap
-            # (the composite's value change read through h); a point off
-            # the domain fails with an infinite gap
+            # (the composite's values read through h); a point off the
+            # domain fails with an infinite gap
             pts = blk.of(tab, blk.point)
-            fval = np.array([table.fn(blk, v).eval(x) for v, x in zip(vstar, pts)])
+            if blk.kind == "comp":
+                fval = _composite_values(weights, np.array([prob.h_values(x) for x in pts]))
+                fbase = _composite_values(weights, table.hbar)
+            else:
+                fval = np.array([blk.fn.eval(x) for x in pts])
+                fbase = blk.fn.eval(xbar)
             live = np.flatnonzero(np.isfinite(fval))
             cval = np.full(N, np.inf)
             cval[live] = conj(blk, live)
             dots = np.einsum("ij,ij->i", stars, pts)
             moved = np.einsum("ij,ij->i", stars, pts - xbar)
-            fbase = blk.fn.eval(xbar) if blk.kind != "comp" else None
             with np.errstate(invalid="ignore"):
                 sl = np.where(np.isfinite(cval), -(cval + fval - dots), -np.inf)
-                if fbase is None:
-                    hv = np.array([prob.h_values(x) for x in pts])
-                    gap = np.abs(moved + np.einsum("ij,ij->i", vstar, hv - table.hbar))
-                else:
-                    gap = np.abs(fval - moved - fbase)
+                gap = np.abs(fval - moved - fbase)
             put(f"subdiff_{blk.name}", sl)
             gaps[f"gap_{blk.name}"] = np.where(np.isfinite(fval), gap, np.inf)
 
@@ -750,10 +750,13 @@ def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCe
         if blk.star not in out:
             out[blk.point] = np.tile(blk.base, tab[blk.star].shape[:-1] + (1,))
             out[blk.star] = np.zeros_like(tab[blk.star])
-    bounds = {}
+    bounds, comp = {}, {}
     for k in range(cert.N):
         for blk in table.rows:
-            fn = indicators[blk.kind] if blk.kind in indicators else table.fn(blk, cert.vstar[k])
+            if blk.kind == "comp":
+                fn = _composite_fn(prob, cert.vstar[k], comp)
+            else:
+                fn = indicators.get(blk.kind, blk.fn)
             try:
                 res = br_regularize(fn, blk.base, float(cert.gamma[k]), blk.of(tab, blk.star)[k])
             except BRSearchFailed as exc:

@@ -453,13 +453,7 @@ def main(argv=None) -> int:
         # the handler is looked up per call, not kept in the cached parser,
         # so a rebinding of a cmd_* function in this module takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as exc:
-        print(f"henigcert: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PointOutsideDomain as exc:
-        print(f"henigcert: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConjugateUnsupported as exc:
+    except (UsageError, PointOutsideDomain, ConjugateUnsupported) as exc:
         print(f"henigcert: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, DimensionMismatch, HorizonTooShort) as exc:

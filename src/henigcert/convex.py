@@ -402,54 +402,55 @@ class Verdict:
 # conjugation
 
 class Conjugate:
-    """f*(x*) = sup_x <x*,x> - f(x) for one function, exact via LPs.
+    """(sum_j w_j f_j)*(x*) = sup_x <x*,x> - sum_j w_j f_j(x), exact via LPs.
 
-    Supported: PolyhedralFn, ScaledFn chains over a PolyhedralFn, and
-    zero-scaled functions (conjugate is the indicator of {0}, with a
-    1e-9 snap on ||x*||_inf).  Black boxes raise ConjugateUnsupported.
-    The conjugate LP (variables (x, t): maximize <x*,x> - t s.t. t >=
-    every piece, x in the domain) is one LpSession: phase 1 runs here,
-    once.  ``values`` prices a stack of functionals against the last
-    basis (``LpSession.values``); a call is the one-functional case.
+    ``fns`` is one function or a sequence of components f_1..f_k, each a
+    PolyhedralFn or a ScaledFn chain over one; black boxes raise
+    ConjugateUnsupported.  A zero-scaled component is the zero function on
+    all of R^n and drops out with its domain; with none left the conjugate
+    is the indicator of {0}, with a 1e-9 snap on ||x*||_inf.  The LP
+    (variables (x, t_1..t_k): maximize <x*,x> - sum_j w_j t_j s.t. t_j >=
+    every piece of f_j, x in every domain) is one LpSession: phase 1 runs
+    here, once.  The weights enter only the objective, so ``values``
+    prices a stack of functionals, each with its own weights w >= 0
+    (default all ones; a zero weight keeps its component's domain), against
+    the last basis (``LpSession.values``); a call is the one-functional
+    case at unit weights.
     """
 
-    def __init__(self, fn: ConvexFn):
-        self.dim = fn.dim
-        coef, base = collapse_scale(fn)
+    def __init__(self, fns):
+        fns = [fns] if isinstance(fns, ConvexFn) else list(fns)
+        self.dim = fns[0].dim
+        self._ncomp = len(fns)
+        self._live = [j for j, fn in enumerate(fns) if not is_zero_fn(fn)]
         self._session = None
-        if coef == 0.0:
+        polys = [as_polyhedral(fns[j]) for j in self._live]
+        if any(poly is None for poly in polys):
+            raise ConjugateUnsupported("conjugate needs polyhedral (or zero-scaled) functions")
+        if not polys:
             return
-        if not isinstance(base, PolyhedralFn):
-            raise ConjugateUnsupported(
-                "conjugate needs a polyhedral (or zero-scaled) function"
-            )
-        poly = base.scale(coef) if coef != 1.0 else base
-        n = poly.dim
-        K = poly.npieces
-        dom = poly.domain
-        A_ub = np.zeros((K + dom.A.shape[0], n + 1))
-        b_ub = np.zeros(K + dom.A.shape[0])
-        A_ub[:K, :n] = poly.A
-        A_ub[:K, n] = -1.0
-        b_ub[:K] = -poly.b
-        if dom.A.shape[0]:
-            A_ub[K:, :n] = dom.A
-            b_ub[K:] = dom.b
-        A_eq = None
-        b_eq = None
-        if dom.E.shape[0]:
-            A_eq = np.hstack([dom.E, np.zeros((dom.E.shape[0], 1))])
-            b_eq = dom.d
+        k, doms = len(polys), [poly.domain for poly in polys]
+        pieces = np.hstack([np.vstack([poly.A for poly in polys]),
+                            np.repeat(-np.eye(k), [poly.npieces for poly in polys], axis=0)])
+        A_ub = np.vstack([pieces] + [np.hstack([dom.A, np.zeros((dom.A.shape[0], k))])
+                                     for dom in doms])
+        b_ub = np.concatenate([-poly.b for poly in polys] + [dom.b for dom in doms])
+        A_eq = np.vstack([np.hstack([dom.E, np.zeros((dom.E.shape[0], k))]) for dom in doms])
+        b_eq = np.concatenate([dom.d for dom in doms])
         self._session = LpSession(
-            LinearProgram(c=np.zeros(n + 1), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+            LinearProgram(c=np.zeros(self.dim + k), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
         )
 
-    def values(self, xstars) -> np.ndarray:
-        """f* at each row of ``xstars``, in order (+inf off its domain)."""
+    def values(self, xstars, weights=None) -> np.ndarray:
+        """The conjugate at each row of ``xstars``, in order (+inf off its
+        domain), with row r's components weighted by ``weights[r]``."""
         xstars = _functionals(xstars, self.dim, "function")
         if self._session is None:
             return np.where(np.abs(xstars).max(axis=1, initial=0.0) <= ZERO_FN_TOL, 0.0, np.inf)
-        objs = np.hstack([xstars, np.full((xstars.shape[0], 1), -1.0)])
+        w = np.ones((len(xstars), self._ncomp)) if weights is None else np.asarray(weights, float)
+        if w.shape != (len(xstars), self._ncomp):
+            raise DimensionMismatch("weights do not match functionals and components")
+        objs = np.hstack([xstars, -w[:, self._live]])
         return _sup_values(self._session.values(objs),
                            "conjugate LP reported infeasible on a nonempty domain")
 

@@ -32,6 +32,7 @@ from henigcert.errors import (
     DimensionMismatch,
     HorizonTooShort,
     PointOutsideDomain,
+    UnsupportedData,
 )
 from henigcert.fractional import FractionalProblem, feasible_mask, henig_check_bruteforce
 from henigcert.grids import GridSpec
@@ -606,6 +607,14 @@ def blocks_problem(rng, n=2):
 
 
 def test_verifier_slacks_match_independent_recomputation():
+    # the second input adds an h component that every vstar row leaves at
+    # zero weight, with a domain that some nearby points u leave: it drops
+    # out of the composite with its domain, as in weighted_sum_polyhedral
+    for zero_weight_h in (False, True):
+        _verifier_slacks_case(zero_weight_h)
+
+
+def _verifier_slacks_case(zero_weight_h):
     from henigcert.convex import (
         ScaledFn,
         as_polyhedral,
@@ -617,6 +626,11 @@ def test_verifier_slacks_match_independent_recomputation():
 
     rng = np.random.default_rng(20230220)
     prob = blocks_problem(rng)
+    if zero_weight_h:
+        extra = PolyhedralFn(rng.normal(size=(6, 2)), -1.0 - np.abs(rng.normal(size=6)),
+                             Polyhedron(A=[[1.0, 0.0]], b=[0.4]))
+        prob = FractionalProblem(2, prob.objectives, [*prob.hmap, extra],
+                                 PolyhedralCone.nonneg_orthant(3), prob.C)
     m, n, p, N = prob.m, prob.n, prob.p, 6
     xbar = np.array([0.25, -0.15])
     assert feasible(prob, xbar)
@@ -642,6 +656,8 @@ def test_verifier_slacks_match_independent_recomputation():
     vstar = -np.abs(rng.normal(size=(N, p)))
     vstar[::3] = 0.0  # vanishing rows take the zero-scaled composite
     vstar[1, 0] = 0.0
+    if zero_weight_h:
+        vstar[:, 2] = 0.0
 
     def comp_fn(v):
         if np.abs(v).max() <= 1e-12:
@@ -653,6 +669,8 @@ def test_verifier_slacks_match_independent_recomputation():
     w = xbar + rng.uniform(-0.6, 0.6, (m, N, n))
     c = xbar + rng.uniform(-1.2, 1.2, (N, n))  # some points leave C
     u = xbar + rng.uniform(-0.6, 0.6, (N, n))
+    if zero_weight_h:
+        assert not extra.domain.contains_batch(u).all()
     y = -np.abs(rng.normal(size=(N, p)))
     y[[2, 5], 0] = 0.5  # two points leave -Y+
     xstar = np.array([[functional(f_fns[i], x[i, k], k) for k in range(N)] for i in range(m)])
@@ -750,7 +768,7 @@ def test_verifier_slacks_match_independent_recomputation():
     gaps["gap_C"] = np.abs(((c - xbar) * cstar).sum(axis=1))
     gaps["gap_Y"] = np.abs(((y - hbar) * ystar).sum(axis=1))
     gaps["gap_comp"] = [
-        abs(ustar[k] @ (u[k] - xbar) + vstar[k] @ (prob.h_values(u[k]) - hbar)) for k in range(N)
+        abs(comps[k].eval(u[k]) - ustar[k] @ (u[k] - xbar) - comps[k].eval(xbar)) for k in range(N)
     ]
     for name, gap in gaps.items():
         np.testing.assert_allclose(rep_ex.residuals[name], gap, rtol=0, atol=1e-12, err_msg=name)
@@ -773,6 +791,60 @@ def test_verifier_slacks_match_independent_recomputation():
         assert (np.isfinite(sl) & (sl < -1e-7)).any(), rep.theorem
     # the composite block ran with a nonzero weight
     assert any(not isinstance(fn, ScaledFn) for fn in comps)
+
+
+def test_composite_conjugate_has_no_cross_product_cap():
+    # vstar spreads over three 9-piece h components, whose weighted sum
+    # would have 9^3 = 729 pieces, past weighted_sum_polyhedral's cap; the
+    # separable conjugate LP has 27 piece rows, and the 4.3 and 4.2
+    # composite slacks match a HiGHS solve of it
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(729)
+    n, N, p = 2, 6, 3
+    hmap = [PolyhedralFn(rng.normal(size=(9, n)), -1.0 - np.abs(rng.normal(size=9)))
+            for _ in range(p)]
+    objectives = [(PolyhedralFn(rng.normal(size=(6, n)), np.abs(rng.normal(size=6)) + 1.0),
+                   PolyhedralFn(0.1 * rng.normal(size=(6, n)), -5.0 - np.abs(rng.normal(size=6))))
+                  for _ in range(2)]
+    prob = FractionalProblem(n, objectives, hmap, PolyhedralCone.nonneg_orthant(p),
+                             Polyhedron.box([-1.0] * n, [1.0] * n))
+    xbar = np.array([0.1, -0.2])
+    vstar = -rng.uniform(0.1, 1.0, (N, p))
+    with pytest.raises(UnsupportedData):
+        convex.weighted_sum_polyhedral(-vstar[0], hmap)
+    # weighted mixes of the pieces (finite conjugate), every third entry a
+    # random vector (infinite)
+    ustar = np.array([sum(w * (rng.dirichlet(np.ones(9)) @ h.A) for w, h in zip(-v, hmap))
+                      if k % 3 else 3.0 * rng.normal(size=n) for k, v in enumerate(vstar)])
+    cert = EpsCertificate(
+        lam=np.ones(2), gamma=1.0 / np.arange(1, N + 1), xstar=np.zeros((2, N, n)),
+        wstar=np.zeros((2, N, n)), cstar=np.zeros((N, n)), ystar=-vstar, vstar=vstar, ustar=ustar,
+    )
+
+    def highs_conjugate(u, w):
+        # maximize <u,x> - sum_j w_j t_j subject to t_j >= every piece of h_j
+        rows = np.vstack([np.hstack([h.A, np.tile(-np.eye(p)[j], (9, 1))])
+                          for j, h in enumerate(hmap)])
+        res = linprog(-np.concatenate([u, -w]), A_ub=rows,
+                      b_ub=np.concatenate([-h.b for h in hmap]),
+                      bounds=[(None, None)] * (n + p), method="highs")
+        assert res.status in (0, 3), res.message
+        return np.inf if res.status == 3 else -res.fun
+
+    conj = np.array([highs_conjugate(u, -v) for u, v in zip(ustar, vstar)])
+    assert np.isfinite(conj).any() and np.isinf(conj).any()
+    comp_at_xbar = -vstar @ prob.h_values(xbar)
+    with np.errstate(invalid="ignore"):
+        want_eps = cert.gamma - (conj + comp_at_xbar - ustar @ xbar)
+    rep_eps = verify_eps_certificate(prob, xbar, cert)
+    epi = epi_from_eps(prob, xbar, cert)
+    rep_epi = verify_epi_certificate(prob, xbar, epi)
+    for got, want in ((rep_eps.slacks["subdiff_comp"], want_eps),
+                      (rep_epi.slacks["epi_comp"], epi.t - conj)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    # a positive vstar entry is a negative weight, outside the composite term
+    with pytest.raises(UnsupportedData):
+        verify_eps_certificate(prob, xbar, replace(cert, vstar=-vstar))
 
 
 # ---------------------------------------------------------------------------
@@ -845,10 +917,15 @@ def test_warm_generation_entries_match_cold_solves(monkeypatch):
 
 
 def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
-    # the verifier keeps one Conjugate (or Support) per block and function,
-    # so one LpSession and one phase 1, and asks it for a block's values in
-    # batched calls; each value must equal a one-shot call
+    # the verifier keeps one Conjugate (or Support) per block, and for the
+    # composite one per support pattern of its weights, so one LpSession
+    # and one phase 1 each, and asks it for a block's values in batched
+    # calls; each value must equal a one-shot call (for the composite, on
+    # the weighted sum of its components)
     made, sessions, calls = [], [], []
+
+    def one_shot_conjugate(fn, x, w=None):
+        return convex.conjugate(fn if w is None else convex.weighted_sum_polyhedral(w, fn), x)
 
     def recorded(base, one_shot):
         class Recorded(base):
@@ -859,12 +936,12 @@ def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
                 self.fn = fn
                 made.append(self)
 
-            def values(self, xs):
+            def values(self, xs, *weights):
                 before = len(sessions)
-                got = super().values(xs)
+                got = super().values(xs, *weights)
                 assert len(sessions) == before  # no new session, no phase 1
-                for x, value in zip(xs, got):
-                    want = one_shot(self.fn, x)
+                for r, (x, value) in enumerate(zip(xs, got)):
+                    want = one_shot(self.fn, x, *(w[r] for w in weights))
                     assert value == want or abs(value - want) <= 1e-12, (value, want)
                 calls.extend(got)
                 return got
@@ -876,29 +953,29 @@ def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
             super().__init__(lp)
             sessions.append(self)
 
-    monkeypatch.setattr(certificates, "Conjugate", recorded(convex.Conjugate, convex.conjugate))
+    monkeypatch.setattr(certificates, "Conjugate", recorded(convex.Conjugate, one_shot_conjugate))
     monkeypatch.setattr(certificates, "Support", recorded(convex.Support, convex.support_function))
     monkeypatch.setattr(convex, "LpSession", Counted)
     rng = np.random.default_rng(8)
     prob = blocks_problem(rng)
     xbar, N = np.array([0.25, -0.15]), 12
     # functionals: mixes of the pieces (finite conjugates) and, every
-    # fourth entry, a random vector (infinite); vstar takes one nonzero row
-    # for the first half of the table and another for the second, so the
-    # composite has two functions
+    # fourth entry, a random vector (infinite); vstar takes three nonzero
+    # rows, a third of the table each: two with both components in their
+    # support, which share one session, and one with only the first
     polys = [convex.as_polyhedral(f) for pair in prob.objectives for f in pair]
     stars = [np.array([rng.dirichlet(np.ones(6)) @ p.A if k % 4 else rng.normal(size=2) * 3
                        for k in range(N)]) for p in polys]
-    vstar = np.repeat([[-0.5, -0.2], [-0.1, -0.7]], N // 2, axis=0)
-    comp = convex.weighted_sum_polyhedral([0.5, 0.2], prob.hmap).A
+    vstar = np.repeat([[-0.5, -0.2], [-0.1, -0.7], [-0.4, 0.0]], N // 3, axis=0)
+    comps = [convex.weighted_sum_polyhedral(-v, prob.hmap).A for v in vstar]
     cert = EpsCertificate(
         lam=np.ones(3), gamma=1.0 / np.arange(1, N + 1),
         xstar=np.array(stars[0::2]), wstar=np.array(stars[1::2]),
         cstar=rng.normal(size=(N, 2)), ystar=np.abs(rng.normal(size=(N, 2))), vstar=vstar,
-        ustar=np.array([rng.dirichlet(np.ones(comp.shape[0])) @ comp for _ in range(N)]),
+        ustar=np.array([rng.dirichlet(np.ones(A.shape[0])) @ A for A in comps]),
     )
     verify_eps_certificate(prob, xbar, cert)
-    # f[i], w[i] for three objectives, C, two composite functions
+    # f[i], w[i] for three objectives, C, two composite support patterns
     assert len(made) == 9
     assert len(calls) == 8 * N
     assert np.isinf(calls).any() and np.isfinite(calls).any()
