@@ -60,7 +60,6 @@ from .convex import (
     as_polyhedral,
     br_regularize,
     is_zero_fn,
-    weighted_sum_polyhedral,
 )
 from .encodings import (
     BlockLP,
@@ -335,17 +334,6 @@ def _composite_weights(vstar) -> np.ndarray:
 def _composite_values(w, hv) -> np.ndarray:
     """sum_{w_j > 0} w_j h_j per entry from the h values ``hv``; zero weights drop out."""
     return (w * np.where(w > 0, hv, 0.0)).sum(axis=-1)
-
-
-def _composite_fn(prob, vstar, cache: dict):
-    """(-vstar) o h as a ConvexFn; zero-scaled when vstar vanishes."""
-    key = vstar.tobytes()
-    if key not in cache:
-        if np.abs(vstar).max(initial=0.0) <= VSTAR_ZERO_TOL:
-            cache[key] = ScaledFn(0.0, prob.hmap[0])
-        else:
-            cache[key] = weighted_sum_polyhedral(_composite_weights(vstar), prob.hmap)
-    return cache[key]
 
 
 def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool):
@@ -734,13 +722,17 @@ def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCe
 
     Each pair comes from ``br_regularize``: Ekeland's construction with the
     Euclidean norm as cutting planes, the exact subgradient read off the LP
-    row multipliers.  The nearby-pair bounds (point distance and functional
-    distance at most sqrt(gamma_n), value gap at most 2*gamma_n) are
-    recorded per block in ``br_bounds``; a failed search raises
-    BRSearchFailed naming the block and entry.
+    row multipliers.  The composite (-vstar_n) o h goes in as its
+    components w_j h_j, with w = max(-vstar_n, 0) as the verifier weights
+    it, so its LP has one epigraph variable per component of h and no
+    cross product of their pieces.  The nearby-pair bounds (point distance
+    and functional distance at most sqrt(gamma_n), value gap at most
+    2*gamma_n) are recorded per block in ``br_bounds``; a failed search
+    raises BRSearchFailed naming the block and entry.
     """
     xbar, table = _prepare(prob, xbar, cert, horizon=False)
     tab = vars(cert)
+    weights = _composite_weights(cert.vstar)
     indicators = {
         "C": PolyhedralFn.indicator(prob.C),
         "Y": PolyhedralFn.indicator(minus_cone_polyhedron(prob.cone)),
@@ -750,11 +742,11 @@ def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCe
         if blk.star not in out:
             out[blk.point] = np.tile(blk.base, tab[blk.star].shape[:-1] + (1,))
             out[blk.star] = np.zeros_like(tab[blk.star])
-    bounds, comp = {}, {}
+    bounds = {}
     for k in range(cert.N):
         for blk in table.rows:
             if blk.kind == "comp":
-                fn = _composite_fn(prob, cert.vstar[k], comp)
+                fn = [ScaledFn(w, h) for w, h in zip(weights[k], prob.hmap)]
             else:
                 fn = indicators.get(blk.kind, blk.fn)
             try:

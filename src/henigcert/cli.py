@@ -82,6 +82,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _horizon(text):
+    # argparse reports an ArgumentTypeError as a bad flag value (usage error)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"horizon {text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"horizon must be at least 1, got {n}")
+    return n
+
+
+def _tolerance(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a number") from None
+    if not tol >= 0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative, got {text}")
+    return tol
+
+
 def _parse_vector(text, what):
     parts = [t.strip() for t in text.split(",")]
     try:
@@ -410,35 +431,35 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--grid", required=True, help='e.g. "201x201:[0,10]x[0,1]"')
     p.add_argument("--eps-ladder", type=int, help="largest ladder exponent k (eps down to 2^-k)")
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
+    p.add_argument("--tol-feas", type=_tolerance, default=TOL_FEAS)
 
     p = sub.add_parser("certify", help="generate a certificate at a candidate point")
     _add_common(p)
     p.add_argument("--theorem", choices=["4.2", "4.3", "4.4"], default="4.3")
     p.add_argument("--lambda", dest="lam", help="scalarization weights, e.g. 1,1")
     p.add_argument("--gamma", default="1/n", help="schedule: c, c/n or c/n^2")
-    p.add_argument("--n", type=int, default=100, help="horizon N")
+    p.add_argument("--n", type=_horizon, default=100, help="horizon N")
     p.add_argument("--grid", help="pre-check grid (required unless --force)")
     p.add_argument("--eps-ladder", type=int)
-    p.add_argument("--tol-conv", type=float, default=CLI_TOL_CONV)
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
+    p.add_argument("--tol-conv", type=_tolerance, default=CLI_TOL_CONV)
+    p.add_argument("--tol-feas", type=_tolerance, default=TOL_FEAS)
     p.add_argument("--pin-vstar", action="store_true", help="fix vstar = 0")
     p.add_argument("--force", action="store_true", help="skip the oracle pre-check")
 
     p = sub.add_parser("verify", help="verify a certificate file")
     _add_common(p)
     p.add_argument("--certificate", required=True, help="certificate JSON file")
-    p.add_argument("--tol-conv", type=float, default=CLI_TOL_CONV)
+    p.add_argument("--tol-conv", type=_tolerance, default=CLI_TOL_CONV)
 
     p = sub.add_parser("kkt", help="interior-point qualification plus multiplier check")
     _add_common(p)
     p.add_argument("--grid", required=True, help="grid for the interior-point search")
     p.add_argument("--lambda", dest="lam")
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
+    p.add_argument("--tol-feas", type=_tolerance, default=TOL_FEAS)
 
     p = sub.add_parser("example-q", help="run the embedded worked example")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--tol-conv", type=float, default=1e-2)
+    p.add_argument("--n", type=_horizon, default=1000)
+    p.add_argument("--tol-conv", type=_tolerance, default=1e-2)
     p.add_argument("--grid", help="override the default 201x201 grid")
     p.add_argument("--out", help="write the JSON report here")
 

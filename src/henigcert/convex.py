@@ -7,8 +7,11 @@ subgradient selection, and the nearby-exact-pair search behind the
 Brondsted-Rockafellar bounds.  That search is Ekeland's construction,
 exact for polyhedral functions: the Euclidean norm enters as Kelley
 cutting planes, and the nearby subgradient comes from the LP multipliers
-of the cut rows.  Black-box functions from the builtin whitelist can only
-be evaluated; asking for their conjugate raises.
+of the cut rows.  A weighted sum of max-affine components (the conjugate
+and the nearby-pair search both take one) is encoded separably, one
+epigraph variable per component, never as the cross product of their
+pieces.  Black-box functions from the builtin whitelist can only be
+evaluated; asking for their conjugate raises.
 
 Function values are extended reals: plain floats with ``numpy.inf`` for
 points outside the domain.  A ``ScaledFn`` with coefficient zero is the
@@ -35,7 +38,6 @@ from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, LpSession, lp_solve
 TOL_MEMBERSHIP = 1e-7
 ZERO_FN_TOL = 1e-9
 _ACTIVE_TOL = 1e-9
-_PIECE_CAP = 512
 # br_regularize: Ekeland's weight as a fraction of sqrt(eps), a hair below 1
 # so that ||x* - x̄*|| <= sqrt(eps) survives rounding, and its LP-round cap
 _BR_LAMBDA = 1.0 - 1e-9
@@ -342,43 +344,6 @@ def is_zero_fn(fn: ConvexFn) -> bool:
     return coef == 0.0
 
 
-def weighted_sum_polyhedral(weights, fns) -> PolyhedralFn:
-    """Materialize sum_j w_j f_j (w_j >= 0, f_j max-affine) as one PolyhedralFn.
-
-    Pieces are the cross-products of the component pieces; the count is
-    capped at a desk-scale limit.  Zero-weight components drop out entirely
-    (same convention as ScaledFn(0, .)).
-    """
-    weights = np.asarray(weights, float).reshape(-1)
-    if len(fns) == 0:
-        raise DimensionMismatch("weighted sum needs at least one function")
-    if len(fns) != weights.shape[0]:
-        raise DimensionMismatch("weights do not match function count")
-    if (weights < 0).any():
-        raise ValueError("weighted sum expects nonnegative weights")
-    active = [(w, as_polyhedral(f)) for w, f in zip(weights, fns) if w > 0]
-    for w, p in active:
-        if p is None:
-            raise ConjugateUnsupported("weighted sum needs polyhedral components")
-    dim = fns[0].dim
-    if not active:
-        return PolyhedralFn(np.zeros((1, dim)), [0.0])
-    total = 1
-    for _, p in active:
-        total *= p.npieces
-    if total > _PIECE_CAP:
-        raise UnsupportedData(f"weighted sum would have {total} pieces, cap {_PIECE_CAP}")
-    A = np.zeros((1, dim))
-    b = np.zeros(1)
-    domain = Polyhedron.full_space(dim)
-    for w, p in active:
-        A = (A[:, None, :] + w * p.A[None, :, :]).reshape(-1, dim)
-        b = (b[:, None] + w * p.b[None, :]).reshape(-1)
-        if not p.domain.is_full_space():
-            domain = domain.intersect(p.domain)
-    return PolyhedralFn(A, b, domain)
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -408,38 +373,31 @@ class Conjugate:
     PolyhedralFn or a ScaledFn chain over one; black boxes raise
     ConjugateUnsupported.  A zero-scaled component is the zero function on
     all of R^n and drops out with its domain; with none left the conjugate
-    is the indicator of {0}, with a 1e-9 snap on ||x*||_inf.  The LP
-    (variables (x, t_1..t_k): maximize <x*,x> - sum_j w_j t_j s.t. t_j >=
-    every piece of f_j, x in every domain) is one LpSession: phase 1 runs
-    here, once.  The weights enter only the objective, so ``values``
-    prices a stack of functionals, each with its own weights w >= 0
-    (default all ones; a zero weight keeps its component's domain), against
-    the last basis (``LpSession.values``); a call is the one-functional
-    case at unit weights.
+    is the indicator of {0}, with a 1e-9 snap on ||x*||_inf.  The sum is
+    encoded separably, never as a cross product of pieces: the LP is
+    ``_separable_lp``'s (variables (x, t_1..t_k): maximize <x*,x> -
+    sum_j w_j t_j s.t. t_j >= every piece of f_j, x in every domain), one
+    LpSession whose phase 1 runs here, once.  The weights enter only the
+    objective, so ``values`` prices a stack of functionals, each with its
+    own weights w >= 0 (default all ones; a zero weight keeps its
+    component's domain), against the last basis (``LpSession.values``); a
+    call is the one-functional case at unit weights.  ``polys`` holds the
+    components that did not drop out, with their scales folded in.
     """
 
     def __init__(self, fns):
         fns = [fns] if isinstance(fns, ConvexFn) else list(fns)
+        if not fns or any(fn.dim != fns[0].dim for fn in fns):
+            raise DimensionMismatch("need one or more components of one dimension")
         self.dim = fns[0].dim
         self._ncomp = len(fns)
         self._live = [j for j, fn in enumerate(fns) if not is_zero_fn(fn)]
         self._session = None
-        polys = [as_polyhedral(fns[j]) for j in self._live]
-        if any(poly is None for poly in polys):
+        self.polys = [as_polyhedral(fns[j]) for j in self._live]
+        if any(poly is None for poly in self.polys):
             raise ConjugateUnsupported("conjugate needs polyhedral (or zero-scaled) functions")
-        if not polys:
-            return
-        k, doms = len(polys), [poly.domain for poly in polys]
-        pieces = np.hstack([np.vstack([poly.A for poly in polys]),
-                            np.repeat(-np.eye(k), [poly.npieces for poly in polys], axis=0)])
-        A_ub = np.vstack([pieces] + [np.hstack([dom.A, np.zeros((dom.A.shape[0], k))])
-                                     for dom in doms])
-        b_ub = np.concatenate([-poly.b for poly in polys] + [dom.b for dom in doms])
-        A_eq = np.vstack([np.hstack([dom.E, np.zeros((dom.E.shape[0], k))]) for dom in doms])
-        b_eq = np.concatenate([dom.d for dom in doms])
-        self._session = LpSession(
-            LinearProgram(c=np.zeros(self.dim + k), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-        )
+        if self.polys:
+            self._session = LpSession(_separable_lp(self.polys))
 
     def values(self, xstars, weights=None) -> np.ndarray:
         """The conjugate at each row of ``xstars``, in order (+inf off its
@@ -476,6 +434,22 @@ class Support:
 
     def __call__(self, xstar) -> float:
         return float(self.values(_functional(xstar, self.dim, "set")[None])[0])
+
+
+def _separable_lp(polys) -> LinearProgram:
+    """sum_j f_j over the max-affine components ``polys`` as LP rows in the
+    variables (x, t_1..t_k): t_j >= every piece of f_j and x in every
+    domain, with a zero objective.  The conjugate and the nearby-pair
+    search both start from these rows."""
+    k, doms = len(polys), [poly.domain for poly in polys]
+    pieces = np.hstack([np.vstack([poly.A for poly in polys]),
+                        np.repeat(-np.eye(k), [poly.npieces for poly in polys], axis=0)])
+    A_ub = np.vstack([pieces] + [np.hstack([dom.A, np.zeros((dom.A.shape[0], k))])
+                                 for dom in doms])
+    b_ub = np.concatenate([-poly.b for poly in polys] + [dom.b for dom in doms])
+    A_eq = np.vstack([np.hstack([dom.E, np.zeros((dom.E.shape[0], k))]) for dom in doms])
+    b_eq = np.concatenate([dom.d for dom in doms])
+    return LinearProgram(c=np.zeros(polys[0].dim + k), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
 
 
 def _functional(xstar, dim: int, what: str) -> np.ndarray:
@@ -659,13 +633,13 @@ class BRResult:
     value_gap: float    # |f(x)-f(x̄)-<x*,x-x̄>| (bound: 2 eps)
 
 
-def _br_pair(poly, xbar, xbarstar, x, xstar) -> BRResult:
+def _br_pair(value, xbar, xbarstar, x, xstar) -> BRResult:
     # the three bound values, true Euclidean norm (value gap inf off the domain)
     return BRResult(
         x=np.asarray(x, float), xstar=np.asarray(xstar, float),
         dist_x=float(np.linalg.norm(x - xbar)),
         dist_xstar=float(np.linalg.norm(xstar - xbarstar)),
-        value_gap=float(abs(poly.eval(x) - poly.eval(xbar) - xstar @ (x - xbar))),
+        value_gap=float(abs(value(x) - value(xbar) - xstar @ (x - xbar))),
     )
 
 
@@ -677,25 +651,32 @@ def _br_excess(res: BRResult, eps: float) -> float:
 
 
 def br_regularize(
-    fn: ConvexFn,
+    fns,
     xbar,
     eps: float,
     xbarstar,
     tol: float = TOL_MEMBERSHIP,
 ) -> BRResult:
-    """Find (x, x*) with x* an exact subgradient at x and the three
-    Brondsted-Rockafellar bounds: ||x-x̄|| <= sqrt(eps),
+    """Find (x, x*) with x* an exact subgradient of f = sum_j f_j at x and
+    the three Brondsted-Rockafellar bounds: ||x-x̄|| <= sqrt(eps),
     ||x*-x̄*|| <= sqrt(eps), |f(x)-f(x̄)-<x*,x-x̄>| <= 2 eps.
 
-    Given x̄* in the eps-subdifferential at x̄, such a pair exists.  Unless
-    x̄* is already exact at x̄, the search is Ekeland's construction made
-    exact by cutting planes: x minimizes f - <x̄*, .> + lam*||. - x̄|| with
-    lam a hair below sqrt(eps), the norm written as t >= <u_j, . - x̄> over
-    unit cuts u_j (the axes first, then Kelley's cut (x-x̄)/||x-x̄|| while
-    ||x-x̄|| > t), one LP per round.  The cut rows' multipliers theta give
-    x* = x̄* - sum_j theta_j u_j in the subdifferential at x with
-    ||x*-x̄*|| <= lam, and the value gap is at most eps by optimality.
-    The pair is verified (exactness by the conjugate LP, bounds in the true
+    ``fns`` is one function or a sequence of components, as ``Conjugate``
+    takes them (weights sit in ScaledFn wrappers; zero-scaled components
+    drop out with their domains, and with none left f is the zero
+    function).  Given x̄* in the eps-subdifferential at x̄, such a pair
+    exists.  Unless x̄* is already exact at x̄, the search is Ekeland's
+    construction made exact by cutting planes: x minimizes f - <x̄*, .> +
+    lam*||. - x̄|| with lam a hair below sqrt(eps), the norm written as
+    t >= <u_j, . - x̄> over unit cuts u_j (the axes first, then Kelley's
+    cut (x-x̄)/||x-x̄|| while ||x-x̄|| > t), one LP per round.  That LP is
+    the conjugate LP's separable rows (``_separable_lp``, no cross product
+    of the components' pieces) plus the column t and the cut rows, in the
+    variables (y, s_1..s_k, t) with objective <x̄*,y> - sum_j s_j - lam*t.
+    The cut rows' multipliers theta give x* = x̄* - sum_j theta_j u_j in
+    the subdifferential at x with ||x*-x̄*|| <= lam, and the value gap is
+    at most eps by optimality.  The pair is verified (exactness by one
+    ``Conjugate`` of the components, held for the call; bounds in the true
     Euclidean norm) before returning; BRSearchFailed, with the best bound
     values reached, otherwise.
     """
@@ -703,49 +684,51 @@ def br_regularize(
         raise ValueError("eps must be nonnegative")
     xbar = np.asarray(xbar, float).reshape(-1)
     xbarstar = np.asarray(xbarstar, float).reshape(-1)
-    if is_zero_fn(fn):
-        res = _br_pair(as_polyhedral(fn), xbar, xbarstar, xbar, np.zeros(fn.dim))
+    conj = Conjugate(fns)
+    polys = conj.polys
+
+    def value(x):  # sum_j f_j(x), +inf off a domain
+        return sum((poly.eval(x) for poly in polys), 0.0)
+
+    def yf_gap(x, xstar):  # Young-Fenchel gap at a point x of the domain
+        return float(conj(xstar) + value(x) - xstar @ x)
+
+    if not polys:
+        res = _br_pair(value, xbar, xbarstar, xbar, np.zeros(conj.dim))
         if _br_excess(res, eps) > 0:
             raise BRSearchFailed("zero function: x̄* is not within sqrt(eps) of 0")
         return res
-    poly = as_polyhedral(fn)
-    if poly is None:
-        raise ConjugateUnsupported("br_regularize needs a polyhedral function")
-    if not np.isfinite(poly.eval(xbar)):
+    if not np.isfinite(value(xbar)):
         raise PointOutsideDomain("base point is outside the function domain")
 
     # already exact at the base point?
-    if young_fenchel_gap(poly, xbar, xbarstar) <= tol:
+    if yf_gap(xbar, xbarstar) <= tol:
         return BRResult(x=xbar, xstar=xbarstar, dist_x=0.0, dist_xstar=0.0, value_gap=0.0)
 
-    # variables (y, s, t): maximize <x̄*,y> - s - lam*t subject to s >= every
-    # piece, y in the domain, and t >= <u_j, y - x̄> for every cut u_j
-    n, K = poly.dim, poly.npieces
-    dom = poly.domain
+    # t >= <u_j, y - x̄> for every cut u_j, after the separable rows
+    n, k = conj.dim, len(polys)
+    sep = _separable_lp(polys)
+    fixed, A_eq = (np.hstack([M, np.zeros((M.shape[0], 1))]) for M in (sep.A_ub, sep.A_eq))
     lam = np.sqrt(eps) * _BR_LAMBDA
-    fixed = np.vstack([
-        np.hstack([poly.A, -np.ones((K, 1)), np.zeros((K, 1))]),
-        np.hstack([dom.A, np.zeros((dom.A.shape[0], 2))]),
-    ])
     cuts = np.vstack([np.eye(n), -np.eye(n)])
     best = (np.inf, None, np.inf)  # (excess, pair, Young-Fenchel gap)
     for _ in range(_BR_ROUNDS):
-        cut_rows = np.hstack([cuts, np.zeros((len(cuts), 1)), -np.ones((len(cuts), 1))])
+        cut_rows = np.hstack([cuts, np.zeros((len(cuts), k)), -np.ones((len(cuts), 1))])
         out = lp_solve(LinearProgram(
-            c=np.concatenate([xbarstar, [-1.0, -lam]]),
+            c=np.concatenate([xbarstar, -np.ones(k), [-lam]]),
             A_ub=np.vstack([fixed, cut_rows]),
-            b_ub=np.concatenate([-poly.b, dom.b, cuts @ xbar]),
-            A_eq=np.hstack([dom.E, np.zeros((dom.E.shape[0], 2))]), b_eq=dom.d,
+            b_ub=np.concatenate([sep.b_ub, cuts @ xbar]),
+            A_eq=A_eq, b_eq=sep.b_eq,
         ))
         if not out.is_optimal:
             raise BRSearchFailed(
                 f"Ekeland LP {out.status} (eps={eps:g}, weight {lam:.6g}): "
                 "x̄* is not an eps-subgradient at x̄"
             )
-        y, t = out.x[:n], out.x[n + 1]
-        res = _br_pair(poly, xbar, xbarstar, y, xbarstar - out.duals[len(fixed):] @ cuts)
+        y, t = out.x[:n], out.x[-1]
+        res = _br_pair(value, xbar, xbarstar, y, xbarstar - out.duals[len(fixed):] @ cuts)
         excess = _br_excess(res, eps)
-        gap = young_fenchel_gap(poly, y, res.xstar) if excess <= 0 else np.inf
+        gap = yf_gap(y, res.xstar) if excess <= 0 else np.inf
         if gap <= tol:
             return res
         if best[1] is None or excess < best[0]:

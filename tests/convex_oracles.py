@@ -1,15 +1,23 @@
 """Test-only oracles for the convex-analysis layer: the lattice lower
-bound for conjugates and the LP description of the eps-subdifferential of
-a full-domain max-affine function.  The tests compare the package's exact
-conjugate and membership LPs against them.  Not collected by pytest (no
-``test_`` prefix).
+bound for conjugates, the LP description of the eps-subdifferential of
+a full-domain max-affine function, and a weighted sum of max-affine
+functions written out as the cross product of their pieces.  The tests
+compare the package's exact conjugate, membership and nearby-pair LPs
+against them.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from henigcert.convex import TOL_MEMBERSHIP, ConvexFn, Verdict, as_polyhedral
+from henigcert.convex import (
+    TOL_MEMBERSHIP,
+    ConvexFn,
+    Polyhedron,
+    PolyhedralFn,
+    Verdict,
+    as_polyhedral,
+)
 from henigcert.errors import (
     ConjugateUnsupported,
     DimensionMismatch,
@@ -128,3 +136,30 @@ def brute_conjugate(fn: ConvexFn, xstar, grid: GridSpec) -> float:
         raise EmptyEffectiveGrid("no lattice point lies in the function domain")
     scores = X[finite] @ xstar - vals[finite]
     return float(scores.max())
+
+
+def weighted_sum_polyhedral(weights, fns) -> PolyhedralFn:
+    """sum_j w_j f_j (w_j >= 0, f_j max-affine) as one PolyhedralFn whose
+    pieces are the cross products of the component pieces, on the
+    intersection of their domains; the package encodes such a sum
+    separably instead.  Zero-weight components drop out entirely (the
+    ScaledFn(0, .) convention)."""
+    weights = np.asarray(weights, float).reshape(-1)
+    if len(fns) == 0:
+        raise DimensionMismatch("weighted sum needs at least one function")
+    if len(fns) != weights.shape[0]:
+        raise DimensionMismatch("weights do not match function count")
+    if (weights < 0).any():
+        raise ValueError("weighted sum expects nonnegative weights")
+    active = [(w, as_polyhedral(f)) for w, f in zip(weights, fns) if w > 0]
+    if any(p is None for _, p in active):
+        raise ConjugateUnsupported("weighted sum needs polyhedral components")
+    dim = fns[0].dim
+    A, b = np.zeros((1, dim)), np.zeros(1)
+    domain = Polyhedron.full_space(dim)
+    for w, p in active:
+        A = (A[:, None, :] + w * p.A[None, :, :]).reshape(-1, dim)
+        b = (b[:, None] + w * p.b[None, :]).reshape(-1)
+        if not p.domain.is_full_space():
+            domain = domain.intersect(p.domain)
+    return PolyhedralFn(A, b, domain)

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from convex_oracles import weighted_sum_polyhedral
 
 from henigcert import certificates, convex
 from henigcert.certificates import (
@@ -620,7 +621,6 @@ def _verifier_slacks_case(zero_weight_h):
         as_polyhedral,
         conjugate,
         support_function,
-        weighted_sum_polyhedral,
     )
     from henigcert.fractional import feasible, nu_values
 
@@ -793,14 +793,12 @@ def _verifier_slacks_case(zero_weight_h):
     assert any(not isinstance(fn, ScaledFn) for fn in comps)
 
 
-def test_composite_conjugate_has_no_cross_product_cap():
-    # vstar spreads over three 9-piece h components, whose weighted sum
-    # would have 9^3 = 729 pieces, past weighted_sum_polyhedral's cap; the
-    # separable conjugate LP has 27 piece rows, and the 4.3 and 4.2
-    # composite slacks match a HiGHS solve of it
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def three_nine_piece_h():
+    # n=2, two objectives, C = [-1, 1]^2 and three 9-piece h components,
+    # whose weighted sum written out has 9^3 = 729 pieces; returns the
+    # problem and the generator, which the tests draw from next
     rng = np.random.default_rng(729)
-    n, N, p = 2, 6, 3
+    n, p = 2, 3
     hmap = [PolyhedralFn(rng.normal(size=(9, n)), -1.0 - np.abs(rng.normal(size=9)))
             for _ in range(p)]
     objectives = [(PolyhedralFn(rng.normal(size=(6, n)), np.abs(rng.normal(size=6)) + 1.0),
@@ -808,10 +806,19 @@ def test_composite_conjugate_has_no_cross_product_cap():
                   for _ in range(2)]
     prob = FractionalProblem(n, objectives, hmap, PolyhedralCone.nonneg_orthant(p),
                              Polyhedron.box([-1.0] * n, [1.0] * n))
+    return prob, rng
+
+
+def test_composite_conjugate_has_no_cross_product_cap():
+    # vstar spreads over three 9-piece h components; the separable
+    # conjugate LP has 27 piece rows, and the 4.3 and 4.2 composite slacks
+    # match a HiGHS solve of it
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    prob, rng = three_nine_piece_h()
+    hmap, n, N, p = prob.hmap, prob.n, 6, prob.p
     xbar = np.array([0.1, -0.2])
     vstar = -rng.uniform(0.1, 1.0, (N, p))
-    with pytest.raises(UnsupportedData):
-        convex.weighted_sum_polyhedral(-vstar[0], hmap)
+    assert weighted_sum_polyhedral(-vstar[0], hmap).npieces == 9**3
     # weighted mixes of the pieces (finite conjugate), every third entry a
     # random vector (infinite)
     ustar = np.array([sum(w * (rng.dirichlet(np.ones(9)) @ h.A) for w, h in zip(-v, hmap))
@@ -845,6 +852,40 @@ def test_composite_conjugate_has_no_cross_product_cap():
     # a positive vstar entry is a negative weight, outside the composite term
     with pytest.raises(UnsupportedData):
         verify_eps_certificate(prob, xbar, replace(cert, vstar=-vstar))
+
+
+def test_eps_to_exact_on_a_729_piece_composite():
+    # the composite's nearby pairs come from the separable LP, so a
+    # composite whose pieces multiply out to 729 transfers: every pair
+    # meets the three bounds and is exact at its point.  The other blocks
+    # take exact functionals, so their pairs are the base points.
+    from henigcert.fractional import nu_values
+
+    prob, rng = three_nine_piece_h()
+    N, xbar = 6, np.array([0.1, -0.2])
+    vstar = -rng.uniform(0.1, 1.0, (N, prob.p))
+    ustar = np.array([sum(w * (rng.dirichlet(np.ones(9)) @ h.A) for w, h in zip(-v, prob.hmap))
+                      for v in vstar])
+    gap = np.array([convex.young_fenchel_gap(weighted_sum_polyhedral(-v, prob.hmap), xbar, u)
+                    for v, u in zip(vstar, ustar)])
+    assert (gap > 1e-6).all()  # above the exactness tolerance
+    gamma = gap * rng.uniform(1.1, 2.0, N)
+    subgrads = [[convex.subdiff_element(convex.ScaledFn(c, fn), xbar)
+                 for c, fn in zip((1.0, nu_i), pair)]
+                for pair, nu_i in zip(prob.objectives, nu_values(prob, xbar))]
+    stars = np.repeat(np.array(subgrads)[:, None], N, axis=1)  # (m, N, 2, n)
+    cert = EpsCertificate(
+        lam=np.ones(2), gamma=gamma, xstar=stars[..., 0, :], wstar=stars[..., 1, :],
+        cstar=np.zeros((N, 2)), ystar=np.zeros((N, prob.p)), vstar=vstar, ustar=ustar,
+    )
+    exact = eps_to_exact(prob, xbar, cert)
+    root = np.sqrt(gamma)
+    bounds = exact.br_bounds["composite"]
+    assert (bounds[:, 0] <= root).all() and (bounds[:, 1] <= root).all()
+    assert (bounds[:, 2] <= 2.0 * gamma).all()
+    assert (bounds[:, :2].max(axis=1) > 0).all()  # no entry was exact at xbar
+    rep = verify_exact_certificate(prob, xbar, exact)
+    assert rep.memberships["subdiff_comp"].all(), rep.slacks["subdiff_comp"]
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +966,7 @@ def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
     made, sessions, calls = [], [], []
 
     def one_shot_conjugate(fn, x, w=None):
-        return convex.conjugate(fn if w is None else convex.weighted_sum_polyhedral(w, fn), x)
+        return convex.conjugate(fn if w is None else weighted_sum_polyhedral(w, fn), x)
 
     def recorded(base, one_shot):
         class Recorded(base):
@@ -967,7 +1008,7 @@ def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
     stars = [np.array([rng.dirichlet(np.ones(6)) @ p.A if k % 4 else rng.normal(size=2) * 3
                        for k in range(N)]) for p in polys]
     vstar = np.repeat([[-0.5, -0.2], [-0.1, -0.7], [-0.4, 0.0]], N // 3, axis=0)
-    comps = [convex.weighted_sum_polyhedral(-v, prob.hmap).A for v in vstar]
+    comps = [weighted_sum_polyhedral(-v, prob.hmap).A for v in vstar]
     cert = EpsCertificate(
         lam=np.ones(3), gamma=1.0 / np.arange(1, N + 1),
         xstar=np.array(stars[0::2]), wstar=np.array(stars[1::2]),

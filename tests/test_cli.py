@@ -178,6 +178,41 @@ def test_non_finite_vectors_are_usage_errors(files, capsys, value):
     assert "lambda" in err and "non-finite" in err and "internal" not in err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_horizon_below_one_is_usage_error(files, capsys, horizon):
+    # a horizon below 1 is refused at parsing (64), not in the table (70)
+    certify = ["certify", "--problem", files["toy"], "--point", "0", "--force"]
+    assert cli.main(certify + ["--n", horizon]) == 64
+    assert cli.main(["example-q", "--n", horizon]) == 64
+    err = capsys.readouterr().err
+    assert err.count("horizon must be at least 1") == 2 and "internal" not in err
+
+
+def test_short_horizon_stays_data_error(files, capsys):
+    # 1 to 3 entries parse, and the convergence rule refuses them (65)
+    certify = ["certify", "--problem", files["toy"], "--point", "0", "--force"]
+    for horizon in ("1", "3"):
+        assert cli.main(certify + ["--n", horizon]) == 65
+    assert "horizon of at least 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-1e-12"])
+def test_nan_or_negative_tolerance_is_usage_error(files, capsys, value):
+    # NaN would Reject every table in silence, a negative tolerance would
+    # refuse every point; both are refused at parsing
+    toy = ["--problem", files["toy"], "--point", "0"]
+    cert = str(files["root"] / "tol.json")
+    assert cli.main(["certify", *toy, "--force", "--out", cert]) == 0
+    for argv in (["check", *toy, "--grid", TOY_GRID, f"--tol-feas={value}"],
+                 ["certify", *toy, "--force", "--n", "10", f"--tol-conv={value}"],
+                 ["certify", *toy, "--force", "--n", "10", f"--tol-feas={value}"],
+                 ["verify", *toy, "--certificate", cert, f"--tol-conv={value}"],
+                 ["kkt", *toy, "--grid", TOY_GRID, f"--tol-feas={value}"],
+                 ["example-q", "--n", "10", f"--tol-conv={value}"]):
+        assert cli.main(argv) == 64, argv
+        assert "tolerance must be nonnegative" in capsys.readouterr().err
+
+
 def test_overflowing_grid_span_is_rejected(files, capsys):
     # hi - lo = inf would put nan on the axis; the span is refused up front
     # like any other bad grid argument (usage error, 64), with no warning
