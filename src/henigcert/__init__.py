@@ -43,7 +43,6 @@ from .errors import (  # noqa: F401
     DimensionMismatch,
     EmptyEffectiveGrid,
     EmptyPolyhedron,
-    GeneratorFormRequired,
     HenigcertError,
     HorizonTooShort,
     NumericalFailure,

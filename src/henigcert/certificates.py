@@ -79,7 +79,6 @@ from .errors import (
     BRSearchFailed,
     ConjugateUnsupported,
     DimensionMismatch,
-    GeneratorFormRequired,
     HorizonTooShort,
     NumericalFailure,
     PointOutsideDomain,
@@ -347,14 +346,6 @@ def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool):
     return xbar, _Blocks(prob, xbar, cert.lam)
 
 
-def _generators(cone: PolyhedralCone) -> np.ndarray:
-    if cone.G is None:
-        raise GeneratorFormRequired(
-            "certificate checks need the generator form of the ordering cone"
-        )
-    return cone.G
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 
@@ -397,7 +388,7 @@ class _Memo:
 
 def _polar_slacks(G, V):
     """Per-row smallest generator inner product for a stack of vectors."""
-    return (V @ G.T).min(axis=1)
+    return (V @ G.T).min(axis=1, initial=np.inf)
 
 
 def _verdict(memberships, residual_checks):
@@ -416,7 +407,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     """One membership loop over the block table with the slack rule of the
     form named by ``theorem``, then the shared residual traces."""
     xbar, table = _prepare(prob, xbar, cert, horizon=True)
-    G = _generators(prob.cone)
+    G = prob.cone.G
     memo = _Memo()
     tab, N, vstar = vars(cert), cert.N, cert.vstar
     weights = _composite_weights(vstar)
@@ -669,16 +660,15 @@ def generate_eps_certificate(
     lam = np.ones(prob.m) if lam is None else np.asarray(lam, float).reshape(-1)
     lam = _check_lambda(lam, prob.m)
     table = _Blocks(prob, xbar, lam)
-    G = _generators(prob.cone)
     polys = _polyhedral_data(table, not pin_vstar, "; rerun with vstar pinned to 0")
 
     shapes = _field_shapes(prob.m, N, prob.n, prob.p)
     out = {f: np.zeros(shapes[f]) for f in ("xstar", "wstar", "cstar", "ystar", "vstar", "ustar")}
     lp, ex = _objective_lp(table, polys)
-    ex["Y"] = add_polar_member(lp, G, sign=1.0)
+    ex["Y"] = add_polar_member(lp, prob.cone.G, sign=1.0)
     add_inner_product_ub(lp, ex["Y"], table.hbar, 0.0, sign=-1.0)  # <ystar, hbar> >= 0
     if not pin_vstar:
-        ex["v"] = v = add_polar_member(lp, G, sign=-1.0)
+        ex["v"] = v = add_polar_member(lp, prob.cone.G, sign=-1.0)
         weights = LinExpr(idx=v.idx, M=-v.M)
         ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, weights)
     t_idx = add_linf_elastic(lp, _dual_parts(ex))
@@ -708,12 +698,8 @@ def generate_eps_certificate(
 
 
 def minus_cone_polyhedron(cone: PolyhedralCone) -> Polyhedron:
-    """-Y+ as a polyhedron; needs the inequality form H y >= 0."""
-    if cone.H is None:
-        raise GeneratorFormRequired(
-            "transfers need the inequality form of the ordering cone"
-        )
-    return Polyhedron(A=cone.H, b=np.zeros(cone.H.shape[0]))
+    """-Y+ as the polyhedron {y : H y <= 0}."""
+    return Polyhedron(A=cone.H, b=np.zeros(cone.H.shape[0]), n=cone.p)
 
 
 def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCertificate:
@@ -817,12 +803,11 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
     try:
         table = _Blocks(prob, xbar, lam)
         polys = _polyhedral_data(table)
-        G = _generators(prob.cone)
-    except (ConjugateUnsupported, UnsupportedDomain, GeneratorFormRequired, UnsupportedData) as exc:
+    except (ConjugateUnsupported, UnsupportedDomain, UnsupportedData) as exc:
         return KKTResult(holds=False, reason=f"unsupported data: {exc}")
 
     lp, ex = _objective_lp(table, polys)
-    ex["Y"] = add_polar_member(lp, G, sign=1.0)
+    ex["Y"] = add_polar_member(lp, prob.cone.G, sign=1.0)
     add_inner_product_eq(lp, ex["Y"], table.hbar, 0.0)  # complementarity
     ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, weights=ex["Y"])
     total = expr_sum(_dual_parts(ex))
@@ -835,12 +820,9 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
 
 
 def slater_check(prob: FractionalProblem, grid, strict_margin: float = 1e-6) -> bool:
-    """Does some grid point of C map strictly inside -Y+?  Needs the
-    inequality form of the cone: H h(a) <= -strict_margin componentwise.
-    The lattice is walked in chunks and the walk stops at the first such
-    point."""
-    if prob.cone.H is None:
-        raise UnsupportedData("interior check needs the inequality form of the cone")
+    """Does some grid point of C map strictly inside -Y+, that is
+    H h(a) <= -strict_margin componentwise?  The lattice is walked in
+    chunks and the walk stops at the first such point."""
     if grid.ndim != prob.n:
         raise DimensionMismatch("grid dimension does not match problem")
     for X in grid.chunks():

@@ -9,15 +9,19 @@ the polar test as max(v) + eps*sum(v) <= tol, one max and sum per row.
 
 Polar cones follow the sign convention <z*, z> >= 0 for all z in the cone
 (the dual cone), matching the feasibility test h(x) in -Y+.
+
+A polyhedral Y+ has generators G and inequalities H y >= 0.  The rows of
+H generate Y+* and the rows of G cut it out, so one ray enumeration,
+``_rays``, turns either form into the other (Minkowski-Weyl).
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, GeneratorFormRequired
-from .linprog import LinearProgram, lp_solve
+from .errors import DimensionMismatch
 
 TOL_CONE = 1e-9
 
@@ -74,36 +78,35 @@ def in_minus_k_eps_polar_batch(K: HenigCone, V, tol: float = TOL_CONE) -> np.nda
 
 
 class PolyhedralCone:
-    """Closed convex cone in R^p: conic hull of generators, rows of H with
-    H y >= 0, or both.  ``canonical`` records which form defines the cone
-    when both are stored (they must then describe the same set; the
-    nonneg orthant constructor fills both)."""
+    """Closed convex cone in R^p: the conic hull of the rows of
+    ``generators`` (G), {y : H y >= 0}, or both when both describe it (as
+    the orthant's do).  A given form is stored as is; the other is derived
+    on first access and kept.  The cone may have lineality or be {0}."""
 
-    def __init__(self, generators=None, H=None, canonical: Optional[str] = None):
-        if generators is None and H is None:
+    def __init__(self, generators=None, H=None):
+        given = {name: np.atleast_2d(np.asarray(rows, float))
+                 for name, rows in (("G", generators), ("H", H)) if rows is not None}
+        if not given:
             raise DimensionMismatch("cone needs generators or an inequality form")
-        self.G = None if generators is None else np.atleast_2d(np.asarray(generators, float))
-        self.H = None if H is None else np.atleast_2d(np.asarray(H, float))
-        if self.G is not None and not np.abs(self.G).max(initial=0.0) > 0:
+        if not all(np.isfinite(rows).all() for rows in given.values()):
+            raise ValueError("cone data contains non-finite entries")
+        if "G" in given and not np.abs(given["G"]).max(initial=0.0) > 0:
             raise ValueError("cone needs at least one nonzero generator")
-        if self.H is not None and self.H.shape[0] == 0:
-            raise ValueError("inequality form needs at least one row")
-        if self.G is not None and self.H is not None and self.G.shape[1] != self.H.shape[1]:
-            raise DimensionMismatch("generator and inequality dimensions differ")
-        if canonical is None:
-            canonical = "generators" if self.G is not None else "inequality"
-        if canonical not in ("generators", "inequality"):
-            raise ValueError("canonical must be 'generators' or 'inequality'")
-        self.canonical = canonical
+        vars(self).update(given)  # a cached_property reads the instance dict first
+        self.p = next(iter(given.values())).shape[1]
 
-    @property
-    def p(self) -> int:
-        return (self.G if self.G is not None else self.H).shape[1]
+    @cached_property
+    def G(self) -> np.ndarray:
+        return _rays(self.H)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return _rays(self.G)
 
     @classmethod
     def nonneg_orthant(cls, p: int) -> "PolyhedralCone":
         eye = np.eye(p)
-        return cls(generators=eye, H=eye, canonical="inequality")
+        return cls(generators=eye, H=eye)
 
     def _check(self, y) -> np.ndarray:
         y = np.asarray(y, float).reshape(-1)
@@ -112,27 +115,46 @@ class PolyhedralCone:
         return y
 
 
+def _null_space(M, p: int) -> np.ndarray:
+    """Orthonormal rows spanning {z in R^p : M z = 0}; M may have no rows."""
+    _, s, Vt = np.linalg.svd(np.vstack([M, np.zeros((1, p))]))
+    return Vt[int((s > TOL_CONE * s.max()).sum()):]
+
+
+def _rays(A) -> np.ndarray:
+    """Generators of {z : A z >= 0}, one per row (Minkowski-Weyl): a
+    +-basis of the lineality space null(A), then every extreme ray, the
+    line left by a (rank-1)-subset of rows and that basis, signed so that
+    A z >= 0.  Rays have max |entry| 1, no duplicates, and decreasing
+    lexicographic order, so the identity maps to itself.  The subset walk
+    is exponential in the row count; the cones here are small."""
+    A = A[np.abs(A).max(axis=1) > 0]
+    A = A / np.abs(A).max(axis=1, keepdims=True)
+    p = A.shape[1]
+    lin = _null_space(A, p)
+    rays = [lin, -lin]
+    for rows in combinations(range(A.shape[0]), max(p - lin.shape[0] - 1, 0)):
+        z = _null_space(np.vstack([A[list(rows)], lin]), p)
+        if z.shape[0] != 1:
+            continue
+        z = z if (A @ z[0]).sum() >= 0 else -z
+        if (A @ z[0] >= -TOL_CONE).all():
+            rays.append(z)
+    R = np.vstack(rays)
+    R /= np.abs(R).max(axis=1, keepdims=True)
+    return np.unique(np.round(R, 12) + 0.0, axis=0)[::-1]
+
+
 def cone_polar_contains(Y: PolyhedralCone, ystar, tol: float = TOL_CONE) -> bool:
     """ystar in Y*: <ystar, g> >= 0 for every generator g."""
     ystar = Y._check(ystar)
-    if Y.G is None:
-        raise GeneratorFormRequired(
-            "polar membership needs the generator form of the cone"
-        )
-    return bool((Y.G @ ystar).min() >= -tol)
+    return bool((Y.G @ ystar).min(initial=np.inf) >= -tol)
 
 
 def in_minus_cone(Y: PolyhedralCone, y, tol: float = TOL_CONE) -> bool:
-    """y in -Y: inequality test H(-y) >= 0 when available, else a feasibility
-    LP over the generators."""
+    """y in -Y: H(-y) >= 0."""
     y = Y._check(y)
-    if Y.H is not None:
-        return bool((Y.H @ (-y)).min() >= -tol)
-    k = Y.G.shape[0]
-    out = lp_solve(
-        LinearProgram(c=np.zeros(k), A_eq=Y.G.T, b_eq=-y, lb=np.zeros(k))
-    )
-    return out.is_optimal
+    return bool((Y.H @ (-y)).min(initial=np.inf) >= -tol)
 
 
 def in_minus_cone_batch(Y: PolyhedralCone, V, tol: float = TOL_CONE) -> np.ndarray:
@@ -141,6 +163,4 @@ def in_minus_cone_batch(Y: PolyhedralCone, V, tol: float = TOL_CONE) -> np.ndarr
     V = np.asarray(V, float)
     if V.ndim != 2 or V.shape[1] != Y.p:
         raise DimensionMismatch("batch shape does not match cone")
-    if Y.H is not None:
-        return (Y.H @ V.T <= tol).all(axis=0)
-    return np.array([in_minus_cone(Y, row, tol) for row in V])
+    return (Y.H @ V.T <= tol).all(axis=0)

@@ -182,6 +182,8 @@ class PolyhedralFn(ConvexFn):
             raise DimensionMismatch("max-affine function needs at least one piece")
         if self.A.shape[0] != self.b.shape[0]:
             raise DimensionMismatch("piece offsets do not match piece count")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise ValueError("max-affine pieces contain non-finite entries")
         self.dim = self.A.shape[1]
         if domain is not None and domain.n != self.dim:
             raise DimensionMismatch("domain dimension does not match pieces")

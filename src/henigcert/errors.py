@@ -29,10 +29,6 @@ class UnsupportedDomain(HenigcertError):
     """Operation requires a full-space domain but the function restricts it."""
 
 
-class GeneratorFormRequired(HenigcertError):
-    """Cone operation needs an explicit generator (or inequality) form."""
-
-
 class BRSearchFailed(HenigcertError):
     """No nearby exact-subgradient pair satisfying the distance bounds was found."""
 

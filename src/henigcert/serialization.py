@@ -119,16 +119,8 @@ def function_from_json(obj) -> ConvexFn:
 
 
 def cone_to_json(cone: PolyhedralCone) -> dict:
-    eye = np.eye(cone.p)
-    if (
-        cone.G is not None
-        and cone.G.shape == eye.shape
-        and np.array_equal(cone.G, eye)
-        and (cone.H is None or (cone.H.shape == eye.shape and np.array_equal(cone.H, eye)))
-    ):
+    if np.array_equal(cone.G, np.eye(cone.p)):
         return {"type": "nonneg_orthant", "dim": cone.p}
-    if cone.G is None:
-        raise SchemaError("cone serialization needs generator form")
     return {"type": "generators", "vectors": cone.G.tolist()}
 
 

@@ -7,7 +7,6 @@ match these byte for byte.  Not collected by pytest (no ``test_`` prefix).
 
 import numpy as np
 
-from henigcert.cones import in_minus_cone
 from henigcert.convex import PolyhedralFn, ScaledFn
 from henigcert.fractional import TOL_DIV
 from henigcert.linprog import TOL_FEAS
@@ -40,10 +39,7 @@ def contains_batch(P, X, tol: float = 1e-9) -> np.ndarray:
 
 def in_minus_cone_batch(Y, V, tol: float = 1e-9) -> np.ndarray:
     """Row-wise -Y membership for an (N, p) stack."""
-    V = np.asarray(V, float)
-    if Y.H is not None:
-        return (V @ Y.H.T <= tol).all(axis=1)
-    return np.array([in_minus_cone(Y, row, tol) for row in V])
+    return (np.asarray(V, float) @ Y.H.T <= tol).all(axis=1)
 
 
 def eval_batch(fn, X) -> np.ndarray:

@@ -7,6 +7,9 @@ documented scheme (0 positive, 2 negative, 3 inconclusive, 64 usage,
 
 import argparse
 import json
+import pathlib
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -453,6 +456,85 @@ def test_kkt_toy_holds_and_fails(files, capsys):
     assert rc == 2
     assert doc["verdict"] == "Fails"
     assert "infeasible" in doc["reason"]
+
+
+# ---------------------------------------------------------------------------
+# cone forms and problem data
+
+DATA = pathlib.Path(__file__).parent / "data"
+PARITY_POINT = "--point=0.9341692789968652,-0.08174416579588993"
+PARITY_GRID = "41x41:[-1,1]x[-1,1]"
+CERTIFY = ["--force", "--n", "12", "--tol-conv", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--grid", PARITY_GRID],
+     *(["certify", "--theorem", t, *CERTIFY] for t in ("4.2", "4.3", "4.4")),
+     ["kkt", "--grid", PARITY_GRID]],
+    ids=["check", "certify-4.2", "certify-4.3", "certify-4.4", "kkt"],
+)
+def test_orthant_forms_run_alike(tmp_path, monkeypatch, capsys, command):
+    # the committed problem with its orthant written as nonneg_orthant and
+    # as generators: equal exit codes, equal reports apart from their
+    # timings, byte-identical certificate files
+    runs = []
+    for form in ("nonneg", "generators"):
+        work = tmp_path / form
+        work.mkdir()
+        shutil.copy(DATA / f"orthant_{form}.json", work / "problem.json")
+        monkeypatch.chdir(work)
+        out = ["--out", "cert.json"] if command[0] == "certify" else []
+        rc = cli.main([*command, "--problem", "problem.json", PARITY_POINT, *out])
+        report = re.sub(r'"seconds": [^,}]*', "", capsys.readouterr().out)
+        runs.append((rc, report, (work / "cert.json").read_bytes() if out else None))
+    assert runs[0][0] in (0, 2)
+    assert runs[0] == runs[1]
+
+
+def test_whole_space_cone(files, capsys):
+    # generators with both signs of each axis span R^2: no inequality rows
+    doc = serialization.problem_to_json(cli._toy_problem())
+    doc["h"] = doc["h"] * 2
+    doc["cone"] = {"type": "generators", "vectors": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+    path = files["root"] / "whole_space.json"
+    serialization.dump_json(doc, path)
+    common = ["--problem", str(path), "--point", "0"]
+    assert cli.main(["check", *common, "--grid", TOY_GRID]) == 0
+    assert "properly_efficient" in capsys.readouterr().out
+    assert cli.main(["certify", *common, "--theorem", "4.3", *CERTIFY]) == 0
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("check", ("cone",), {"type": "generators", "vectors": [[float("inf")]]}),
+        ("check", ("cone",), {"type": "generators", "vectors": [[float("nan")]]}),
+        ("check", ("h", 0, "pieces", 0, "a", 0), float("inf")),
+        ("certify", ("h", 0, "pieces", 0, "a", 0), float("inf")),
+        ("check", ("objectives", 0, "f", "pieces", 0, "a", 0), float("nan")),
+    ],
+    ids=["cone-inf", "cone-nan", "h-inf-check", "h-inf-certify", "f-nan"],
+)
+def test_non_finite_problem_data_is_a_data_error(files, capsys, command, path, value):
+    # json reads NaN and Infinity tokens; the cone and function
+    # constructors refuse them, so the load fails as malformed data
+    doc = serialization.problem_to_json(cli._toy_problem())
+    _set(doc, path, value)
+    bad = files["root"] / "non_finite.json"
+    bad.write_text(json.dumps(doc))
+    extra = ["--grid", TOY_GRID] if command == "check" else CERTIFY
+    rc = cli.main([command, "--problem", str(bad), "--point", "0", *extra])
+    err = capsys.readouterr().err
+    assert rc == 65
+    assert "non-finite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ seeded sampling loops.
 import numpy as np
 import pytest
 
+from henigcert.certificates import minus_cone_polyhedron
 from henigcert.cones import (
     HenigCone,
     PolyhedralCone,
@@ -19,7 +20,7 @@ from henigcert.cones import (
     k_eps_contains,
     k_eps_polar_contains,
 )
-from henigcert.errors import DimensionMismatch, GeneratorFormRequired
+from henigcert.errors import DimensionMismatch
 from henigcert.linprog import LinearProgram, lp_solve
 
 
@@ -153,10 +154,15 @@ def test_orthant_polar():
     assert not cone_polar_contains(Y, [-1.0, 0.0])
 
 
-def test_polar_requires_generators():
+def test_halfplane_polar_is_its_normal_ray():
+    # {y : y1 + y2 >= 0} has the lineality line through (1,-1) and the
+    # ray (1,1); its polar is the ray through (1,1)
     halfplane = PolyhedralCone(H=[[1.0, 1.0]])
-    with pytest.raises(GeneratorFormRequired):
-        cone_polar_contains(halfplane, [1.0, 1.0])
+    assert halfplane.G.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]
+    assert cone_polar_contains(halfplane, [1.0, 1.0])
+    assert cone_polar_contains(halfplane, [3.0, 3.0])
+    assert not cone_polar_contains(halfplane, [1.0, 0.0])
+    assert not cone_polar_contains(halfplane, [-1.0, -1.0])
 
 
 def test_in_minus_cone_orthant():
@@ -188,5 +194,90 @@ def test_cone_validation():
         PolyhedralCone()
     with pytest.raises(ValueError):
         PolyhedralCone(generators=np.zeros((2, 2)))
+    for bad in ([[np.inf, 0.0]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            PolyhedralCone(generators=bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            PolyhedralCone(H=bad)
     with pytest.raises(DimensionMismatch):
         in_minus_cone(PolyhedralCone.nonneg_orthant(2), [1.0, 2.0, 3.0])
+
+
+def test_orthant_forms_derive_the_identity():
+    for p in range(1, 6):
+        assert np.array_equal(PolyhedralCone(generators=np.eye(p)).H, np.eye(p))
+        assert np.array_equal(PolyhedralCone(H=np.eye(p)).G, np.eye(p))
+
+
+def test_whole_space_cone_has_no_inequalities():
+    Y = PolyhedralCone(generators=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert Y.H.shape == (0, 2)
+    assert in_minus_cone(Y, [5.0, -3.0])
+    assert in_minus_cone_batch(Y, np.array([[1.0, 2.0], [-4.0, 0.0]])).all()
+    assert cone_polar_contains(Y, [0.0, 0.0])
+    assert not cone_polar_contains(Y, [1e-3, 0.0])
+    assert minus_cone_polyhedron(Y).contains([7.0, -7.0])
+
+
+def test_zero_cone_has_no_generators():
+    Y = PolyhedralCone(H=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    assert Y.G.shape == (0, 2)
+    assert cone_polar_contains(Y, [-5.0, 3.0])  # the polar of {0} is the whole space
+    assert in_minus_cone(Y, [0.0, 0.0])
+    assert not in_minus_cone(Y, [-1e-3, 0.0])
+    # the random inequality cones of the grid-layout tests: for p = 1, 2
+    # many of them are {0}
+    rng = np.random.default_rng(12)
+    zero = 0
+    for p in (1, 2, 4):
+        for _ in range(20):
+            Y = PolyhedralCone(H=rng.normal(size=(int(rng.integers(1, 6)), p)))
+            if Y.G.shape[0] == 0:
+                zero += 1
+                assert cone_polar_contains(Y, rng.normal(size=p))
+    assert zero > 0
+
+
+def _random_rows(rng, kind, p):
+    """Small integer rows: generic, nonnegative (a pointed hull), with an
+    opposite pair (a hull with a line), or of rank below p."""
+    k = int(rng.integers(1, 6))
+    R = rng.integers(-2, 3, size=(k, p))
+    if kind == "nonnegative":
+        R = np.abs(R)
+    elif kind == "pair":
+        R = np.vstack([R, -R[:1]])
+    elif kind == "low rank" and p > 1:
+        r = int(rng.integers(1, p))
+        R = rng.integers(-2, 3, size=(k, r)) @ rng.integers(-1, 2, size=(r, p))
+    return R.astype(float) if np.abs(R).max() > 0 else np.eye(p)[:1]
+
+
+def test_derived_forms_match_highs():
+    # each row matrix R is read both ways: as generators, Y = cone(R) and
+    # Y* = {z : R z >= 0}; as inequalities, Y = {y : R y >= 0} and
+    # Y* = cone(R).  Membership in cone(R) is a HiGHS feasibility LP, so
+    # the derived H (first reading) and the derived G (second reading)
+    # are checked against an independent solver; conic combinations of R
+    # join the random queries as known members of cone(R)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(31)
+    kinds = ("generic", "nonnegative", "pair", "low rank")
+    seen = set()
+    for trial in range(80):
+        p = trial % 4 + 1
+        R = _random_rows(rng, kinds[trial // 4 % 4], p)
+        queries = rng.integers(-3, 4, size=(5, p)).astype(float)
+        V = np.vstack([rng.integers(0, 3, size=(3, R.shape[0])) @ R, queries])
+        in_hull = [True] * 3 + [
+            linprog(np.zeros(R.shape[0]), A_eq=R.T, b_eq=v, method="highs").status == 0
+            for v in queries
+        ]
+        in_dual = (V @ R.T >= 0).all(axis=1).tolist()
+        by_generators, by_inequalities = PolyhedralCone(generators=R), PolyhedralCone(H=R)
+        assert in_minus_cone_batch(by_generators, -V).tolist() == in_hull
+        assert [cone_polar_contains(by_generators, v) for v in V] == in_dual
+        assert in_minus_cone_batch(by_inequalities, -V).tolist() == in_dual
+        assert [cone_polar_contains(by_inequalities, v) for v in V] == in_hull
+        seen.update(zip(in_hull, in_dual))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
