@@ -5,7 +5,10 @@ batch max-affine evaluator are the package's numeric core: a
 certificate verification solves a small LP per block and function (and
 prices its entries against that LP's basis), generation pivots only at
 the breakpoints of its gamma schedule, and the grid oracles evaluate
-max-affine functions at 10^4+ points.
+max-affine functions at 10^4+ points.  The pivot is one rank-1 update of
+the rows it changes and the primal pricing and ratio test are whole-array
+operations, each bitwise equal to the row loops they replace (only the
+ratio test's tie-break still runs per eligible row).
 ``perfbench/README.md`` describes how their time is measured.
 """
 
@@ -15,15 +18,21 @@ BACKEND = "numpy"
 
 
 def pivot(T, basis, leave, enter):
-    """Pivot tableau ``T`` in place on row ``leave`` and column ``enter``."""
+    """Pivot tableau ``T`` in place on row ``leave`` and column ``enter``.
+
+    The other rows take one rank-1 update, restricted to the rows whose
+    entry in the entering column is nonzero: each element is the same
+    product and subtraction as in a loop over the rows, so the result is
+    bitwise that loop's, and rows with a zero entry (signed zeros
+    included) stay untouched.
+    """
     T[leave] /= T[leave, enter]
     T[leave, enter] = 1.0
-    for i in range(T.shape[0]):
-        if i != leave:
-            f = T[i, enter]
-            if f != 0.0:
-                T[i] -= f * T[leave]
-                T[i, enter] = 0.0
+    col = T[:, enter].copy()
+    col[leave] = 0.0
+    rows = col.nonzero()[0]
+    T[rows] -= np.multiply.outer(col[rows], T[leave])
+    T[rows, enter] = 0.0
     basis[leave] = enter
 
 
@@ -36,41 +45,44 @@ def simplex_core(T, basis, allowed, tol_piv, tol_profit, max_pivots):
     columns eligible to enter.  Returns ``(code, pivots)``: code 0 when
     optimal (no profit above tol_profit), 1 when an entering column has no
     pivot entry above tol_piv (unbounded), 2 when max_pivots was hit.
+
+    The entering column and the ratios of the eligible rows each come
+    from one whole-array operation; only the ratio test's sequential
+    tie-break runs per eligible row, over Python floats, so every
+    comparison and every pivot is bitwise that of a loop over all rows.
     """
     m = T.shape[0] - 1
     last = T.shape[1] - 1
+    allowed = allowed[:last]
     pivots = 0
     while pivots < max_pivots:
         # Bland entering rule: smallest column index with positive profit.
-        enter = -1
-        for j in range(last):
-            if allowed[j] and T[m, j] > tol_profit:
-                enter = j
-                break
-        if enter == -1:
+        cand = (allowed & (T[m, :last] > tol_profit)).nonzero()[0]
+        if cand.size == 0:
             return 0, pivots
+        enter = int(cand[0])
         # Ratio test; ties broken on the smallest basic-variable index.
+        col = T[:m, enter]
+        rows = (col > tol_piv).nonzero()[0]
+        if rows.size == 0:
+            return 1, pivots
+        ratios = T[rows, last] / col[rows]
         leave = -1
         best = 0.0
         bestbas = 0
         found = False
-        for i in range(m):
-            a = T[i, enter]
-            if a > tol_piv:
-                r = T[i, last] / a
-                if r < 0.0:
-                    r = 0.0
-                span = 1e-12 * (1.0 + abs(best))
-                if not found or r < best - span:
-                    found = True
-                    best = r
-                    leave = i
-                    bestbas = basis[i]
-                elif r <= best + span and basis[i] < bestbas:
-                    leave = i
-                    bestbas = basis[i]
-        if not found:
-            return 1, pivots
+        for i, r, bas in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
+            if r < 0.0:
+                r = 0.0
+            span = 1e-12 * (1.0 + abs(best))
+            if not found or r < best - span:
+                found = True
+                best = r
+                leave = i
+                bestbas = bas
+            elif r <= best + span and bas < bestbas:
+                leave = i
+                bestbas = bas
         pivot(T, basis, leave, enter)
         pivots += 1
     return 2, pivots
@@ -93,12 +105,12 @@ def dual_simplex_core(T, basis, allowed, tol_piv, tol_feas, max_pivots):
     last = T.shape[1] - 1
     pivots = 0
     while pivots < max_pivots:
-        low = np.flatnonzero(T[:m, last] < -tol_feas)
+        low = (T[:m, last] < -tol_feas).nonzero()[0]
         if low.size == 0:
             return 0, pivots
         leave = int(low[np.argmin(basis[low])])
         row = T[leave, :last]
-        cand = np.flatnonzero(allowed & (row < -tol_piv))
+        cand = (allowed & (row < -tol_piv)).nonzero()[0]
         if cand.size == 0:
             return 1, pivots
         ratio = np.minimum(T[m, cand], 0.0) / row[cand]

@@ -205,86 +205,53 @@ class LpSession:
         if np.any(lo > hi):
             return
 
-        # Substitute bounds so that internal variables are all >= 0.
-        # x_j = offset_j + sign_j * u_k  (free variables get a split pair).
-        cols: list[tuple[int, float]] = []  # (original var, sign) per internal column
-        offset = np.zeros(n)
-        extra_rows: list[tuple[int, float]] = []  # (internal col, upper value) u_k <= value
-        for j in range(n):
-            ljf, ujf = np.isfinite(lo[j]), np.isfinite(hi[j])
-            if ljf:
-                offset[j] = lo[j]
-                cols.append((j, 1.0))
-                if ujf:
-                    extra_rows.append((len(cols) - 1, hi[j] - lo[j]))
-            elif ujf:
-                offset[j] = hi[j]
-                cols.append((j, -1.0))
-            else:
-                cols.append((j, 1.0))
-                cols.append((j, -1.0))
-        nu = len(cols)
+        # Substitute bounds so that internal variables are all >= 0:
+        # x_j = offset_j + sign_j * u_k, one column per variable in order
+        # (+1 from a finite lower bound, -1 from an upper bound alone) and
+        # a split pair (+1, -1) per free variable.
+        ljf, ujf = np.isfinite(lo), np.isfinite(hi)
+        var = np.repeat(np.arange(n), 1 + ~(ljf | ujf))  # the variable of each column
+        nu = var.shape[0]
+        sign = np.where(ljf | ~ujf, 1.0, -1.0)[var]
+        sign[1:][var[1:] == var[:-1]] = -1.0  # the second column of a free pair
         S = np.zeros((n, nu))
-        for k, (j, sgn) in enumerate(cols):
-            S[j, k] = sgn
+        S[var, np.arange(nu)] = sign
+        offset = np.where(ljf, lo, np.where(ujf, hi, 0.0))
+        boxed = ljf & ujf  # one more <= row, u_k <= hi_j - lo_j, on its one column
+        bex = hi[boxed] - lo[boxed]
 
-        rows_le = [lp.A_ub @ S, lp.b_ub - lp.A_ub @ offset]
-        bex = np.zeros(len(extra_rows))
-        if extra_rows:
-            Aex = np.zeros((len(extra_rows), nu))
-            for i, (k, val) in enumerate(extra_rows):
-                Aex[i, k] = 1.0
-                bex[i] = val
-            A_le = np.vstack([rows_le[0], Aex])
-            b_le = np.concatenate([rows_le[1], bex])
-        else:
-            A_le, b_le = rows_le
-        A_eq = lp.A_eq @ S
-        b_eq = lp.b_eq - lp.A_eq @ offset
-
-        m_le, m_eq = A_le.shape[0], A_eq.shape[0]
-        m = m_le + m_eq
-
+        # Rows: the <= rows (A_ub, then the boxed bounds), then the == rows.
         # Column layout: structural | slack(one per <= row) | artificial.
         # Rows with negative rhs are negated first; <= rows then carry either a
-        # slack basis (+1) or a surplus (-1) plus an artificial.
+        # slack basis (+1) or a surplus (-1) plus an artificial, and every ==
+        # row an artificial; artificials follow their rows' order.
+        A = np.vstack([lp.A_ub @ S, S[boxed], lp.A_eq @ S])
+        b = np.concatenate([lp.b_ub - lp.A_ub @ offset, bex, lp.b_eq - lp.A_eq @ offset])
+        m, m_le = b.shape[0], lp.A_ub.shape[0] + bex.shape[0]
         n_slack = m_le
-        art_of_row = np.full(m, -1, dtype=np.int64)
-        n_art = 0
-        for i in range(m_le):
-            if b_le[i] < 0:
-                art_of_row[i] = n_art
-                n_art += 1
-        for i in range(m_eq):
-            art_of_row[m_le + i] = n_art
-            n_art += 1
+        sgn = np.where(b >= 0, 1.0, -1.0)
+        art = b < 0
+        art[m_le:] = True
+        art_rows = art.nonzero()[0]
+        n_art = art_rows.shape[0]
         ncols = nu + n_slack + n_art
+        art_cols = nu + n_slack + np.arange(n_art, dtype=np.int64)
+        rows = np.arange(m, dtype=np.int64)
         T = np.zeros((m + 1, ncols + 1))
-        basis = np.empty(m, dtype=np.int64)
-        for i in range(m_le):
-            sgn = 1.0 if b_le[i] >= 0 else -1.0
-            T[i, :nu] = sgn * A_le[i]
-            T[i, ncols] = sgn * b_le[i]
-            T[i, nu + i] = sgn  # slack or surplus
-            if art_of_row[i] >= 0:
-                T[i, nu + n_slack + art_of_row[i]] = 1.0
-                basis[i] = nu + n_slack + art_of_row[i]
-            else:
-                basis[i] = nu + i
-        eq_sign = np.where(b_eq >= 0, 1.0, -1.0)
-        for i in range(m_eq):
-            r = m_le + i
-            T[r, :nu] = eq_sign[i] * A_eq[i]
-            T[r, ncols] = eq_sign[i] * b_eq[i]
-            T[r, nu + n_slack + art_of_row[r]] = 1.0
-            basis[r] = nu + n_slack + art_of_row[r]
+        T[:m, :nu] = sgn[:, None] * A
+        T[:m, ncols] = sgn * b
+        T[rows[:m_le], nu + rows[:m_le]] = sgn[:m_le]  # slack or surplus
+        T[art_rows, art_cols] = 1.0
+        basis = nu + rows
+        basis[art_rows] = art_cols
+        eq_sign = sgn[m_le:]
 
         self._T, self._basis = T, basis
         self._S, self._offset, self._nu, self._bex, self._eq_sign = S, offset, nu, bex, eq_sign
         # B^-1 e_i for row i: its slack column times the row's sign for a
         # <= row (the signs cancel against the signed rhs), its artificial
         # for an == row
-        self._unit = np.concatenate([nu + np.arange(m_le), nu + n_slack + art_of_row[m_le:]])
+        self._unit = np.concatenate([nu + rows[:m_le], basis[m_le:]])
         self._budget = (400 + 60 * (m + ncols)) if self._max_pivots is None else self._max_pivots
         self._allowed = np.ones(ncols, dtype=np.bool_)
 
@@ -518,7 +485,7 @@ class LpSession:
             ("a variable bound", np.hstack([lp.lb - X, X - lp.ub])),
         ):
             worst = excess.max(axis=1, initial=-np.inf)
-            bad = np.flatnonzero(worst > tol)
+            bad = (worst > tol).nonzero()[0]
             if bad.size:
                 i = bad[0]
                 raise self._failure(
@@ -537,11 +504,17 @@ def _reduce_objective(T, basis, m):
 
 def _pivot_out_artificials(T, basis, first_art: int, m: int):
     # Basic artificials sit at value ~0 after a feasible phase 1; pivot them
-    # onto any usable structural/slack column.  Rows with no such column are
-    # redundant and stay parked (the artificial can never re-enter).
+    # onto a usable structural/slack column: the first entry above 1e-9 in
+    # the row.  Phase 1 accepts artificials up to its own looser tolerance;
+    # one whose value lies outside TOL_FEAS*(1 + max|rhs|) pivots on the
+    # entry of largest magnitude instead, since dividing that value by a
+    # tiny entry would throw the basic values far off.  Rows with no usable
+    # column are redundant and stay parked (the artificial can never
+    # re-enter).
+    band = TOL_FEAS * (1.0 + float(np.abs(T[:m, -1]).max(initial=0.0)))
     for i in range(m):
         if basis[i] >= first_art:
-            for j in range(first_art):
-                if abs(T[i, j]) > 1e-9:
-                    pivot(T, basis, i, j)
-                    break
+            row = np.abs(T[i, :first_art])
+            j = int(np.argmax(row if abs(T[i, -1]) > band else row > 1e-9))
+            if row[j] > 1e-9:
+                pivot(T, basis, i, j)

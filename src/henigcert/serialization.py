@@ -121,6 +121,9 @@ def function_from_json(obj) -> ConvexFn:
 def cone_to_json(cone: PolyhedralCone) -> dict:
     if np.array_equal(cone.G, np.eye(cone.p)):
         return {"type": "nonneg_orthant", "dim": cone.p}
+    if cone.G.shape[0] == 0:
+        # {0} has no generators; its inequality rows keep the dimension
+        return {"type": "inequalities", "H": cone.H.tolist()}
     return {"type": "generators", "vectors": cone.G.tolist()}
 
 
@@ -133,6 +136,11 @@ def cone_from_json(obj) -> PolyhedralCone:
             return PolyhedralCone.nonneg_orthant(int(obj["dim"]))
         if kind == "generators":
             return PolyhedralCone(generators=obj["vectors"])
+        if kind == "inequalities":
+            cone = PolyhedralCone(H=obj["H"])
+            if cone.p < 1:
+                raise SchemaError("bad inequalities cone: H needs at least one column")
+            return cone
     except SchemaError:
         raise
     except Exception as exc:
@@ -357,17 +365,53 @@ def report_to_json(report) -> dict:
     )
 
 
+def _builtin(value):
+    """The encoder's ``default``: numpy arrays and scalars as builtins
+    (``float64`` is a float already and never gets here)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# one strict encoder for every item written; without indentation its
+# encode() runs the C encoder
+_ENCODER = json.JSONEncoder(allow_nan=False, default=_builtin)
+
+
+def _encode(value) -> str:
+    """``json.dumps(_sanitize(value))``: one C-encoder call, and the
+    ``_sanitize`` copy only for an item the strict encoder refuses (a
+    non-finite float makes it raise ValueError, a key of a numpy type
+    TypeError; an object nothing can encode raises TypeError again).
+    Two differences, neither met by the package's own documents (their
+    keys are all str): in a dict the encoder takes as it is, a bool or
+    None key reads ``"true"``/``"null"``, as the json module writes it,
+    where ``_sanitize`` gives ``"True"``/``"None"``; and two keys that
+    ``str`` maps to one string (1 and "1") both stay, where ``_sanitize``
+    keeps one."""
+    try:
+        return _ENCODER.encode(value)
+    except (ValueError, TypeError):
+        return _ENCODER.encode(_sanitize(value))
+
+
 def _write_json(value, fh, depth: int = 2) -> None:
-    """Write JSON-safe ``value``; the dicts and lists in its top ``depth``
-    levels item by item.  ``json.dumps`` without indentation runs the C
-    encoder (``json.dump`` always runs the pure-Python one), which keeps
-    every small string it encodes until it joins them; per item, a
-    certificate table never sits in memory as tens of thousands of them."""
+    """Write ``value`` as ``_sanitize`` would leave it; the dicts and lists
+    in its top ``depth`` levels item by item, each item with one call of
+    the module's encoder (``_encode``).  The C encoder keeps every small
+    string it encodes until it joins them; per item, a certificate table
+    never sits in memory as tens of thousands of them."""
     kind = type(value)
     if depth and kind is dict:
         fh.write("{")
         for i, (k, v) in enumerate(value.items()):
-            fh.write((", " if i else "") + json.dumps(k) + ": ")
+            fh.write((", " if i else "") + _ENCODER.encode(str(k)) + ": ")
             _write_json(v, fh, depth - 1)
         fh.write("}")
     elif depth and kind is list:
@@ -378,12 +422,15 @@ def _write_json(value, fh, depth: int = 2) -> None:
             _write_json(v, fh, depth - 1)
         fh.write("]")
     else:
-        fh.write(json.dumps(value, allow_nan=False))
+        fh.write(_encode(value))
 
 
 def dump_json_stream(obj, fh) -> None:
-    """Write ``obj`` as one line of compact strict JSON and a newline."""
-    _write_json(_sanitize(obj), fh)
+    """Write ``obj`` as one line of compact strict JSON and a newline:
+    numpy values as builtins, non-finite floats as null.  Nothing walks
+    the whole document first; ``_sanitize`` runs only as the fallback
+    for an item that holds a non-finite float (see ``_encode``)."""
+    _write_json(obj, fh)
     fh.write("\n")
 
 

@@ -17,6 +17,7 @@ import pytest
 from henigcert import cli, example_q, serialization
 from henigcert.convex import Polyhedron, PolyhedralFn
 from henigcert.fractional import FractionalProblem
+from henigcert.linprog import TOL_FEAS
 from henigcert.serialization import certificate_from_json, certificate_to_json
 
 
@@ -456,6 +457,48 @@ def test_kkt_toy_holds_and_fails(files, capsys):
     assert rc == 2
     assert doc["verdict"] == "Fails"
     assert "infeasible" in doc["reason"]
+
+
+def test_kkt_at_a_rounded_efficient_point_holds(capsys):
+    # the committed problem's efficient point rounded to 8 decimals: phase 1
+    # ends with two artificials basic at a few 1e-9, and pivoting one out on
+    # an entry of -1.3e-9 threw the basic values to -20.9 (exit 70).  The
+    # multipliers must meet the KKT rows within the LP core's feasibility
+    # tolerance: y* in Y*, <y*, h(x)> = 0 and 0 in the sum of the
+    # subdifferentials (each within that tolerance) of f_i, nu_i*(-g_i),
+    # y*_j h_j and the normal cone of C
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    path = str(DATA / "orthant_nonneg.json")
+    x = np.array([0.93416928, -0.08174417])
+    rc = cli.main(["kkt", "--problem", path, "--point=0.93416928,-0.08174417", "--grid", PARITY_GRID])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["verdict"] == "Holds"
+    prob = serialization.problem_from_json(serialization.load_json(path))
+    ystar = np.array(doc["ystar"])
+    tol = 100 * TOL_FEAS * (1.0 + np.abs(ystar).max())
+    assert (prob.cone.G @ ystar >= -tol).all()
+    assert abs(ystar @ prob.h_values(x)) <= tol
+    # (gradient rows, gaps to the max, weight) per summand
+    parts = []
+    for f, neg_g in prob.objectives:
+        nu = f(x) / -neg_g(x)
+        parts += [(f.A, f(x) - (f.A @ x + f.b), 1.0), (neg_g.A, neg_g(x) - (neg_g.A @ x + neg_g.b), nu)]
+    parts += [(h.A, h(x) - (h.A @ x + h.b), max(y, 0.0)) for h, y in zip(prob.hmap, ystar)]
+    cols = sum(len(gaps) for _, gaps, _ in parts)
+    C_rows, C_slack = prob.C.A, prob.C.b - prob.C.A @ x
+    M = np.hstack([(w * A).T for A, _, w in parts] + [C_rows.T])
+    A_eq = np.zeros((len(parts), cols + len(C_slack)))
+    A_gap = np.zeros((len(parts) + 1, cols + len(C_slack)))
+    k = 0
+    for i, (_, gaps, _) in enumerate(parts):
+        A_eq[i, k:k + len(gaps)] = 1.0
+        A_gap[i, k:k + len(gaps)] = gaps
+        k += len(gaps)
+    A_gap[-1, k:] = C_slack
+    res = linprog(np.zeros(M.shape[1]), A_ub=np.vstack([M, -M, A_gap]),
+                  b_ub=np.full(2 * M.shape[0] + A_gap.shape[0], tol),
+                  A_eq=A_eq, b_eq=np.ones(len(parts)), bounds=(0, None), method="highs")
+    assert res.status == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from lp_reference import lp_solve as reference_lp_solve
+from lp_reference import row_loop_dual_simplex_core, row_loop_pivot, row_loop_simplex_core
 
+from henigcert import _kernels
 from henigcert.errors import DimensionMismatch, NumericalFailure
 from henigcert.linprog import (
     INFEASIBLE,
     OPTIMAL,
+    TOL_FEAS,
+    TOL_OBJ,
     UNBOUNDED,
     LinearProgram,
     LpSession,
@@ -273,6 +277,97 @@ def test_lp_solve_matches_the_one_shot_reference_bit_for_bit():
         for name in ("x", "duals"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def _kernel_tableau(rng):
+    """A slack-basis tableau [A I b; c 0 -z] with its rows shuffled, then a
+    few pivots, so the basis is out of order.  Small integers give exact
+    zeros (signed ones too) and exactly tied ratios; a relative nudge of a
+    few 1e-14 gives ratios that tie only within the ratio test's span; some
+    right-hand sides are tiny negatives; some columns are unbounded."""
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+    if rng.random() < 0.6:
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(0, 4, size=m).astype(float)
+    else:
+        A = rng.normal(size=(m, n))
+        A[rng.random((m, n)) < 0.3] = 0.0
+        b = rng.uniform(0.0, 2.0, size=m)
+    if rng.random() < 0.3:
+        b *= 1.0 + rng.integers(-3, 4, size=m) * 1e-14
+    b[rng.random(m) < 0.15] = -1e-13
+    A[A == 0.0] *= rng.choice([1.0, -1.0], size=int((A == 0.0).sum()))
+    c = rng.integers(-2, 4, size=n).astype(float) if rng.random() < 0.5 else rng.normal(size=n)
+    unbounded = rng.random(n) < 0.1
+    A[:, unbounded] = -np.abs(A[:, unbounded])
+    c[unbounded] = np.abs(c[unbounded]) + 1.0
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n:n + m], T[:m, -1], T[m, :n] = A, np.eye(m), b, c
+    order = rng.permutation(m)
+    T[:m] = T[order]
+    basis = (n + np.arange(m, dtype=np.int64))[order]
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = int(rng.integers(m)), int(rng.integers(n + m))
+        if abs(T[i, j]) > 0.5:
+            row_loop_pivot(T, basis, i, j)
+    allowed = rng.random(n + m) < 0.85
+    return T, basis, allowed
+
+
+def _first_ratio_tie(T, allowed):
+    # whether the first ratio test on T meets two rows at the minimum ratio
+    # or within the test's 1e-12 relative span of it
+    m, last = T.shape[0] - 1, T.shape[1] - 1
+    cand = np.flatnonzero(allowed & (T[m, :last] > TOL_OBJ))
+    if cand.size == 0:
+        return False
+    col = T[:m, cand[0]]
+    rows = col > TOL_FEAS
+    r = np.maximum(T[:m, last][rows] / col[rows], 0.0)
+    return bool(r.size > 1 and np.sort(r)[1] <= r.min() * (1 + 1e-12) + 1e-12)
+
+
+def test_kernels_match_the_row_loops_bit_for_bit():
+    # the whole-array pivot, primal and dual simplex must leave every
+    # tableau entry (signed zeros included), the basis, the code and the
+    # pivot count exactly where the row loops leave them, after every call
+    rng = np.random.default_rng(20261018)
+    codes, ties, calls = Counter(), 0, 0
+
+    def both(new, old, T, basis, *args):
+        nonlocal calls
+        T2, basis2 = T.copy(), basis.copy()
+        got, want = new(T, basis, *args), old(T2, basis2, *args)
+        assert got == want
+        assert T.tobytes() == T2.tobytes()
+        assert basis.tobytes() == basis2.tobytes()
+        calls += 1
+        return got
+
+    for _ in range(1200):
+        T, basis, allowed = _kernel_tableau(rng)
+        ties += _first_ratio_tie(T, allowed)
+        m = T.shape[0] - 1
+        i, j = int(rng.integers(m)), int(rng.integers(T.shape[1] - 1))
+        if T[i, j] != 0.0:
+            P = T.copy()
+            both(_kernels.pivot, row_loop_pivot, P, basis.copy(), i, j)
+        budget = int(rng.choice([0, 1, 2, 3, 200]))
+        for _ in range(2):  # a run and its resumption
+            code, _ = both(_kernels.simplex_core, row_loop_simplex_core,
+                           T, basis, allowed, TOL_FEAS, TOL_OBJ, budget)
+            codes["primal", code] += 1
+            budget = 200
+        # dual simplex from a dual-feasible objective row and a new rhs
+        # with negative entries
+        T[m, :-1] = np.minimum(T[m, :-1], 0.0)
+        T[:m, -1] -= rng.integers(0, 3, size=m) * rng.random()
+        code, _ = both(_kernels.dual_simplex_core, row_loop_dual_simplex_core,
+                       T, basis, allowed, TOL_FEAS, TOL_FEAS, int(rng.choice([1, 200])))
+        codes["dual", code] += 1
+    for kind in ("primal", "dual"):
+        assert min(codes[kind, code] for code in (0, 1, 2)) >= 20, codes
+    assert ties >= 50 and calls >= 4000
 
 
 def test_pivot_budget_failure_reports_phase_pivots_and_shape():

@@ -125,6 +125,38 @@ def test_cone_round_trip():
         cone_from_json({"type": "icecream", "dim": 2})
 
 
+def test_cone_round_trip_keeps_every_cone():
+    # {0} has no generators, so it is written by its inequalities, which
+    # keep the dimension; each cone reads back with the same p, the same
+    # generators and the same inequalities
+    cones = {
+        "zero": PolyhedralCone(H=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+        "plane": PolyhedralCone(generators=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        "half-plane": PolyhedralCone(H=[[1.0, 1.0]]),
+        "orthant": PolyhedralCone(H=np.eye(2)),
+    }
+    kinds = {}
+    for name, cone in cones.items():
+        doc = cone_to_json(cone)
+        kinds[name] = doc["type"]
+        again = cone_from_json(json.loads(json.dumps(doc)))
+        assert cone_to_json(again) == doc
+        assert again.p == cone.p == 2
+        for form in ("G", "H"):
+            assert np.array_equal(getattr(again, form), getattr(cone, form)), (name, form)
+    assert kinds == {"zero": "inequalities", "plane": "generators",
+                     "half-plane": "generators", "orthant": "nonneg_orthant"}
+    # a problem whose Y+ is {0} round-trips too
+    toy = toy_problem()
+    prob = FractionalProblem(toy.n, toy.objectives, toy.hmap * 2, cones["zero"], toy.C)
+    doc = problem_to_json(prob)
+    assert problem_to_json(problem_from_json(doc)) == doc
+    for bad in ({"type": "inequalities", "H": []}, {"type": "inequalities"},
+                {"type": "inequalities", "H": [[1.0, np.nan]]}):
+        with pytest.raises(SchemaError, match="inequalities cone"):
+            cone_from_json(bad)
+
+
 def test_problem_round_trip():
     for prob, name in [(toy_problem(), "toy"), (example_q.build_problem(), "q")]:
         doc = problem_to_json(prob, name=name)
@@ -276,7 +308,7 @@ def _sanitize_reference(value):
     if isinstance(value, (list, tuple)):
         return [_sanitize_reference(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_sanitize_reference(v) for v in value.tolist()]
+        return _sanitize_reference(value.tolist())  # a 0-d array gives a scalar
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.integer, int)):
@@ -336,6 +368,101 @@ def test_stream_writer_is_one_line_of_strict_json():
     assert got == _sanitize_reference(obj)
     # the layout is that of json.dumps with its default separators
     assert text == json.dumps(_sanitize_reference(obj)) + "\n"
+
+
+_NONFINITE = (float("nan"), float("inf"), float("-inf"), np.float64(np.nan), np.float32(-np.inf))
+
+
+def _random_leaf(rng, finite):
+    """One seeded JSON leaf: builtins, numpy scalars and arrays, floats
+    whose repr is long or signed (0.1, 1e-300, -0.0), and a non-finite
+    number, as a scalar or inside an array, when ``finite`` is False."""
+    if not finite:
+        bad = _NONFINITE[int(rng.integers(len(_NONFINITE)))]
+        if rng.random() < 0.5:
+            return bad
+        arr = rng.normal(size=int(rng.integers(1, 4)))
+        arr[int(rng.integers(arr.shape[0]))] = bad
+        return arr if rng.random() < 0.5 else arr.astype(np.float32)
+    pick = int(rng.integers(14))
+    if pick == 0:
+        return float(rng.choice([0.1, 1e-300, -0.0, 1e16, 2.5, -7.0]))
+    if pick == 1:
+        return float(rng.normal())
+    if pick == 2:
+        return np.float64(rng.normal())
+    if pick == 3:
+        return np.float32(rng.normal())
+    if pick == 4:
+        return np.int64(rng.integers(-10**12, 10**12))
+    if pick == 5:
+        return np.bool_(rng.random() < 0.5)
+    if pick == 6:
+        return rng.normal(size=(int(rng.integers(0, 3)), int(rng.integers(0, 3))))
+    if pick == 7:
+        return np.arange(int(rng.integers(0, 4)), dtype=np.int64)
+    if pick == 8:
+        return rng.random(int(rng.integers(0, 3))) < 0.5
+    if pick == 9:
+        return np.array(rng.normal())  # 0-d
+    if pick == 10:
+        return int(rng.integers(-5, 5))
+    if pick == 11:
+        return bool(rng.random() < 0.5)
+    if pick == 12:
+        return None
+    return str(rng.choice(["s", "", "caf\u00e9", "q\"uote"]))
+
+
+def _random_doc(rng, depth, nonfinite_at):
+    """A seeded document ``depth`` container levels deep (0: a leaf), with
+    a non-finite number at level ``nonfinite_at`` (None: all finite)."""
+    if depth == 0:
+        return _random_leaf(rng, finite=nonfinite_at != 0)
+    size = int(rng.integers(0, 6))
+    here = nonfinite_at == 0
+    items = [_random_doc(rng, depth - 1, None if nonfinite_at in (None, 0) else nonfinite_at - 1)
+             for _ in range(max(size, 1 if nonfinite_at else 0))]
+    if here or rng.random() < 0.5:
+        items.append(_random_leaf(rng, finite=not here))
+    if rng.random() < 0.2:
+        items = []  # an empty container (its non-finite entry goes with it)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    keys = ["k", 3, 2.5, np.int64(7), np.float64(0.5), "caf\u00e9", -1, 1e16]
+    return {keys[i % len(keys)] if i < len(keys) else f"k{i}": v for i, v in enumerate(items)}
+
+
+def test_stream_writer_matches_the_sanitizing_walk():
+    # one encoder call per item, with the sanitizing copy only as the
+    # fallback for an item it refuses, writes exactly the bytes of
+    # json.dumps over the walked copy; numpy scalars and arrays, tuples,
+    # empty containers, non-str keys, non-finite numbers at every depth
+    rng = np.random.default_rng(20261018)
+    nulls = 0
+    for case in range(1500):
+        depth = case % 5
+        nonfinite_at = None if case % 3 == 0 else int(rng.integers(0, depth + 1))
+        obj = _random_doc(rng, depth, nonfinite_at)
+        buf = io.StringIO()
+        dump_json_stream(obj, buf)
+        want = json.dumps(_sanitize_reference(obj)) + "\n"
+        assert buf.getvalue() == want, (case, obj)
+        nulls += "null" in want
+    assert nulls >= 500
+    # a bool or None key inside an item the encoder takes as it is reads
+    # as the json module spells it; at the streamed top levels and in an
+    # item that falls back to the walk, keys go through str()
+    buf = io.StringIO()
+    dump_json_stream({True: 1, "a": [{None: 2, False: 0.5}, {None: np.nan}]}, buf)
+    assert buf.getvalue() == '{"True": 1, "a": [{"null": 2, "false": 0.5}, {"None": null}]}\n'
+    # what cannot be encoded still raises TypeError, at any depth
+    for bad in (object(), {"a": [1, {"b": object()}]}, [np.complex128(1j)], {"a": (1, {2, 3})}):
+        with pytest.raises(TypeError):
+            dump_json_stream(bad, io.StringIO())
 
 
 def test_certify_output_parses_as_before(tmp_path, monkeypatch, capsys):
