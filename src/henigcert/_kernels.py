@@ -5,10 +5,11 @@ batch max-affine evaluator are the package's numeric core: a
 certificate verification solves a small LP per block and function (and
 prices its entries against that LP's basis), generation pivots only at
 the breakpoints of its gamma schedule, and the grid oracles evaluate
-max-affine functions at 10^4+ points.  The pivot is one rank-1 update of
-the rows it changes and the primal pricing and ratio test are whole-array
-operations, each bitwise equal to the row loops they replace (only the
-ratio test's tie-break still runs per eligible row).
+max-affine functions at 10^4+ points, through one product (``dot_rows``)
+that rounds as the row-major reference.  The pivot is one rank-1 update
+of the rows it changes and the primal pricing and ratio test are
+whole-array operations, each bitwise equal to the row loops they replace
+(only the ratio test's tie-break still runs per eligible row).
 ``perfbench/README.md`` describes how their time is measured.
 """
 
@@ -121,16 +122,37 @@ def dual_simplex_core(T, basis, allowed, tol_piv, tol_feas, max_pivots):
     return 2, pivots
 
 
+def dot_rows(A, X):
+    """The (K, N) stack of products <A[k], X[j]>, one row per row of A with
+    the samples along the last axis, rounded as the row-major ``X @ A.T``.
+
+    From N = 2 on, X times a C-contiguous copy of A.T is written through
+    the transposed view of the (K, N) result.  With OpenBLAS that equals
+    the reference byte for byte in every case tried with N >= 2
+    (tests/test_grid_layout.py holds it in place) and is faster than
+    ``A @ X.T``, which departs from the reference in the last bit at some
+    sizes (N = 4097 with 12 rows).  numpy hands a single row (N <= 1) to
+    gemv, whose summation order differs, so that case keeps ``A @ X.T``,
+    which rounds as the reference there.
+    """
+    if X.shape[0] <= 1:
+        return A @ X.T
+    Y = np.empty((A.shape[0], X.shape[0]))
+    np.matmul(X, np.ascontiguousarray(A.T), out=Y.T)
+    return Y
+
+
 def max_affine_batch(A, b, X):
     """Evaluate max_k(<A[k],x>+b[k]) at every row of X.
 
     The piece values are stored (K, N), one row per piece with the samples
-    along the last axis, so the max over the few pieces is K - 1 whole-row
-    ``maximum`` passes instead of one short inner loop per sample.
+    along the last axis (``dot_rows``, bitwise the row-major product), so
+    the max over the few pieces is K - 1 whole-row ``maximum`` passes
+    instead of one short inner loop per sample.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    Y = A @ X.T
+    Y = dot_rows(A, X)
     Y += b[:, None]
     return np.maximum.reduce(Y, axis=0)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import max_affine_batch
+from ._kernels import dot_rows, max_affine_batch
 from .errors import (
     BRSearchFailed,
     ConjugateUnsupported,
@@ -118,14 +118,38 @@ class Polyhedron:
         return True
 
     def contains_batch(self, X, tol: float = 1e-9) -> np.ndarray:
-        # row values stored (rows, N), samples last, as in max_affine_batch
+        """``contains`` at every row of X: fl(a.x) <= fl(b + tol) on each
+        inequality row and |fl(e.x) - d| <= tol on each equality row.  The
+        row values are stored (rows, N), samples last, by ``dot_rows``,
+        which rounds as the row-major ``X @ A.T``."""
         X = np.asarray(X, float)
         ok = np.ones(X.shape[0], dtype=bool)
         if self.A.shape[0]:
-            ok &= (self.A @ X.T <= (self.b + tol)[:, None]).all(axis=0)
+            ok &= (dot_rows(self.A, X) <= (self.b + tol)[:, None]).all(axis=0)
         if self.E.shape[0]:
-            ok &= (np.abs(self.E @ X.T - self.d[:, None]) <= tol).all(axis=0)
+            ok &= (np.abs(dot_rows(self.E, X) - self.d[:, None]) <= tol).all(axis=0)
         return ok
+
+    def box_passes(self, lo, hi, tol: float = 1e-9) -> bool:
+        """True only if ``contains_batch(X, tol)`` holds at every point of
+        the box [lo, hi], however its products round.
+
+        That needs no equality rows, and on each inequality row the box
+        maximum sum_d max(a_d lo_d, a_d hi_d), plus twice a bound on the
+        rounding of an n-term dot product (once for computing that maximum,
+        once for the per-point product), at most fl(b + tol).  The bound is
+        (n + 2) eps sum_d |a_d| max(|lo_d|, |hi_d|), above the classical
+        n u / (1 - n u) of the same sum, plus the smallest normal float for
+        products that underflow.  A False is no verdict on the box.
+        """
+        if self.E.shape[0]:
+            return False
+        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = np.maximum(self.A * lo, self.A * hi).sum(axis=1)
+            size = (np.abs(self.A) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1)
+            err = (self.n + 2) * np.finfo(float).eps * size + np.finfo(float).tiny
+            return bool((top + 2.0 * err <= self.b + tol).all())
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if other.n != self.n:

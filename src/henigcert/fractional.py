@@ -16,16 +16,24 @@ verdicts mean "no counterexample on this grid", never a proof over the
 continuum.
 
 The scan is one walk over the lattice in chunks of consecutive points, in
-lattice order (``GridSpec.chunks``), so its memory does not grow with the
-grid.  Per chunk it takes the feasibility mask and evaluates each f_i and
--g_i once at the feasible samples; the ratio verdict and the
-reformulation's share those values.  Each verdict is accumulated by a
-``_LadderScan``: rounding is monotone, so one sample's hits form a prefix
-of the descending ladder (sum(v) < 0) or a suffix (sum(v) > 0), and the
-rungs hit so far are two runs [0, lo) and [hi, R) tracked across chunks;
-a sample hitting both end rungs hits them all.  The first such sample in
-lattice order decides Dominated, and the walk stops once every verdict it
-runs is decided.
+lattice order, so its memory does not grow with the grid.  Per chunk it
+takes the feasibility mask and evaluates each f_i and -g_i once at the
+feasible samples; the ratio verdict and the reformulation's share those
+values.  Each verdict is accumulated by a ``_LadderScan``: rounding is
+monotone, so one sample's hits form a prefix of the descending ladder
+(sum(v) < 0) or a suffix (sum(v) > 0), and the rungs hit so far are two
+runs [0, lo) and [hi, R) tracked across chunks; a sample hitting both end
+rungs hits them all.  The first such sample in lattice order decides
+Dominated, and the walk stops once every verdict it runs is decided.
+
+Two things keep a chunk cheap.  The chunks are drawn into one buffer
+that each overwrites (``GridSpec._chunks_in_place``); the scan keeps rows
+only through ``np.compress`` copies, the counterexample among them.  And
+C's test is decided once per scan: when every point of the box spanned
+by the lattice's axes passes it, whatever the rounding of its products
+(``Polyhedron.box_passes``: no equality rows, and each row's box maximum
+plus a rounding bound within b + TOL_FEAS), each chunk's mask starts
+all-True, which is what the test would give.
 
 Every per-sample stack of the scan (constraint values, ratios, objective
 values, their differences) is stored (k, N), C-contiguous, one row per
@@ -113,9 +121,14 @@ def feasible(prob: FractionalProblem, x, tol: float = TOL_FEAS) -> bool:
     return in_minus_cone(prob.cone, hv, tol=tol)
 
 
-def feasible_mask(prob: FractionalProblem, X, tol: float = TOL_FEAS) -> np.ndarray:
+def feasible_mask(
+    prob: FractionalProblem, X, tol: float = TOL_FEAS, in_C: bool = False
+) -> np.ndarray:
+    """Feasibility at every row of X.  in_C says that every row is known to
+    pass C's test at tol (``Polyhedron.box_passes`` on a box holding X),
+    which is then skipped."""
     X = np.asarray(X, float)
-    ok = prob.C.contains_batch(X, tol=tol)
+    ok = np.ones(X.shape[0], dtype=bool) if in_C else prob.C.contains_batch(X, tol=tol)
     H = prob.h_values_batch(X).T
     ok &= np.isfinite(H).all(axis=0)
     safe = np.where(ok, H, 0.0)  # keep NaN/inf out of the cone test
@@ -350,10 +363,19 @@ def _keep(good, S, X):
     return np.compress(good, S, axis=1), np.compress(good, X, axis=0)
 
 
+def _lattice_in_C(C: Polyhedron, grid: GridSpec) -> bool:
+    """Does every lattice point pass C's test at TOL_FEAS, however it
+    rounds?  Decided on the box spanned by the axes the lattice is built
+    from (their min and max, not the spec's bounds)."""
+    axes = grid.axes()
+    return C.box_passes([a.min() for a in axes], [a.max() for a in axes], TOL_FEAS)
+
+
 def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, param=None):
     """The grid oracle: one walk over the lattice chunks in lattice order.
 
-    Per chunk: the feasibility mask, then each f_i and -g_i once at every
+    Per chunk: the feasibility mask (without C's test when the lattice's
+    box passes it whole), then each f_i and -g_i once at every
     feasible sample; the ratio verdict (against the candidate ratios nu)
     and the reformulation's (param's phi) share those values.  Either
     comparison is skipped when its argument is None, and the walk stops
@@ -364,9 +386,11 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, par
     ratio = None if nu is None else _LadderScan(ladder, grid)
     phi = None if param is None else _LadderScan(ladder, grid)
     scans = [scan for scan in (ratio, phi) if scan is not None]
+    in_C = _lattice_in_C(prob.C, grid)
     any_feasible = False
-    for X in grid.chunks():
-        ok = feasible_mask(prob, X)
+    # X is overwritten by the next chunk; every row kept is a compress copy
+    for X in grid._chunks_in_place():
+        ok = feasible_mask(prob, X, in_C=in_C)
         if not ok.any():
             continue
         any_feasible = True

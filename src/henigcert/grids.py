@@ -10,8 +10,13 @@ chunks holds only one block's stacks at a time, so its memory stays flat
 in the grid size.
 
 A block is row-major, (rows, ndim) and C-contiguous, as the whole lattice
-always was: the evaluators' products ``A @ X.T`` round differently in the
-last bit when X.T is handed to the BLAS C-contiguous instead.
+always was.  The evaluators form their (rows of A, N) products as
+``X @ A.T`` written through the transposed view of the result
+(``_kernels.dot_rows``), which rounds as the row-major reference for
+N >= 2; a single row keeps ``A @ X.T``, because numpy hands it to gemv,
+whose summation order differs.  ``chunks`` and ``points`` return fresh
+arrays; the grid oracle walks ``_chunks_in_place`` instead, where every
+block overwrites one buffer.
 """
 
 from dataclasses import dataclass
@@ -80,9 +85,12 @@ class GridSpec:
             for lo, hi, k in zip(self.lows, self.highs, self.counts)
         ]
 
-    def _blocks(self, k: int):
+    def _blocks(self, k: int, in_place: bool = False):
         """The lattice in lexicographic order, as consecutive blocks of at
-        most k points, each of shape (rows, ndim), C-contiguous.
+        most k points, each of shape (rows, ndim), C-contiguous.  With
+        in_place, every block is written into the leading rows of one
+        (min(k, size), ndim) buffer, so a block is valid only until the
+        next one is drawn.
 
         Axis d's coordinate at flat index j is axes[d][(j // s) % counts[d]],
         with s the product of the later counts: constant on runs of s
@@ -105,9 +113,10 @@ class GridSpec:
                 continue
             span = k if k == size else k + period - 1  # one block starts at 0
             columns.append(np.tile(np.repeat(axis, s), -(-span // period)))
+        buffer = np.empty((min(k, size), self.ndim)) if in_place else None
         for start in range(0, size, k):
             stop = min(start + k, size)
-            out = np.empty((stop - start, self.ndim))
+            out = buffer[: stop - start] if in_place else np.empty((stop - start, self.ndim))
             for d, (axis, c, s, col) in enumerate(zip(axes, self.counts, strides, columns)):
                 if col is not None:
                     off = start % (c * s)
@@ -128,6 +137,11 @@ class GridSpec:
         """The lattice points in lexicographic order, as consecutive blocks
         of at most ``_CHUNK`` rows (the last one may be shorter)."""
         return self._blocks(min(_CHUNK, self.size))
+
+    def _chunks_in_place(self):
+        """The blocks of ``chunks``, each overwriting the one before in a
+        single buffer: a caller keeps rows only by copying them."""
+        return self._blocks(min(_CHUNK, self.size), in_place=True)
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

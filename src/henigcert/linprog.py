@@ -30,7 +30,7 @@ nonnegative variables.
 """
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -330,8 +330,15 @@ class LpSession:
         return out
 
     def resolve_rhs(self, b_ub) -> LpOutcome:
-        """Re-solve for a new ``b_ub``: B^-1 b, dual simplex, then phase 2."""
-        lp = replace(self.lp, b_ub=b_ub)
+        """Re-solve for a new ``b_ub``: B^-1 b, dual simplex, then phase 2.
+
+        Only the new right-hand side is validated, as ``LinearProgram``
+        would validate it; the rest of the program is the session's own."""
+        b_ub = _as_vector(b_ub, self.lp.A_ub.shape[0], "b_ub")
+        if not np.all(np.isfinite(b_ub)):
+            raise ValueError("b_ub contains non-finite entries")
+        lp = copy.copy(self.lp)
+        lp.b_ub = b_ub
         if not self._phase1_ok:
             self._start(lp)
             return self.maximize()

@@ -1,5 +1,6 @@
 """Fractional problems, the parametric reformulation, and the grid oracle."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -32,9 +33,11 @@ from henigcert.fractional import (
     parametric_problem,
     ratio_matrix,
     _LadderScan,
+    _lattice_in_C,
     _validate_ladder,
 )
 from henigcert.grids import GridSpec
+from henigcert.linprog import TOL_FEAS
 
 
 def const(c, n=1):
@@ -546,3 +549,70 @@ def test_grid_scan_memory_is_flat_in_grid_size():
             tracemalloc.stop()
         assert verdict.kind == "properly_efficient" and equiv
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_lattice_in_C_skip_is_sound(monkeypatch):
+    # the scan drops C's test only when every lattice point passes it: C
+    # has integer or Gaussian rows, with or without equality rows, and the
+    # lattice's box lies strictly inside C, spans it to its faces exactly
+    # (the benchmark's grids), pokes out of it by about 1e-12 (within
+    # TOL_FEAS), reaches its test's bound b + TOL_FEAS up to rounding, or
+    # pokes past that bound by about 1e-12
+    rng = np.random.default_rng(23)
+    monkeypatch.setattr(grids, "_CHUNK", 7)
+    decided = {}
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        kind = ("inside", "faces", "out 1e-12", "at tol", "past tol")[trial % 5]
+        eq_rows = int(rng.random() < 0.25)
+        lo = rng.integers(-3, 2, size=n) * 0.5
+        if rng.random() < 0.5:
+            lo = lo + rng.normal(size=n)
+        hi = lo + rng.integers(1, 4, size=n) * 0.5
+        grid = GridSpec(lows=tuple(lo), highs=tuple(hi), counts=tuple(rng.integers(1, 6, size=n)))
+        # the lattice's own box: an axis with one point is its low end
+        lo, hi = (np.array(ends) for ends in zip(*[(a.min(), a.max()) for a in grid.axes()]))
+        rows = int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            A = rng.integers(-2, 3, size=(rows, n)).astype(float)
+            A[~A.any(axis=1), 0] = 1.0
+        else:
+            A = rng.normal(size=(rows, n))
+        top = np.maximum(A * lo, A * hi).sum(axis=1)
+        b = top.copy()
+        i = int(rng.integers(rows))
+        if kind == "inside":
+            b += rng.uniform(0.1, 1.0, size=rows)
+        elif kind == "out 1e-12":
+            b[i] -= 1e-12 * max(1.0, abs(top[i]))
+        elif kind == "at tol":
+            b[i] -= TOL_FEAS
+        elif kind == "past tol":
+            b[i] -= TOL_FEAS + 1e-12 * max(1.0, abs(top[i]))
+        x0 = (lo + hi) / 2
+        E = rng.integers(-1, 2, size=(eq_rows, n)).astype(float)
+        C = Polyhedron(A=A, b=b, E=E, d=E @ x0, n=n)
+        in_C = _lattice_in_C(C, grid)
+        decided.setdefault((kind, eq_rows), set()).add(in_C)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        if in_C:
+            assert C.contains_batch(grid.points(), tol=TOL_FEAS).all()
+            assert C.contains_batch(corners, tol=TOL_FEAS).all()
+        if kind == "past tol":
+            assert not C.contains_batch(corners, tol=TOL_FEAS).all()
+        prob = FractionalProblem(
+            n,
+            [(const(1.0, n), const(-1.0, n))] * 2,
+            [PolyhedralFn(rng.normal(size=(2, n)), rng.normal(size=2))],
+            PolyhedralCone.nonneg_orthant(1),
+            C,
+        )
+        for X in grid.chunks():
+            got = feasible_mask(prob, X, in_C=in_C)
+            assert got.tobytes() == feasible_mask(prob, X).tobytes()
+    # taken wherever the box passes C's test with room for rounding and
+    # there is no equality row, and refused wherever there is one or the
+    # box leaves C's test
+    assert decided[("inside", 0)] == decided[("faces", 0)] == decided[("out 1e-12", 0)] == {True}
+    assert decided[("past tol", 0)] == {False}
+    assert all(seen == {False} for (kind, eq), seen in decided.items() if eq)

@@ -1,12 +1,14 @@
 """The grid oracle's (k, N) stacks, samples last, against the row-major
 formulas they replaced (tests/grid_reference.py), compared byte for byte.
 
-Both layouts reach the same numbers only if ``A @ X.T`` equals
-``(X @ A.T).T`` bit for bit in the BLAS at hand and the reductions over
-the short axis see the same operands; these cases hold that in place on
-seeded inputs: N in {0, 1, 1000}, 1-12 pieces, n in {1, 4, 10}, points
-on a half-integer lattice (exact equality rows and ties) or from N(0,1),
-domains that give inf, and scaled functions with coefficient zero.
+Both layouts reach the same numbers only if the package's (k, N) product
+(``_kernels.dot_rows``) equals ``(X @ A.T).T`` bit for bit in the BLAS at
+hand and the reductions over the short axis see the same operands; these
+cases hold that in place on seeded inputs: N in {0, 1, 2, 1000, 4097,
+16384} (2 the smallest gemm, 16384 a full chunk of the grid scan, 4097 a
+partial one), 1-12 pieces, n in {1, 4, 10}, points on a half-integer
+lattice (exact equality rows and ties) or from N(0,1), domains that give
+inf, and scaled functions with coefficient zero.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from henigcert.fractional import (
 )
 from henigcert.grids import GridSpec
 
-CASES = list(itertools.product((0, 1, 1000), (1, 4, 10)))
+CASES = list(itertools.product((0, 1, 2, 1000, 4097, 16384), (1, 4, 10)))
 
 
 def same(got, want):
@@ -201,3 +203,23 @@ def test_grid_span_must_fit_a_float():
         GridSpec(lows=(-1e308, 0.0), highs=(1e308, 1.0), counts=(2, 2))
     grid = GridSpec(lows=(-1e307,), highs=(1e307,), counts=(3,))
     assert np.isfinite(grid.points()).all()
+
+
+def test_in_place_chunks_are_the_chunks(monkeypatch):
+    # the grid scan's walk yields the blocks of chunks() byte for byte, all
+    # C-contiguous views of one buffer, while chunks() and points() keep
+    # returning fresh arrays
+    grid = GridSpec.parse("5x7x3:[-1,1]x[0,2]x[-3,3]")
+    for chunk in (1, 7, 64, grid.size, grid.size + 1):
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        walked, bases = [], set()
+        for X in grid._chunks_in_place():
+            assert X.flags.c_contiguous
+            bases.add(id(X.base))
+            walked.append(X.copy())
+        blocks = list(grid.chunks())
+        assert len(bases) == 1 and len(walked) == len(blocks)
+        for got, want in zip(walked, blocks):
+            same(got, want)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
+        assert not np.shares_memory(grid.points(), grid.points())

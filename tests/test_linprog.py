@@ -392,6 +392,31 @@ def test_pivot_budget_failure_reports_phase_pivots_and_shape():
     assert session.pivots == {"phase 1": 0, "phase 2": 0, "dual simplex": 2}
 
 
+def test_resolve_rhs_validates_only_the_new_rhs():
+    # a right-hand side of the wrong length or with a non-finite entry
+    # raises what LinearProgram raises for it and leaves the session as it
+    # was; a good one replaces b_ub alone, on a copy of the program, and
+    # the caller's program stays as given
+    lp = LinearProgram(c=[1.0, 1.0], A_ub=np.eye(2), b_ub=[1.0, 2.0], lb=np.zeros(2))
+    session = LpSession(lp)
+    assert session.maximize().value == 3.0
+    bad = [
+        ([1.0], DimensionMismatch, "^b_ub has length 1, expected 2$"),
+        ([1.0, 2.0, 3.0], DimensionMismatch, "^b_ub has length 3, expected 2$"),
+        ([1.0, np.inf], ValueError, "^b_ub contains non-finite entries$"),
+        ([np.nan, 1.0], ValueError, "^b_ub contains non-finite entries$"),
+    ]
+    for b_ub, error, message in bad:
+        with pytest.raises(error, match=message):
+            replace(lp, b_ub=b_ub)
+        with pytest.raises(error, match=message):
+            session.resolve_rhs(b_ub)
+        assert session.lp.b_ub.tolist() == [1.0, 2.0]
+    assert session.resolve_rhs([2.0, 3.0]).value == 5.0
+    assert session.lp.b_ub.tolist() == [2.0, 3.0] and lp.b_ub.tolist() == [1.0, 2.0]
+    assert session.lp.A_ub is lp.A_ub
+
+
 def _status_of(value):
     # the status a batched value stands for
     return UNBOUNDED if value == np.inf else INFEASIBLE if value == -np.inf else OPTIMAL
