@@ -17,6 +17,7 @@ from .certificates import (  # noqa: F401
     epi_from_eps,
     generate_eps_certificate,
     slater_check,
+    verify_certificate,
     verify_eps_certificate,
     verify_epi_certificate,
     verify_exact_certificate,

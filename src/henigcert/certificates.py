@@ -18,8 +18,16 @@ the denominator term lambda_i nu_i (-g_i) (block w[i]), then the indicator
 of C (block C), the cone term for Y+ at h(xbar) (block Y) and the
 composite (-vstar) o h (block comp).  Each block owns one field of every
 form: its functional (xstar, wstar, cstar, ystar, ustar), its epigraph
-height (a, b, d, s, t) and its exact point (x, w, c, y, u).  The
-generator, the three verifiers, both transfers and the multiplier check
+height (a, b, d, s, t) and its exact point (x, w, c, y, u).
+
+The table layout is declared here and nowhere else: ``_LAYOUT`` gives
+every field its objective axis and entry kind, each form's dataclass
+lists its fields in file order and carries its theorem tag, ``FORMS``
+maps tags to forms, and ``_form_functions`` gives each form its transfer
+and verifier, for ``transfer`` and ``verify_certificate``.
+The JSON reader and writer and the CLI derive from these.
+
+The generator, the three verifiers, both transfers and the multiplier check
 all walk that table, so membership names come out in table order:
 
 * epigraph form: epi_f[i], epi_w[i] for each i, epi_C, ystar_polar,
@@ -45,7 +53,7 @@ non-increasing up to jitter.  Every report carries this caveat.
 """
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -91,6 +99,8 @@ from .linprog import INFEASIBLE, UNBOUNDED, LpSession
 DEFAULT_TOL_CONV = 1e-3
 JITTER = 1e-9
 VSTAR_ZERO_TOL = 1e-12
+# how far inside -Y+ a grid point of C must map to count as a Slater point
+SLATER_MARGIN = 1e-6
 
 HEURISTIC_NOTE = (
     "finite-horizon verdict: the limit conditions are checked by the "
@@ -150,34 +160,63 @@ def _convergence_failures(trace, tol_conv: float, jitter: float = JITTER,
 # certificate tables
 
 
-def _field_shapes(m, N, n, p) -> dict:
-    """Shape of every table field: f and w fields carry a leading objective
-    axis, heights are scalars per entry, Y and vstar live in R^p."""
-    shapes = {"vstar": (N, p)}
+def _layout() -> dict:
+    """Every table field -> (has a leading objective axis, entry kind): "s"
+    a scalar, "n" a vector in R^n, "p" a vector in R^p per entry.  Each
+    block owns a functional, a height and a point; f and w blocks carry
+    the objective axis, Y's functional and point live in R^p."""
+    layout = {"gamma": (False, "s"), "vstar": (False, "p")}
     for kind, (star, height, point, _) in _SUMMANDS.items():
-        lead = (m, N) if kind in ("f", "w") else (N,)
-        shapes[height] = lead
-        shapes[star] = shapes[point] = lead + ((p,) if kind == "Y" else (n,))
-    return shapes
+        lead = kind in ("f", "w")
+        layout[height] = (lead, "s")
+        layout[star] = layout[point] = (lead, "p" if kind == "Y" else "n")
+    return layout
 
 
-def _check_table(cert, objectives: np.ndarray, constraints: np.ndarray):
-    """Shared __post_init__: m and n come from ``objectives`` (m, N, n), p
-    from ``constraints`` (N, p), N from ``cert.N``."""
-    m = objectives.shape[0]
-    object.__setattr__(cert, "lam", _check_lambda(cert.lam, m))
-    if (np.asarray(getattr(cert, "gamma", 0.0)) < 0).any():
-        raise ValueError("gamma values must be nonnegative")
-    want = _field_shapes(m, cert.N, objectives.shape[2], constraints.shape[1])
-    for f in fields(cert):
-        if f.name in want and getattr(cert, f.name).shape != want[f.name]:
-            got = getattr(cert, f.name).shape
-            raise DimensionMismatch(f"{f.name} has shape {got}, want {want[f.name]}")
+_LAYOUT = _layout()
+
+
+def _field_shapes(m, N, n, p) -> dict:
+    """Shape of every table field, from ``_LAYOUT``."""
+    entry = {"s": (), "n": (n,), "p": (p,)}
+    return {f: ((m, N) if lead else (N,)) + entry[kind] for f, (lead, kind) in _LAYOUT.items()}
 
 
 @dataclass(frozen=True)
-class EpsCertificate:
+class _Table:
+    """A certificate table of N entries.  A form's table fields are its
+    dataclass fields named in ``_LAYOUT``, in declaration order, which is
+    also their order in a certificate file; ``theorem`` is the form's tag.
+    m and n come from xstar, p from ystar, N from vstar."""
+
+    theorem: ClassVar[str]
+
+    def __post_init__(self):
+        m, n = self.xstar.shape[0], self.xstar.shape[-1]
+        object.__setattr__(self, "lam", _check_lambda(self.lam, m))
+        if (np.asarray(getattr(self, "gamma", 0.0)) < 0).any():
+            raise ValueError("gamma values must be nonnegative")
+        want = _field_shapes(m, self.N, n, self.ystar.shape[-1])
+        for name in self.layout():
+            got = getattr(self, name).shape
+            if got != want[name]:
+                raise DimensionMismatch(f"{name} has shape {got}, want {want[name]}")
+
+    @property
+    def N(self) -> int:
+        return self.vstar.shape[0]
+
+    @classmethod
+    def layout(cls) -> dict:
+        """The form's table fields in file order -> their ``_LAYOUT`` entry."""
+        return {f.name: _LAYOUT[f.name] for f in fields(cls) if f.name in _LAYOUT}
+
+
+@dataclass(frozen=True)
+class EpsCertificate(_Table):
     """Per-n approximate subgradients and normals at the candidate itself."""
+
+    theorem = "4.3"
 
     lam: np.ndarray
     gamma: np.ndarray        # (N,)
@@ -188,17 +227,12 @@ class EpsCertificate:
     vstar: np.ndarray        # (N, p)
     ustar: np.ndarray        # (N, n)
 
-    def __post_init__(self):
-        _check_table(self, self.xstar, self.ystar)
-
-    @property
-    def N(self) -> int:
-        return self.gamma.shape[0]
-
 
 @dataclass(frozen=True)
-class EpiCertificate:
+class EpiCertificate(_Table):
     """Per-n pairs in the conjugate epigraphs, with scalar heights."""
+
+    theorem = "4.2"
 
     lam: np.ndarray
     xstar: np.ndarray        # (m, N, n)
@@ -213,17 +247,12 @@ class EpiCertificate:
     ustar: np.ndarray        # (N, n)
     t: np.ndarray            # (N,)
 
-    def __post_init__(self):
-        _check_table(self, self.xstar, self.ystar)
-
-    @property
-    def N(self) -> int:
-        return self.xstar.shape[1]
-
 
 @dataclass(frozen=True)
-class ExactCertificate:
+class ExactCertificate(_Table):
     """Per-n exact subgradients and normals at nearby points."""
+
+    theorem = "4.4"
 
     lam: np.ndarray
     x: np.ndarray            # (m, N, n)
@@ -239,12 +268,9 @@ class ExactCertificate:
     vstar: np.ndarray        # (N, p)
     br_bounds: Optional[dict] = None   # block name -> (N, 3) bound values
 
-    def __post_init__(self):
-        _check_table(self, self.x, self.y)
 
-    @property
-    def N(self) -> int:
-        return self.x.shape[1]
+# theorem tag -> certificate form
+FORMS = {cls.theorem: cls for cls in (EpiCertificate, EpsCertificate, ExactCertificate)}
 
 
 @dataclass(frozen=True)
@@ -569,6 +595,30 @@ def verify_exact_certificate(
     return _verify("4.4", prob, xbar, cert, tol_membership, tol_conv, tol_points)
 
 
+def _form_functions(form) -> tuple:
+    """A form's (transfer from the subdifferential form, verifier); the
+    subdifferential form needs no transfer.  Looked up per call by
+    module-level name, so that a rebound function (a tracer's wrapper) is
+    the one that runs."""
+    return {
+        EpiCertificate: (epi_from_eps, verify_epi_certificate),
+        EpsCertificate: (None, verify_eps_certificate),
+        ExactCertificate: (eps_to_exact, verify_exact_certificate),
+    }[form]
+
+
+def verify_certificate(prob: FractionalProblem, xbar, cert: _Table,
+                       tol_conv: float = DEFAULT_TOL_CONV) -> VerificationReport:
+    """Check a certificate of any form with the verifier of its form."""
+    return _form_functions(type(cert))[1](prob, xbar, cert, tol_conv=tol_conv)
+
+
+def transfer(prob: FractionalProblem, xbar, cert: EpsCertificate, theorem: str) -> _Table:
+    """The subdifferential-form certificate carried to the form ``theorem``."""
+    move = _form_functions(FORMS[theorem])[0]
+    return cert if move is None else move(prob, xbar, cert)
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -606,7 +656,7 @@ def _objective_lp(table: _Blocks, polys: dict):
     lp, ex = BlockLP(), {}
     for blk in table.lp_order:
         if blk.kind == "C":
-            ex["C"] = add_eps_normal_block(lp, blk.fn, table.xbar, 0.0)
+            ex["C"] = add_eps_normal_block(lp, blk.fn, table.xbar)
         elif blk.kind in ("f", "w") and polys[blk.name] is not None:
             ex[blk.name] = add_eps_subdiff_block(lp, polys[blk.name], table.xbar)
     return lp, ex
@@ -819,9 +869,9 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
     return KKTResult(holds=False, reason="multiplier system infeasible")
 
 
-def slater_check(prob: FractionalProblem, grid, strict_margin: float = 1e-6) -> bool:
+def slater_check(prob: FractionalProblem, grid) -> bool:
     """Does some grid point of C map strictly inside -Y+, that is
-    H h(a) <= -strict_margin componentwise?  The lattice is walked in
+    H h(a) <= -SLATER_MARGIN componentwise?  The lattice is walked in
     chunks and the walk stops at the first such point."""
     if grid.ndim != prob.n:
         raise DimensionMismatch("grid dimension does not match problem")
@@ -831,6 +881,6 @@ def slater_check(prob: FractionalProblem, grid, strict_margin: float = 1e-6) -> 
             continue
         hv = prob.h_values_batch(X[inC])
         vals = hv[np.isfinite(hv).all(axis=1)] @ prob.cone.H.T
-        if (vals <= -strict_margin).all(axis=1).any():
+        if (vals <= -SLATER_MARGIN).all(axis=1).any():
             return True
     return False

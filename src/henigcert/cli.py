@@ -29,18 +29,15 @@ import numpy as np
 
 from . import example_q, serialization
 from .certificates import (
-    EpiCertificate,
-    EpsCertificate,
-    ExactCertificate,
+    FORMS,
     classical_kkt_check,
     converged,
     eps_to_exact,
     epi_from_eps,
     generate_eps_certificate,
     slater_check,
-    verify_eps_certificate,
-    verify_epi_certificate,
-    verify_exact_certificate,
+    transfer,
+    verify_certificate,
 )
 from .cones import PolyhedralCone
 from .convex import Polyhedron, PolyhedralFn
@@ -224,16 +221,8 @@ def _generate_and_transfer(prob, point, args):
     eps_cert, trace = generate_eps_certificate(
         prob, point, lam=lam, gamma=gamma, pin_vstar=args.pin_vstar
     )
-    if args.theorem == "4.3":
-        cert = eps_cert
-        report = verify_eps_certificate(prob, point, cert, tol_conv=args.tol_conv)
-    elif args.theorem == "4.2":
-        cert = epi_from_eps(prob, point, eps_cert)
-        report = verify_epi_certificate(prob, point, cert, tol_conv=args.tol_conv)
-    else:
-        cert = eps_to_exact(prob, point, eps_cert)
-        report = verify_exact_certificate(prob, point, cert, tol_conv=args.tol_conv)
-    return cert, trace, report
+    cert = transfer(prob, point, eps_cert, args.theorem)
+    return cert, trace, verify_certificate(prob, point, cert, tol_conv=args.tol_conv)
 
 
 def cmd_certify(args):
@@ -289,14 +278,7 @@ def cmd_verify(args):
     point = _parse_vector(args.point, "point")
     cert = _load_certificate(args.certificate)
     t0 = time.perf_counter()
-    if isinstance(cert, EpiCertificate):
-        report = verify_epi_certificate(prob, point, cert, tol_conv=args.tol_conv)
-    elif isinstance(cert, EpsCertificate):
-        report = verify_eps_certificate(prob, point, cert, tol_conv=args.tol_conv)
-    elif isinstance(cert, ExactCertificate):
-        report = verify_exact_certificate(prob, point, cert, tol_conv=args.tol_conv)
-    else:
-        raise SchemaError("unrecognized certificate object")
+    report = verify_certificate(prob, point, cert, tol_conv=args.tol_conv)
     doc = {
         "command": "verify",
         "problem": args.problem,
@@ -392,16 +374,12 @@ def cmd_selftest(args):
     # N=100 keeps the epigraph scalar residual 6/N inside the 1e-1 gate
     eps_cert, trace = generate_eps_certificate(prob, xbar, N=100)
     checks.append(("generated residuals vanish", float(np.max(trace)) <= 1e-9))
-    rep = verify_eps_certificate(prob, xbar, eps_cert, tol_conv=1e-1)
+    rep = verify_certificate(prob, xbar, eps_cert, tol_conv=1e-1)
     checks.append(("subdifferential form accepted", rep.verdict == "Accept"))
 
-    epi = epi_from_eps(prob, xbar, eps_cert)
-    rep = verify_epi_certificate(prob, xbar, epi, tol_conv=1e-1)
-    checks.append(("epigraph form accepted", rep.verdict == "Accept"))
-
-    exact = eps_to_exact(prob, xbar, eps_cert)
-    rep = verify_exact_certificate(prob, xbar, exact, tol_conv=1e-1)
-    checks.append(("exact form accepted", rep.verdict == "Accept"))
+    for name, move in (("epigraph", epi_from_eps), ("exact", eps_to_exact)):
+        rep = verify_certificate(prob, xbar, move(prob, xbar, eps_cert), tol_conv=1e-1)
+        checks.append((f"{name} form accepted", rep.verdict == "Accept"))
 
     kkt = classical_kkt_check(prob, xbar)
     checks.append(("multiplier check holds", kkt.holds))
@@ -435,7 +413,7 @@ def _build_parser():
 
     p = sub.add_parser("certify", help="generate a certificate at a candidate point")
     _add_common(p)
-    p.add_argument("--theorem", choices=["4.2", "4.3", "4.4"], default="4.3")
+    p.add_argument("--theorem", choices=sorted(FORMS), default="4.3")
     p.add_argument("--lambda", dest="lam", help="scalarization weights, e.g. 1,1")
     p.add_argument("--gamma", default="1/n", help="schedule: c, c/n or c/n^2")
     p.add_argument("--n", type=_horizon, default=100, help="horizon N")

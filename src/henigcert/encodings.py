@@ -140,8 +140,10 @@ def add_eps_subdiff_block(lp: BlockLP, poly: PolyhedralFn, xbar) -> LinExpr:
     return LinExpr(idx=mu, M=A.T.copy())
 
 
-def add_eps_normal_block(lp: BlockLP, C, xbar, eps: float) -> LinExpr:
-    """Functionals in the eps-normal set of the polyhedron C at xbar."""
+def add_eps_normal_block(lp: BlockLP, C, xbar) -> LinExpr:
+    """Functionals in the normal cone of the polyhedron C at xbar, its
+    eps-normal set at eps = 0: combinations of C's rows whose multipliers
+    weight the rows' slack at xbar to at most 0."""
     xbar = np.asarray(xbar, float).reshape(-1)
     n = C.n
     parts = []
@@ -161,7 +163,7 @@ def add_eps_normal_block(lp: BlockLP, C, xbar, eps: float) -> LinExpr:
         gap_coef.extend([resid, -resid])
     if not parts:
         return LinExpr.zero(n)  # full space: only the zero functional
-    lp.add_ub(np.concatenate(gap_idx), np.concatenate(gap_coef), float(eps))
+    lp.add_ub(np.concatenate(gap_idx), np.concatenate(gap_coef), 0.0)
     return expr_sum(parts)
 
 

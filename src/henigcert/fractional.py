@@ -27,7 +27,7 @@ rungs hits them all.  The first such sample in lattice order decides
 Dominated, and the walk stops once every verdict it runs is decided.
 
 Two things keep a chunk cheap.  The chunks are drawn into one buffer
-that each overwrites (``GridSpec._chunks_in_place``); the scan keeps rows
+that each overwrites (``GridSpec.chunks``); the scan keeps rows
 only through ``np.compress`` copies, the counterexample among them.  And
 C's test is decided once per scan: when every point of the box spanned
 by the lattice's axes passes it, whatever the rounding of its products
@@ -389,7 +389,7 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, par
     in_C = _lattice_in_C(prob.C, grid)
     any_feasible = False
     # X is overwritten by the next chunk; every row kept is a compress copy
-    for X in grid._chunks_in_place():
+    for X in grid.chunks():
         ok = feasible_mask(prob, X, in_C=in_C)
         if not ok.any():
             continue

@@ -14,9 +14,10 @@ always was.  The evaluators form their (rows of A, N) products as
 ``X @ A.T`` written through the transposed view of the result
 (``_kernels.dot_rows``), which rounds as the row-major reference for
 N >= 2; a single row keeps ``A @ X.T``, because numpy hands it to gemv,
-whose summation order differs.  ``chunks`` and ``points`` return fresh
-arrays; the grid oracle walks ``_chunks_in_place`` instead, where every
-block overwrites one buffer.
+whose summation order differs.  Every block of a walk overwrites one
+buffer, so a caller keeps rows of ``chunks`` only by copying them (the
+blocks are read-only views); ``points`` is a walk of one block, a fresh
+array per call.
 """
 
 from dataclasses import dataclass
@@ -85,12 +86,11 @@ class GridSpec:
             for lo, hi, k in zip(self.lows, self.highs, self.counts)
         ]
 
-    def _blocks(self, k: int, in_place: bool = False):
+    def _blocks(self, k: int):
         """The lattice in lexicographic order, as consecutive blocks of at
-        most k points, each of shape (rows, ndim), C-contiguous.  With
-        in_place, every block is written into the leading rows of one
-        (min(k, size), ndim) buffer, so a block is valid only until the
-        next one is drawn.
+        most k points, each of shape (rows, ndim), C-contiguous.  Every
+        block is written into the leading rows of one (min(k, size), ndim)
+        buffer, so a block is valid only until the next one is drawn.
 
         Axis d's coordinate at flat index j is axes[d][(j // s) % counts[d]],
         with s the product of the later counts: constant on runs of s
@@ -113,10 +113,10 @@ class GridSpec:
                 continue
             span = k if k == size else k + period - 1  # one block starts at 0
             columns.append(np.tile(np.repeat(axis, s), -(-span // period)))
-        buffer = np.empty((min(k, size), self.ndim)) if in_place else None
+        buffer = np.empty((min(k, size), self.ndim))
         for start in range(0, size, k):
             stop = min(start + k, size)
-            out = buffer[: stop - start] if in_place else np.empty((stop - start, self.ndim))
+            out = buffer[: stop - start]
             for d, (axis, c, s, col) in enumerate(zip(axes, self.counts, strides, columns)):
                 if col is not None:
                     off = start % (c * s)
@@ -135,13 +135,13 @@ class GridSpec:
 
     def chunks(self):
         """The lattice points in lexicographic order, as consecutive blocks
-        of at most ``_CHUNK`` rows (the last one may be shorter)."""
-        return self._blocks(min(_CHUNK, self.size))
-
-    def _chunks_in_place(self):
-        """The blocks of ``chunks``, each overwriting the one before in a
-        single buffer: a caller keeps rows only by copying them."""
-        return self._blocks(min(_CHUNK, self.size), in_place=True)
+        of at most ``_CHUNK`` rows (the last one may be shorter), each
+        overwriting the one before in a single buffer: a caller keeps rows
+        only by copying them.  The blocks are read-only views of it."""
+        for block in self._blocks(min(_CHUNK, self.size)):
+            view = block.view()
+            view.flags.writeable = False
+            yield view
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

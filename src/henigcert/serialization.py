@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import PolyhedralCone
 from .convex import BlackBoxFn, ConvexFn, Polyhedron, PolyhedralFn, ScaledFn
-from .certificates import EpiCertificate, EpsCertificate, ExactCertificate
+from .certificates import FORMS
 from .errors import SchemaError
 from .fractional import FractionalProblem
 
@@ -198,27 +198,14 @@ def problem_from_json(obj) -> FractionalProblem:
 # ---------------------------------------------------------------------------
 # certificates
 
-# per-entry fields by theorem tag: (name, kind) where kind fixes the shape
-# against (m, n, p); "mn" = list of m n-vectors, "m" = list of m scalars
-_FIELDS = {
-    "4.2": [
-        ("xstar", "mn"), ("a", "m"), ("wstar", "mn"), ("b", "m"),
-        ("cstar", "n"), ("d", "s"), ("ystar", "p"), ("s", "s"),
-        ("vstar", "p"), ("ustar", "n"), ("t", "s"),
-    ],
-    "4.3": [
-        ("gamma", "s"), ("xstar", "mn"), ("wstar", "mn"), ("cstar", "n"),
-        ("ystar", "p"), ("vstar", "p"), ("ustar", "n"),
-    ],
-    "4.4": [
-        ("x", "mn"), ("xstar", "mn"), ("w", "mn"), ("wstar", "mn"),
-        ("c", "n"), ("cstar", "n"), ("u", "n"), ("ustar", "n"),
-        ("y", "p"), ("ystar", "p"), ("vstar", "p"),
-    ],
-}
+# A certificate file holds "theorem", "lambda", "N" and "entries", one
+# object per entry with the form's table fields in table order
+# (``certificates._Table.layout``); a field with an objective axis holds m
+# values per entry, one per objective.
 
 
-def _entry_array(entries, field, kind, m):
+def _entry_array(entries, field, lead, kind, m):
+    """One table field read from every entry, objective axis first."""
     try:
         vals = [e[field] for e in entries]
     except KeyError:
@@ -227,43 +214,23 @@ def _entry_array(entries, field, kind, m):
         arr = np.asarray(vals, float)
     except ValueError as exc:
         raise SchemaError(f"field {field!r} is ragged or non-numeric") from exc
-    if kind == "s" and arr.ndim != 1:
-        raise SchemaError(f"field {field!r} must be scalar per entry")
-    if kind in ("n", "p") and arr.ndim != 2:
-        raise SchemaError(f"field {field!r} must be a vector per entry")
-    if kind == "m" and (arr.ndim != 2 or arr.shape[1] != m):
-        raise SchemaError(f"field {field!r} must be {m} scalars per entry")
-    if kind == "mn":
-        if arr.ndim != 3 or arr.shape[1] != m:
-            raise SchemaError(f"field {field!r} must be {m} vectors per entry")
-        arr = np.swapaxes(arr, 0, 1)  # (m, N, n)
-    if kind == "m":
-        arr = arr.T  # (m, N)
-    return arr
+    if arr.ndim != 1 + lead + (kind != "s") or (lead and arr.shape[1] != m):
+        what = "scalar" if kind == "s" else "vector"
+        what = f"{m} {what}s" if lead else f"a {what}"
+        raise SchemaError(f"field {field!r} must be {what} per entry")
+    return np.swapaxes(arr, 0, 1) if lead else arr
 
 
 def certificate_to_json(cert) -> dict:
-    if isinstance(cert, EpiCertificate):
-        tag = "4.2"
-    elif isinstance(cert, EpsCertificate):
-        tag = "4.3"
-    elif isinstance(cert, ExactCertificate):
-        tag = "4.4"
-    else:
-        raise SchemaError(f"cannot serialize certificate of type {type(cert).__name__}")
     # one list per field with the entry axis first, then one dict per entry
     names, columns = [], []
-    for field, kind in _FIELDS[tag]:
+    for field, (lead, _) in cert.layout().items():
         val = np.asarray(getattr(cert, field), float)
-        if kind == "m":
-            val = val.T  # (N, m)
-        elif kind == "mn":
-            val = np.swapaxes(val, 0, 1)  # (N, m, n)
         names.append(field)
-        columns.append(val.tolist())
+        columns.append((np.swapaxes(val, 0, 1) if lead else val).tolist())
     entries = [dict(zip(names, row)) for row in zip(*columns)]
     return {
-        "theorem": tag,
+        "theorem": cert.theorem,
         "lambda": cert.lam.tolist(),
         "N": cert.N,
         "entries": entries,
@@ -274,47 +241,44 @@ def certificate_from_json(obj):
     if not isinstance(obj, dict):
         raise SchemaError("certificate must be an object")
     tag = obj.get("theorem")
-    if tag not in _FIELDS:
+    form = FORMS.get(tag) if isinstance(tag, str) else None
+    if form is None:
         raise SchemaError(f"unknown theorem tag {tag!r}")
-    if "lambda" not in obj:
-        raise SchemaError("certificate is missing 'lambda'")
-    lam = np.asarray(obj["lambda"], float).reshape(-1)
-    m = lam.shape[0]
-    entries = obj.get("entries")
-    closed = obj.get("closed_form")
-    if entries is None and closed is None:
-        raise SchemaError("certificate needs 'entries' or 'closed_form'")
-    if entries is None:
-        if "N" not in obj:
-            raise SchemaError("closed-form certificate needs 'N'")
-        entries = [{} for _ in range(int(obj["N"]))]
-    else:
-        entries = [dict(e) for e in entries]
-    if "N" in obj and int(obj["N"]) != len(entries):
-        raise SchemaError("'N' does not match the number of entries")
-    if closed is not None:
-        if not isinstance(closed, dict):
-            raise SchemaError("'closed_form' must be an object")
-        known = {f for f, _ in _FIELDS[tag]}
-        for field, spec in closed.items():
-            if field not in known:
-                raise SchemaError(f"closed_form field {field!r} not in theorem {tag}")
-            for k, e in enumerate(entries):
-                e[field] = _expand_form(spec, k + 1)
-    N = len(entries)
-    if N < 1:
-        raise SchemaError("certificate needs at least one entry")
-    data = {f: _entry_array(entries, f, kind, m) for f, kind in _FIELDS[tag]}
     try:
-        if tag == "4.2":
-            return EpiCertificate(lam=lam, **data)
-        if tag == "4.3":
-            return EpsCertificate(lam=lam, **data)
-        return ExactCertificate(lam=lam, **data)
+        if "lambda" not in obj:
+            raise SchemaError("certificate is missing 'lambda'")
+        lam = np.asarray(obj["lambda"], float).reshape(-1)
+        m = lam.shape[0]
+        entries = obj.get("entries")
+        closed = obj.get("closed_form")
+        if entries is None and closed is None:
+            raise SchemaError("certificate needs 'entries' or 'closed_form'")
+        if entries is None:
+            if "N" not in obj:
+                raise SchemaError("closed-form certificate needs 'N'")
+            entries = [{} for _ in range(int(obj["N"]))]
+        else:
+            entries = [dict(e) for e in entries]
+        if "N" in obj and int(obj["N"]) != len(entries):
+            raise SchemaError("'N' does not match the number of entries")
+        layout = form.layout()
+        if closed is not None:
+            if not isinstance(closed, dict):
+                raise SchemaError("'closed_form' must be an object")
+            for field, spec in closed.items():
+                if field not in layout:
+                    raise SchemaError(f"closed_form field {field!r} not in theorem {tag}")
+                for k, e in enumerate(entries):
+                    e[field] = _expand_form(spec, k + 1)
+        N = len(entries)
+        if N < 1:
+            raise SchemaError("certificate needs at least one entry")
+        data = {f: _entry_array(entries, f, lead, kind, m) for f, (lead, kind) in layout.items()}
+        return form(lam=lam, **data)
     except SchemaError:
         raise
-    except Exception as exc:
-        raise SchemaError(f"bad certificate table: {exc}") from exc
+    except (TypeError, ValueError, KeyError) as exc:  # DimensionMismatch is a ValueError
+        raise SchemaError(f"bad certificate: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,32 @@ def test_certificate_shape_checked_against_problem(consumer):
         consumer(toy_problem(), [0.0], cert)
 
 
+def test_gamma_shape_is_checked():
+    # an (N, 1) gamma would broadcast the verifier's gamma - gap to (N, N)
+    cert = zero_eps_certificate(toy_problem(), 4)
+    with pytest.raises(DimensionMismatch, match="gamma"):
+        EpsCertificate(**{**vars(cert), "gamma": np.ones((4, 1))})
+
+
+def test_transfer_and_verify_look_up_the_form_functions_per_call(monkeypatch):
+    # a rebound module function (a tracer's wrapper) is the one that runs
+    prob, xbar = toy_problem(), np.zeros(1)
+    cert = zero_eps_certificate(prob, 4)
+    assert certificates.transfer(prob, xbar, cert, "4.3") is cert
+    calls = []
+    for name in ("epi_from_eps", "eps_to_exact", "verify_epi_certificate",
+                 "verify_exact_certificate", "verify_eps_certificate"):
+        fn = getattr(certificates, name)
+        monkeypatch.setattr(certificates, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    for tag in ("4.2", "4.3", "4.4"):
+        moved = certificates.transfer(prob, xbar, cert, tag)
+        assert type(moved) is certificates.FORMS[tag]
+        assert certificates.verify_certificate(prob, xbar, moved).theorem == tag
+    assert calls == ["epi_from_eps", "verify_epi_certificate", "verify_eps_certificate",
+                     "eps_to_exact", "verify_exact_certificate"]
+
+
 # ---------------------------------------------------------------------------
 # exact form
 

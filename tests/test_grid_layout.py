@@ -191,9 +191,11 @@ def test_lattice_chunks_are_the_meshgrid_lattice(monkeypatch):
         assert grid.points().flags.c_contiguous
         for chunk in (1, 2, 7, 64, 1000, 16384, grid.size, grid.size + 1):
             monkeypatch.setattr(grids, "_CHUNK", chunk)
-            blocks = list(grid.chunks())
+            blocks = []
+            for b in grid.chunks():
+                assert b.flags.c_contiguous
+                blocks.append(b.copy())
             same(np.concatenate(blocks), want)
-            assert all(b.flags.c_contiguous for b in blocks)
             assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
 
 
@@ -206,20 +208,22 @@ def test_grid_span_must_fit_a_float():
 
 
 def test_in_place_chunks_are_the_chunks(monkeypatch):
-    # the grid scan's walk yields the blocks of chunks() byte for byte, all
-    # C-contiguous views of one buffer, while chunks() and points() keep
-    # returning fresh arrays
+    # the walk yields read-only C-contiguous views of one buffer, each
+    # overwriting the one before, that equal the slices of points() byte
+    # for byte; points() is a fresh, writable array per call
     grid = GridSpec.parse("5x7x3:[-1,1]x[0,2]x[-3,3]")
     for chunk in (1, 7, 64, grid.size, grid.size + 1):
         monkeypatch.setattr(grids, "_CHUNK", chunk)
         walked, bases = [], set()
-        for X in grid._chunks_in_place():
-            assert X.flags.c_contiguous
+        for X in grid.chunks():
+            assert X.flags.c_contiguous and not X.flags.writeable
+            with pytest.raises(ValueError):
+                X[0, 0] = 0.0
             bases.add(id(X.base))
             walked.append(X.copy())
-        blocks = list(grid.chunks())
-        assert len(bases) == 1 and len(walked) == len(blocks)
-        for got, want in zip(walked, blocks):
-            same(got, want)
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
+        lattice = grid.points()
+        assert len(bases) == 1 and len(walked) == -(-grid.size // chunk)
+        for k, got in enumerate(walked):
+            same(got, lattice[k * chunk:(k + 1) * chunk])
         assert not np.shares_memory(grid.points(), grid.points())
+        assert grid.points().flags.writeable

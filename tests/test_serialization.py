@@ -239,9 +239,13 @@ def test_certificate_schema_errors():
     _, cert = generated_toy_cert(N=4)
     good = certificate_to_json(cert)
 
-    bad = dict(good, theorem="4.9")
-    with pytest.raises(SchemaError):
-        certificate_from_json(bad)
+    for tag in ("4.9", ["4.3"], None):
+        with pytest.raises(SchemaError):
+            certificate_from_json(dict(good, theorem=tag))
+
+    for bad in (dict(good, **{"lambda": ["x", 1.0]}), dict(good, N="four"), dict(good, entries=[1, 2])):
+        with pytest.raises(SchemaError):
+            certificate_from_json(bad)
 
     bad = {k: v for k, v in good.items() if k != "lambda"}
     with pytest.raises(SchemaError):
@@ -271,12 +275,45 @@ def test_certificate_schema_errors():
 
 
 def test_certificate_entry_shape_errors():
-    _, cert = generated_toy_cert(N=4)
-    good = certificate_to_json(cert)
-    entries = [dict(e) for e in good["entries"]]
+    prob, cert = generated_toy_cert(N=4)
+    xbar = np.zeros(1)
+    docs = {"4.3": certificate_to_json(cert),
+            "4.2": certificate_to_json(epi_from_eps(prob, xbar, cert))}
+    # one bad entry per layout kind (m = 2, n = p = 1)
+    cases = [
+        ("4.3", "xstar", [[1.0]]),        # one vector where m=2 are required
+        ("4.3", "xstar", [1.0, 1.0]),     # m scalars where m vectors are
+        ("4.3", "gamma", [0.5]),          # a vector where a scalar is
+        ("4.3", "cstar", 0.5),            # a scalar where a vector is
+        ("4.3", "ystar", [[0.0]]),        # a matrix where a vector is
+        ("4.2", "a", [0.5]),              # one scalar where m=2 are required
+        ("4.2", "a", [[0.5], [0.5]]),     # m vectors where m scalars are
+    ]
+    for tag, field, value in cases:
+        entries = [dict(e) for e in docs[tag]["entries"]]
+        for e in entries:
+            e[field] = value
+        with pytest.raises(SchemaError, match=field):
+            certificate_from_json(dict(docs[tag], entries=entries))
+
+    # a single malformed entry among good ones makes the field ragged
+    entries = [dict(e) for e in docs["4.3"]["entries"]]
     entries[0]["xstar"] = [[1.0]]  # one vector where m=2 are required
-    with pytest.raises(SchemaError):
-        certificate_from_json(dict(good, entries=entries))
+    with pytest.raises(SchemaError, match="xstar"):
+        certificate_from_json(dict(docs["4.3"], entries=entries))
+
+
+def test_certificate_files_keep_the_field_order():
+    # the file layout follows the dataclass field order; a reordered
+    # dataclass would change the format
+    prob, eps_cert = generated_toy_cert(N=4)
+    xbar = np.zeros(1)
+    for cert in (eps_cert, epi_from_eps(prob, xbar, eps_cert), eps_to_exact(prob, xbar, eps_cert)):
+        doc = certificate_to_json(cert)
+        assert list(doc) == ["theorem", "lambda", "N", "entries"]
+        want = [name for name, _ in FILE_LAYOUT[doc["theorem"]]]
+        assert all(list(e) == want for e in doc["entries"])
+        assert doc["entries"] == _certificate_reference(cert, FILE_LAYOUT[doc["theorem"]])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +354,27 @@ def _sanitize_reference(value):
         v = float(value)
         return v if np.isfinite(v) else None
     return value
+
+
+# the entry fields of a certificate file per theorem tag, in file order:
+# (name, kind) where kind fixes the shape against (m, n, p); "mn" = list of
+# m n-vectors, "m" = list of m scalars, "s" = a scalar, "n"/"p" = a vector
+FILE_LAYOUT = {
+    "4.2": [
+        ("xstar", "mn"), ("a", "m"), ("wstar", "mn"), ("b", "m"),
+        ("cstar", "n"), ("d", "s"), ("ystar", "p"), ("s", "s"),
+        ("vstar", "p"), ("ustar", "n"), ("t", "s"),
+    ],
+    "4.3": [
+        ("gamma", "s"), ("xstar", "mn"), ("wstar", "mn"), ("cstar", "n"),
+        ("ystar", "p"), ("vstar", "p"), ("ustar", "n"),
+    ],
+    "4.4": [
+        ("x", "mn"), ("xstar", "mn"), ("w", "mn"), ("wstar", "mn"),
+        ("c", "n"), ("cstar", "n"), ("u", "n"), ("ustar", "n"),
+        ("y", "p"), ("ystar", "p"), ("vstar", "p"),
+    ],
+}
 
 
 def _certificate_reference(cert, fields):
@@ -504,7 +562,7 @@ def test_certify_output_parses_as_before(tmp_path, monkeypatch, capsys):
     text = cert_path.read_text()
     assert text.count("\n") == 1
     want = {"theorem": "4.3", "lambda": cert.lam.tolist(), "N": cert.N,
-            "entries": _certificate_reference(cert, serialization._FIELDS["4.3"])}
+            "entries": _certificate_reference(cert, FILE_LAYOUT["4.3"])}
     assert json.loads(text) == json.loads(json.dumps(_sanitize_reference(want), indent=1))
 
 
