@@ -130,27 +130,6 @@ class Polyhedron:
             ok &= (np.abs(dot_rows(self.E, X) - self.d[:, None]) <= tol).all(axis=0)
         return ok
 
-    def box_passes(self, lo, hi, tol: float = 1e-9) -> bool:
-        """True only if ``contains_batch(X, tol)`` holds at every point of
-        the box [lo, hi], however its products round.
-
-        That needs no equality rows, and on each inequality row the box
-        maximum sum_d max(a_d lo_d, a_d hi_d), plus twice a bound on the
-        rounding of an n-term dot product (once for computing that maximum,
-        once for the per-point product), at most fl(b + tol).  The bound is
-        (n + 2) eps sum_d |a_d| max(|lo_d|, |hi_d|), above the classical
-        n u / (1 - n u) of the same sum, plus the smallest normal float for
-        products that underflow.  A False is no verdict on the box.
-        """
-        if self.E.shape[0]:
-            return False
-        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = np.maximum(self.A * lo, self.A * hi).sum(axis=1)
-            size = (np.abs(self.A) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1)
-            err = (self.n + 2) * np.finfo(float).eps * size + np.finfo(float).tiny
-            return bool((top + 2.0 * err <= self.b + tol).all())
-
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if other.n != self.n:
             raise DimensionMismatch("cannot intersect polyhedra of different dimension")

@@ -26,14 +26,39 @@ runs [0, lo) and [hi, R) tracked across chunks; a sample hitting both end
 rungs hits them all.  The first such sample in lattice order decides
 Dominated, and the walk stops once every verdict it runs is decided.
 
-Two things keep a chunk cheap.  The chunks are drawn into one buffer
-that each overwrites (``GridSpec.chunks``); the scan keeps rows
-only through ``np.compress`` copies, the counterexample among them.  And
-C's test is decided once per scan: when every point of the box spanned
-by the lattice's axes passes it, whatever the rounding of its products
-(``Polyhedron.box_passes``: no equality rows, and each row's box maximum
-plus a rounding bound within b + TOL_FEAS), each chunk's mask starts
-all-True, which is what the test would give.
+Before the walk over a lattice of more than one chunk, a bound pass
+(``_box_codes``) skips the lattice points that provably change nothing
+(one chunk is evaluated in one batch either way, for less than the pass
+costs).  The lattice is cut into boxes of at most
+``grids._BOX`` points per axis, and every max-affine f_i, -g_i and h_j
+and every row of C is bounded on every box at once: a piece's least
+value over a box is b + sum_d min(a_d lo_d, a_d hi_d).  A box is
+dropped when a row of C or of the cone test fails on all of it, or when
+neither comparison can hit the first or the last rung: the hit test
+max(v) + eps*sum(v) <= TOL_CONE is linear in eps, and its computed value
+monotone in eps, so those two ends cover every rung.  A box that passes
+C's test whole skips it.  The walk then builds and evaluates only the
+kept points, chunk by chunk in lattice order.  A dropped sample hits no
+rung, and a ``_LadderScan`` changes only on samples that hit, so every
+verdict, witness and equivalence flag is the one of the full walk; only
+whether any sample was feasible, or fed a comparison, could differ, so
+when the walk ends without one the dropped boxes are walked for it.
+
+The bounds hold for the computed values, not just the exact ones.  Each
+piece bound is widened by twice (n + 2) eps times |b| + sum_d |a_d|
+max |x_d|, plus the smallest normal float, which covers the rounding of
+the product in any summation order (fused or not) and of the bound's own
+sum twice over; the cone rows get the same for their p-term products,
+and the ratio sums twice the rounding of an m-term sum.  The division,
+the nu subtraction and the reformulation's f + nu * (-g) need no margin:
+rounding is monotone, so the same operation on the bounds bounds the
+computed result.  A black-box or scaled function, or one on a restricted
+domain, has no bound, so a box is never dropped for what it might do.
+
+The kept points of a chunk that is kept whole are a read-only view of
+one buffer that each such chunk overwrites (``GridSpec.select``); the
+scan keeps rows only through ``np.compress`` copies, the counterexample
+among them.
 
 Every per-sample stack of the scan (constraint values, ratios, objective
 values, their differences) is stored (k, N), C-contiguous, one row per
@@ -53,9 +78,10 @@ from typing import Optional
 import numpy as np
 
 from .cones import TOL_CONE, PolyhedralCone, in_minus_cone, in_minus_cone_batch
-from .convex import Polyhedron, ScaledFn
+from .convex import Polyhedron, PolyhedralFn, ScaledFn
 from .errors import DenominatorNearZero, DimensionMismatch, PointOutsideDomain, UnsupportedData
-from .grids import GridSpec
+from . import grids
+from .grids import GridSpec, _strides
 from .linprog import TOL_FEAS
 
 TOL_DIV = 1e-9
@@ -121,14 +147,15 @@ def feasible(prob: FractionalProblem, x, tol: float = TOL_FEAS) -> bool:
     return in_minus_cone(prob.cone, hv, tol=tol)
 
 
-def feasible_mask(
-    prob: FractionalProblem, X, tol: float = TOL_FEAS, in_C: bool = False
-) -> np.ndarray:
-    """Feasibility at every row of X.  in_C says that every row is known to
-    pass C's test at tol (``Polyhedron.box_passes`` on a box holding X),
-    which is then skipped."""
+def feasible_mask(prob: FractionalProblem, X, tol: float = TOL_FEAS, in_C=False) -> np.ndarray:
+    """Feasibility at every row of X.  in_C, one flag or one per row, marks
+    the rows known to pass C's test at tol (the grid oracle's bound pass
+    proves it for whole boxes), which skip it."""
     X = np.asarray(X, float)
-    ok = np.ones(X.shape[0], dtype=bool) if in_C else prob.C.contains_batch(X, tol=tol)
+    ok = np.ones(X.shape[0], dtype=bool)
+    test = ~np.broadcast_to(in_C, ok.shape)
+    if test.any():
+        ok[test] = prob.C.contains_batch(np.compress(test, X, axis=0), tol=tol)
     H = prob.h_values_batch(X).T
     ok &= np.isfinite(H).all(axis=0)
     safe = np.where(ok, H, 0.0)  # keep NaN/inf out of the cone test
@@ -363,54 +390,220 @@ def _keep(good, S, X):
     return np.compress(good, S, axis=1), np.compress(good, X, axis=0)
 
 
-def _lattice_in_C(C: Polyhedron, grid: GridSpec) -> bool:
-    """Does every lattice point pass C's test at TOL_FEAS, however it
-    rounds?  Decided on the box spanned by the axes the lattice is built
-    from (their min and max, not the spec's bounds)."""
-    axes = grid.axes()
-    return C.box_passes([a.min() for a in axes], [a.max() for a in axes], TOL_FEAS)
+# The bound pass.  A computed max-affine piece, fl(fl(a.x) + b), is within
+# (n + 1) u size of a.x + b, u = eps / 2 and size = |b| + sum_d |a_d| |x_d|,
+# whatever the order and fusing of the product's sums; a box bound formed
+# from n + 1 rounded terms is as close to the exact one.  Widening each
+# bound by twice (n + 2) eps size, plus the smallest normal float for
+# products that underflow, covers both with room to spare; size is taken
+# over the lattice's box, so the widening is one offset per piece.
+_KEEP, _KEEP_IN_C = 1, 2  # codes of a box whose points are tested (C's test due, or passed)
+_SLAB_CELLS = 2 ** 17  # bound cells formed at a time, so the pass's memory is flat too
+
+
+def _widening(size, terms):
+    return 2.0 * ((terms + 2) * np.finfo(float).eps * size + np.finfo(float).tiny)
+
+
+def _bound_rows(prob, reach):
+    """The affine rows the bound pass bounds, with their lower and upper
+    offsets: every f_i, then every -g_i, then every h_j, each padded to
+    kmax pieces by cycling through its own (which leaves the max
+    unchanged), then C's inequality and equality rows with no offset, as
+    its test compares the product alone.  A function without piece data on
+    all of R^n (a black box, a scaled function, a restricted domain) gets
+    zero rows with offsets -inf and inf: no bound.  reach[d] bounds |x_d|
+    on the lattice."""
+    fns = [f for f, _ in prob.objectives] + [ng for _, ng in prob.objectives] + prob.hmap
+    known = [isinstance(fn, PolyhedralFn) and fn.domain.is_full_space() for fn in fns]
+    kmax = max([fn.npieces for fn, k in zip(fns, known) if k], default=1)
+    pieces = [fn for fn, k in zip(fns, known) if k]
+    # one stack of the known pieces and a zero row, picked from once
+    A = np.vstack([fn.A for fn in pieces] + [np.zeros((1, prob.n))])
+    b = np.concatenate([fn.b for fn in pieces] + [np.zeros(1)])
+    pick, start = [], 0
+    for fn, k in zip(fns, known):
+        pick += [start + i % fn.npieces for i in range(kmax)] if k else [len(b) - 1] * kmax
+        start += fn.npieces if k else 0
+    A = np.vstack([A[pick], prob.C.A, prob.C.E])
+    b = np.concatenate([b[pick], np.zeros(prob.C.nrows)])
+    unknown = np.repeat([not k for k in known] + [False], [kmax] * len(fns) + [prob.C.nrows])
+    widen = _widening(np.abs(b) + np.abs(A) @ reach, prob.n)
+    return A, np.where(unknown, -np.inf, b - widen), np.where(unknown, np.inf, b + widen), kmax
+
+
+def _no_rung(W, ladder):
+    """Columns of the (m, boxes) stack W of lower bounds on a scan's
+    difference vectors whose samples hit neither ladder end.  Rounding is
+    monotone, so the computed max(v) + eps*sum(v) is at least
+    fl(max(W) + fl(eps * S)) for S at most every computed sum of v: a sum of
+    W in any order, less twice the rounding of an m-term sum."""
+    top = W.max(axis=0)
+    S = W.sum(axis=0) - 2 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=0)
+    return (top + ladder[0] * S > TOL_CONE) & (top + ladder[-1] * S > TOL_CONE)
+
+
+def _decide(prob, B, kmax, ladder, nu, param):
+    """Per box, from the (2 * rows, boxes) stack B of the rows' lower then
+    upper bounds: (the whole box passes C's test, no point of it is
+    feasible, no point of it hits a rung of the comparisons run)."""
+    m, p, C = prob.m, prob.p, prob.C
+    rows = B.shape[0] // 2
+    nf = 2 * m + p
+    low = B[: nf * kmax].reshape(nf, kmax, -1).max(axis=1)
+    high = B[rows : rows + nf * kmax].reshape(nf, kmax, -1).max(axis=1)
+    # C: the test is fl(a.x) <= fl(b + tol) per inequality row and
+    # |fl(e.x) - d| <= tol per equality row
+    ineq, eq = slice(nf * kmax, nf * kmax + C.A.shape[0]), slice(nf * kmax + C.A.shape[0], rows)
+    rhs = (C.b + TOL_FEAS)[:, None]
+    in_C = (B[rows:][ineq] <= rhs).all(axis=0) & (C.E.shape[0] == 0)
+    out = (B[ineq] > rhs).any(axis=0)
+    d = C.d[:, None]
+    out |= ((B[eq] - d > TOL_FEAS) | (B[rows:][eq] - d < -TOL_FEAS)).any(axis=0)
+    # h: the cone test is fl(H_r . h(x)) <= tol, a p-term product per row
+    H = prob.cone.H[:, :, None]
+    hl, hu = low[2 * m :], high[2 * m :]
+    size = (np.abs(H) * np.maximum(np.abs(hl), np.abs(hu))).sum(axis=1)
+    out |= (np.minimum(H * hl, H * hu).sum(axis=1) - _widening(size, p) > TOL_FEAS).any(axis=0)
+    # the scans: rounding is monotone, so the computed f/g, f/g - nu and
+    # f + c * (-g) are at least the same operations on the bounds
+    F, NG, NG_hi = low[:m], low[m : 2 * m], high[m : 2 * m]
+    miss = np.ones(B.shape[1], dtype=bool)
+    if nu is not None:
+        G_lo, G_hi = -NG_hi, -NG
+        least = np.where(F >= 0, F / G_hi, F / G_lo)
+        miss &= (G_lo > 0).all(axis=0) & _no_rung(least - nu[:, None], ladder)
+    if param is not None:
+        c = np.array([s.c for _, s in param.phi])[:, None]
+        miss &= _no_rung(np.where(c != 0.0, F + c * NG, F + 0.0), ladder)
+    return in_C, out, miss
+
+
+def _outer_sum(a, b):
+    """The (rows, i * j) stack a[:, s] + b[:, t] at column s * j + t, row
+    major (a broadcast sum would take its layout from the inputs)."""
+    return np.add(a[:, :, None], b[:, None, :], order="C").reshape(a.shape[0], -1)
+
+
+def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, nu, param):
+    """The bound pass over ``grid.boxes()``: two codes per box, for the
+    walk (``_KEEP``/``_KEEP_IN_C`` where some point may be feasible and hit
+    a rung, else 0) and for the rest (the same codes where some point may
+    be feasible but none hits a rung).
+
+    Each affine row (the pieces of f, -g and h, C's rows) is bounded on
+    every box at once: a piece's least value over a box is
+    b + sum_d min(a_d lo_d, a_d hi_d), separable over the axes, so the sums
+    are formed by broadcasting per-axis terms, a slab of at most
+    ``_SLAB_CELLS`` numbers at a time.  A box's points are all infeasible
+    when some row of C or of the cone test fails on the whole box, and
+    they miss every rung when each active scan's bounds say so (only
+    where every denominator is positive on the box, for the ratios)."""
+    segments = grid.boxes()
+    counts = [lo.size for lo, _ in segments]
+    starts = np.cumsum([0] + counts)
+    lo, hi = (np.concatenate(ends) for ends in zip(*segments))
+    reach = np.maximum.reduceat(np.maximum(np.abs(lo), np.abs(hi)), starts[:-1])
+    A, lo_off, hi_off, kmax = _bound_rows(prob, reach)
+    # per axis, the least and the greatest a_d x_d over each of its segments
+    a = A[:, np.repeat(np.arange(grid.ndim), counts)]
+    a, b = a * lo, a * hi
+    T = np.vstack([np.minimum(a, b), np.maximum(a, b)])
+    terms = [T[:, i:j] for i, j in zip(starts[:-1], starts[1:])]
+    cells = 2 * A.shape[0]
+    # the trailing axes whose boxes fit an eighth of a slab are summed
+    # once; each slab adds the sums of the leading axes to them
+    j, width = grid.ndim, 1
+    while j > 0 and 8 * width * counts[j - 1] * cells <= _SLAB_CELLS:
+        j -= 1
+        width *= counts[j]
+    trail = np.concatenate([lo_off, hi_off])[:, None]
+    for d in range(grid.ndim - 1, j - 1, -1):
+        trail = _outer_sum(terms[d], trail)
+    leading = int(np.prod(counts[:j]))
+    per = max(1, _SLAB_CELLS // (cells * width))
+    keep = np.zeros(leading * width, dtype=np.int8)
+    rest = np.zeros_like(keep)
+    strides = _strides(counts[:j])
+    for l0 in range(0, leading, per):
+        ls = np.arange(l0, min(l0 + per, leading))
+        B = trail
+        if j:
+            lead = sum(terms[d][:, (ls // strides[d]) % counts[d]] for d in range(j))
+            B = _outer_sum(lead, trail)
+        in_C, out, miss = _decide(prob, B, kmax, ladder, nu, param)
+        code = np.where(in_C, _KEEP_IN_C, _KEEP).astype(np.int8)
+        sl = slice(l0 * width, (l0 + ls.size) * width)
+        keep[sl] = np.where(out | miss, 0, code)
+        rest[sl] = np.where(~out & miss, code, 0)
+    return keep, rest
 
 
 def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, param=None):
     """The grid oracle: one walk over the lattice chunks in lattice order.
 
-    Per chunk: the feasibility mask (without C's test when the lattice's
-    box passes it whole), then each f_i and -g_i once at every
-    feasible sample; the ratio verdict (against the candidate ratios nu)
-    and the reformulation's (param's phi) share those values.  Either
-    comparison is skipped when its argument is None, and the walk stops
-    once every comparison it runs is decided, which happens at the first
-    Dominated witness.  Returns (ratio verdict, reformulation verdict),
-    None for a skipped one.
+    On a lattice of more than one chunk, the bound pass (``_box_codes``)
+    first drops every box whose points are provably infeasible or
+    provably hit no rung of the comparisons run.  Per chunk, then, over
+    the rows left: the feasibility mask (without C's test on rows whose
+    box passes it whole), then each f_i and -g_i once at every feasible
+    sample; the ratio verdict (against the candidate ratios nu) and the
+    reformulation's (param's phi) share those values.  Either comparison
+    is skipped when its argument is None, and the walk stops once every
+    comparison it runs is decided, which happens at the first Dominated
+    witness.  A dropped sample hits no rung, so it would leave every
+    ``_LadderScan`` as it is; but it may be the only feasible one, so when
+    the walk ends with no feasible sample, or a comparison fed none, the
+    boxes dropped for missing every rung are walked too, to settle that.
+    Returns (ratio verdict, reformulation verdict), None for a skipped one.
     """
     ratio = None if nu is None else _LadderScan(ladder, grid)
     phi = None if param is None else _LadderScan(ladder, grid)
     scans = [scan for scan in (ratio, phi) if scan is not None]
-    in_C = _lattice_in_C(prob.C, grid)
     any_feasible = False
-    # X is overwritten by the next chunk; every row kept is a compress copy
-    for X in grid.chunks():
-        ok = feasible_mask(prob, X, in_C=in_C)
-        if not ok.any():
-            continue
-        any_feasible = True
-        Xf = np.compress(ok, X, axis=0)
-        F, NG = _objective_stacks(prob, Xf)
-        if ratio is not None and ratio.verdict is None:
-            G = -NG
-            good = _well_defined(F, G).all(axis=0)
-            if good.any():
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    D, Xg = _keep(good, F / G, Xf)
-                D -= nu[:, None]
-                ratio.feed(D, Xg)
-        if phi is not None and phi.verdict is None:
-            P = param._phi_stack(F, NG)
-            good = np.isfinite(P).all(axis=0)
-            if good.any():
-                phi.feed(*_keep(good, P, Xf))
-        if all(scan.verdict is not None for scan in scans):
-            break
+
+    def walk(chunks, done):
+        nonlocal any_feasible
+        # a row kept past its chunk is a compress copy
+        for X, code in chunks:
+            ok = feasible_mask(prob, X, in_C=code == _KEEP_IN_C)
+            if not ok.any():
+                continue
+            any_feasible = True
+            Xf = np.compress(ok, X, axis=0)
+            F, NG = _objective_stacks(prob, Xf)
+            if ratio is not None and ratio.verdict is None:
+                G = -NG
+                good = _well_defined(F, G).all(axis=0)
+                if good.any():
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        D, Xg = _keep(good, F / G, Xf)
+                    D -= nu[:, None]
+                    ratio.feed(D, Xg)
+            if phi is not None and phi.verdict is None:
+                P = param._phi_stack(F, NG)
+                good = np.isfinite(P).all(axis=0)
+                if good.any():
+                    phi.feed(*_keep(good, P, Xf))
+            if done():
+                return
+
+    def settled():
+        return any_feasible and all(scan.fed for scan in scans)
+
+    def decided():
+        return all(scan.verdict is not None for scan in scans)
+
+    if grid.size <= grids._CHUNK:
+        # one chunk is evaluated in one batch either way, and its per-row
+        # cost is below the bound pass's fixed cost
+        walk(((X, _KEEP) for X in grid.chunks()), decided)
+    else:
+        with np.errstate(all="ignore"):
+            keep, rest = _box_codes(prob, grid, ladder, nu, param)
+        walk(grid.select(keep), decided)
+        if not settled():
+            walk(grid.select(rest), settled)
 
     def finish(scan, nothing_fed):
         if scan is None:

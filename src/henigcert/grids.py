@@ -18,6 +18,16 @@ whose summation order differs.  Every block of a walk overwrites one
 buffer, so a caller keeps rows of ``chunks`` only by copying them (the
 blocks are read-only views); ``points`` is a walk of one block, a fresh
 array per call.
+
+For the grid oracle's bound pass the lattice is also cut into boxes of at
+most ``_BOX`` consecutive points per axis (``GridSpec.boxes``), numbered
+in C order as the points are.  ``GridSpec.select`` walks the same chunks
+but keeps only the points whose box has a nonzero code: a point's box
+number is a sum over the axes of its segment times the segment stride,
+read off per-axis columns by the same formula as its coordinates, so a
+chunk's codes cost one gather and its kept points are built from their
+flat indices alone.  A chunk with no kept point is never built, and no
+array of the lattice's size is.
 """
 
 from dataclasses import dataclass
@@ -30,6 +40,57 @@ MAX_GRID_POINTS = 4_000_000
 # lattice points per block of a walk: smaller blocks pay numpy's per-call
 # overhead once per few points, larger ones fall out of the CPU caches
 _CHUNK = 16384
+# lattice points per axis in a box of the grid oracle's bound pass: larger
+# boxes give looser bounds, smaller ones more boxes to bound
+_BOX = 4
+
+
+def _read_only(block):
+    view = block.view()
+    view.flags.writeable = False
+    return view
+
+
+def _strides(counts) -> list:
+    """Row-major strides, in elements, of an array of shape counts."""
+    strides, s = [], 1
+    for c in reversed(counts):
+        strides.insert(0, s)
+        s *= c
+    return strides
+
+
+def _columns(counts, values, k: int) -> list:
+    """Per axis d of a lattice of shape counts, a function of (start, stop)
+    that gives values[d][i_d] for the points of flat indices [start, stop),
+    i_d being the point's index on axis d; stop - start is at most k.
+
+    Axis d's index at flat index j is (j // s) % counts[d], with s the
+    product of the later counts: constant on runs of s points and periodic
+    in counts[d] * s.  An axis whose period fits in k points is sliced out
+    of one column (a view), precomputed over a period and long enough for
+    any offset; a longer one is built from the few runs that meet the
+    block.
+    """
+    size, columns = int(np.prod(counts)), []
+    for vals, c, s in zip(values, counts, _strides(counts)):
+        period = c * s
+        if period <= k:
+            span = k if k == size else k + period - 1  # one block starts at 0
+            col = np.tile(np.repeat(vals, s), -(-span // period))
+            columns.append(lambda start, stop, col=col, period=period:
+                           col[start % period : start % period + stop - start])
+            continue
+
+        def runs(start, stop, vals=vals, c=c, s=s):
+            idx = np.arange(start // s, (stop - 1) // s + 1)
+            reps = np.full(idx.size, s)
+            reps[0] -= start - idx[0] * s
+            reps[-1] -= (idx[-1] + 1) * s - stop
+            return np.repeat(vals[idx % c], reps)
+
+        columns.append(runs)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -86,62 +147,87 @@ class GridSpec:
             for lo, hi, k in zip(self.lows, self.highs, self.counts)
         ]
 
-    def _blocks(self, k: int):
-        """The lattice in lexicographic order, as consecutive blocks of at
-        most k points, each of shape (rows, ndim), C-contiguous.  Every
-        block is written into the leading rows of one (min(k, size), ndim)
-        buffer, so a block is valid only until the next one is drawn.
+    def _filler(self, k: int):
+        """fill(start, stop): the points of flat indices [start, stop), at
+        most k of them, as a C-contiguous (rows, ndim) block written into
+        the leading rows of one (min(k, size), ndim) buffer, so a block is
+        valid only until the next fill."""
+        columns = _columns(self.counts, self.axes(), k)
+        buffer = np.empty((min(k, self.size), self.ndim))
 
-        Axis d's coordinate at flat index j is axes[d][(j // s) % counts[d]],
-        with s the product of the later counts: constant on runs of s
-        points and periodic in counts[d] * s.  An axis whose period fits in
-        a block is sliced out of one column, precomputed over a period and
-        long enough for any offset; a longer one is built from the few runs
-        that meet the block.
-        """
-        size = self.size
-        axes, strides = self.axes(), []
-        s = 1
-        for c in reversed(self.counts):
-            strides.insert(0, s)
-            s *= c
-        columns = []
-        for axis, c, s in zip(axes, self.counts, strides):
-            period = c * s
-            if period > k:
-                columns.append(None)
-                continue
-            span = k if k == size else k + period - 1  # one block starts at 0
-            columns.append(np.tile(np.repeat(axis, s), -(-span // period)))
-        buffer = np.empty((min(k, size), self.ndim))
-        for start in range(0, size, k):
-            stop = min(start + k, size)
+        def fill(start, stop):
             out = buffer[: stop - start]
-            for d, (axis, c, s, col) in enumerate(zip(axes, self.counts, strides, columns)):
-                if col is not None:
-                    off = start % (c * s)
-                    out[:, d] = col[off : off + stop - start]
-                else:
-                    runs = np.arange(start // s, (stop - 1) // s + 1)
-                    reps = np.full(runs.size, s)
-                    reps[0] -= start - runs[0] * s
-                    reps[-1] -= (runs[-1] + 1) * s - stop
-                    out[:, d] = np.repeat(axis[runs % c], reps)
-            yield out
+            for d, column in enumerate(columns):
+                out[:, d] = column(start, stop)
+            return out
+
+        return fill
 
     def points(self) -> np.ndarray:
         """All lattice points, shape (size, ndim), lexicographic order."""
-        return next(self._blocks(self.size))
+        return self._filler(self.size)(0, self.size)
 
     def chunks(self):
         """The lattice points in lexicographic order, as consecutive blocks
         of at most ``_CHUNK`` rows (the last one may be shorter), each
         overwriting the one before in a single buffer: a caller keeps rows
         only by copying them.  The blocks are read-only views of it."""
-        for block in self._blocks(min(_CHUNK, self.size)):
-            view = block.view()
-            view.flags.writeable = False
-            yield view
+        size = self.size
+        k = min(_CHUNK, size)
+        fill = self._filler(k)
+        for start in range(0, size, k):
+            yield _read_only(fill(start, min(start + k, size)))
+
+    def boxes(self) -> list:
+        """The lattice cut into boxes of at most ``_BOX`` consecutive points
+        per axis: per axis, the least and the greatest coordinate of each
+        of its ceil(count / _BOX) segments.  A box is one segment per axis;
+        boxes are numbered in C order over the segments, as the points are
+        over the axes."""
+        out = []
+        for axis in self.axes():
+            starts = np.arange(0, axis.size, _BOX)
+            out.append((np.minimum.reduceat(axis, starts), np.maximum.reduceat(axis, starts)))
+        return out
+
+    def select(self, codes):
+        """The points whose box has a nonzero entry in ``codes`` (one per
+        box, in box order), walked as ``chunks`` walks the lattice: per
+        chunk with a kept point, its kept rows in lattice order and their
+        codes.  A chunk kept whole is a read-only view of the walk's
+        buffer; of any other only the kept points are built, from their
+        flat indices, into a fresh array."""
+        size = self.size
+        k = min(_CHUNK, size)
+        fill = None
+        segments = [-(-c // _BOX) for c in self.counts]
+        # a box's number is a sum over the axes; the axes whose period fits
+        # a chunk are summed over their common period once, as one axis
+        counts, strides = list(self.counts), _strides(self.counts)
+        values = [(np.arange(c) // _BOX) * s for c, s in zip(counts, _strides(segments))]
+        d0 = next((d for d in range(self.ndim) if counts[d] * strides[d] <= k), self.ndim)
+        if d0 < self.ndim:
+            period = counts[d0] * strides[d0]
+            values[d0:] = [sum(np.tile(np.repeat(v, s), period // (c * s))
+                               for v, c, s in zip(values[d0:], counts[d0:], strides[d0:]))]
+            counts[d0:] = [period]
+        labels = _columns(counts, values, k)
+        axes = self.axes()
+        for start in range(0, size, k):
+            stop = min(start + k, size)
+            box = labels[0](start, stop)
+            for column in labels[1:]:
+                box = box + column(start, stop)
+            code = codes[box]
+            rows = (code != 0).nonzero()[0]
+            if rows.size == stop - start:
+                fill = fill or self._filler(k)
+                yield _read_only(fill(start, stop)), code
+            elif rows.size:
+                X = np.empty((rows.size, self.ndim))
+                for d, (axis, c, s) in enumerate(zip(axes, self.counts, strides)):
+                    X[:, d] = axis[(rows + start) // s % c]
+                yield X, code[rows]
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

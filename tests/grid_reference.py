@@ -5,10 +5,14 @@ each reduction runs along a row.  The package stores the same stacks
 match these byte for byte.  Not collected by pytest (no ``test_`` prefix).
 """
 
+import warnings
+
 import numpy as np
 
+from henigcert import grids
+from henigcert.cones import HenigCone, in_minus_k_eps_polar_batch
 from henigcert.convex import PolyhedralFn, ScaledFn
-from henigcert.fractional import TOL_DIV
+from henigcert.fractional import TOL_DIV, _box_codes, parametric_problem
 from henigcert.linprog import TOL_FEAS
 
 
@@ -16,6 +20,15 @@ def lattice_points(grid):
     """``GridSpec.points``: every axis copied to full size, then stacked."""
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def box_labels(grid):
+    """The number of the oracle's bound-pass box that holds each lattice
+    point, from its multi-index: axis d's index cut into segments of
+    ``grids._BOX``, the segments numbered in C order."""
+    index = np.unravel_index(np.arange(grid.size), grid.counts)
+    segments = [-(-c // grids._BOX) for c in grid.counts]
+    return np.ravel_multi_index([i // grids._BOX for i in index], segments)
 
 
 def max_affine_batch(A, b, X):
@@ -93,3 +106,28 @@ def ratio_matrix(prob, X):
 def phi_values_batch(param, X) -> np.ndarray:
     X = np.asarray(X, float)
     return np.column_stack([eval_batch(f, X) + eval_batch(s, X) for f, s in param.phi])
+
+
+def dropped_rows_miss(prob, xbar, grid, ladder):
+    """Check the oracle's bound pass on every lattice point against the
+    kernels above, which prune nothing: no point of a box dropped as
+    infeasible is feasible, and no feasible point of any dropped box hits a
+    rung of either scan, ties included.  Returns which lattice points the
+    walk keeps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, xbar)
+    with np.errstate(all="ignore"):
+        keep, rest = _box_codes(prob, grid, ladder, param.nu, param)
+    labels = box_labels(grid)
+    kept, settled = keep[labels] != 0, rest[labels] != 0
+    X = grid.points()
+    feasible = feasible_mask(prob, X)
+    assert not (feasible & ~kept & ~settled).any()
+    Xd = X[feasible & ~kept]
+    R, ok = ratio_matrix(prob, Xd)
+    P = phi_values_batch(param, Xd)
+    for V in (R[ok] - param.nu, P[np.isfinite(P).all(axis=1)]):
+        for eps in ladder:
+            assert not in_minus_k_eps_polar_batch(HenigCone(prob.m, eps), V).any()
+    return kept

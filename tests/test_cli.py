@@ -14,6 +14,7 @@ import shutil
 import numpy as np
 import pytest
 
+import grid_reference as ref
 from henigcert import cli, example_q, serialization
 from henigcert.convex import Polyhedron, PolyhedralFn
 from henigcert.fractional import FractionalProblem
@@ -70,10 +71,13 @@ def test_check_toy_dominated(files, capsys):
 )
 def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, grid):
     # the ratio problem and its reformulation share one walk over the
-    # lattice: the rows tested for feasibility are a prefix of the lattice
-    # in order, each f_i and -g_i is evaluated once at every feasible row of
-    # that prefix, and a Dominated verdict ends the walk early.  Chunks of
-    # 64 points make the 201-point toy lattice more than one chunk.
+    # lattice, less the boxes the bound pass drops: the rows tested for
+    # feasibility are the lattice rows outside those boxes, in lattice
+    # order (all of them, or a prefix when a Dominated verdict ends the
+    # walk early), each f_i and -g_i is evaluated once at every feasible
+    # row tested, and no feasible row of a dropped box hits a rung of
+    # either scan, by the row-major kernels.  Chunks of 64 points make the
+    # 201-point toy lattice more than one chunk.
     from henigcert import fractional, grids
     from henigcert.convex import BlackBoxFn, ScaledFn
     from henigcert.grids import GridSpec
@@ -106,21 +110,25 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
     rc = cli.main(["check", "--problem", files[problem], "--point", point, "--grid", grid])
     doc = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
-    lattice = GridSpec.parse(grid).points()
+    (prob,) = checked
+    spec, xbar = GridSpec.parse(grid), cli._parse_vector(point, "point")
+    kept = ref.dropped_rows_miss(prob, xbar, spec, fractional._validate_ladder(None))
+    outside = spec.points()[kept]
     visited = np.concatenate([X for X, _ in tested])
     feasible = np.concatenate([X[ok] for X, ok in tested])
-    assert visited.tobytes() == lattice[: len(visited)].tobytes()
-    (prob,) = checked
+    assert visited.tobytes() == outside[: len(visited)].tobytes()
     for f, ng in prob.objectives:
         for fn in (f, ng):
             assert np.concatenate(evaluated[id(fn)]).tobytes() == feasible.tobytes()
     if point == "1":
-        assert rc == 2 and len(visited) < len(lattice)
+        assert rc == 2 and len(visited) < len(outside)
     else:
-        assert rc == 0 and len(visited) == len(lattice)
-    want = fractional.parametric_equivalence_check(
-        prob, cli._parse_vector(point, "point"), GridSpec.parse(grid)
-    )
+        assert rc == 0 and len(visited) == len(outside)
+    # at the toy's efficient point every box without 0 misses every rung;
+    # at its dominated one every box holds a hit, and Q's black-box
+    # functions give no bound
+    assert (len(outside) < spec.size) is (point == "0")
+    want = fractional.parametric_equivalence_check(prob, xbar, spec)
     assert doc["parametric_equivalence"] is want
 
 

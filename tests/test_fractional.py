@@ -7,9 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from henigcert import example_q, grids
+import grid_reference as ref
+from henigcert import _kernels, example_q, fractional, grids
 
-from henigcert.cones import HenigCone, PolyhedralCone, in_minus_k_eps_polar, in_minus_k_eps_polar_batch
+from henigcert.cones import (
+    TOL_CONE,
+    HenigCone,
+    PolyhedralCone,
+    in_minus_k_eps_polar,
+    in_minus_k_eps_polar_batch,
+)
 from henigcert.convex import BlackBoxFn, Polyhedron, PolyhedralFn
 from henigcert.errors import (
     DenominatorNearZero,
@@ -32,8 +39,9 @@ from henigcert.fractional import (
     parametric_equivalence_check,
     parametric_problem,
     ratio_matrix,
+    _KEEP_IN_C,
     _LadderScan,
-    _lattice_in_C,
+    _box_codes,
     _validate_ladder,
 )
 from henigcert.grids import GridSpec
@@ -253,10 +261,35 @@ def test_oracle_properly_efficient_at_zero():
     assert verdict.eps_witness == pytest.approx(1.0)  # certified at the top rung
 
 
-def test_oracle_no_feasible_samples():
-    verdict = henig_check_bruteforce(toy(), [0.0], GridSpec.parse("5:[3,4]"))
-    assert verdict.kind == "inconclusive"
-    assert "no feasible samples" in verdict.reason
+def _all_verdicts(prob, xbar, grid, ladder=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, xbar)
+    verdict, equiv = henig_check(prob, xbar, grid, ladder)
+    phi = henig_check_parametric(param, grid, ladder)
+    assert_same_verdict(henig_check_bruteforce(prob, xbar, grid, ladder), verdict)
+    assert equiv is (phi.kind == verdict.kind)
+    return verdict, phi
+
+
+def test_oracle_no_feasible_samples(monkeypatch):
+    # a lattice beyond C, and one inside C where h(x) = x + 0.5 > 0: the
+    # bound pass, which runs on lattices of more than one chunk, drops
+    # every box as infeasible, so no row is tested, and every entry point
+    # says "no feasible samples"
+    monkeypatch.setattr(grids, "_CHUNK", 2)
+    tested = []
+    mask = feasible_mask
+
+    def spy(prob, X, *args, **kwargs):
+        tested.append(len(X))
+        return mask(prob, X, *args, **kwargs)
+
+    monkeypatch.setattr(fractional, "feasible_mask", spy)
+    for prob, xbar, spec in [(toy(), [0.0], "5:[3,4]"), (toy(h_shift=-0.5), [-1.0], "5:[0,1]")]:
+        for verdict in _all_verdicts(prob, xbar, GridSpec.parse(spec)):
+            assert (verdict.kind, verdict.reason) == ("inconclusive", "no feasible samples")
+    assert tested == []
 
 
 def test_oracle_rejects_infeasible_candidate():
@@ -501,23 +534,139 @@ def _lattice_sum_minimizer(prob, grid):
     return Xf[ok][np.argmin(R[ok].sum(axis=1))]
 
 
-def test_henig_check_invariant_to_chunk_size(monkeypatch):
-    # every verdict is the same whether the lattice is walked one point at a
-    # time, in chunks of 7 or 64, or in one chunk, and equals the per-rung
-    # reference run on the whole lattice at once
+def _tight_ladder(prob, xbar, grid):
+    """A one-rung ladder that some feasible lattice point meets within one
+    ulp of its eps: of the points whose ratio differences v have sum S < 0
+    (they hit every eps from (max(v) - TOL_CONE) / -S up), the first to hit
+    as eps grows hits the rung and misses the float below it.  None when
+    no point qualifies."""
+    X = grid.points()
+    Xf = X[feasible_mask(prob, X)]
+    R, ok = ratio_matrix(prob, Xf)
+    D = R[ok] - nu_values(prob, xbar)
+    D = D[np.abs(D).max(axis=1) > ZERO_DIFF_TOL]  # ties never hit
+    vmax, S = D.max(axis=1), np.ascontiguousarray(D.T).sum(axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        start = np.where((S < 0) & (vmax > TOL_CONE), (vmax - TOL_CONE) / -S, np.inf)
+    if not start.size or not np.isfinite(start.min()):
+        return None
+    j = np.argmin(start)
+    eps = start[j]
+
+    def hit(e):
+        return vmax[j] + e * S[j] <= TOL_CONE
+
+    while hit(eps):
+        eps = np.nextafter(eps, 0.0)
+    while not hit(eps):
+        eps = np.nextafter(eps, np.inf)
+    assert hit(eps) and not hit(np.nextafter(eps, 0.0))
+    return [float(eps)]
+
+
+def _max_affine(rng, n, pieces, offset, scale=1.0):
+    """Gaussian pieces times scale, offsets offset + scale |N(0,1)|."""
+    return PolyhedralFn(scale * rng.normal(size=(pieces, n)), offset + scale * np.abs(rng.normal(size=pieces)))
+
+
+def _family_problem(rng, n, kind):
+    """A small problem on C = [-1,1]^n, feasible at 0 with f_i(0) >= 0 and
+    g_i(0) > 0, in one of the differential test's families."""
+    m = int(rng.integers(2, 4))
+    objectives = [(_max_affine(rng, n, int(rng.integers(1, 4)), 1.5), const(-2.0 - rng.random(), n))
+                  for _ in range(m)]
+    hmap = [_max_affine(rng, n, 2, -1.5, 0.3) for _ in range(2)]
+    cone = PolyhedralCone.nonneg_orthant(2)
+    C = Polyhedron.box([-1.0] * n, [1.0] * n)
+    if kind == "negative numerators":
+        # f_1 = max(a.x + 0.1, a'.x - 2) is 0.1 at 0 and negative where a.x < -0.1
+        objectives[0] = (PolyhedralFn(rng.normal(size=(2, n)), [0.1, -2.0]), objectives[0][1])
+    elif kind == "denominators near TOL_DIV":
+        # g_1 = 1e-9 (1 + x_1): below, at and above TOL_DIV on the lattice
+        a = np.zeros(n)
+        a[0] = -1e-9
+        objectives[0] = (objectives[0][0], PolyhedralFn.affine(a, -1e-9))
+    elif kind == "restricted domain, black-box h":
+        dom = Polyhedron.box([-0.5] + [-1.0] * (n - 1), [1.0] * n)
+        f = objectives[1][0]
+        objectives[1] = (PolyhedralFn(f.A, f.b, dom), objectives[1][1])
+        hmap[1] = BlackBoxFn("eucl_minus_last", n)
+    elif kind == "non-orthant cone":
+        # Y+ = cone{(1, 0), (1, 1)}: h in -Y+ iff h_2 <= 0 and h_1 <= h_2
+        cone = PolyhedralCone(generators=[[1.0, 0.0], [1.0, 1.0]])
+        hmap = [_max_affine(rng, n, 2, -3.0, 0.3), _max_affine(rng, n, 2, -1.5, 0.3)]
+    return FractionalProblem(n, objectives, hmap, cone, C)
+
+
+def _differential_cases():
+    """(problem, candidate, grid, ladder) for the chunk-size test; ladder
+    None is the default one."""
     rand = seeded_problem(5)
     rand_grid = GridSpec.parse("6x6x6x6:[-1,1]x[-1,1]x[-1,1]x[-1,1]")
     cases = [
-        (toy(), [1.0], GridSpec.parse("21:[-1,1]")),
-        (toy(), [0.0], GridSpec.parse("21:[-1,1]")),
-        (toy(), [0.3], GridSpec.parse("21:[-1,1]")),
-        (example_q.build_problem(), example_q.XBAR, GridSpec.parse("31x31:[0,10]x[0,1]")),
-        (rand, np.zeros(4), rand_grid),
-        (rand, _lattice_sum_minimizer(rand, rand_grid), rand_grid),
+        (toy(), [1.0], GridSpec.parse("21:[-1,1]"), None),
+        (toy(), [0.0], GridSpec.parse("21:[-1,1]"), None),
+        (toy(), [0.3], GridSpec.parse("21:[-1,1]"), None),
+        (example_q.build_problem(), example_q.XBAR, GridSpec.parse("31x31:[0,10]x[0,1]"), None),
+        (rand, np.zeros(4), rand_grid, None),
+        (rand, _lattice_sum_minimizer(rand, rand_grid), rand_grid, None),
     ]
-    ladder = _validate_ladder(None)
-    kinds = set()
-    for prob, xbar, grid in cases:
+    rng = np.random.default_rng(41)
+    # one-point axes and counts that _BOX does not divide
+    shapes = ["5x7:[-1,1]x[-1,1]", "1x9:[0,0]x[-1,1]", "7x1x6:[-1,1]x[0,0]x[-1,1]", "13:[-1,1]"]
+    kinds = ["plain", "negative numerators", "denominators near TOL_DIV",
+             "restricted domain, black-box h", "non-orthant cone"]
+    for kind in kinds:
+        for spec in shapes:
+            grid = GridSpec.parse(spec)
+            prob = _family_problem(rng, grid.ndim, kind)
+            xbar = np.full(grid.ndim, 0.1) if kind == "denominators near TOL_DIV" else np.zeros(grid.ndim)
+            if kind == "restricted domain, black-box h":
+                xbar[-1] = 0.5  # on the black box's zero set {0} x [0, inf)
+            cases.append((prob, xbar, grid, None))
+            # a candidate on the lattice: ties with the candidate itself
+            X = grid.points()
+            X = X[feasible_mask(prob, X) & ratio_matrix(prob, X)[1]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                X = [x for x in X if (nu_values(prob, x) >= 0).all()]
+            if X:
+                cases.append((prob, X[int(rng.integers(len(X)))], grid, None))
+    # ratios that meet a rung within one ulp: single-point lattices, where
+    # the box is the point, and small lattices
+    tight = 0
+    for trial in range(90):
+        if trial < 60:
+            n = int(rng.integers(3, 7))
+            x = rng.uniform(-1, 1, n)
+            grid = GridSpec(lows=tuple(x), highs=tuple(x), counts=(1,) * n)
+        else:
+            n = int(rng.integers(1, 4))
+            grid = GridSpec(lows=(-1.0,) * n, highs=(1.0,) * n, counts=tuple(rng.integers(1, 7, n)))
+        prob = _family_problem(rng, n, "plain")
+        ladder = _tight_ladder(prob, np.zeros(n), grid)
+        if ladder is not None:
+            cases.append((prob, np.zeros(n), grid, ladder))
+            tight += 1
+    assert tight >= 20, tight
+    return cases
+
+
+def test_henig_check_invariant_to_chunk_size(monkeypatch):
+    # every verdict is the same whether the lattice is walked one point at a
+    # time, in chunks of 7 or 64 (with the bound pass), or in one chunk
+    # (without it), and equals the per-rung reference run on the whole
+    # lattice at once, which no box bound prunes.  The cases cover candidates on lattice points (ties),
+    # negative numerators, denominators near TOL_DIV, restricted domains
+    # and black-box constraints, a non-orthant cone in generator form,
+    # one-point axes and counts that the box edge does not divide, and
+    # one-rung ladders that a lattice point meets within one ulp.  Every
+    # point of a box the bound pass drops is checked too, so a bound that
+    # cuts into a hit fails here even where the verdict would not show it
+    kinds, dropped = set(), 0
+    for prob, xbar, grid, ladder in _differential_cases():
+        ladder = _validate_ladder(ladder)
+        dropped += (~ref.dropped_rows_miss(prob, xbar, grid, ladder)).sum()
         want_ratio, want_phi = _whole_lattice_verdicts(prob, xbar, grid, ladder)
         kinds.add(want_ratio.kind)
         with warnings.catch_warnings():
@@ -525,12 +674,67 @@ def test_henig_check_invariant_to_chunk_size(monkeypatch):
             param = parametric_problem(prob, xbar)
         for chunk in (1, 7, 64, grid.size + 1):
             monkeypatch.setattr(grids, "_CHUNK", chunk)
-            verdict, equiv = henig_check(prob, xbar, grid)
+            verdict, equiv = henig_check(prob, xbar, grid, ladder)
             assert_same_verdict(verdict, want_ratio)
             assert equiv is (want_phi.kind == want_ratio.kind)
-            assert_same_verdict(henig_check_bruteforce(prob, xbar, grid), want_ratio)
-            assert_same_verdict(henig_check_parametric(param, grid), want_phi)
+            assert_same_verdict(henig_check_bruteforce(prob, xbar, grid, ladder), want_ratio)
+            assert_same_verdict(henig_check_parametric(param, grid, ladder), want_phi)
     assert kinds == {"dominated", "properly_efficient"}
+    assert dropped > 500, dropped
+
+
+def test_every_box_dropped_keeps_the_verdict(monkeypatch):
+    # the toy at its efficient point 0 on a lattice without 0: every point
+    # has v = (|x|, |x|) > 0 and misses every rung, so the bound pass
+    # drops every box (in chunks of 1 and 4; one chunk of 9 is walked
+    # without the pass).  The dropped rows are walked only to learn that
+    # some are feasible, and the verdicts are the reference's (properly
+    # efficient at the top rung), not "no feasible samples"
+    grid = GridSpec.parse("9:[0.2,1]")
+    ladder = _validate_ladder(None)
+    assert not ref.dropped_rows_miss(toy(), [0.0], grid, ladder).any()
+    want_ratio, want_phi = _whole_lattice_verdicts(toy(), [0.0], grid, ladder)
+    assert want_ratio.kind == want_phi.kind == "properly_efficient"
+    for chunk in (1, 4, grid.size):
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        verdict, phi = _all_verdicts(toy(), [0.0], grid)
+        assert_same_verdict(verdict, want_ratio)
+        assert_same_verdict(phi, want_phi)
+
+
+def test_single_kept_row_takes_the_one_row_product(monkeypatch):
+    # f_1 = f_2 = 1 - x with g = 1 at xbar = 0.9: of the lattice -1, -0.5,
+    # 0, 0.5, 1 only x = 1 improves on xbar, alone in its box (5 points,
+    # boxes of 4).  Walked one point at a time or in chunks of 4, the scan
+    # evaluates it as a single row, through dot_rows' one-row product, and
+    # its verdicts have the reference's bits, from all five rows at once
+    prob = FractionalProblem(
+        1,
+        [(PolyhedralFn.affine([-1.0], 1.0), const(-1.0))] * 2,
+        [PolyhedralFn.affine([1.0], -1.0)],
+        PolyhedralCone.nonneg_orthant(1),
+        Polyhedron.box([-1.0], [1.0]),
+    )
+    grid = GridSpec.parse("5:[-1,1]")
+    ladder = _validate_ladder(None)
+    assert ref.dropped_rows_miss(prob, [0.9], grid, ladder).tolist() == [False] * 4 + [True]
+    want_ratio, want_phi = _whole_lattice_verdicts(prob, [0.9], grid, ladder)
+    assert want_ratio.kind == want_phi.kind == "dominated"
+    rows = []
+    dot_rows = _kernels.dot_rows
+
+    def spy(A, X):
+        rows.append(X.shape[0])
+        return dot_rows(A, X)
+
+    monkeypatch.setattr(_kernels, "dot_rows", spy)
+    for chunk in (1, 4):
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        rows.clear()
+        verdict, phi = _all_verdicts(prob, [0.9], grid)
+        assert_same_verdict(verdict, want_ratio)
+        assert_same_verdict(phi, want_phi)
+        assert rows and set(rows) == {1}
 
 
 def test_grid_scan_memory_is_flat_in_grid_size():
@@ -552,19 +756,21 @@ def test_grid_scan_memory_is_flat_in_grid_size():
 
 
 def test_lattice_in_C_skip_is_sound(monkeypatch):
-    # the scan drops C's test only when every lattice point passes it: C
-    # has integer or Gaussian rows, with or without equality rows, and the
-    # lattice's box lies strictly inside C, spans it to its faces exactly
-    # (the benchmark's grids), pokes out of it by about 1e-12 (within
-    # TOL_FEAS), reaches its test's bound b + TOL_FEAS up to rounding, or
-    # pokes past that bound by about 1e-12
+    # the bound pass lets a box skip C's test only when every point of it
+    # passes, and drops a box as infeasible only when none of its points is
+    # feasible: C has integer or Gaussian rows, with or without equality
+    # rows, and the lattice's box lies strictly inside C, spans it to its
+    # faces exactly (the benchmark's grids), pokes out of it by about
+    # 1e-12 (within TOL_FEAS), reaches its test's bound b + TOL_FEAS up to
+    # rounding, pokes past that bound by about 1e-12, or lies a unit
+    # beyond one of C's faces
     rng = np.random.default_rng(23)
     monkeypatch.setattr(grids, "_CHUNK", 7)
     decided = {}
-    for trial in range(300):
+    for trial in range(360):
         n = int(rng.integers(1, 5))
-        kind = ("inside", "faces", "out 1e-12", "at tol", "past tol")[trial % 5]
-        eq_rows = int(rng.random() < 0.25)
+        kind = ("inside", "faces", "out 1e-12", "at tol", "past tol")[trial % 5] if trial < 300 else "beyond"
+        eq_rows = int(rng.random() < 0.25) if kind != "beyond" else 0
         lo = rng.integers(-3, 2, size=n) * 0.5
         if rng.random() < 0.5:
             lo = lo + rng.normal(size=n)
@@ -589,17 +795,12 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
             b[i] -= TOL_FEAS
         elif kind == "past tol":
             b[i] -= TOL_FEAS + 1e-12 * max(1.0, abs(top[i]))
+        elif kind == "beyond":
+            b += 10.0
+            b[i] = np.minimum(A[i] * lo, A[i] * hi).sum() - 1.0
         x0 = (lo + hi) / 2
         E = rng.integers(-1, 2, size=(eq_rows, n)).astype(float)
         C = Polyhedron(A=A, b=b, E=E, d=E @ x0, n=n)
-        in_C = _lattice_in_C(C, grid)
-        decided.setdefault((kind, eq_rows), set()).add(in_C)
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
-        if in_C:
-            assert C.contains_batch(grid.points(), tol=TOL_FEAS).all()
-            assert C.contains_batch(corners, tol=TOL_FEAS).all()
-        if kind == "past tol":
-            assert not C.contains_batch(corners, tol=TOL_FEAS).all()
         prob = FractionalProblem(
             n,
             [(const(1.0, n), const(-1.0, n))] * 2,
@@ -607,8 +808,28 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
             PolyhedralCone.nonneg_orthant(1),
             C,
         )
-        for X in grid.chunks():
-            got = feasible_mask(prob, X, in_C=in_C)
+        # with no scan to run, every box that may hold a feasible point is
+        # in the second code array, with its C code; the constraint h = -1
+        # leaves C alone to drop boxes
+        in_box = FractionalProblem(n, prob.objectives, [const(-1.0, n)], prob.cone, C)
+        with np.errstate(all="ignore"):
+            code = np.maximum(*_box_codes(in_box, grid, [1.0], None, None))[ref.box_labels(grid)]
+            codes = np.maximum(*_box_codes(prob, grid, [1.0], None, None))
+        X = grid.points()
+        assert C.contains_batch(X[code == _KEEP_IN_C], tol=TOL_FEAS).all()
+        assert not C.contains_batch(X[code == 0], tol=TOL_FEAS).any()
+        assert not feasible_mask(prob, X[codes[ref.box_labels(grid)] == 0]).any()
+        in_C = bool((code == _KEEP_IN_C).all())
+        decided.setdefault((kind, eq_rows), set()).add(in_C)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        if in_C:
+            assert C.contains_batch(corners, tol=TOL_FEAS).all()
+        if kind == "past tol":
+            assert not C.contains_batch(corners, tol=TOL_FEAS).all()
+        if kind == "beyond":
+            assert not code.any()
+        for X, c in grid.select(codes):
+            got = feasible_mask(prob, X, in_C=c == _KEEP_IN_C)
             assert got.tobytes() == feasible_mask(prob, X).tobytes()
     # taken wherever the box passes C's test with room for rounding and
     # there is no equality row, and refused wherever there is one or the

@@ -227,3 +227,39 @@ def test_in_place_chunks_are_the_chunks(monkeypatch):
             same(got, lattice[k * chunk:(k + 1) * chunk])
         assert not np.shares_memory(grid.points(), grid.points())
         assert grid.points().flags.writeable
+
+
+def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
+    # boxes() cuts each axis into segments of at most _BOX points and gives
+    # their least and greatest coordinates; select() yields, in lattice
+    # order, exactly the points whose box has a nonzero code, byte for
+    # byte with points(), with their codes, for any chunk size.  Chunks
+    # are C-contiguous: with every box kept, read-only views of the walk's
+    # buffer
+    rng = np.random.default_rng(13)
+    specs = ["9x9x9x9:[-1,1]x[-1,1]x[-1,1]x[-1,1]", "1:[0,0]", "1x5x1:[0,0]x[-2,3]x[1,1]"]
+    for _ in range(12):
+        counts = rng.integers(1, 11, size=rng.integers(1, 5))
+        specs.append("x".join(map(str, counts)) + ":" + "x".join(f"[{-i},{i + 0.3}]" for i in range(len(counts))))
+    for spec in specs:
+        grid = GridSpec.parse(spec)
+        for axis, (lo, hi) in zip(grid.axes(), grid.boxes()):
+            segments = [axis[i:i + grids._BOX] for i in range(0, axis.size, grids._BOX)]
+            same(lo, np.array([s.min() for s in segments]))
+            same(hi, np.array([s.max() for s in segments]))
+        labels = ref.box_labels(grid)
+        lattice = grid.points()
+        boxes = int(np.prod([lo.size for lo, _ in grid.boxes()]))
+        for codes in (rng.integers(0, 3, boxes), np.ones(boxes), (rng.random(boxes) < 0.1) * 2):
+            codes = codes.astype(np.int8)
+            kept = codes[labels] != 0
+            for chunk in (1, 7, 64, 16384, grid.size + 1):
+                monkeypatch.setattr(grids, "_CHUNK", chunk)
+                rows, got = [], []
+                for X, code in grid.select(codes):
+                    assert X.flags.c_contiguous and len(X) == len(code) > 0
+                    assert not (kept.all() and X.flags.writeable)
+                    rows.append(X.copy())
+                    got.append(code)
+                same(np.concatenate(rows) if rows else lattice[:0], lattice[kept])
+                same(np.concatenate(got) if got else codes[:0], codes[labels][kept])
