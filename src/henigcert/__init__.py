@@ -58,10 +58,10 @@ from .fractional import (  # noqa: F401
     ParametricProblem,
     feasible,
     feasible_mask,
+    henig_check,
     henig_check_bruteforce,
     henig_check_parametric,
     nu_values,
-    parametric_equivalence_check,
     parametric_problem,
 )
 from .grids import GridSpec  # noqa: F401

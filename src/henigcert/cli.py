@@ -8,7 +8,8 @@ Exit codes follow one fixed scheme across commands:
     3   inconclusive outcome (oracle inconclusive, or the interior-point
         qualification fails so the classical multiplier route does not apply)
     64  usage errors: bad flags or flag values, unreadable input files,
-        an infeasible candidate point, or an operation that needs
+        a candidate point that is infeasible, has a denominator near 0
+        or (but for kkt) a negative ratio, or an operation that needs
         --pin-vstar to proceed
     65  data errors: malformed JSON, schema violations, dimension
         mismatches, certificates too short to apply the convergence rule
@@ -43,13 +44,14 @@ from .cones import PolyhedralCone
 from .convex import Polyhedron, PolyhedralFn
 from .errors import (
     ConjugateUnsupported,
+    DenominatorNearZero,
     DimensionMismatch,
     HenigcertError,
     HorizonTooShort,
     PointOutsideDomain,
     SchemaError,
 )
-from .fractional import FractionalProblem, feasible, henig_check, henig_check_bruteforce
+from .fractional import FractionalProblem, feasible, henig_check, nu_values
 from .grids import GridSpec
 from .linprog import TOL_FEAS
 
@@ -189,12 +191,25 @@ def _check_feasible(prob, point, tol):
         )
 
 
+def _check_ratios(prob, point):
+    # the oracle and every certificate rest on the reformulation
+    # f_i + nu_i (-g_i), which needs nu >= 0 (nu_values refuses a
+    # denominator near 0)
+    nu = nu_values(prob, point)
+    if (nu < 0).any():
+        raise UsageError(
+            f"candidate point has a negative ratio, nu = {nu.tolist()}; "
+            "the parametric reformulation needs nu >= 0"
+        )
+
+
 def cmd_check(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
     ladder = _ladder(args)
     _check_feasible(prob, point, args.tol_feas)
+    _check_ratios(prob, point)
     t0 = time.perf_counter()
     verdict, equiv = henig_check(prob, point, grid, ladder)
     doc = {
@@ -229,6 +244,7 @@ def cmd_certify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     _check_feasible(prob, point, args.tol_feas)
+    _check_ratios(prob, point)
     t0 = time.perf_counter()
     doc = {
         "command": "certify",
@@ -245,7 +261,7 @@ def cmd_certify(args):
         if args.grid is None:
             raise UsageError("certify needs --grid for the pre-check (or --force)")
         grid = _parse_grid(args.grid)
-        verdict = henig_check_bruteforce(prob, point, grid, _ladder(args))
+        verdict = henig_check(prob, point, grid, _ladder(args))[0]
         doc["pre_check"] = _verdict_json(verdict)
         doc["grid"] = _grid_json(grid)
         if verdict.kind != "properly_efficient":
@@ -277,6 +293,7 @@ def cmd_verify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     cert = _load_certificate(args.certificate)
+    _check_ratios(prob, point)
     t0 = time.perf_counter()
     report = verify_certificate(prob, point, cert, tol_conv=args.tol_conv)
     doc = {
@@ -368,7 +385,7 @@ def cmd_selftest(args):
     checks = []
 
     grid = GridSpec(lows=(-1.0,), highs=(1.0,), counts=(201,))
-    verdict = henig_check_bruteforce(prob, xbar, grid)
+    verdict = henig_check(prob, xbar, grid)[0]
     checks.append(("oracle at the minimizer", verdict.kind == "properly_efficient"))
 
     # N=100 keeps the epigraph scalar residual 6/N inside the 1e-1 gate
@@ -452,7 +469,7 @@ def main(argv=None) -> int:
         # the handler is looked up per call, not kept in the cached parser,
         # so a rebinding of a cmd_* function in this module takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (UsageError, PointOutsideDomain, ConjugateUnsupported) as exc:
+    except (UsageError, PointOutsideDomain, DenominatorNearZero, ConjugateUnsupported) as exc:
         print(f"henigcert: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, DimensionMismatch, HorizonTooShort) as exc:

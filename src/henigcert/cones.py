@@ -4,8 +4,10 @@ K_eps is the conic hull of {e_i + eps*e}.  Its generator matrix I + eps*E
 (E all-ones) is invertible with a rank-one inverse update, so membership
 has a closed form: v is in K_eps iff v_i >= eps*sum(v)/(1 + eps*m) for
 every i.  Polar membership reduces to the finite generator test
-<v, e_i + eps*e> >= 0.  Both avoid an LP per query; the grid oracle uses
-the polar test as max(v) + eps*sum(v) <= tol, one max and sum per row.
+<v, e_i + eps*e> >= 0.  Both avoid an LP per query.  The package needs
+only the ordering test v in -K_eps*, row-wise here and fused into the
+grid oracle as max(v) + eps*sum(v) <= tol, one max and sum per row; the
+scalar membership tests are test oracles (tests/cone_oracles.py).
 
 Polar cones follow the sign convention <z*, z> >= 0 for all z in the cone
 (the dual cone), matching the feasibility test h(x) in -Y+.
@@ -41,32 +43,6 @@ class HenigCone:
 
     def generators(self) -> np.ndarray:
         return np.eye(self.m) + self.eps * np.ones((self.m, self.m))
-
-    def _check(self, v) -> np.ndarray:
-        v = np.asarray(v, float).reshape(-1)
-        if v.shape[0] != self.m:
-            raise DimensionMismatch("vector dimension does not match cone")
-        return v
-
-
-def k_eps_contains(K: HenigCone, v, tol: float = TOL_CONE) -> bool:
-    """v in K_eps: the unique generator weights alpha = v - (eps*sum(v)/(1+eps*m))*e
-    must all be nonnegative."""
-    v = K._check(v)
-    shift = K.eps * v.sum() / (1.0 + K.eps * K.m)
-    return bool((v - shift).min() >= -tol)
-
-
-def k_eps_polar_contains(K: HenigCone, v, tol: float = TOL_CONE) -> bool:
-    """v in K_eps*: <v, e_i + eps*e> = v_i + eps*sum(v) >= 0 for all i."""
-    v = K._check(v)
-    return bool((v + K.eps * v.sum()).min() >= -tol)
-
-
-def in_minus_k_eps_polar(K: HenigCone, v, tol: float = TOL_CONE) -> bool:
-    """v in -K_eps*, the ordering test of the efficiency oracle."""
-    v = K._check(v)
-    return bool((v + K.eps * v.sum()).max() <= tol)
 
 
 def in_minus_k_eps_polar_batch(K: HenigCone, V, tol: float = TOL_CONE) -> np.ndarray:
@@ -143,12 +119,6 @@ def _rays(A) -> np.ndarray:
     R = np.vstack(rays)
     R /= np.abs(R).max(axis=1, keepdims=True)
     return np.unique(np.round(R, 12) + 0.0, axis=0)[::-1]
-
-
-def cone_polar_contains(Y: PolyhedralCone, ystar, tol: float = TOL_CONE) -> bool:
-    """ystar in Y*: <ystar, g> >= 0 for every generator g."""
-    ystar = Y._check(ystar)
-    return bool((Y.G @ ystar).min(initial=np.inf) >= -tol)
 
 
 def in_minus_cone(Y: PolyhedralCone, y, tol: float = TOL_CONE) -> bool:

@@ -15,16 +15,22 @@ available, or Dominated when a single sample refutes every rung.  Grid
 verdicts mean "no counterexample on this grid", never a proof over the
 continuum.
 
-The scan is one walk over the lattice in chunks of consecutive points, in
-lattice order, so its memory does not grow with the grid.  Per chunk it
-takes the feasibility mask and evaluates each f_i and -g_i once at the
-feasible samples; the ratio verdict and the reformulation's share those
-values.  Each verdict is accumulated by a ``_LadderScan``: rounding is
-monotone, so one sample's hits form a prefix of the descending ladder
-(sum(v) < 0) or a suffix (sum(v) > 0), and the rungs hit so far are two
-runs [0, lo) and [hi, R) tracked across chunks; a sample hitting both end
-rungs hits them all.  The first such sample in lattice order decides
-Dominated, and the walk stops once every verdict it runs is decided.
+The oracle has one path.  ``henig_check`` evaluates the candidate once
+(feasibility, the ratios nu, and the reformulation's phi at xbar, which
+must vanish) and hands the ``ParametricProblem`` to ``_grid_verdicts``,
+the one walk over the lattice, which always decides both the ratio
+problem and the reformulation; ``henig_check_bruteforce`` and
+``henig_check_parametric`` return one of the two verdicts.  The walk goes
+over the lattice in chunks of consecutive points, in lattice order, so
+its memory does not grow with the grid.  Per chunk it takes the
+feasibility mask and evaluates each f_i and -g_i once at the feasible
+samples; the ratio verdict and the reformulation's share those values.
+Each verdict is accumulated by a ``_LadderScan``: rounding is monotone,
+so one sample's hits form a prefix of the descending ladder (sum(v) < 0)
+or a suffix (sum(v) > 0), and the rungs hit so far are two runs [0, lo)
+and [hi, R) tracked across chunks; a sample hitting both end rungs hits
+them all.  The first such sample in lattice order decides Dominated, and
+the walk stops once both verdicts are decided.
 
 Before the walk over a lattice of more than one chunk, a bound pass
 (``_box_codes``) skips the lattice points that provably change nothing
@@ -245,10 +251,6 @@ class ParametricProblem:
         x = np.asarray(x, float).reshape(-1)
         return np.array([f.eval(x) + s.eval(x) for f, s in self.phi])
 
-    def phi_values_batch(self, X) -> np.ndarray:
-        """Objective values, shape (N, m): the transpose of an (m, N) stack."""
-        return self._phi_stack(*_objective_stacks(self.base, np.asarray(X, float))).T
-
     def _phi_stack(self, F, NG) -> np.ndarray:
         """phi from the (m, N) stacks of f and -g, by ScaledFn's rule: the
         second summand is c * (-g_i), or zeros when c is 0."""
@@ -443,10 +445,10 @@ def _no_rung(W, ladder):
     return (top + ladder[0] * S > TOL_CONE) & (top + ladder[-1] * S > TOL_CONE)
 
 
-def _decide(prob, B, kmax, ladder, nu, param):
+def _decide(prob, B, kmax, ladder, param):
     """Per box, from the (2 * rows, boxes) stack B of the rows' lower then
     upper bounds: (the whole box passes C's test, no point of it is
-    feasible, no point of it hits a rung of the comparisons run)."""
+    feasible, no point of it hits a rung of either comparison)."""
     m, p, C = prob.m, prob.p, prob.C
     rows = B.shape[0] // 2
     nf = 2 * m + p
@@ -468,14 +470,11 @@ def _decide(prob, B, kmax, ladder, nu, param):
     # the scans: rounding is monotone, so the computed f/g, f/g - nu and
     # f + c * (-g) are at least the same operations on the bounds
     F, NG, NG_hi = low[:m], low[m : 2 * m], high[m : 2 * m]
-    miss = np.ones(B.shape[1], dtype=bool)
-    if nu is not None:
-        G_lo, G_hi = -NG_hi, -NG
-        least = np.where(F >= 0, F / G_hi, F / G_lo)
-        miss &= (G_lo > 0).all(axis=0) & _no_rung(least - nu[:, None], ladder)
-    if param is not None:
-        c = np.array([s.c for _, s in param.phi])[:, None]
-        miss &= _no_rung(np.where(c != 0.0, F + c * NG, F + 0.0), ladder)
+    G_lo, G_hi = -NG_hi, -NG
+    least = np.where(F >= 0, F / G_hi, F / G_lo)
+    miss = (G_lo > 0).all(axis=0) & _no_rung(least - param.nu[:, None], ladder)
+    c = np.array([s.c for _, s in param.phi])[:, None]
+    miss &= _no_rung(np.where(c != 0.0, F + c * NG, F + 0.0), ladder)
     return in_C, out, miss
 
 
@@ -485,7 +484,7 @@ def _outer_sum(a, b):
     return np.add(a[:, :, None], b[:, None, :], order="C").reshape(a.shape[0], -1)
 
 
-def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, nu, param):
+def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, param):
     """The bound pass over ``grid.boxes()``: two codes per box, for the
     walk (``_KEEP``/``_KEEP_IN_C`` where some point may be feasible and hit
     a rung, else 0) and for the rest (the same codes where some point may
@@ -497,8 +496,8 @@ def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, nu, param):
     are formed by broadcasting per-axis terms, a slab of at most
     ``_SLAB_CELLS`` numbers at a time.  A box's points are all infeasible
     when some row of C or of the cone test fails on the whole box, and
-    they miss every rung when each active scan's bounds say so (only
-    where every denominator is positive on the box, for the ratios)."""
+    they miss every rung when both scans' bounds say so (only where every
+    denominator is positive on the box, for the ratios)."""
     segments = grid.boxes()
     counts = [lo.size for lo, _ in segments]
     starts = np.cumsum([0] + counts)
@@ -531,7 +530,7 @@ def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, nu, param):
         if j:
             lead = sum(terms[d][:, (ls // strides[d]) % counts[d]] for d in range(j))
             B = _outer_sum(lead, trail)
-        in_C, out, miss = _decide(prob, B, kmax, ladder, nu, param)
+        in_C, out, miss = _decide(prob, B, kmax, ladder, param)
         code = np.where(in_C, _KEEP_IN_C, _KEEP).astype(np.int8)
         sl = slice(l0 * width, (l0 + ls.size) * width)
         keep[sl] = np.where(out | miss, 0, code)
@@ -539,27 +538,25 @@ def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, nu, param):
     return keep, rest
 
 
-def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, param=None):
-    """The grid oracle: one walk over the lattice chunks in lattice order.
+def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: ParametricProblem):
+    """The grid oracle: one walk over the lattice chunks in lattice order,
+    feeding two ``_LadderScan``s, the ratio problem's (differences from the
+    candidate ratios param.nu) and the reformulation's (param's phi).
 
     On a lattice of more than one chunk, the bound pass (``_box_codes``)
     first drops every box whose points are provably infeasible or
-    provably hit no rung of the comparisons run.  Per chunk, then, over
-    the rows left: the feasibility mask (without C's test on rows whose
-    box passes it whole), then each f_i and -g_i once at every feasible
-    sample; the ratio verdict (against the candidate ratios nu) and the
-    reformulation's (param's phi) share those values.  Either comparison
-    is skipped when its argument is None, and the walk stops once every
-    comparison it runs is decided, which happens at the first Dominated
-    witness.  A dropped sample hits no rung, so it would leave every
-    ``_LadderScan`` as it is; but it may be the only feasible one, so when
-    the walk ends with no feasible sample, or a comparison fed none, the
-    boxes dropped for missing every rung are walked too, to settle that.
-    Returns (ratio verdict, reformulation verdict), None for a skipped one.
+    provably hit no rung of either scan.  Per chunk, then, over the rows
+    left: the feasibility mask (without C's test on rows whose box passes
+    it whole), then each f_i and -g_i once at every feasible sample, from
+    which both scans' differences are formed.  A decided scan is fed no
+    more, and the walk stops once both are decided.  A dropped sample hits
+    no rung, so it would leave every ``_LadderScan`` as it is; but it may
+    be the only feasible one, so when the walk ends with no feasible
+    sample, or a scan fed none, the boxes dropped for missing every rung
+    are walked too, to settle that.  Returns (ratio verdict, reformulation
+    verdict).
     """
-    ratio = None if nu is None else _LadderScan(ladder, grid)
-    phi = None if param is None else _LadderScan(ladder, grid)
-    scans = [scan for scan in (ratio, phi) if scan is not None]
+    ratio, phi = _LadderScan(ladder, grid), _LadderScan(ladder, grid)
     any_feasible = False
 
     def walk(chunks, done):
@@ -572,15 +569,15 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, par
             any_feasible = True
             Xf = np.compress(ok, X, axis=0)
             F, NG = _objective_stacks(prob, Xf)
-            if ratio is not None and ratio.verdict is None:
+            if ratio.verdict is None:
                 G = -NG
                 good = _well_defined(F, G).all(axis=0)
                 if good.any():
                     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                         D, Xg = _keep(good, F / G, Xf)
-                    D -= nu[:, None]
+                    D -= param.nu[:, None]
                     ratio.feed(D, Xg)
-            if phi is not None and phi.verdict is None:
+            if phi.verdict is None:
                 P = param._phi_stack(F, NG)
                 good = np.isfinite(P).all(axis=0)
                 if good.any():
@@ -589,10 +586,10 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, par
                 return
 
     def settled():
-        return any_feasible and all(scan.fed for scan in scans)
+        return any_feasible and ratio.fed and phi.fed
 
     def decided():
-        return all(scan.verdict is not None for scan in scans)
+        return ratio.verdict is not None and phi.verdict is not None
 
     if grid.size <= grids._CHUNK:
         # one chunk is evaluated in one batch either way, and its per-row
@@ -600,14 +597,12 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, nu=None, par
         walk(((X, _KEEP) for X in grid.chunks()), decided)
     else:
         with np.errstate(all="ignore"):
-            keep, rest = _box_codes(prob, grid, ladder, nu, param)
+            keep, rest = _box_codes(prob, grid, ladder, param)
         walk(grid.select(keep), decided)
         if not settled():
             walk(grid.select(rest), settled)
 
     def finish(scan, nothing_fed):
-        if scan is None:
-            return None
         if not any_feasible:
             return EfficiencyVerdict.inconclusive("no feasible samples", grid)
         if not scan.fed:
@@ -625,46 +620,35 @@ def _check_grid(prob: FractionalProblem, grid: GridSpec):
         raise DimensionMismatch("grid dimension does not match problem")
 
 
-def henig_check_bruteforce(
-    prob: FractionalProblem, xbar, grid: GridSpec, ladder=None
-) -> EfficiencyVerdict:
-    """Grid oracle for Henig proper efficiency of xbar in the ratio problem."""
+def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
+    """The grid oracle at xbar: the ratio problem's verdict, and whether the
+    parametric reformulation at xbar agrees on the verdict kind.
+
+    The candidate is evaluated once: its feasibility and ratios nu give the
+    reformulation phi_i = f_i + nu_i * (-g_i) directly, which needs
+    nu >= 0 (``UnsupportedData`` otherwise).  Both verdicts then come from
+    one walk over the lattice (``_grid_verdicts``).
+    """
     ladder = _validate_ladder(ladder)
     nu = _candidate_ratios(prob, xbar)
     _check_grid(prob, grid)
-    return _grid_verdicts(prob, grid, ladder, nu=nu)[0]
+    param = ParametricProblem(prob, xbar, nu)
+    verdict, phi_verdict = _grid_verdicts(prob, grid, ladder, param)
+    return verdict, phi_verdict.kind == verdict.kind
+
+
+def henig_check_bruteforce(
+    prob: FractionalProblem, xbar, grid: GridSpec, ladder=None
+) -> EfficiencyVerdict:
+    """The ratio problem's verdict alone: ``henig_check(...)[0]``."""
+    return henig_check(prob, xbar, grid, ladder)[0]
 
 
 def henig_check_parametric(
     param: ParametricProblem, grid: GridSpec, ladder=None
 ) -> EfficiencyVerdict:
-    """The same oracle run on the reformulated objectives: the comparison
+    """The reformulation's verdict alone, from the same walk: the comparison
     vector is phi(x) - phi(xbar) = phi(x)."""
     ladder = _validate_ladder(ladder)
     _check_grid(param.base, grid)
-    return _grid_verdicts(param.base, grid, ladder, param=param)[1]
-
-
-def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
-    """The ratio problem's verdict, and whether its reformulation at xbar
-    agrees on the verdict kind, both from one walk over the lattice.  The
-    reformulation's data-assumption warnings are suppressed."""
-    ladder = _validate_ladder(ladder)
-    nu = _candidate_ratios(prob, xbar)
-    _check_grid(prob, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        param = parametric_problem(prob, xbar)
-    verdict, phi_verdict = _grid_verdicts(prob, grid, ladder, nu=nu, param=param)
-    return verdict, phi_verdict.kind == verdict.kind
-
-
-def parametric_equivalence_check(
-    prob: FractionalProblem, xbar, grid: GridSpec, ladder=None
-) -> bool:
-    """Do the ratio problem and its reformulation agree on the verdict kind?"""
-    # the reformulation's errors come before the ladder and grid ones here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        parametric_problem(prob, xbar)
-    return henig_check(prob, xbar, grid, ladder)[1]
+    return _grid_verdicts(param.base, grid, ladder, param)[1]

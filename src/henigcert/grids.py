@@ -251,8 +251,3 @@ class GridSpec:
             highs=tuple(r[1] for r in ranges),
             counts=tuple(counts),
         )
-
-    def to_string(self) -> str:
-        counts = "x".join(str(k) for k in self.counts)
-        ranges = "x".join(f"[{lo:g},{hi:g}]" for lo, hi in zip(self.lows, self.highs))
-        return f"{counts}:{ranges}"

@@ -118,7 +118,7 @@ def dropped_rows_miss(prob, xbar, grid, ladder):
         warnings.simplefilter("ignore")
         param = parametric_problem(prob, xbar)
     with np.errstate(all="ignore"):
-        keep, rest = _box_codes(prob, grid, ladder, param.nu, param)
+        keep, rest = _box_codes(prob, grid, ladder, param)
     labels = box_labels(grid)
     kept, settled = keep[labels] != 0, rest[labels] != 0
     X = grid.points()

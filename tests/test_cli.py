@@ -128,7 +128,7 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
     # at its dominated one every box holds a hit, and Q's black-box
     # functions give no bound
     assert (len(outside) < spec.size) is (point == "0")
-    want = fractional.parametric_equivalence_check(prob, xbar, spec)
+    want = fractional.henig_check(prob, xbar, spec)[1]
     assert doc["parametric_equivalence"] is want
 
 
@@ -151,6 +151,57 @@ def test_check_point_outside_denominator_domain_is_usage_error(tmp_path, capsys)
     rc = cli.main(["check", "--problem", str(path), "--point", "0.8", "--grid", TOY_GRID])
     assert rc == 64
     assert "objective 0: denominator infinite at xbar" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def bad_candidates(tmp_path_factory):
+    # the toy with its first objective replaced, so that the feasible x = 0
+    # has the ratio (x - 1)/1 = -1, or the denominator g_1(x) = x = 0
+    root = tmp_path_factory.mktemp("bad")
+    toy = cli._toy_problem()
+    first = {
+        "negative": (PolyhedralFn([[1.0]], [-1.0]), toy.objectives[1][1]),
+        "zero": (toy.objectives[0][0], PolyhedralFn([[-1.0]], [0.0])),
+    }
+    paths = {}
+    for name, objective in first.items():
+        prob = FractionalProblem(1, [objective, toy.objectives[1]], toy.hmap, toy.cone, toy.C)
+        paths[name] = str(root / f"{name}.json")
+        serialization.dump_json(serialization.problem_to_json(prob), paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("flags", [["check", "--grid", TOY_GRID], ["certify", "--grid", TOY_GRID],
+                                   ["certify", "--force"]], ids=["check", "certify", "certify-force"])
+@pytest.mark.parametrize("kind", ["negative", "zero"])
+def test_bad_candidate_is_usage_error(bad_candidates, capsys, flags, kind):
+    # the reformulation behind the oracle and the certificates needs
+    # nu >= 0 and every g_i clear of 0: usage (64) with the reason, not
+    # internal (70)
+    command, *rest = flags
+    rc = cli.main([command, "--problem", bad_candidates[kind], "--point", "0", *rest])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert {"negative": "negative ratio", "zero": "below 1e-09"}[kind] in err
+
+
+def test_verify_and_kkt_at_bad_candidates(files, bad_candidates, capsys):
+    cert = files["root"] / "toy-for-bad.cert.json"
+    assert cli.main(["certify", "--problem", files["toy"], "--point", "0", "--force",
+                     "--n", "20", "--tol-conv", "1e-1", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    verify = ["verify", "--point", "0", "--certificate", str(cert)]
+    assert cli.main([*verify, "--problem", bad_candidates["negative"]]) == 64
+    assert "negative ratio" in capsys.readouterr().err
+    # kkt keeps its "unsupported data" Fails at a negative ratio, and
+    # refuses a denominator at 0
+    kkt = ["kkt", "--point", "0", "--grid", TOY_GRID]
+    assert cli.main([*kkt, "--problem", bad_candidates["negative"]]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "Fails" and "negative ratio" in doc["reason"]
+    assert cli.main([*kkt, "--problem", bad_candidates["zero"]]) == 64
+    assert "below 1e-09" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,19 @@ seeded sampling loops.
 import numpy as np
 import pytest
 
+from cone_oracles import (
+    cone_polar_contains,
+    in_minus_k_eps_polar,
+    k_eps_contains,
+    k_eps_polar_contains,
+)
 from henigcert.certificates import minus_cone_polyhedron
 from henigcert.cones import (
     HenigCone,
     PolyhedralCone,
-    cone_polar_contains,
     in_minus_cone,
     in_minus_cone_batch,
-    in_minus_k_eps_polar,
     in_minus_k_eps_polar_batch,
-    k_eps_contains,
-    k_eps_polar_contains,
 )
 from henigcert.errors import DimensionMismatch
 from henigcert.linprog import LinearProgram, lp_solve

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import grid_reference as ref
+from cone_oracles import in_minus_k_eps_polar
 from henigcert import _kernels, example_q, fractional, grids
 
 from henigcert.cones import (
     TOL_CONE,
     HenigCone,
     PolyhedralCone,
-    in_minus_k_eps_polar,
     in_minus_k_eps_polar_batch,
 )
 from henigcert.convex import BlackBoxFn, Polyhedron, PolyhedralFn
@@ -36,7 +36,6 @@ from henigcert.fractional import (
     henig_check_bruteforce,
     henig_check_parametric,
     nu_values,
-    parametric_equivalence_check,
     parametric_problem,
     ratio_matrix,
     _KEEP_IN_C,
@@ -230,6 +229,9 @@ def test_parametric_negative_nu_rejected():
     with pytest.warns(UserWarning):
         with pytest.raises(UnsupportedData):
             parametric_problem(prob, [0.0])
+    # every oracle entry point builds the reformulation
+    with pytest.raises(UnsupportedData):
+        henig_check_bruteforce(prob, [0.0], GridSpec.parse("3:[-1,1]"))
 
 
 def test_parametric_requires_feasible_point():
@@ -302,7 +304,7 @@ def test_oracle_rejects_infeasible_candidate():
         with pytest.raises(ValueError):
             henig_check_bruteforce(toy(), [0.0], GridSpec.parse(grid), ladder=ladder)
         with pytest.raises(ValueError):
-            parametric_equivalence_check(toy(), [0.0], GridSpec.parse(grid), ladder=ladder)
+            henig_check(toy(), [0.0], GridSpec.parse(grid), ladder=ladder)[1]
 
 
 # reference scan: one HenigCone batch test per rung, then a separate pass
@@ -468,15 +470,15 @@ def test_parametric_equivalence_on_random_instances():
             continue
         idx = rng.choice(np.where(mask)[0], size=min(3, mask.sum()), replace=False)
         for i in idx:
-            assert parametric_equivalence_check(prob, X[i], grid, ladder)
+            assert henig_check(prob, X[i], grid, ladder)[1]
             checked += 1
     assert checked >= 20
 
 
 def test_equivalence_on_toy_verdicts():
     grid = GridSpec.parse("21:[-1,1]")
-    assert parametric_equivalence_check(toy(), [1.0], grid)
-    assert parametric_equivalence_check(toy(), [0.0], grid)
+    assert henig_check(toy(), [1.0], grid)[1]
+    assert henig_check(toy(), [0.0], grid)[1]
     v1 = henig_check_bruteforce(toy(), [1.0], grid)
     v2 = henig_check_parametric(parametric_problem(toy(), [1.0]), grid)
     assert v1.kind == v2.kind == "dominated"
@@ -518,7 +520,7 @@ def _whole_lattice_verdicts(prob, xbar, grid, ladder):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         param = parametric_problem(prob, xbar)
-    P = param.phi_values_batch(Xf)
+    P = param._phi_stack(*fractional._objective_stacks(prob, Xf)).T
     fin = np.isfinite(P).all(axis=1)
     assert ok.any() and fin.any()
     return (
@@ -737,6 +739,27 @@ def test_single_kept_row_takes_the_one_row_product(monkeypatch):
         assert rows and set(rows) == {1}
 
 
+def test_henig_check_evaluates_the_candidate_once(monkeypatch):
+    # feasibility takes each h_j at xbar, the ratios each f_i and -g_i, and
+    # the reformulation's vanishing check each f_i and -g_i once more: p + 4m
+    # scalar evaluations, however many chunks the walk takes
+    prob = seeded_problem(1)
+    calls = []
+    scalar = PolyhedralFn.eval
+
+    def spy(self, x):
+        calls.append(self)
+        return scalar(self, x)
+
+    monkeypatch.setattr(PolyhedralFn, "eval", spy)
+    grid = GridSpec.parse("5x5x5x5:[-1,1]x[-1,1]x[-1,1]x[-1,1]")
+    for chunk in (64, grid.size):
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        calls.clear()
+        henig_check(prob, np.zeros(4), grid)
+        assert len(calls) <= prob.p + 4 * prob.m, len(calls)
+
+
 def test_grid_scan_memory_is_flat_in_grid_size():
     # tracemalloc peak of one full walk: a 30^4 lattice (810,000 points)
     # costs at most 1.5 times a 20^4 one (160,000); a whole-lattice scan
@@ -808,13 +831,15 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
             PolyhedralCone.nonneg_orthant(1),
             C,
         )
-        # with no scan to run, every box that may hold a feasible point is
-        # in the second code array, with its C code; the constraint h = -1
-        # leaves C alone to drop boxes
+        # every box that may hold a feasible point is in one of the two
+        # code arrays, with its C code (the constant ratios tie the
+        # candidate's nu = 1 everywhere, so it is the first); the
+        # constraint h = -1 leaves C alone to drop boxes
         in_box = FractionalProblem(n, prob.objectives, [const(-1.0, n)], prob.cone, C)
+        param = ParametricProblem(prob, x0, [1.0, 1.0])
         with np.errstate(all="ignore"):
-            code = np.maximum(*_box_codes(in_box, grid, [1.0], None, None))[ref.box_labels(grid)]
-            codes = np.maximum(*_box_codes(prob, grid, [1.0], None, None))
+            code = np.maximum(*_box_codes(in_box, grid, [1.0], param))[ref.box_labels(grid)]
+            codes = np.maximum(*_box_codes(prob, grid, [1.0], param))
         X = grid.points()
         assert C.contains_batch(X[code == _KEEP_IN_C], tol=TOL_FEAS).all()
         assert not C.contains_batch(X[code == 0], tol=TOL_FEAS).any()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import grid_reference as ref
-from henigcert import grids
+from henigcert import fractional, grids
 from henigcert._kernels import max_affine_batch
 from henigcert.cones import PolyhedralCone, in_minus_cone_batch
 from henigcert.convex import Polyhedron, PolyhedralFn, ScaledFn
@@ -162,7 +162,7 @@ def test_oracle_stacks_match_row_major(N, n):
         samples_last(R)
 
         param = parametric_problem(prob, x0)
-        P = param.phi_values_batch(X)
+        P = param._phi_stack(*fractional._objective_stacks(prob, X)).T
         same(P, ref.phi_values_batch(param, X))
         samples_last(P)
 
