@@ -59,7 +59,6 @@ import numpy as np
 
 from .cones import PolyhedralCone, in_minus_cone_batch
 from .convex import (
-    TOL_MEMBERSHIP,
     Conjugate,
     Polyhedron,
     PolyhedralFn,
@@ -95,12 +94,8 @@ from .errors import (
 )
 from .fractional import FractionalProblem, feasible, nu_values
 from .linprog import INFEASIBLE, UNBOUNDED, LpSession
-
-DEFAULT_TOL_CONV = 1e-3
-JITTER = 1e-9
-VSTAR_ZERO_TOL = 1e-12
-# how far inside -Y+ a grid point of C must map to count as a Slater point
-SLATER_MARGIN = 1e-6
+from .tolerances import (JITTER, SLATER_MARGIN, TOL_CONV, TOL_MEMBERSHIP, VSTAR_SIGN_TOL,
+                         VSTAR_ZERO_TOL)
 
 HEURISTIC_NOTE = (
     "finite-horizon verdict: the limit conditions are checked by the "
@@ -128,14 +123,13 @@ def _check_lambda(lam, m: int) -> np.ndarray:
     return lam
 
 
-def converged(trace, tol_conv: float, jitter: float = JITTER) -> bool:
+def converged(trace, tol_conv: float) -> bool:
     """Finite-horizon convergence rule: trace[-1] <= tol_conv and the last
-    ceil(N/2) values are non-increasing up to jitter."""
-    return not _convergence_failures(trace, tol_conv, jitter)
+    ceil(N/2) values are non-increasing up to JITTER."""
+    return not _convergence_failures(trace, tol_conv)
 
 
-def _convergence_failures(trace, tol_conv: float, jitter: float = JITTER,
-                          tol_name: str = "tol_conv") -> list:
+def _convergence_failures(trace, tol_conv: float, tol_name: str = "tol_conv") -> list:
     """What fails the convergence rule, one phrase per failing part: a
     tail that rises (its largest rise and the n it reaches) and a last
     value above tol_conv (that value, against the tolerance named
@@ -148,7 +142,7 @@ def _convergence_failures(trace, tol_conv: float, jitter: float = JITTER,
     with np.errstate(invalid="ignore"):  # inf - inf: not a rise
         rises = np.diff(trace[start:])
     failures = []
-    if (rises > jitter).any():
+    if (rises > JITTER).any():
         i = int(np.argmax(rises))
         failures.append(f"rises by {rises[i]:.3g} at n={start + i + 2}")
     if not trace[-1] <= tol_conv:
@@ -349,7 +343,7 @@ class _Blocks:
 def _composite_weights(vstar) -> np.ndarray:
     """The weights w = max(-vstar, 0) of (-vstar) o h = sum_j w_j h_j, per
     entry (row), zero on the entries where vstar vanishes."""
-    if (-vstar < -1e-9).any():
+    if (-vstar < -VSTAR_SIGN_TOL).any():
         raise UnsupportedData("composite term needs componentwise nonnegative -vstar")
     w = np.maximum(-vstar, 0.0)
     w[np.abs(vstar).max(axis=-1, initial=0.0) <= VSTAR_ZERO_TOL] = 0.0
@@ -363,12 +357,14 @@ def _composite_values(w, hv) -> np.ndarray:
 
 def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool):
     """Shared preamble of the verifiers and transfers: the horizon (for
-    verifiers), the m/n/p shape check, then the block table."""
+    verifiers), the m/n/p shape check, xbar's feasibility, then the block table."""
     xbar = np.asarray(xbar, float).reshape(-1)
     if horizon and cert.N < 4:
         raise HorizonTooShort(f"need a horizon of at least 4 entries, got {cert.N}")
     if (cert.lam.shape[0], cert.ustar.shape[1], cert.vstar.shape[1]) != (prob.m, prob.n, prob.p):
         raise DimensionMismatch("certificate shapes do not match the problem")
+    if not feasible(prob, xbar):
+        raise PointOutsideDomain("candidate point is not feasible")
     return xbar, _Blocks(prob, xbar, cert.lam)
 
 
@@ -429,7 +425,7 @@ def _verdict(memberships, residual_checks):
     return verdict, tuple(reasons)
 
 
-def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None):
+def _verify(theorem, prob, xbar, cert, tol_conv, tol_points=None):
     """One membership loop over the block table with the slack rule of the
     form named by ``theorem``, then the shared residual traces."""
     xbar, table = _prepare(prob, xbar, cert, horizon=True)
@@ -440,7 +436,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     memberships, slacks, gaps = {}, {}, {}
 
     def put(name, sl):
-        memberships[name] = sl >= -tol_membership
+        memberships[name] = sl >= -TOL_MEMBERSHIP
         slacks[name] = sl
 
     def conj(blk, ks):
@@ -493,10 +489,10 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
             pts = blk.of(tab, blk.point)
             dots = np.einsum("ij,ij->i", stars, pts)
             if blk.kind == "C":
-                inside = prob.C.contains_batch(pts, tol=tol_membership)
+                inside = prob.C.contains_batch(pts, tol=TOL_MEMBERSHIP)
                 sl = -(conj(blk, every) - dots)
             else:
-                inside = in_minus_cone_batch(prob.cone, pts, tol=tol_membership)
+                inside = in_minus_cone_batch(prob.cone, pts, tol=TOL_MEMBERSHIP)
                 sl = np.minimum(_polar_slacks(G, stars), dots)
             put(f"normal_{blk.name}", np.where(inside, sl, -np.inf))
             gaps[f"gap_{blk.name}"] = np.abs(np.einsum("ij,ij->i", stars, pts - blk.base))
@@ -535,7 +531,7 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     residuals = {"dual": dual, "y": yres, "scalar": scalar, **gaps}
     checks = {name: _convergence_failures(residuals[name], tol_conv)
               for name in ("dual", "y", "scalar")}
-    tolerances = {"tol_membership": tol_membership, "tol_conv": tol_conv}
+    tolerances = {"tol_membership": TOL_MEMBERSHIP, "tol_conv": tol_conv}
     if theorem == "4.4":
         tolerances["tol_points"] = tol_points
         # the report lists the point traces x, w, c, u, y
@@ -552,37 +548,22 @@ def _verify(theorem, prob, xbar, cert, tol_membership, tol_conv, tol_points=None
     )
 
 
-def verify_epi_certificate(
-    prob: FractionalProblem,
-    xbar,
-    cert: EpiCertificate,
-    tol_membership: float = TOL_MEMBERSHIP,
-    tol_conv: float = DEFAULT_TOL_CONV,
-) -> VerificationReport:
+def verify_epi_certificate(prob: FractionalProblem, xbar, cert: EpiCertificate,
+                           tol_conv: float = TOL_CONV) -> VerificationReport:
     """Check every conjugate-epigraph membership and the three residual
     traces of the epigraph-form certificate."""
-    return _verify("4.2", prob, xbar, cert, tol_membership, tol_conv)
+    return _verify("4.2", prob, xbar, cert, tol_conv)
 
 
-def verify_eps_certificate(
-    prob: FractionalProblem,
-    xbar,
-    cert: EpsCertificate,
-    tol_membership: float = TOL_MEMBERSHIP,
-    tol_conv: float = DEFAULT_TOL_CONV,
-) -> VerificationReport:
+def verify_eps_certificate(prob: FractionalProblem, xbar, cert: EpsCertificate,
+                           tol_conv: float = TOL_CONV) -> VerificationReport:
     """Check the gamma_n-approximate memberships at the candidate point."""
-    return _verify("4.3", prob, xbar, cert, tol_membership, tol_conv)
+    return _verify("4.3", prob, xbar, cert, tol_conv)
 
 
-def verify_exact_certificate(
-    prob: FractionalProblem,
-    xbar,
-    cert: ExactCertificate,
-    tol_membership: float = TOL_MEMBERSHIP,
-    tol_conv: float = DEFAULT_TOL_CONV,
-    tol_points: Optional[float] = None,
-) -> VerificationReport:
+def verify_exact_certificate(prob: FractionalProblem, xbar, cert: ExactCertificate,
+                             tol_conv: float = TOL_CONV,
+                             tol_points: Optional[float] = None) -> VerificationReport:
     """Check the exact memberships at the nearby points, their convergence
     to the candidate, and the value-gap traces.
 
@@ -592,7 +573,7 @@ def verify_exact_certificate(
     """
     if tol_points is None:
         tol_points = float(np.sqrt(tol_conv))
-    return _verify("4.4", prob, xbar, cert, tol_membership, tol_conv, tol_points)
+    return _verify("4.4", prob, xbar, cert, tol_conv, tol_points)
 
 
 def _form_functions(form) -> tuple:
@@ -608,7 +589,7 @@ def _form_functions(form) -> tuple:
 
 
 def verify_certificate(prob: FractionalProblem, xbar, cert: _Table,
-                       tol_conv: float = DEFAULT_TOL_CONV) -> VerificationReport:
+                       tol_conv: float = TOL_CONV) -> VerificationReport:
     """Check a certificate of any form with the verifier of its form."""
     return _form_functions(type(cert))[1](prob, xbar, cert, tol_conv=tol_conv)
 

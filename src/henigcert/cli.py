@@ -18,7 +18,8 @@ Exit codes follow one fixed scheme across commands:
 Reports are UTF-8 JSON.  By default the report goes to stdout; --out
 writes it to a file and keeps stdout to a one-line summary.  For certify,
 --out names the certificate file instead and the acceptance report stays
-on stdout.
+on stdout.  Tolerances are henigcert.tolerances' fixed values, but for
+--tol-conv, whose default is the library's own, TOL_CONV = 1e-2.
 """
 
 import argparse
@@ -53,7 +54,7 @@ from .errors import (
 )
 from .fractional import FractionalProblem, feasible, henig_check, nu_values
 from .grids import GridSpec
-from .linprog import TOL_FEAS
+from .tolerances import SELFTEST_TOL_CONV, TOL_CONV, TOL_FEAS
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -64,10 +65,6 @@ EXIT_INTERNAL = 70
 
 # 2^-k is a positive double up to k = 1074 and rounds to 0 beyond
 MAX_LADDER_EXPONENT = 1074
-
-# CLI default convergence gate: 1e-2 keeps the default horizon N=100 with
-# the default 1/n schedule self-consistent (gamma_N = 1e-2 must pass).
-CLI_TOL_CONV = 1e-2
 
 
 class UsageError(Exception):
@@ -184,11 +181,9 @@ def _emit(doc, args, summary):
         serialization.dump_json_stream(doc, sys.stdout)
 
 
-def _check_feasible(prob, point, tol):
-    if not feasible(prob, point, tol=tol):
-        raise PointOutsideDomain(
-            f"candidate point is not feasible within tol_feas={tol:g}"
-        )
+def _check_feasible(prob, point):
+    if not feasible(prob, point):
+        raise PointOutsideDomain(f"candidate point is not feasible within tol_feas={TOL_FEAS:g}")
 
 
 def _check_ratios(prob, point):
@@ -208,7 +203,7 @@ def cmd_check(args):
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
     ladder = _ladder(args)
-    _check_feasible(prob, point, args.tol_feas)
+    _check_feasible(prob, point)
     _check_ratios(prob, point)
     t0 = time.perf_counter()
     verdict, equiv = henig_check(prob, point, grid, ladder)
@@ -219,7 +214,7 @@ def cmd_check(args):
         "grid": _grid_json(grid),
         "verdict": _verdict_json(verdict),
         "parametric_equivalence": equiv,
-        "tol_feas": args.tol_feas,
+        "tol_feas": TOL_FEAS,
         "seconds": time.perf_counter() - t0,
     }
     _emit(doc, args, f"check: {verdict.kind}")
@@ -243,7 +238,7 @@ def _generate_and_transfer(prob, point, args):
 def cmd_certify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
-    _check_feasible(prob, point, args.tol_feas)
+    _check_feasible(prob, point)
     _check_ratios(prob, point)
     t0 = time.perf_counter()
     doc = {
@@ -312,7 +307,7 @@ def cmd_kkt(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
-    _check_feasible(prob, point, args.tol_feas)
+    _check_feasible(prob, point)
     t0 = time.perf_counter()
     slater = slater_check(prob, grid)
     doc = {
@@ -388,14 +383,13 @@ def cmd_selftest(args):
     verdict = henig_check(prob, xbar, grid)[0]
     checks.append(("oracle at the minimizer", verdict.kind == "properly_efficient"))
 
-    # N=100 keeps the epigraph scalar residual 6/N inside the 1e-1 gate
     eps_cert, trace = generate_eps_certificate(prob, xbar, N=100)
     checks.append(("generated residuals vanish", float(np.max(trace)) <= 1e-9))
-    rep = verify_certificate(prob, xbar, eps_cert, tol_conv=1e-1)
+    rep = verify_certificate(prob, xbar, eps_cert, tol_conv=SELFTEST_TOL_CONV)
     checks.append(("subdifferential form accepted", rep.verdict == "Accept"))
 
     for name, move in (("epigraph", epi_from_eps), ("exact", eps_to_exact)):
-        rep = verify_certificate(prob, xbar, move(prob, xbar, eps_cert), tol_conv=1e-1)
+        rep = verify_certificate(prob, xbar, move(prob, xbar, eps_cert), tol_conv=SELFTEST_TOL_CONV)
         checks.append((f"{name} form accepted", rep.verdict == "Accept"))
 
     kkt = classical_kkt_check(prob, xbar)
@@ -426,7 +420,6 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--grid", required=True, help='e.g. "201x201:[0,10]x[0,1]"')
     p.add_argument("--eps-ladder", type=int, help="largest ladder exponent k (eps down to 2^-k)")
-    p.add_argument("--tol-feas", type=_tolerance, default=TOL_FEAS)
 
     p = sub.add_parser("certify", help="generate a certificate at a candidate point")
     _add_common(p)
@@ -436,25 +429,23 @@ def _build_parser():
     p.add_argument("--n", type=_horizon, default=100, help="horizon N")
     p.add_argument("--grid", help="pre-check grid (required unless --force)")
     p.add_argument("--eps-ladder", type=int)
-    p.add_argument("--tol-conv", type=_tolerance, default=CLI_TOL_CONV)
-    p.add_argument("--tol-feas", type=_tolerance, default=TOL_FEAS)
+    p.add_argument("--tol-conv", type=_tolerance, default=TOL_CONV)
     p.add_argument("--pin-vstar", action="store_true", help="fix vstar = 0")
     p.add_argument("--force", action="store_true", help="skip the oracle pre-check")
 
     p = sub.add_parser("verify", help="verify a certificate file")
     _add_common(p)
     p.add_argument("--certificate", required=True, help="certificate JSON file")
-    p.add_argument("--tol-conv", type=_tolerance, default=CLI_TOL_CONV)
+    p.add_argument("--tol-conv", type=_tolerance, default=TOL_CONV)
 
     p = sub.add_parser("kkt", help="interior-point qualification plus multiplier check")
     _add_common(p)
     p.add_argument("--grid", required=True, help="grid for the interior-point search")
     p.add_argument("--lambda", dest="lam")
-    p.add_argument("--tol-feas", type=_tolerance, default=TOL_FEAS)
 
     p = sub.add_parser("example-q", help="run the embedded worked example")
     p.add_argument("--n", type=_horizon, default=1000)
-    p.add_argument("--tol-conv", type=_tolerance, default=1e-2)
+    p.add_argument("--tol-conv", type=_tolerance, default=TOL_CONV)
     p.add_argument("--grid", help="override the default 201x201 grid")
     p.add_argument("--out", help="write the JSON report here")
 

@@ -24,8 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-
-TOL_CONE = 1e-9
+from .tolerances import TOL_CONE
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,8 @@ def _rays(A) -> np.ndarray:
 
 
 def in_minus_cone(Y: PolyhedralCone, y, tol: float = TOL_CONE) -> bool:
-    """y in -Y: H(-y) >= 0."""
-    y = Y._check(y)
-    return bool((Y.H @ (-y)).min(initial=np.inf) >= -tol)
+    """y in -Y: ``in_minus_cone_batch`` on one row."""
+    return bool(in_minus_cone_batch(Y, Y._check(y)[None], tol)[0])
 
 
 def in_minus_cone_batch(Y: PolyhedralCone, V, tol: float = TOL_CONE) -> np.ndarray:

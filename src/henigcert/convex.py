@@ -34,10 +34,8 @@ from .errors import (
     UnsupportedData,
 )
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, LpSession, lp_solve
+from .tolerances import ACTIVE_TOL, EXACTNESS_GAP_TOL, TOL_FEAS, TOL_MEMBERSHIP, ZERO_FN_TOL
 
-TOL_MEMBERSHIP = 1e-7
-ZERO_FN_TOL = 1e-9
-_ACTIVE_TOL = 1e-9
 # br_regularize: Ekeland's weight as a fraction of sqrt(eps), a hair below 1
 # so that ||x* - x̄*|| <= sqrt(eps) survives rounding, and its LP-round cap
 _BR_LAMBDA = 1.0 - 1e-9
@@ -107,18 +105,15 @@ class Polyhedron:
             return cls(A=np.array(rows), b=np.array(rhs), n=n)
         return cls(n=n)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = TOL_FEAS) -> bool:
+        """``contains_batch`` on one row."""
         x = np.asarray(x, float).reshape(-1)
         if x.shape[0] != self.n:
             raise DimensionMismatch("point dimension does not match polyhedron")
-        if self.A.shape[0] and (self.A @ x - self.b).max() > tol:
-            return False
-        if self.E.shape[0] and np.abs(self.E @ x - self.d).max() > tol:
-            return False
-        return True
+        return bool(self.contains_batch(x[None], tol)[0])
 
-    def contains_batch(self, X, tol: float = 1e-9) -> np.ndarray:
-        """``contains`` at every row of X: fl(a.x) <= fl(b + tol) on each
+    def contains_batch(self, X, tol: float = TOL_FEAS) -> np.ndarray:
+        """Membership of every row of X: fl(a.x) <= fl(b + tol) on each
         inequality row and |fl(e.x) - d| <= tol on each equality row.  The
         row values are stored (rows, N), samples last, by ``dot_rows``,
         which rounds as the row-major ``X @ A.T``."""
@@ -200,7 +195,7 @@ class PolyhedralFn(ConvexFn):
         x = np.asarray(x, float).reshape(-1)
         if x.shape[0] != self.dim:
             raise DimensionMismatch("point dimension does not match function")
-        if not self.domain.contains(x):
+        if not self.domain.is_full_space() and not self.domain.contains(x):
             return np.inf
         return float((self.A @ x + self.b).max())
 
@@ -378,7 +373,7 @@ class Conjugate:
     PolyhedralFn or a ScaledFn chain over one; black boxes raise
     ConjugateUnsupported.  A zero-scaled component is the zero function on
     all of R^n and drops out with its domain; with none left the conjugate
-    is the indicator of {0}, with a 1e-9 snap on ||x*||_inf.  The sum is
+    is the indicator of {0}, with a ZERO_FN_TOL snap on ||x*||_inf.  The sum is
     encoded separably, never as a cross product of pieces: the LP is
     ``_separable_lp``'s (variables (x, t_1..t_k): maximize <x*,x> -
     sum_j w_j t_j s.t. t_j >= every piece of f_j, x in every domain), one
@@ -531,7 +526,7 @@ def eps_normal_contains(
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     xbar = np.asarray(xbar, float).reshape(-1)
-    if not C.contains(xbar, tol=1e-7):
+    if not C.contains(xbar, tol=TOL_MEMBERSHIP):
         raise PointOutsideDomain("base point is outside the set")
     xstar = np.asarray(xstar, float).reshape(-1)
     sval = support_function(C, xstar)
@@ -545,10 +540,10 @@ def eps_normal_contains(
 # subgradient selection
 
 
-def _active_pieces(poly: PolyhedralFn, x, tol: float = _ACTIVE_TOL) -> np.ndarray:
+def _active_pieces(poly: PolyhedralFn, x) -> np.ndarray:
     vals = poly.piece_values(x)
     fval = vals.max()
-    return np.where(vals >= fval - tol * (1.0 + abs(fval)))[0]
+    return np.where(vals >= fval - ACTIVE_TOL * (1.0 + abs(fval)))[0]
 
 
 def subdiff_element(fn: ConvexFn, xbar) -> np.ndarray:
@@ -571,7 +566,7 @@ def subdiff_element(fn: ConvexFn, xbar) -> np.ndarray:
         raise PointOutsideDomain("base point is outside the function domain")
     dom = poly.domain
     ineq_active = (
-        np.where(dom.A @ xbar >= dom.b - _ACTIVE_TOL * (1.0 + np.abs(dom.b)))[0]
+        np.where(dom.A @ xbar >= dom.b - ACTIVE_TOL * (1.0 + np.abs(dom.b)))[0]
         if dom.A.shape[0]
         else np.array([], dtype=int)
     )
@@ -579,7 +574,7 @@ def subdiff_element(fn: ConvexFn, xbar) -> np.ndarray:
         k = int(_active_pieces(poly, xbar)[0])
         return poly.A[k].copy()
     xstar, gap = _exactness_lp(poly, xbar)
-    if gap > 1e-6:
+    if gap > EXACTNESS_GAP_TOL:
         raise NumericalFailure("exactness LP did not close the Young-Fenchel gap")
     return xstar
 
@@ -602,7 +597,7 @@ def _exactness_lp(poly: PolyhedralFn, x):
         c[K:K + mA] = -np.maximum(dom.b - dom.A @ x, 0.0)
     if mE:
         resid = dom.d - dom.E @ x
-        resid[np.abs(resid) <= 1e-9 * (1.0 + np.abs(dom.d))] = 0.0
+        resid[np.abs(resid) <= ACTIVE_TOL * (1.0 + np.abs(dom.d))] = 0.0
         c[K + mA:K + mA + mE] = -resid
         c[K + mA + mE:] = resid
     A_eq = np.zeros((1, nv))
@@ -655,13 +650,7 @@ def _br_excess(res: BRResult, eps: float) -> float:
     return max(res.dist_x - root, res.dist_xstar - root, res.value_gap - 2.0 * eps)
 
 
-def br_regularize(
-    fns,
-    xbar,
-    eps: float,
-    xbarstar,
-    tol: float = TOL_MEMBERSHIP,
-) -> BRResult:
+def br_regularize(fns, xbar, eps: float, xbarstar) -> BRResult:
     """Find (x, x*) with x* an exact subgradient of f = sum_j f_j at x and
     the three Brondsted-Rockafellar bounds: ||x-x̄|| <= sqrt(eps),
     ||x*-x̄*|| <= sqrt(eps), |f(x)-f(x̄)-<x*,x-x̄>| <= 2 eps.
@@ -707,7 +696,7 @@ def br_regularize(
         raise PointOutsideDomain("base point is outside the function domain")
 
     # already exact at the base point?
-    if yf_gap(xbar, xbarstar) <= tol:
+    if yf_gap(xbar, xbarstar) <= TOL_MEMBERSHIP:
         return BRResult(x=xbar, xstar=xbarstar, dist_x=0.0, dist_xstar=0.0, value_gap=0.0)
 
     # t >= <u_j, y - x̄> for every cut u_j, after the separable rows
@@ -734,7 +723,7 @@ def br_regularize(
         res = _br_pair(value, xbar, xbarstar, y, xbarstar - out.duals[len(fixed):] @ cuts)
         excess = _br_excess(res, eps)
         gap = yf_gap(y, res.xstar) if excess <= 0 else np.inf
-        if gap <= tol:
+        if gap <= TOL_MEMBERSHIP:
             return res
         if best[1] is None or excess < best[0]:
             best = (excess, res, gap)
@@ -748,5 +737,5 @@ def br_regularize(
         f"no nearby exact pair after {len(cuts)} cuts: best dist_x={res.dist_x:.6g}, "
         f"dist_xstar={res.dist_xstar:.6g}, value_gap={res.value_gap:.6g} against "
         f"bounds {root:.6g}, {root:.6g}, {2.0 * eps:.6g}"
-        + (f"; Young-Fenchel gap {gap:.3g} above {tol:g}" if np.isfinite(gap) else "")
+        + (f"; Young-Fenchel gap {gap:.3g} above {TOL_MEMBERSHIP:g}" if np.isfinite(gap) else "")
     )

@@ -25,6 +25,7 @@ from .cones import PolyhedralCone
 from .convex import BlackBoxFn, Polyhedron, PolyhedralFn
 from .fractional import FractionalProblem, feasible_mask, henig_check, nu_values
 from .grids import GridSpec
+from .tolerances import TOL_CONV
 
 XBAR = np.array([0.0, 0.5])
 
@@ -65,7 +66,7 @@ def reference_certificate(N: int) -> EpiCertificate:
     )
 
 
-def run(N: int = 1000, tol_conv: float = 1e-2, grid: GridSpec = DEFAULT_GRID) -> dict:
+def run(N: int = 1000, tol_conv: float = TOL_CONV, grid: GridSpec = DEFAULT_GRID) -> dict:
     """Run the five stages; returns a report dict with ``ok`` aggregated."""
     prob = build_problem()
     stages = []

@@ -83,15 +83,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import TOL_CONE, PolyhedralCone, in_minus_cone, in_minus_cone_batch
+from .cones import PolyhedralCone, in_minus_cone_batch
 from .convex import Polyhedron, PolyhedralFn, ScaledFn
 from .errors import DenominatorNearZero, DimensionMismatch, PointOutsideDomain, UnsupportedData
 from . import grids
 from .grids import GridSpec, _strides
-from .linprog import TOL_FEAS
-
-TOL_DIV = 1e-9
-ZERO_DIFF_TOL = 1e-12
+from .tolerances import PHI_ZERO_TOL, TOL_CONE, TOL_DIV, TOL_FEAS, ZERO_DIFF_TOL
 
 DEFAULT_LADDER = tuple(2.0 ** -k for k in range(21))
 
@@ -141,32 +138,33 @@ class FractionalProblem:
         return H.T
 
 
-def feasible(prob: FractionalProblem, x, tol: float = TOL_FEAS) -> bool:
-    x = np.asarray(x, float).reshape(-1)
-    if x.shape[0] != prob.n:
-        raise DimensionMismatch("point dimension does not match problem")
-    if not prob.C.contains(x, tol=tol):
-        return False
-    hv = prob.h_values(x)
-    if not np.isfinite(hv).all():
-        return False
-    return in_minus_cone(prob.cone, hv, tol=tol)
-
-
-def feasible_mask(prob: FractionalProblem, X, tol: float = TOL_FEAS, in_C=False) -> np.ndarray:
-    """Feasibility at every row of X.  in_C, one flag or one per row, marks
-    the rows known to pass C's test at tol (the grid oracle's bound pass
-    proves it for whole boxes), which skip it."""
+def feasible_mask(prob: FractionalProblem, X, in_C=False) -> np.ndarray:
+    """Feasibility at every row of X, within TOL_FEAS.  in_C, one flag or
+    one per row, marks the rows known to pass C's test (the grid oracle's
+    bound pass proves it for whole boxes), which skip it."""
     X = np.asarray(X, float)
     ok = np.ones(X.shape[0], dtype=bool)
     test = ~np.broadcast_to(in_C, ok.shape)
     if test.any():
-        ok[test] = prob.C.contains_batch(np.compress(test, X, axis=0), tol=tol)
+        ok[test] = prob.C.contains_batch(np.compress(test, X, axis=0))
     H = prob.h_values_batch(X).T
     ok &= np.isfinite(H).all(axis=0)
     safe = np.where(ok, H, 0.0)  # keep NaN/inf out of the cone test
-    ok &= in_minus_cone_batch(prob.cone, safe.T, tol=tol)
+    ok &= in_minus_cone_batch(prob.cone, safe.T, tol=TOL_FEAS)
     return ok
+
+
+# bound once, so that a wrapper put on the module's feasible_mask (a
+# tracer's, a test's) sees the lattice walks and not the candidate checks
+_feasible_rows = feasible_mask
+
+
+def feasible(prob: FractionalProblem, x) -> bool:
+    """``feasible_mask`` on one row: a point and a lattice sample at it agree."""
+    x = np.asarray(x, float).reshape(-1)
+    if x.shape[0] != prob.n:
+        raise DimensionMismatch("point dimension does not match problem")
+    return bool(_feasible_rows(prob, x[None])[0])
 
 
 def nu_values(prob: FractionalProblem, xbar) -> np.ndarray:
@@ -237,7 +235,7 @@ class ParametricProblem:
             (f, ScaledFn(v, ng)) for v, (f, ng) in zip(self.nu, base.objectives)
         ]
         vals = self.phi_values(self.xbar)
-        if np.abs(vals).max() > 1e-9 * (1.0 + np.abs(self.nu).max()):
+        if np.abs(vals).max() > PHI_ZERO_TOL * (1.0 + np.abs(self.nu).max()):
             raise DimensionMismatch(
                 "parametric objectives do not vanish at xbar; got "
                 f"{vals.tolist()}"

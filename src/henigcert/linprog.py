@@ -37,9 +37,7 @@ import numpy as np
 
 from ._kernels import dual_simplex_core, pivot, simplex_core
 from .errors import DimensionMismatch, NumericalFailure
-
-TOL_FEAS = 1e-9
-TOL_OBJ = 1e-8
+from .tolerances import TOL_FEAS, TOL_OBJ, TOL_PHASE1
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -263,7 +261,7 @@ class LpSession:
             _reduce_objective(T, basis, m)
             self._run("phase 1", simplex_core, TOL_OBJ)
             phase1 = -T[m, ncols]
-            if phase1 < -1e-7 * (1.0 + float(np.abs(T[:, ncols]).max(initial=0.0))):
+            if phase1 < -TOL_PHASE1 * (1.0 + float(np.abs(T[:, ncols]).max(initial=0.0))):
                 return
             _pivot_out_artificials(T, basis, nu + n_slack, m)
         self._allowed[nu + n_slack:] = False

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from convex_oracles import weighted_sum_polyhedral
 
-from henigcert import certificates, convex
+from henigcert import certificates, cli, convex
 from henigcert.certificates import (
     EpiCertificate,
     EpsCertificate,
@@ -24,6 +24,7 @@ from henigcert.certificates import (
     slater_check,
     verify_epi_certificate,
     verify_eps_certificate,
+    verify_certificate,
     verify_exact_certificate,
 )
 from henigcert.cones import PolyhedralCone
@@ -38,6 +39,7 @@ from henigcert.errors import (
 from henigcert.fractional import FractionalProblem, feasible_mask, henig_check_bruteforce
 from henigcert.grids import GridSpec
 from henigcert.linprog import LpSession
+from henigcert.tolerances import TOL_CONV
 
 
 def toy_problem():
@@ -545,6 +547,33 @@ def test_pipeline_soundness_random():
             assert rep.verdict == "Accept"
             accepted += 1
     assert accepted >= 2
+
+
+def test_default_tol_conv_accepts_a_default_horizon_table():
+    # gamma_N = 1/N ends at 1e-2 at N = 100; the library's default tol_conv
+    # is the CLI's, so the verifiers accept what certify accepts
+    prob, xbar = cli._toy_problem(), np.zeros(1)
+    cert = generate_eps_certificate(prob, xbar, N=100)[0]
+    for rep in (verify_eps_certificate(prob, xbar, cert), verify_certificate(prob, xbar, cert)):
+        assert rep.verdict == "Accept", rep.reasons
+        assert rep.tolerances["tol_conv"] == TOL_CONV
+
+
+@pytest.mark.parametrize("consumer", [
+    verify_eps_certificate, verify_certificate, epi_from_eps, eps_to_exact,
+    lambda prob, x, cert: verify_epi_certificate(prob, x, epi_from_eps(prob, [0.0], cert)),
+    lambda prob, x, cert: verify_exact_certificate(prob, x, eps_to_exact(prob, [0.0], cert)),
+], ids=["verify_eps", "verify_certificate", "epi_from_eps", "eps_to_exact", "verify_epi",
+        "verify_exact"])
+def test_infeasible_candidate_is_refused(consumer):
+    # f1 = f2 = 0, g = 1, h = -1, C = [-1, 1]: a table made at 0 fits x = 5
+    # in every membership but C's, whose indicator the sum rule takes as 0
+    zero, one = PolyhedralFn([[0.0]], [0.0]), PolyhedralFn([[0.0]], [-1.0])
+    prob = FractionalProblem(1, [(zero, one), (zero, one)], [one],
+                             PolyhedralCone.nonneg_orthant(1), Polyhedron.box([-1.0], [1.0]))
+    cert = generate_eps_certificate(prob, [0.0], N=10)[0]
+    with pytest.raises(PointOutsideDomain, match="not feasible"):
+        consumer(prob, [5.0], cert)
 
 
 def test_tolerance_monotonicity():

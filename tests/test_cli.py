@@ -16,6 +16,7 @@ import pytest
 
 import grid_reference as ref
 from henigcert import cli, example_q, serialization
+from henigcert.cones import PolyhedralCone
 from henigcert.convex import Polyhedron, PolyhedralFn
 from henigcert.fractional import FractionalProblem
 from henigcert.linprog import TOL_FEAS
@@ -186,6 +187,21 @@ def test_bad_candidate_is_usage_error(bad_candidates, capsys, flags, kind):
     assert {"negative": "negative ratio", "zero": "below 1e-09"}[kind] in err
 
 
+def test_verify_at_an_infeasible_candidate_is_usage_error(tmp_path, capsys):
+    # f1 = f2 = 0, g = 1, h = -1, C = [-1, 1]: the table certify writes at 0
+    # passes every membership at 5 but C's, which the verifier does not test
+    zero, one = PolyhedralFn([[0.0]], [0.0]), PolyhedralFn([[0.0]], [-1.0])
+    prob = FractionalProblem(1, [(zero, one), (zero, one)], [one],
+                             PolyhedralCone.nonneg_orthant(1), Polyhedron.box([-1.0], [1.0]))
+    path, cert = str(tmp_path / "zero.json"), str(tmp_path / "z.json")
+    serialization.dump_json(serialization.problem_to_json(prob), path)
+    assert cli.main(["certify", "--problem", path, "--point", "0", "--force", "--out", cert]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--problem", path, "--point", "5", "--certificate", cert]) == 64
+    assert "not feasible" in capsys.readouterr().err
+    assert cli.main(["check", "--problem", path, "--point", "5", "--grid", TOY_GRID]) == 64
+
+
 def test_verify_and_kkt_at_bad_candidates(files, bad_candidates, capsys):
     cert = files["root"] / "toy-for-bad.cert.json"
     assert cli.main(["certify", "--problem", files["toy"], "--point", "0", "--force",
@@ -266,14 +282,14 @@ def test_nan_or_negative_tolerance_is_usage_error(files, capsys, value):
     toy = ["--problem", files["toy"], "--point", "0"]
     cert = str(files["root"] / "tol.json")
     assert cli.main(["certify", *toy, "--force", "--out", cert]) == 0
-    for argv in (["check", *toy, "--grid", TOY_GRID, f"--tol-feas={value}"],
-                 ["certify", *toy, "--force", "--n", "10", f"--tol-conv={value}"],
-                 ["certify", *toy, "--force", "--n", "10", f"--tol-feas={value}"],
+    for argv in (["certify", *toy, "--force", "--n", "10", f"--tol-conv={value}"],
                  ["verify", *toy, "--certificate", cert, f"--tol-conv={value}"],
-                 ["kkt", *toy, "--grid", TOY_GRID, f"--tol-feas={value}"],
                  ["example-q", "--n", "10", f"--tol-conv={value}"]):
         assert cli.main(argv) == 64, argv
         assert "tolerance must be nonnegative" in capsys.readouterr().err
+    # the feasibility tolerance is fixed: --tol-feas is an unknown flag
+    assert cli.main(["check", *toy, "--grid", TOY_GRID, f"--tol-feas={value}"]) == 64
+    assert "unrecognized arguments: --tol-feas" in capsys.readouterr().err
 
 
 def test_overflowing_grid_span_is_rejected(files, capsys):

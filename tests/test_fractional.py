@@ -15,6 +15,8 @@ from henigcert.cones import (
     TOL_CONE,
     HenigCone,
     PolyhedralCone,
+    in_minus_cone,
+    in_minus_cone_batch,
     in_minus_k_eps_polar_batch,
 )
 from henigcert.convex import BlackBoxFn, Polyhedron, PolyhedralFn
@@ -95,6 +97,40 @@ def test_feasible():
     assert not feasible(prob2, [0.5])
     with pytest.raises(DimensionMismatch):
         feasible(prob, [0.5, 0.5])
+
+
+def test_scalar_and_batch_feasibility_agree_near_the_faces():
+    # points a few ulps from each face of C and of -Y+, and from each face
+    # moved out by TOL_FEAS, where fl(a.x) - b > tol and fl(a.x) <= fl(b +
+    # tol) part ways; every row has one nonzero entry, so a product rounds
+    # alike in one row and in a stack
+    C = Polyhedron(A=[[3.0, 0.0], [-1.0, 0.0], [0.0, 0.1], [0.0, -1.0]], b=[3.0, 1.0, 0.2, 0.0])
+    prob = FractionalProblem(
+        n=2,
+        objectives=[(const(1.0, 2), const(-1.0, 2))] * 2,
+        hmap=[PolyhedralFn.affine([0.0, 1.0], -1.5)],  # x_2 <= 1.5
+        cone=PolyhedralCone.nonneg_orthant(1),
+        C=C,
+    )
+    rng = np.random.default_rng(11)
+    rows = []
+    for axis, value, slope in ((0, 1.0, 3.0), (0, -1.0, 1.0), (1, 2.0, 0.1), (1, 0.0, 1.0),
+                               (1, 1.5, 1.0)):
+        for shift in (-TOL_FEAS / slope, 0.0, TOL_FEAS / slope):
+            for k in range(-6, 7):
+                x = rng.uniform([-0.9, 0.1], [0.9, 1.4])
+                x[axis] = value + shift + k * np.spacing(value + shift)
+                rows.append(x)
+    X = rng.permutation(np.array(rows))
+    assert [feasible(prob, x) for x in X] == feasible_mask(prob, X).tolist()
+    assert [C.contains(x) for x in X] == C.contains_batch(X).tolist()
+    H = prob.h_values_batch(X)
+    assert [in_minus_cone(prob.cone, y) for y in H] == in_minus_cone_batch(prob.cone, H).tolist()
+    # C = {x <= 1}, h = -1: 1.000000001 is within TOL_FEAS of the face
+    # both as a candidate and as a lattice sample
+    one = FractionalProblem(1, [(const(0.0), const(-1.0))] * 2, [const(-1.0)],
+                            PolyhedralCone.nonneg_orthant(1), Polyhedron(A=[[1.0]], b=[1.0]))
+    assert feasible(one, [1.000000001]) is bool(feasible_mask(one, [[1.000000001]])[0]) is True
 
 
 def test_feasible_mask_matches_scalar():
