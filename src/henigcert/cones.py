@@ -83,12 +83,6 @@ class PolyhedralCone:
         eye = np.eye(p)
         return cls(generators=eye, H=eye)
 
-    def _check(self, y) -> np.ndarray:
-        y = np.asarray(y, float).reshape(-1)
-        if y.shape[0] != self.p:
-            raise DimensionMismatch("vector dimension does not match cone")
-        return y
-
 
 def _null_space(M, p: int) -> np.ndarray:
     """Orthonormal rows spanning {z in R^p : M z = 0}; M may have no rows."""
@@ -118,11 +112,6 @@ def _rays(A) -> np.ndarray:
     R = np.vstack(rays)
     R /= np.abs(R).max(axis=1, keepdims=True)
     return np.unique(np.round(R, 12) + 0.0, axis=0)[::-1]
-
-
-def in_minus_cone(Y: PolyhedralCone, y, tol: float = TOL_CONE) -> bool:
-    """y in -Y: ``in_minus_cone_batch`` on one row."""
-    return bool(in_minus_cone_batch(Y, Y._check(y)[None], tol)[0])
 
 
 def in_minus_cone_batch(Y: PolyhedralCone, V, tol: float = TOL_CONE) -> np.ndarray:

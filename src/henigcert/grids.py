@@ -20,17 +20,20 @@ blocks are read-only views); ``points`` is a walk of one block, a fresh
 array per call.
 
 For the grid oracle's bound pass the lattice is also cut into boxes of at
-most ``_BOX`` consecutive points per axis (``GridSpec.boxes``), numbered
-in C order as the points are.  ``GridSpec.select`` walks the same chunks
-but keeps only the points whose box has a nonzero code: a point's box
-number is a sum over the axes of its segment times the segment stride,
-read off per-axis columns by the same formula as its coordinates, so a
-chunk's codes cost one gather and its kept points are built from their
-flat indices alone.  A chunk with no kept point is never built, and no
-array of the lattice's size is.
+most ``_BOX`` consecutive points per axis, and each box into sub-boxes of
+at most ``_SUB`` (``GridSpec.boxes``), both numbered in C order as the
+points are.  ``GridSpec.select`` walks the lattice in lattice order but
+keeps only the points of the boxes with a nonzero code, or of those
+boxes' sub-boxes that a callback codes nonzero.  It goes by rows of boxes
+(one box segment on one axis, the earlier axes fixed), looks up only the
+boxes of the row it has reached, asks the callback only about the coded
+ones, and builds only the kept points, from their multi-indices: the work
+follows the kept boxes, not the lattice, nothing is refined more than a
+chunk ahead of the caller, and no array of the lattice's size is built.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +43,11 @@ MAX_GRID_POINTS = 4_000_000
 # lattice points per block of a walk: smaller blocks pay numpy's per-call
 # overhead once per few points, larger ones fall out of the CPU caches
 _CHUNK = 16384
-# lattice points per axis in a box of the grid oracle's bound pass: larger
-# boxes give looser bounds, smaller ones more boxes to bound
+# lattice points per axis in a box of the grid oracle's bound pass, and in
+# the sub-boxes its kept boxes split into: larger boxes give looser bounds,
+# smaller ones more boxes to bound; _SUB divides _BOX
 _BOX = 4
+_SUB = 2
 
 
 def _read_only(block):
@@ -58,6 +63,12 @@ def _strides(counts) -> list:
         strides.insert(0, s)
         s *= c
     return strides
+
+
+def _index_grid(shape) -> np.ndarray:
+    """Every multi-index of an array of the given shape, as the columns of a
+    (len(shape), prod(shape)) array in C order."""
+    return np.indices(shape, dtype=np.intp).reshape(len(shape), int(np.prod(shape, dtype=np.int64)))
 
 
 def _columns(counts, values, k: int) -> list:
@@ -141,11 +152,19 @@ class GridSpec:
             total *= k
         return total
 
-    def axes(self) -> list:
-        return [
+    @cached_property
+    def _axes(self) -> tuple:
+        axes = tuple(
             np.linspace(lo, hi, k) if k > 1 else np.array([lo])
             for lo, hi, k in zip(self.lows, self.highs, self.counts)
-        ]
+        )
+        for axis in axes:
+            axis.flags.writeable = False
+        return axes
+
+    def axes(self) -> list:
+        """The coordinates of each axis, formed once per grid (read-only)."""
+        return list(self._axes)
 
     def _filler(self, k: int):
         """fill(start, stop): the points of flat indices [start, stop), at
@@ -178,56 +197,115 @@ class GridSpec:
         for start in range(0, size, k):
             yield _read_only(fill(start, min(start + k, size)))
 
-    def boxes(self) -> list:
-        """The lattice cut into boxes of at most ``_BOX`` consecutive points
+    def boxes(self, edge: int = _BOX) -> list:
+        """The lattice cut into boxes of at most ``edge`` consecutive points
         per axis: per axis, the least and the greatest coordinate of each
-        of its ceil(count / _BOX) segments.  A box is one segment per axis;
+        of its ceil(count / edge) segments.  A box is one segment per axis;
         boxes are numbered in C order over the segments, as the points are
         over the axes."""
         out = []
         for axis in self.axes():
-            starts = np.arange(0, axis.size, _BOX)
+            starts = np.arange(0, axis.size, edge)
             out.append((np.minimum.reduceat(axis, starts), np.maximum.reduceat(axis, starts)))
         return out
 
-    def select(self, codes):
-        """The points whose box has a nonzero entry in ``codes`` (one per
-        box, in box order), walked as ``chunks`` walks the lattice: per
-        chunk with a kept point, its kept rows in lattice order and their
-        codes.  A chunk kept whole is a read-only view of the walk's
-        buffer; of any other only the kept points are built, from their
-        flat indices, into a fresh array."""
-        size = self.size
-        k = min(_CHUNK, size)
-        fill = None
-        segments = [-(-c // _BOX) for c in self.counts]
-        # a box's number is a sum over the axes; the axes whose period fits
-        # a chunk are summed over their common period once, as one axis
-        counts, strides = list(self.counts), _strides(self.counts)
-        values = [(np.arange(c) // _BOX) * s for c, s in zip(counts, _strides(segments))]
-        d0 = next((d for d in range(self.ndim) if counts[d] * strides[d] <= k), self.ndim)
-        if d0 < self.ndim:
-            period = counts[d0] * strides[d0]
-            values[d0:] = [sum(np.tile(np.repeat(v, s), period // (c * s))
-                               for v, c, s in zip(values[d0:], counts[d0:], strides[d0:]))]
-            counts[d0:] = [period]
-        labels = _columns(counts, values, k)
+    def select(self, codes, refine=None):
+        """The points whose box (of ``boxes()``) has a nonzero entry in
+        ``codes`` (small nonnegative integers), walked in lattice order, with
+        their codes; given ``refine``, only the points of those boxes'
+        sub-boxes (of ``boxes(_SUB)``; a sub-box lies in one box) that it
+        gives a nonzero code.  ``refine(boxes)`` takes an array of box
+        numbers and returns the codes of each box's (_BOX // _SUB) ** ndim
+        places for sub-boxes, in C order (a place past the lattice's edge
+        is never read); without it a sub-box takes its box's code.
+
+        The walk goes by rows of consecutive points: the points of one
+        segment of ``_BOX`` points on axis a with the earlier axes fixed,
+        a the first axis where half a row fits a chunk.  Per row only the
+        boxes that meet it are looked up, and only the coded ones are
+        refined; a row without one costs a lookup.  The points of the kept
+        sub-boxes are built from their multi-indices, and their flat
+        indices sorted into lattice order with the codes in the low bits.
+        They are yielded as many rows as fit a chunk at a time, or half a
+        row when a row does not fit one; a yield kept whole is a read-only
+        view of the walk's buffer, any other a fresh array.  So nothing is
+        refined more than a chunk ahead of the caller, no array of the
+        lattice's size is built, and a caller that stops early leaves the
+        rest unrefined.
+        """
+        r = _BOX // _SUB
+        if refine is None:
+            def refine(boxes):
+                return np.broadcast_to(codes[boxes][:, None], (boxes.size, r ** self.ndim))
+        n, counts = self.ndim, self.counts
+        strides = _strides(counts)
+        box_counts = [-(-c // _BOX) for c in counts]
+        box_strides = _strides(box_counts)
+        a = next((d for d in range(n) if _SUB * strides[d] <= _CHUNK), n - 1)
+        per = max(1, _CHUNK // (_BOX * strides[a]))
+        # a row's boxes are its box number plus an offset per combination
+        # of box segments on the later axes; a box has r ** ndim places
+        # for sub-boxes, and a sub-box _SUB ** (ndim - a) points from a on
+        tail = _index_grid(box_counts[a + 1:])
+        tail_boxes = np.asarray(box_strides[a + 1:], dtype=np.intp) @ tail
+        place = _index_grid([r] * n)[:, None, :]
+        corner = _index_grid([_SUB] * (n - a))[:, None, :]
+        sizes = np.array(counts[a:], dtype=np.intp)[:, None, None]
+        pre_strides = _strides(counts[:a])
+        rows = int(np.prod(counts[:a], dtype=np.int64)) * box_counts[a]
+        span = counts[a] * strides[a]
+
+        def first(w, offset=0):  # flat index of the first point of row w, plus offset along axis a
+            return w // box_counts[a] * span + min(w % box_counts[a] * _BOX + offset, counts[a]) * strides[a]
+
         axes = self.axes()
-        for start in range(0, size, k):
-            stop = min(start + k, size)
-            box = labels[0](start, stop)
-            for column in labels[1:]:
-                box = box + column(start, stop)
-            code = codes[box]
-            rows = (code != 0).nonzero()[0]
-            if rows.size == stop - start:
-                fill = fill or self._filler(k)
-                yield _read_only(fill(start, stop)), code
-            elif rows.size:
-                X = np.empty((rows.size, self.ndim))
-                for d, (axis, c, s) in enumerate(zip(axes, self.counts, strides)):
-                    X[:, d] = axis[(rows + start) // s % c]
-                yield X, code[rows]
+        fill = None
+        for w0 in range(0, rows, per):
+            w = np.arange(w0, min(w0 + per, rows))
+            seg = w % box_counts[a]
+            pre = [w // box_counts[a] // s % c for s, c in zip(pre_strides, counts[:a])]
+            base = seg * box_strides[a]
+            for p, s in zip(pre, box_strides):
+                base = base + p // _BOX * s
+            box = (base[:, None] + tail_boxes).ravel()
+            hit = (codes[box] != 0).nonzero()[0]
+            if not hit.size:
+                continue
+            row, t = np.divmod(hit, tail_boxes.size)
+            code = refine(box[hit])
+            # the kept sub-boxes that meet the row (on an axis before a,
+            # the one that holds the row's point) and their points inside
+            # the lattice, as flat indices sorted into lattice order with
+            # the codes in the low bits
+            J = r * np.vstack([p[row] // _BOX for p in pre] + [seg[row], tail[:, t]])[:, :, None] + place
+            kept = code != 0
+            for d, p in enumerate(pre):
+                kept &= J[d] == (p[row] // _SUB)[:, None]
+            if not kept.any():
+                continue
+            index = _SUB * J[a:, kept][:, :, None] + corner
+            inside = (index < sizes).all(axis=0)
+            prefix = [np.broadcast_to(p[row][:, None, None], kept.shape + corner.shape[-1:])[kept][inside]
+                      for p in pre]
+            flat = np.ravel_multi_index(tuple(prefix) + tuple(index[:, inside]), counts)
+            key = np.sort((flat << 8) + np.broadcast_to(code[kept][:, None], inside.shape)[inside])
+            flat, code = key >> 8, (key & 255).astype(np.int8)
+            start, stop = first(w0), first(w0 + w.size)
+            pieces = [start, stop]
+            if stop - start > _CHUNK:  # one row, yielded a half at a time
+                pieces.insert(1, first(w0, _SUB))
+            cuts = np.searchsorted(flat, pieces)
+            for i, j, lo, hi in zip(cuts, cuts[1:], pieces, pieces[1:]):
+                if j == i:
+                    continue
+                if j - i == hi - lo:
+                    fill = fill or self._filler(min(max(_CHUNK, _SUB * strides[a]), self.size))
+                    yield _read_only(fill(lo, hi)), code[i:j]
+                    continue
+                X = np.empty((j - i, n))
+                for d, on_axis in enumerate(np.unravel_index(flat[i:j], counts)):
+                    X[:, d] = axes[d][on_axis]
+                yield X, code[i:j]
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

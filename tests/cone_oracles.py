@@ -1,14 +1,15 @@
 """Test-only oracles for the cones: scalar membership in the dilating cone
 K_eps, in its polar and in the negated polar (the closed forms of
-``henigcert.cones``' docstring), and in the polar of a polyhedral cone
-from its generators.  The tests compare the package's batch test, the
+``henigcert.cones``' docstring), in the polar of a polyhedral cone from
+its generators, and in a negated polyhedral cone (one row of the
+package's batch test).  The tests compare the package's batch test, the
 grid oracle's verdicts and LP formulations against them.  Not collected
 by pytest (no ``test_`` prefix).
 """
 
 import numpy as np
 
-from henigcert.cones import TOL_CONE, HenigCone, PolyhedralCone
+from henigcert.cones import TOL_CONE, HenigCone, PolyhedralCone, in_minus_cone_batch
 from henigcert.errors import DimensionMismatch
 
 
@@ -39,7 +40,19 @@ def in_minus_k_eps_polar(K: HenigCone, v, tol: float = TOL_CONE) -> bool:
     return bool((v + K.eps * v.sum()).max() <= tol)
 
 
+def _cone_vector(Y: PolyhedralCone, y) -> np.ndarray:
+    y = np.asarray(y, float).reshape(-1)
+    if y.shape[0] != Y.p:
+        raise DimensionMismatch("vector dimension does not match cone")
+    return y
+
+
 def cone_polar_contains(Y: PolyhedralCone, ystar, tol: float = TOL_CONE) -> bool:
     """ystar in Y*: <ystar, g> >= 0 for every generator g."""
-    ystar = Y._check(ystar)
+    ystar = _cone_vector(Y, ystar)
     return bool((Y.G @ ystar).min(initial=np.inf) >= -tol)
+
+
+def in_minus_cone(Y: PolyhedralCone, y, tol: float = TOL_CONE) -> bool:
+    """y in -Y: ``in_minus_cone_batch`` on one row."""
+    return bool(in_minus_cone_batch(Y, _cone_vector(Y, y)[None], tol)[0])

@@ -12,7 +12,7 @@ import numpy as np
 from henigcert import grids
 from henigcert.cones import HenigCone, in_minus_k_eps_polar_batch
 from henigcert.convex import PolyhedralFn, ScaledFn
-from henigcert.fractional import TOL_DIV, _box_codes, parametric_problem
+from henigcert.fractional import TOL_DIV, _BoundPass, _has_bounds, parametric_problem
 from henigcert.linprog import TOL_FEAS
 
 
@@ -22,13 +22,14 @@ def lattice_points(grid):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def box_labels(grid):
-    """The number of the oracle's bound-pass box that holds each lattice
-    point, from its multi-index: axis d's index cut into segments of
-    ``grids._BOX``, the segments numbered in C order."""
+def box_labels(grid, edge=grids._BOX):
+    """The number of the box of at most ``edge`` points per axis (the bound
+    pass's boxes, or with ``grids._SUB`` its sub-boxes) that holds each
+    lattice point, from its multi-index: axis d's index cut into segments
+    of ``edge``, the segments numbered in C order."""
     index = np.unravel_index(np.arange(grid.size), grid.counts)
-    segments = [-(-c // grids._BOX) for c in grid.counts]
-    return np.ravel_multi_index([i // grids._BOX for i in index], segments)
+    segments = [-(-c // edge) for c in grid.counts]
+    return np.ravel_multi_index([i // edge for i in index], segments)
 
 
 def max_affine_batch(A, b, X):
@@ -108,19 +109,41 @@ def phi_values_batch(param, X) -> np.ndarray:
     return np.column_stack([eval_batch(f, X) + eval_batch(s, X) for f, s in param.phi])
 
 
+def sub_box_codes(bounds, grid):
+    """The bound pass's two codes for every sub-box (of
+    ``grid.boxes(grids._SUB)``, in C order), from the codes of the places
+    in every box."""
+    keep, rest = bounds.box_codes()
+    sub_keep, sub_rest = bounds.sub_codes(np.arange(keep.size))
+    r = grids._BOX // grids._SUB
+    boxes = np.unravel_index(np.arange(keep.size), [lo.size for lo, _ in grid.boxes()])
+    places = np.unravel_index(np.arange(sub_keep.shape[1]), [r] * grid.ndim)
+    J = [r * b[:, None] + p[None, :] for b, p in zip(boxes, places)]
+    halves = [lo.size for lo, _ in grid.boxes(grids._SUB)]
+    inside = np.all([j < h for j, h in zip(J, halves)], axis=0)
+    sub = np.ravel_multi_index([j[inside] for j in J], halves)
+    codes = np.zeros((2, int(np.prod(halves))), dtype=np.int8)
+    codes[0, sub], codes[1, sub] = sub_keep[inside], sub_rest[inside]
+    return keep, rest, codes[0], codes[1]
+
+
 def dropped_rows_miss(prob, xbar, grid, ladder):
     """Check the oracle's bound pass on every lattice point against the
-    kernels above, which prune nothing: no point of a box dropped as
-    infeasible is feasible, and no feasible point of any dropped box hits a
-    rung of either scan, ties included.  Returns which lattice points the
-    walk keeps."""
+    kernels above, which prune nothing: no point of a box or sub-box
+    dropped as infeasible is feasible, and no feasible point of any
+    dropped box or sub-box hits a rung of either scan, ties included.
+    Returns which lattice points the walk keeps: those whose box and
+    sub-box are both kept, or every point when the pass is skipped
+    because the scans have no bounds."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         param = parametric_problem(prob, xbar)
-    with np.errstate(all="ignore"):
-        keep, rest = _box_codes(prob, grid, ladder, param)
-    labels = box_labels(grid)
-    kept, settled = keep[labels] != 0, rest[labels] != 0
+    if not _has_bounds(prob):
+        return np.ones(grid.size, dtype=bool)
+    keep, rest, sub_keep, sub_rest = sub_box_codes(_BoundPass(prob, grid, ladder, param), grid)
+    box, sub = box_labels(grid), box_labels(grid, grids._SUB)
+    kept = (keep[box] != 0) & (sub_keep[sub] != 0)
+    settled = (rest[box] != 0) | ((keep[box] != 0) & (sub_rest[sub] != 0))
     X = grid.points()
     feasible = feasible_mask(prob, X)
     assert not (feasible & ~kept & ~settled).any()

@@ -10,6 +10,7 @@ import json
 import pathlib
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -72,13 +73,14 @@ def test_check_toy_dominated(files, capsys):
 )
 def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, grid):
     # the ratio problem and its reformulation share one walk over the
-    # lattice, less the boxes the bound pass drops: the rows tested for
-    # feasibility are the lattice rows outside those boxes, in lattice
-    # order (all of them, or a prefix when a Dominated verdict ends the
-    # walk early), each f_i and -g_i is evaluated once at every feasible
-    # row tested, and no feasible row of a dropped box hits a rung of
-    # either scan, by the row-major kernels.  Chunks of 64 points make the
-    # 201-point toy lattice more than one chunk.
+    # lattice, less the boxes and the sub-boxes the bound pass drops: the
+    # rows tested for feasibility are the lattice rows outside those, in
+    # lattice order (all of them, or a prefix when a Dominated verdict
+    # ends the walk early), each f_i and -g_i is evaluated once at every
+    # feasible row tested, and no feasible row of a dropped box or
+    # sub-box hits a rung of either scan, by the row-major kernels.
+    # Chunks of 64 points make the 201-point toy lattice more than one
+    # chunk.
     from henigcert import fractional, grids
     from henigcert.convex import BlackBoxFn, ScaledFn
     from henigcert.grids import GridSpec
@@ -125,10 +127,17 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
         assert rc == 2 and len(visited) < len(outside)
     else:
         assert rc == 0 and len(visited) == len(outside)
-    # at the toy's efficient point every box without 0 misses every rung;
-    # at its dominated one every box holds a hit, and Q's black-box
-    # functions give no bound
+    # at the toy's efficient point every box and sub-box without 0 misses
+    # every rung, so the walk tests the 2 points of 0's sub-box, not the
+    # 4 of its box; at its dominated point every sub-box holds a hit, and
+    # Q's black-box denominator gives no bound, so the pass is skipped
     assert (len(outside) < spec.size) is (point == "0")
+    if point == "0":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            param = fractional.parametric_problem(prob, xbar)
+        keep, _ = fractional._box_codes(prob, spec, fractional._validate_ladder(None), param)
+        assert (len(outside), (keep[ref.box_labels(spec)] != 0).sum()) == (2, 4)
     want = fractional.henig_check(prob, xbar, spec)[1]
     assert doc["parametric_equivalence"] is want
 

@@ -10,6 +10,7 @@ import pytest
 
 from cone_oracles import (
     cone_polar_contains,
+    in_minus_cone,
     in_minus_k_eps_polar,
     k_eps_contains,
     k_eps_polar_contains,
@@ -18,7 +19,6 @@ from henigcert.certificates import minus_cone_polyhedron
 from henigcert.cones import (
     HenigCone,
     PolyhedralCone,
-    in_minus_cone,
     in_minus_cone_batch,
     in_minus_k_eps_polar_batch,
 )

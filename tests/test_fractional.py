@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import grid_reference as ref
-from cone_oracles import in_minus_k_eps_polar
+from cone_oracles import in_minus_cone, in_minus_k_eps_polar
 from henigcert import _kernels, example_q, fractional, grids
 
 from henigcert.cones import (
     TOL_CONE,
     HenigCone,
     PolyhedralCone,
-    in_minus_cone,
     in_minus_cone_batch,
     in_minus_k_eps_polar_batch,
 )
@@ -738,6 +737,82 @@ def test_every_box_dropped_keeps_the_verdict(monkeypatch):
         verdict, phi = _all_verdicts(toy(), [0.0], grid)
         assert_same_verdict(verdict, want_ratio)
         assert_same_verdict(phi, want_phi)
+
+
+def test_only_feasible_sample_in_a_dropped_sub_box(monkeypatch):
+    # f = (1 + x_1, 1 - x_1), g = 1, at xbar = 0: v = (x_1, -x_1) hits no
+    # rung off xbar.  C is a band around the segment from 0 to (0.4, 0.3),
+    # so of the 4x2 lattice only (0.4, 0.3) is feasible.  The lattice is
+    # one box, kept: its bounds on v1 and v2 are met at opposite ends, so
+    # max(v) + sum(v) may be <= 0.  Its sub-box x_1 in {0.3, 0.4} holds
+    # the feasible sample and is dropped for missing every rung; the
+    # other holds no feasible point.  The walk finds no feasible sample,
+    # so the dropped sub-box is walked to settle that, and the verdicts
+    # are the reference's, not "no feasible samples"
+    prob = FractionalProblem(
+        2,
+        [(PolyhedralFn.affine([1.0, 0.0], 1.0), const(-1.0, 2)),
+         (PolyhedralFn.affine([-1.0, 0.0], 1.0), const(-1.0, 2))],
+        [const(-1.0, 2)],
+        PolyhedralCone.nonneg_orthant(1),
+        Polyhedron(A=[[0.3, -0.4], [-0.3, 0.4], [-1.0, 0.0]], b=[0.005, 0.005, 0.0], n=2),
+    )
+    grid = GridSpec.parse("4x2:[0.1,0.4]x[0,0.3]")
+    ladder = _validate_ladder(None)
+    X = grid.points()
+    assert X[feasible_mask(prob, X)].tolist() == [[0.4, 0.3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, [0.0, 0.0])
+    keep, rest, sub_keep, sub_rest = ref.sub_box_codes(fractional._BoundPass(prob, grid, ladder, param), grid)
+    sub = ref.box_labels(grid, grids._SUB)
+    assert keep.tolist() == [fractional._KEEP] and not rest.any()
+    assert (sub_keep[sub] != 0).tolist() == [True, True, True, True, False, False, False, False]
+    assert (sub_rest[sub] != 0).tolist() == [False, False, False, False, True, True, True, True]
+    want_ratio, want_phi = _whole_lattice_verdicts(prob, [0.0, 0.0], grid, ladder)
+    assert want_ratio.kind == want_phi.kind == "properly_efficient"
+    for chunk in (2, 4):
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        verdict, phi = _all_verdicts(prob, [0.0, 0.0], grid)
+        assert_same_verdict(verdict, want_ratio)
+        assert_same_verdict(phi, want_phi)
+
+
+def test_bound_pass_skipped_without_bounds(monkeypatch):
+    # a box is dropped for missing every rung only when both scans miss,
+    # and the ratios' bounds need every f_i and -g_i: with Q's black-box
+    # -g_2 the pass never runs, on a lattice of several chunks, and the
+    # walk tests every lattice point, skipping C's test only where the
+    # lattice's own box passes it (not past C's face x_1 >= 0); on the
+    # toy the pass runs once
+    calls = []
+    for name in ("_bound_rows", "_box_codes"):
+        original = getattr(fractional, name)
+
+        def spy(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(fractional, name, spy)
+    tested = []
+    mask = feasible_mask
+
+    def mask_spy(prob, X, in_C=False):
+        tested.append((len(X), bool(np.all(in_C))))
+        got = mask(prob, X, in_C)
+        assert got.tobytes() == mask(prob, X).tobytes()
+        return got
+
+    monkeypatch.setattr(fractional, "feasible_mask", mask_spy)
+    monkeypatch.setattr(grids, "_CHUNK", 64)
+    for spec, in_C in (("31x31:[0,10]x[0,1]", True), ("31x31:[-0.5,10]x[0,1]", False)):
+        tested.clear()
+        grid = GridSpec.parse(spec)
+        henig_check(example_q.build_problem(), example_q.XBAR, grid)
+        assert calls == [] and sum(n for n, _ in tested) == grid.size
+        assert {flag for _, flag in tested} == {in_C}
+    henig_check(toy(), [0.0], GridSpec.parse("201:[-1,1]"))
+    assert calls == ["_bound_rows"]
 
 
 def test_single_kept_row_takes_the_one_row_product(monkeypatch):

@@ -230,11 +230,13 @@ def test_in_place_chunks_are_the_chunks(monkeypatch):
 
 
 def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
-    # boxes() cuts each axis into segments of at most _BOX points and gives
-    # their least and greatest coordinates; select() yields, in lattice
-    # order, exactly the points whose box has a nonzero code, byte for
-    # byte with points(), with their codes, for any chunk size.  Chunks
-    # are C-contiguous: with every box kept, read-only views of the walk's
+    # boxes() cuts each axis into segments of at most _BOX points (or
+    # _SUB) and gives their least and greatest coordinates; select()
+    # yields, in lattice order, exactly the points whose box has a nonzero
+    # code, byte for byte with points(), with their codes, for any chunk
+    # size; given refine, only those whose sub-box it codes nonzero, with
+    # that code, and it is asked only about coded boxes.  Chunks are
+    # C-contiguous: with every box kept, read-only views of the walk's
     # buffer
     rng = np.random.default_rng(13)
     specs = ["9x9x9x9:[-1,1]x[-1,1]x[-1,1]x[-1,1]", "1:[0,0]", "1x5x1:[0,0]x[-2,3]x[1,1]"]
@@ -243,23 +245,40 @@ def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
         specs.append("x".join(map(str, counts)) + ":" + "x".join(f"[{-i},{i + 0.3}]" for i in range(len(counts))))
     for spec in specs:
         grid = GridSpec.parse(spec)
-        for axis, (lo, hi) in zip(grid.axes(), grid.boxes()):
-            segments = [axis[i:i + grids._BOX] for i in range(0, axis.size, grids._BOX)]
-            same(lo, np.array([s.min() for s in segments]))
-            same(hi, np.array([s.max() for s in segments]))
-        labels = ref.box_labels(grid)
+        for edge in (grids._BOX, grids._SUB):
+            for axis, (lo, hi) in zip(grid.axes(), grid.boxes(edge)):
+                segments = [axis[i:i + edge] for i in range(0, axis.size, edge)]
+                same(lo, np.array([s.min() for s in segments]))
+                same(hi, np.array([s.max() for s in segments]))
+        labels, sub_labels = ref.box_labels(grid), ref.box_labels(grid, grids._SUB)
         lattice = grid.points()
-        boxes = int(np.prod([lo.size for lo, _ in grid.boxes()]))
+        shape, sub_shape = ([lo.size for lo, _ in grid.boxes(edge)] for edge in (grids._BOX, grids._SUB))
+        boxes = int(np.prod(shape))
+        sub_codes = rng.integers(0, 3, int(np.prod(sub_shape))).astype(np.int8)
+        r = grids._BOX // grids._SUB
+        places = np.array(np.unravel_index(np.arange(r ** grid.ndim), [r] * grid.ndim))
+
+        def refine(box):
+            # the code of every place of each box, 0 past the lattice's edge
+            assert (codes[box] != 0).all()
+            J = r * np.array(np.unravel_index(box, shape))[:, :, None] + places[:, None, :]
+            inside = (J < np.array(sub_shape)[:, None, None]).all(axis=0)
+            out = np.zeros(inside.shape, dtype=np.int8)
+            out[inside] = sub_codes[np.ravel_multi_index(tuple(J[:, inside]), sub_shape)]
+            return out
+
         for codes in (rng.integers(0, 3, boxes), np.ones(boxes), (rng.random(boxes) < 0.1) * 2):
             codes = codes.astype(np.int8)
-            kept = codes[labels] != 0
+            in_box = codes[labels] != 0
             for chunk in (1, 7, 64, 16384, grid.size + 1):
                 monkeypatch.setattr(grids, "_CHUNK", chunk)
-                rows, got = [], []
-                for X, code in grid.select(codes):
-                    assert X.flags.c_contiguous and len(X) == len(code) > 0
-                    assert not (kept.all() and X.flags.writeable)
-                    rows.append(X.copy())
-                    got.append(code)
-                same(np.concatenate(rows) if rows else lattice[:0], lattice[kept])
-                same(np.concatenate(got) if got else codes[:0], codes[labels][kept])
+                for how, kept, want in ((None, in_box, codes[labels]),
+                                        (refine, in_box & (sub_codes[sub_labels] != 0), sub_codes[sub_labels])):
+                    rows, got = [], []
+                    for X, code in grid.select(codes, how):
+                        assert X.flags.c_contiguous and len(X) == len(code) > 0
+                        assert not (kept.all() and X.flags.writeable)
+                        rows.append(X.copy())
+                        got.append(code)
+                    same(np.concatenate(rows) if rows else lattice[:0], lattice[kept])
+                    same(np.concatenate(got) if got else codes[:0], want[kept])
