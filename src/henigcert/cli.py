@@ -189,13 +189,14 @@ def _check_feasible(prob, point):
 def _check_ratios(prob, point):
     # the oracle and every certificate rest on the reformulation
     # f_i + nu_i (-g_i), which needs nu >= 0 (nu_values refuses a
-    # denominator near 0)
+    # denominator near 0); returns nu, for the oracle to reuse
     nu = nu_values(prob, point)
     if (nu < 0).any():
         raise UsageError(
             f"candidate point has a negative ratio, nu = {nu.tolist()}; "
             "the parametric reformulation needs nu >= 0"
         )
+    return nu
 
 
 def cmd_check(args):
@@ -204,9 +205,9 @@ def cmd_check(args):
     grid = _parse_grid(args.grid)
     ladder = _ladder(args)
     _check_feasible(prob, point)
-    _check_ratios(prob, point)
+    nu = _check_ratios(prob, point)
     t0 = time.perf_counter()
-    verdict, equiv = henig_check(prob, point, grid, ladder)
+    verdict, equiv = henig_check(prob, point, grid, ladder, nu)
     doc = {
         "command": "check",
         "problem": args.problem,
@@ -239,7 +240,7 @@ def cmd_certify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     _check_feasible(prob, point)
-    _check_ratios(prob, point)
+    nu = _check_ratios(prob, point)
     t0 = time.perf_counter()
     doc = {
         "command": "certify",
@@ -256,7 +257,7 @@ def cmd_certify(args):
         if args.grid is None:
             raise UsageError("certify needs --grid for the pre-check (or --force)")
         grid = _parse_grid(args.grid)
-        verdict = henig_check(prob, point, grid, _ladder(args))[0]
+        verdict = henig_check(prob, point, grid, _ladder(args), nu)[0]
         doc["pre_check"] = _verdict_json(verdict)
         doc["grid"] = _grid_json(grid)
         if verdict.kind != "properly_efficient":

@@ -47,7 +47,10 @@ _BR_ROUNDS = 64
 
 
 class Polyhedron:
-    """``{x : A x <= b, E x == d}``; nonempty, checked at construction."""
+    """``{x : A x <= b, E x == d}``; nonempty, checked at construction: the
+    origin proves it when A 0 <= b and E 0 == d hold exactly (b >= 0 and
+    d == 0, the data being finite), and any other polyhedron takes one
+    feasibility LP."""
 
     def __init__(self, A=None, b=None, E=None, d=None, n: Optional[int] = None):
         if A is None and E is None and n is None:
@@ -68,12 +71,12 @@ class Polyhedron:
         if self.A.shape[0] != self.b.shape[0] or self.E.shape[0] != self.d.shape[0]:
             raise DimensionMismatch("polyhedron rhs length does not match row count")
         if self.nrows:
-            probe = lp_solve(
-                LinearProgram(
-                    c=np.zeros(self.n), A_ub=self.A, b_ub=self.b, A_eq=self.E, b_eq=self.d
-                )
+            # built even when the origin proves nonemptiness: it checks the data
+            lp = LinearProgram(
+                c=np.zeros(self.n), A_ub=self.A, b_ub=self.b, A_eq=self.E, b_eq=self.d
             )
-            if probe.status == INFEASIBLE:
+            holds_origin = (lp.b_ub >= 0).all() and (lp.b_eq == 0).all()
+            if not holds_origin and lp_solve(lp).status == INFEASIBLE:
                 raise EmptyPolyhedron("polyhedron has no feasible point")
 
     @property

@@ -44,20 +44,26 @@ the first or the last rung: the hit test max(v) + eps*sum(v) <= TOL_CONE
 is linear in eps, and its computed value monotone in eps, so those two
 ends cover every rung.  The walk (``GridSpec.select``) then splits every
 kept box into its sub-boxes of at most ``grids._SUB`` points per axis,
-when it reaches the box's row (at most one chunk ahead), and bounds and
-drops them by the same rows, tests and margins: a sub-box bound is still
-an (n + 1)-term sum.  A box or sub-box that passes C's test whole skips
-it.  Only the kept points are built and evaluated, in lattice order.  A
-dropped sample hits no rung, and a ``_LadderScan`` changes only on
-samples that hit, so every verdict, witness and equivalence flag is the
-one of the full walk; only whether any sample was feasible, or fed a
-comparison, could differ, so when the walk ends without one the boxes
-and sub-boxes dropped for missing every rung are walked for it.  A box
-is dropped for missing only when both comparisons miss, and the ratios'
-bounds need every f_i and -g_i; without them the pass is skipped and the
-walk takes the plain chunks.  On the benchmark's seeded 20^4 checks an
-efficient check tests 208 lattice points (mean; 6,741 with boxes alone)
-of 160,000, and a dominated one 1,810 (9,664 with boxes alone).
+and bounds and drops them by the same rows, tests and margins: a sub-box
+bound is still an (n + 1)-term sum.  It refines a group of rows of boxes
+at a time, at most one group ahead, in one ``sub_codes`` call: a group
+closes at the first row end after its boxes fill one of ``sub_codes``'s
+slabs (``_BoundPass.slab`` boxes, 21 on the benchmark's 20^4 checks), as
+a call costs far more than a box.  A box or sub-box that passes C's test
+whole skips it.  Only the kept points are built and evaluated, in
+lattice order.  A dropped sample hits no rung, and a ``_LadderScan``
+changes only on samples that hit, so every verdict, witness and
+equivalence flag is the one of the full walk; only whether any sample
+was feasible, or fed a comparison, could differ, so when the walk ends
+without one the boxes and sub-boxes dropped for missing every rung are
+walked for it.  A box is dropped for missing only when both comparisons
+miss, and the ratios' bounds need every f_i and -g_i; without them the
+pass is skipped and the walk takes the plain chunks.  On the benchmark's
+seeded 20^4 checks an efficient check tests 208 lattice points (mean;
+6,741 with boxes alone) of 160,000 in 1.5 ``sub_codes`` calls, and a
+dominated one 2,884 (9,664 with boxes alone) in 1.3: a group's kept
+points go out as one piece, and the walk stops only after the piece
+that holds the witness.
 
 The bounds hold for the computed values, not just the exact ones.  Each
 piece bound is widened by twice (n + 2) eps times |b| + sum_d |a_d|
@@ -503,6 +509,8 @@ class _BoundPass:
         self.nu = param.nu[:, None]
         self.c = np.array([s.c for _, s in param.phi])[:, None]
         self.ends = (ladder[0], ladder[-1])
+        # boxes per slab of sub_codes, and so per refine call of the walk
+        self.slab = max(1, _SUB_SLAB_CELLS // (self.offsets.shape[0] * 2 ** grid.ndim))
 
     def box_codes(self):
         """The codes (``_codes``) of every box of ``grid.boxes()``, in box
@@ -551,9 +559,8 @@ class _BoundPass:
         places = 2 ** len(seg)
         rows = self.offsets.shape[0]
         R = np.empty((2 * (self.nf + self.nC) - self.m, len(boxes) * places))
-        per = max(1, _SUB_SLAB_CELLS // (rows * places))
-        for start in range(0, len(boxes), per):
-            sl = slice(start, start + per)
+        for start in range(0, len(boxes), self.slab):
+            sl = slice(start, start + self.slab)
             B = self.offsets.T[None]
             for pairs, s in zip(self.pairs, seg):
                 pair = pairs[s[sl]]
@@ -649,12 +656,6 @@ def _lattice_code(C: Polyhedron, grid: GridSpec):
         return _KEEP_IN_C if C.E.shape[0] == 0 and (top <= C.b + TOL_FEAS).all() else _KEEP
 
 
-def _box_codes(prob: FractionalProblem, grid: GridSpec, ladder, param):
-    """The pass's two codes for every box of ``grid.boxes()``, in box order,
-    on their own (the walk keeps its ``_BoundPass`` to refine with)."""
-    return _BoundPass(prob, grid, ladder, param).box_codes()
-
-
 def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: ParametricProblem):
     """The grid oracle: one walk over the lattice chunks in lattice order,
     feeding two ``_LadderScan``s, the ratio problem's (differences from the
@@ -664,17 +665,18 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: Param
     bounds, the bound pass (``_BoundPass``) first drops every box whose
     points are provably infeasible or provably hit no rung of either
     scan, and the walk (``GridSpec.select``) splits each kept box into
-    its sub-boxes when it reaches the box's row and drops those sub-boxes
-    the same way.  Per yield, then, over the rows left: the feasibility
-    mask (without C's test on rows whose sub-box passes it whole), then
-    each f_i and -g_i once at every feasible sample, from which both
-    scans' differences are formed.  A decided scan is fed no more, and
-    the walk stops once both are decided.  A dropped sample hits no rung,
-    so it would leave every ``_LadderScan`` as it is; but it may be the
-    only feasible one, so when the walk ends with no feasible sample, or
-    a scan fed none, the boxes and sub-boxes dropped for missing every
-    rung are walked too, in lattice order, to settle that.  Returns
-    (ratio verdict, reformulation verdict).
+    its sub-boxes when it reaches the box's group of rows (one
+    ``sub_codes`` call per group) and drops those sub-boxes the same way.
+    Per yield, then, over the rows left: the feasibility mask (without
+    C's test on rows whose sub-box passes it whole), then each f_i and
+    -g_i once at every feasible sample, from which both scans'
+    differences are formed.  A decided scan is fed no more, and the walk
+    stops once both are decided.  A dropped sample hits no rung, so it
+    would leave every ``_LadderScan`` as it is; but it may be the only
+    feasible one, so when the walk ends with no feasible sample, or a
+    scan fed none, the boxes and sub-boxes dropped for missing every rung
+    are walked too, in lattice order, to settle that.  Returns (ratio
+    verdict, reformulation verdict).
     """
     ratio, phi = _LadderScan(ladder, grid), _LadderScan(ladder, grid)
     any_feasible = False
@@ -730,9 +732,9 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: Param
         def dropped(boxes):
             return np.where((keep[boxes] != 0)[:, None], bounds.sub_codes(boxes)[1], rest[boxes][:, None])
 
-        walk(grid.select(keep, kept), decided)
+        walk(grid.select(keep, kept, bounds.slab), decided)
         if not settled():
-            walk(grid.select(np.maximum(keep, rest), dropped), settled)
+            walk(grid.select(np.maximum(keep, rest), dropped, bounds.slab), settled)
 
     def finish(scan, nothing_fed):
         if not any_feasible:
@@ -752,17 +754,20 @@ def _check_grid(prob: FractionalProblem, grid: GridSpec):
         raise DimensionMismatch("grid dimension does not match problem")
 
 
-def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
+def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None, nu=None):
     """The grid oracle at xbar: the ratio problem's verdict, and whether the
     parametric reformulation at xbar agrees on the verdict kind.
 
     The candidate is evaluated once: its feasibility and ratios nu give the
     reformulation phi_i = f_i + nu_i * (-g_i) directly, which needs
-    nu >= 0 (``UnsupportedData`` otherwise).  Both verdicts then come from
-    one walk over the lattice (``_grid_verdicts``).
+    nu >= 0 (``UnsupportedData`` otherwise).  A caller that has already
+    found xbar feasible and taken its ``nu_values`` (the CLI) passes them
+    as nu, and xbar is not evaluated for them again.  Both verdicts then
+    come from one walk over the lattice (``_grid_verdicts``).
     """
     ladder = _validate_ladder(ladder)
-    nu = _candidate_ratios(prob, xbar)
+    if nu is None:
+        nu = _candidate_ratios(prob, xbar)
     _check_grid(prob, grid)
     param = ParametricProblem(prob, xbar, nu)
     verdict, phi_verdict = _grid_verdicts(prob, grid, ladder, param)

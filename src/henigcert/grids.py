@@ -23,13 +23,15 @@ For the grid oracle's bound pass the lattice is also cut into boxes of at
 most ``_BOX`` consecutive points per axis, and each box into sub-boxes of
 at most ``_SUB`` (``GridSpec.boxes``), both numbered in C order as the
 points are.  ``GridSpec.select`` walks the lattice in lattice order but
-keeps only the points of the boxes with a nonzero code, or of those
-boxes' sub-boxes that a callback codes nonzero.  It goes by rows of boxes
-(one box segment on one axis, the earlier axes fixed), looks up only the
-boxes of the row it has reached, asks the callback only about the coded
-ones, and builds only the kept points, from their multi-indices: the work
-follows the kept boxes, not the lattice, nothing is refined more than a
-chunk ahead of the caller, and no array of the lattice's size is built.
+keeps only the points of the boxes with a nonzero code whose sub-boxes a
+callback codes nonzero.  It goes by rows of boxes (one box segment on one
+axis, the earlier axes fixed) and looks up only the boxes of the rows it
+has reached.  It asks the callback about the coded ones once per group of
+consecutive rows, a group closing at the first row end after its coded
+boxes number a given slab, and builds only the kept points, from their
+multi-indices: the work follows the kept boxes, not the lattice, nothing
+is refined more than one group ahead of the caller, and no array of the
+lattice's size is built.
 """
 
 from dataclasses import dataclass
@@ -209,34 +211,35 @@ class GridSpec:
             out.append((np.minimum.reduceat(axis, starts), np.maximum.reduceat(axis, starts)))
         return out
 
-    def select(self, codes, refine=None):
-        """The points whose box (of ``boxes()``) has a nonzero entry in
-        ``codes`` (small nonnegative integers), walked in lattice order, with
-        their codes; given ``refine``, only the points of those boxes'
-        sub-boxes (of ``boxes(_SUB)``; a sub-box lies in one box) that it
-        gives a nonzero code.  ``refine(boxes)`` takes an array of box
-        numbers and returns the codes of each box's (_BOX // _SUB) ** ndim
-        places for sub-boxes, in C order (a place past the lattice's edge
-        is never read); without it a sub-box takes its box's code.
+    def select(self, codes, refine, slab: int):
+        """The points of the boxes (of ``boxes()``) with a nonzero entry in
+        ``codes`` (small nonnegative integers) whose sub-box (of
+        ``boxes(_SUB)``; a sub-box lies in one box) ``refine`` gives a
+        nonzero code, walked in lattice order, with that code.
+        ``refine(boxes)`` takes an array of box numbers and returns the codes
+        of each box's (_BOX // _SUB) ** ndim places for sub-boxes, in C
+        order (a place past the lattice's edge is never read).
 
-        The walk goes by rows of consecutive points: the points of one
-        segment of ``_BOX`` points on axis a with the earlier axes fixed,
-        a the first axis where half a row fits a chunk.  Per row only the
-        boxes that meet it are looked up, and only the coded ones are
-        refined; a row without one costs a lookup.  The points of the kept
-        sub-boxes are built from their multi-indices, and their flat
-        indices sorted into lattice order with the codes in the low bits.
-        They are yielded as many rows as fit a chunk at a time, or half a
-        row when a row does not fit one; a yield kept whole is a read-only
-        view of the walk's buffer, any other a fresh array.  So nothing is
-        refined more than a chunk ahead of the caller, no array of the
-        lattice's size is built, and a caller that stops early leaves the
-        rest unrefined.
+        The lattice is cut into rows of consecutive points: the points of
+        one segment of ``_BOX`` points on axis a with the earlier axes
+        fixed, a the first axis where a sub-box's row of ``_SUB`` points
+        fits a chunk (else the last), so a row holds at most
+        max(2 * ``_CHUNK``, ``_BOX``) points.  Rows are looked up a chunk's
+        worth at a time, and only the coded boxes that meet them are kept.
+        Those are refined in groups of
+        consecutive rows, one ``refine`` call per group: a group closes at
+        the end of the first row at which its coded boxes number ``slab``
+        or more, so it holds fewer than ``slab`` boxes plus one row's.  The
+        points of a group's kept sub-boxes are built from their
+        multi-indices, and their flat indices sorted into lattice order
+        with the codes in the low bits.  They are yielded ``_CHUNK`` at a
+        time; a piece that is a whole range of consecutive points is a
+        read-only view of the walk's buffer, any other a fresh array.  So
+        nothing is refined more than one group ahead of the caller, no
+        array of the lattice's size is built, and a caller that stops early
+        leaves the rest unrefined.
         """
         r = _BOX // _SUB
-        if refine is None:
-            def refine(boxes):
-                return np.broadcast_to(codes[boxes][:, None], (boxes.size, r ** self.ndim))
         n, counts = self.ndim, self.counts
         strides = _strides(counts)
         box_counts = [-(-c // _BOX) for c in counts]
@@ -253,59 +256,66 @@ class GridSpec:
         sizes = np.array(counts[a:], dtype=np.intp)[:, None, None]
         pre_strides = _strides(counts[:a])
         rows = int(np.prod(counts[:a], dtype=np.int64)) * box_counts[a]
-        span = counts[a] * strides[a]
 
-        def first(w, offset=0):  # flat index of the first point of row w, plus offset along axis a
-            return w // box_counts[a] * span + min(w % box_counts[a] * _BOX + offset, counts[a]) * strides[a]
-
-        axes = self.axes()
-        fill = None
-        for w0 in range(0, rows, per):
-            w = np.arange(w0, min(w0 + per, rows))
+        def locate(w):
+            """Per row of w: its box segment on axis a, its indices on the
+            earlier axes, and the number of its first box."""
             seg = w % box_counts[a]
             pre = [w // box_counts[a] // s % c for s, c in zip(pre_strides, counts[:a])]
             base = seg * box_strides[a]
             for p, s in zip(pre, box_strides):
                 base = base + p // _BOX * s
-            box = (base[:, None] + tail_boxes).ravel()
-            hit = (codes[box] != 0).nonzero()[0]
-            if not hit.size:
-                continue
-            row, t = np.divmod(hit, tail_boxes.size)
-            code = refine(box[hit])
-            # the kept sub-boxes that meet the row (on an axis before a,
+            return seg, pre, base
+
+        def groups():
+            """Per group, the row and the tail offset of each coded box that
+            meets one of its rows, in row order."""
+            held = np.empty((2, 0), dtype=np.intp)
+            for w0 in range(0, rows, per):
+                w = np.arange(w0, min(w0 + per, rows))
+                hit = (codes[(locate(w)[2][:, None] + tail_boxes).ravel()] != 0).nonzero()[0]
+                row, t = np.divmod(hit, tail_boxes.size)
+                held = np.hstack([held, [w[row], t]])
+                while held.shape[1] >= slab:
+                    cut = np.searchsorted(held[0], held[0, slab - 1], side="right")
+                    yield held[:, :cut]
+                    held = held[:, cut:]
+            if held.size:
+                yield held
+
+        axes = self.axes()
+        fill = None
+        for w, t in groups():
+            seg, pre, base = locate(w)
+            code = refine(base + tail_boxes[t])
+            # the kept sub-boxes that meet their row (on an axis before a,
             # the one that holds the row's point) and their points inside
             # the lattice, as flat indices sorted into lattice order with
             # the codes in the low bits
-            J = r * np.vstack([p[row] // _BOX for p in pre] + [seg[row], tail[:, t]])[:, :, None] + place
+            J = r * np.vstack([p // _BOX for p in pre] + [seg, tail[:, t]])[:, :, None] + place
             kept = code != 0
             for d, p in enumerate(pre):
-                kept &= J[d] == (p[row] // _SUB)[:, None]
+                kept &= J[d] == (p // _SUB)[:, None]
             if not kept.any():
                 continue
             index = _SUB * J[a:, kept][:, :, None] + corner
             inside = (index < sizes).all(axis=0)
-            prefix = [np.broadcast_to(p[row][:, None, None], kept.shape + corner.shape[-1:])[kept][inside]
+            prefix = [np.broadcast_to(p[:, None, None], kept.shape + corner.shape[-1:])[kept][inside]
                       for p in pre]
             flat = np.ravel_multi_index(tuple(prefix) + tuple(index[:, inside]), counts)
             key = np.sort((flat << 8) + np.broadcast_to(code[kept][:, None], inside.shape)[inside])
             flat, code = key >> 8, (key & 255).astype(np.int8)
-            start, stop = first(w0), first(w0 + w.size)
-            pieces = [start, stop]
-            if stop - start > _CHUNK:  # one row, yielded a half at a time
-                pieces.insert(1, first(w0, _SUB))
-            cuts = np.searchsorted(flat, pieces)
-            for i, j, lo, hi in zip(cuts, cuts[1:], pieces, pieces[1:]):
-                if j == i:
+            for i in range(0, flat.size, _CHUNK):
+                piece = flat[i : i + _CHUNK]
+                lo, hi = int(piece[0]), int(piece[-1]) + 1
+                if hi - lo == piece.size:
+                    fill = fill or self._filler(min(_CHUNK, self.size))
+                    yield _read_only(fill(lo, hi)), code[i : i + _CHUNK]
                     continue
-                if j - i == hi - lo:
-                    fill = fill or self._filler(min(max(_CHUNK, _SUB * strides[a]), self.size))
-                    yield _read_only(fill(lo, hi)), code[i:j]
-                    continue
-                X = np.empty((j - i, n))
-                for d, on_axis in enumerate(np.unravel_index(flat[i:j], counts)):
+                X = np.empty((piece.size, n))
+                for d, on_axis in enumerate(np.unravel_index(piece, counts)):
                     X[:, d] = axes[d][on_axis]
-                yield X, code[i:j]
+                yield X, code[i : i + _CHUNK]
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

@@ -127,6 +127,36 @@ def sub_box_codes(bounds, grid):
     return keep, rest, codes[0], codes[1]
 
 
+def whole_boxes(codes, ndim):
+    """A ``refine`` for ``GridSpec.select`` that gives every sub-box of a
+    box the box's code, so the walk keeps whole boxes."""
+    places = (grids._BOX // grids._SUB) ** ndim
+    return lambda boxes: np.broadcast_to(codes[boxes][:, None], (boxes.size, places))
+
+
+def row_groups(grid, codes, slab):
+    """The box numbers ``GridSpec.select`` asks ``refine`` about, one array
+    per call, from the lattice points: a row is the points of one segment
+    of _BOX points on axis a with the earlier axes fixed, a the first axis
+    whose _SUB points fit a chunk (the last axis if none); the rows in
+    lattice order, each with the coded boxes that meet it in box order;
+    and a group of rows closing at the end of the first row that brings
+    its boxes to slab."""
+    strides = [int(np.prod(grid.counts[d + 1:], dtype=np.int64)) for d in range(grid.ndim)]
+    a = next((d for d in range(grid.ndim) if grids._SUB * strides[d] <= grids._CHUNK), grid.ndim - 1)
+    index = np.unravel_index(np.arange(grid.size), grid.counts)
+    row_shape = list(grid.counts[:a]) + [-(-grid.counts[a] // grids._BOX)]
+    row = np.ravel_multi_index(tuple(index[:a]) + (index[a] // grids._BOX,), row_shape)
+    label = box_labels(grid)
+    calls, group = [], []
+    for w in range(int(np.prod(row_shape))):
+        group += np.unique(label[(row == w) & (codes[label] != 0)]).tolist()
+        if len(group) >= slab:
+            calls.append(group)
+            group = []
+    return calls + ([group] if group else [])
+
+
 def dropped_rows_miss(prob, xbar, grid, ladder):
     """Check the oracle's bound pass on every lattice point against the
     kernels above, which prune nothing: no point of a box or sub-box

@@ -136,10 +136,31 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             param = fractional.parametric_problem(prob, xbar)
-        keep, _ = fractional._box_codes(prob, spec, fractional._validate_ladder(None), param)
+        keep, _ = fractional._BoundPass(prob, spec, fractional._validate_ladder(None), param).box_codes()
         assert (len(outside), (keep[ref.box_labels(spec)] != 0).sum()) == (2, 4)
     want = fractional.henig_check(prob, xbar, spec)[1]
     assert doc["parametric_equivalence"] is want
+
+
+@pytest.mark.parametrize("command", [["check"], ["certify", "--n", "10", "--tol-conv", "1"]])
+def test_candidate_is_evaluated_once(files, capsys, monkeypatch, command):
+    # the CLI's feasibility and ratio checks hand nu to the oracle (check,
+    # and certify's pre-check), which takes neither again: one call of
+    # each per command (certificate generation and verification evaluate
+    # the candidate through their own imports)
+    from henigcert import fractional
+
+    calls = []
+    for module in (cli, fractional):
+        for name in ("feasible", "nu_values"):
+            def spy(*args, original=getattr(module, name), name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+    argv = command[:1] + ["--problem", files["toy"], "--point", "0", "--grid", TOY_GRID] + command[1:]
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["feasible", "nu_values"]
 
 
 def test_check_infeasible_point_is_usage_error(files, capsys):

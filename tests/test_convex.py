@@ -78,6 +78,35 @@ def test_empty_box_rejected():
         Polyhedron.box([1.0], [0.0])
 
 
+def test_nonemptiness_lp_only_without_the_origin(monkeypatch):
+    # a polyhedron whose rows the origin satisfies exactly (b >= 0, d == 0)
+    # is nonempty without a feasibility LP; one that excludes the origin
+    # takes the LP, which still refuses an empty one and keeps a nonempty
+    # one; non-finite data is still refused
+    from henigcert import convex
+
+    solved, lp_solve = [], convex.lp_solve
+
+    def spy(lp, *args):
+        solved.append(lp)
+        return lp_solve(lp, *args)
+
+    monkeypatch.setattr(convex, "lp_solve", spy)
+    Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
+    Polyhedron(A=[[1.0, 1.0]], b=[0.0], E=[[1.0, -1.0]], d=[0.0])
+    Polyhedron(E=[[0.0, 1.0]], d=[-0.0])
+    assert solved == []
+    with pytest.raises(EmptyPolyhedron):
+        Polyhedron.box([1.0], [0.5])
+    with pytest.raises(EmptyPolyhedron):
+        Polyhedron(A=[[1.0]], b=[2.0], E=[[1.0]], d=[3.0])
+    C = Polyhedron.box([0.5, -1.0], [1.0, 1.0])
+    assert C.contains([0.75, 0.0]) and not C.contains([0.0, 0.0])
+    assert len(solved) == 3
+    with pytest.raises(ValueError, match="non-finite"):
+        Polyhedron(A=[[1.0]], b=[np.inf])
+
+
 def test_equality_rows():
     # segment {0} x [0, 1]
     C = Polyhedron(

@@ -40,8 +40,8 @@ from henigcert.fractional import (
     parametric_problem,
     ratio_matrix,
     _KEEP_IN_C,
+    _BoundPass,
     _LadderScan,
-    _box_codes,
     _validate_ladder,
 )
 from henigcert.grids import GridSpec
@@ -786,14 +786,13 @@ def test_bound_pass_skipped_without_bounds(monkeypatch):
     # lattice's own box passes it (not past C's face x_1 >= 0); on the
     # toy the pass runs once
     calls = []
-    for name in ("_bound_rows", "_box_codes"):
-        original = getattr(fractional, name)
+    bound_rows = fractional._bound_rows
 
-        def spy(*args, original=original, name=name):
-            calls.append(name)
-            return original(*args)
+    def spy(*args):
+        calls.append("_bound_rows")
+        return bound_rows(*args)
 
-        monkeypatch.setattr(fractional, name, spy)
+    monkeypatch.setattr(fractional, "_bound_rows", spy)
     tested = []
     mask = feasible_mask
 
@@ -949,8 +948,8 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
         in_box = FractionalProblem(n, prob.objectives, [const(-1.0, n)], prob.cone, C)
         param = ParametricProblem(prob, x0, [1.0, 1.0])
         with np.errstate(all="ignore"):
-            code = np.maximum(*_box_codes(in_box, grid, [1.0], param))[ref.box_labels(grid)]
-            codes = np.maximum(*_box_codes(prob, grid, [1.0], param))
+            code = np.maximum(*_BoundPass(in_box, grid, [1.0], param).box_codes())[ref.box_labels(grid)]
+            codes = np.maximum(*_BoundPass(prob, grid, [1.0], param).box_codes())
         X = grid.points()
         assert C.contains_batch(X[code == _KEEP_IN_C], tol=TOL_FEAS).all()
         assert not C.contains_batch(X[code == 0], tol=TOL_FEAS).any()
@@ -964,7 +963,7 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
             assert not C.contains_batch(corners, tol=TOL_FEAS).all()
         if kind == "beyond":
             assert not code.any()
-        for X, c in grid.select(codes):
+        for X, c in grid.select(codes, ref.whole_boxes(codes, n), 1):
             got = feasible_mask(prob, X, in_C=c == _KEEP_IN_C)
             assert got.tobytes() == feasible_mask(prob, X).tobytes()
     # taken wherever the box passes C's test with room for rounding and
