@@ -53,9 +53,11 @@ from .errors import (  # noqa: F401
     UnsupportedDomain,
 )
 from .fractional import (  # noqa: F401
+    Candidate,
     EfficiencyVerdict,
     FractionalProblem,
     ParametricProblem,
+    candidate,
     feasible,
     feasible_mask,
     henig_check,

@@ -12,13 +12,14 @@ entries approximating the asymptotic conditions:
   candidate.
 
 All three read one sum rule at xbar, whose summands are listed once, in
-paper order, by a block table built per call from (problem, xbar,
-lambda): for each objective i the numerator lambda_i f_i (block f[i]) and
-the denominator term lambda_i nu_i (-g_i) (block w[i]), then the indicator
-of C (block C), the cone term for Y+ at h(xbar) (block Y) and the
-composite (-vstar) o h (block comp).  Each block owns one field of every
-form: its functional (xstar, wstar, cstar, ystar, ustar), its epigraph
-height (a, b, d, s, t) and its exact point (x, w, c, y, u).
+paper order, by a block table built per call from the candidate at xbar
+(``fractional.candidate``) and lambda: for each objective i the numerator
+lambda_i f_i (block f[i]) and the denominator term lambda_i nu_i (-g_i)
+(block w[i]), then the indicator of C (block C), the cone term for Y+ at
+h(xbar) (block Y) and the composite (-vstar) o h (block comp).  Each
+block owns one field of every form: its functional (xstar, wstar, cstar,
+ystar, ustar), its epigraph height (a, b, d, s, t) and its exact point
+(x, w, c, y, u).
 
 The table layout is declared here and nowhere else: ``_LAYOUT`` gives
 every field its objective axis and entry kind, each form's dataclass
@@ -88,11 +89,10 @@ from .errors import (
     DimensionMismatch,
     HorizonTooShort,
     NumericalFailure,
-    PointOutsideDomain,
     UnsupportedData,
     UnsupportedDomain,
 )
-from .fractional import FractionalProblem, feasible, nu_values
+from .fractional import Candidate, FractionalProblem, candidate
 from .linprog import INFEASIBLE, UNBOUNDED, LpSession
 from .tolerances import (JITTER, SLATER_MARGIN, TOL_CONV, TOL_MEMBERSHIP, VSTAR_SIGN_TOL,
                          VSTAR_ZERO_TOL)
@@ -295,6 +295,7 @@ class _Block:
     row: Optional[int]       # objective index of an f or w block
     fn: object               # the scaled ConvexFn, the set C, the cone, or None for comp
     base: np.ndarray         # xbar, or h(xbar) for Y
+    value: Optional[float]   # the summand at its base (0 for C, Y); None for comp, whose weights vary
     star: str
     height: str
     point: str
@@ -316,9 +317,9 @@ class _Blocks:
     block first, the column layout of the generator and multiplier LPs,
     on which Bland's rule makes their optima depend."""
 
-    def __init__(self, prob: FractionalProblem, xbar, lam):
-        nu = nu_values(prob, xbar)
-        self.prob, self.xbar, self.hbar = prob, xbar, prob.h_values(xbar)
+    def __init__(self, cand: Candidate, lam):
+        prob, xbar, nu = cand.prob, cand.x, cand.nu
+        self.prob, self.xbar, self.hbar = prob, xbar, cand.h
         self.rows = []
         for i, (f, ng) in enumerate(prob.objectives):
             coef = lam[i] * nu[i]
@@ -327,17 +328,18 @@ class _Blocks:
                     f"objective {i}: negative ratio nu = {nu[i]:g} leaves the "
                     "scaled denominator term nonconvex"
                 )
-            self._add("f", i, ScaledFn(lam[i], f), xbar)
-            self._add("w", i, ScaledFn(coef, ng), xbar)
-        self._add("C", None, prob.C, xbar)
-        self._add("Y", None, prob.cone, self.hbar)
-        self._add("comp", None, None, xbar)
+            # the values by ScaledFn's rule: c times the inner value, 0 for c == 0
+            self._add("f", i, ScaledFn(lam[i], f), xbar, lam[i] * cand.f[i])
+            self._add("w", i, ScaledFn(coef, ng), xbar, coef * cand.neg_g[i] if coef != 0.0 else 0.0)
+        self._add("C", None, prob.C, xbar, 0.0)
+        self._add("Y", None, prob.cone, self.hbar, 0.0)
+        self._add("comp", None, None, xbar, None)
         self.lp_order = sorted(self.rows, key=lambda blk: blk.kind != "f")
 
-    def _add(self, kind, row, fn, base):
+    def _add(self, kind, row, fn, base, value):
         star, height, point, label = _SUMMANDS[kind]
         label = label if row is None else f"{label}[{row}]"
-        self.rows.append(_Block(kind, row, fn, base, star, height, point, label))
+        self.rows.append(_Block(kind, row, fn, base, value, star, height, point, label))
 
 
 def _composite_weights(vstar) -> np.ndarray:
@@ -355,17 +357,14 @@ def _composite_values(w, hv) -> np.ndarray:
     return (w * np.where(w > 0, hv, 0.0)).sum(axis=-1)
 
 
-def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool):
+def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool) -> _Blocks:
     """Shared preamble of the verifiers and transfers: the horizon (for
-    verifiers), the m/n/p shape check, xbar's feasibility, then the block table."""
-    xbar = np.asarray(xbar, float).reshape(-1)
+    verifiers), the m/n/p shape check, then the block table of ``candidate``."""
     if horizon and cert.N < 4:
         raise HorizonTooShort(f"need a horizon of at least 4 entries, got {cert.N}")
     if (cert.lam.shape[0], cert.ustar.shape[1], cert.vstar.shape[1]) != (prob.m, prob.n, prob.p):
         raise DimensionMismatch("certificate shapes do not match the problem")
-    if not feasible(prob, xbar):
-        raise PointOutsideDomain("candidate point is not feasible")
-    return xbar, _Blocks(prob, xbar, cert.lam)
+    return _Blocks(candidate(prob, xbar), cert.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +427,8 @@ def _verdict(memberships, residual_checks):
 def _verify(theorem, prob, xbar, cert, tol_conv, tol_points=None):
     """One membership loop over the block table with the slack rule of the
     form named by ``theorem``, then the shared residual traces."""
-    xbar, table = _prepare(prob, xbar, cert, horizon=True)
-    G = prob.cone.G
+    table = _prepare(prob, xbar, cert, horizon=True)
+    xbar, G = table.xbar, prob.cone.G
     memo = _Memo()
     tab, N, vstar = vars(cert), cert.N, cert.vstar
     weights = _composite_weights(vstar)
@@ -473,12 +472,7 @@ def _verify(theorem, prob, xbar, cert, tol_conv, tol_points=None):
         elif theorem == "4.3":
             # Young-Fenchel gap at xbar within gamma_n; the indicator of C
             # vanishes there, the composite changes with vstar per entry
-            if blk.kind == "comp":
-                fval = _composite_values(weights, table.hbar)
-            else:
-                fval = 0.0 if blk.kind == "C" else blk.fn.eval(xbar)
-                if not np.isfinite(fval):
-                    raise PointOutsideDomain("candidate lies outside an objective domain")
+            fval = _composite_values(weights, table.hbar) if blk.kind == "comp" else blk.value
             cval = conj(blk, every)
             with np.errstate(invalid="ignore"):
                 gap = np.where(np.isfinite(cval), cval + fval - stars @ xbar, np.inf)
@@ -506,7 +500,7 @@ def _verify(theorem, prob, xbar, cert, tol_conv, tol_points=None):
                 fbase = _composite_values(weights, table.hbar)
             else:
                 fval = np.array([blk.fn.eval(x) for x in pts])
-                fbase = blk.fn.eval(xbar)
+                fbase = blk.value
             live = np.flatnonzero(np.isfinite(fval))
             cval = np.full(N, np.inf)
             cval[live] = conj(blk, live)
@@ -677,9 +671,7 @@ def generate_eps_certificate(
     ``pin_vstar`` fixes vstar = 0 and drops the composite block (the only
     route when h has non-polyhedral components).
     """
-    xbar = np.asarray(xbar, float).reshape(-1)
-    if not feasible(prob, xbar):
-        raise PointOutsideDomain("candidate point is not feasible")
+    cand = candidate(prob, xbar)
     if gamma is None:
         if N is None:
             raise ValueError("need gamma or N")
@@ -688,9 +680,8 @@ def generate_eps_certificate(
     if (gamma < 0).any():
         raise ValueError("gamma values must be nonnegative")
     N = gamma.shape[0]
-    lam = np.ones(prob.m) if lam is None else np.asarray(lam, float).reshape(-1)
-    lam = _check_lambda(lam, prob.m)
-    table = _Blocks(prob, xbar, lam)
+    lam = _check_lambda(np.ones(prob.m) if lam is None else lam, prob.m)
+    table = _Blocks(cand, lam)
     polys = _polyhedral_data(table, not pin_vstar, "; rerun with vstar pinned to 0")
 
     shapes = _field_shapes(prob.m, N, prob.n, prob.p)
@@ -701,7 +692,7 @@ def generate_eps_certificate(
     if not pin_vstar:
         ex["v"] = v = add_polar_member(lp, prob.cone.G, sign=-1.0)
         weights = LinExpr(idx=v.idx, M=-v.M)
-        ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, weights)
+        ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], table.xbar, weights)
     t_idx = add_linf_elastic(lp, _dual_parts(ex))
     q_idx = add_l1_elastic(lp, [ex[name] for name in ("Y", "v") if name in ex])
     obj_idx = np.concatenate([t_idx, q_idx])
@@ -747,7 +738,7 @@ def eps_to_exact(prob: FractionalProblem, xbar, cert: EpsCertificate) -> ExactCe
     2*gamma_n) are recorded per block in ``br_bounds``; a failed search
     raises BRSearchFailed naming the block and entry.
     """
-    xbar, table = _prepare(prob, xbar, cert, horizon=False)
+    table = _prepare(prob, xbar, cert, horizon=False)
     tab = vars(cert)
     weights = _composite_weights(cert.vstar)
     indicators = {
@@ -785,16 +776,12 @@ def epi_from_eps(prob: FractionalProblem, xbar, cert: EpsCertificate) -> EpiCert
     to the exact value 0 whenever vstar vanishes, which reproduces the
     six-summand scalar count of the worked examples.
     """
-    xbar, table = _prepare(prob, xbar, cert, horizon=False)
+    table = _prepare(prob, xbar, cert, horizon=False)
     tab = vars(cert)
     out = {star: tab[star].copy() for star, *_ in _SUMMANDS.values()}
     for blk in table.rows:
-        if blk.kind in ("f", "w"):
-            value = blk.fn.eval(xbar)
-        elif blk.kind == "comp":
-            value = -(cert.vstar @ table.hbar)  # (-vstar o h)(xbar), per entry
-        else:
-            value = 0.0  # the indicators vanish at their base
+        # (-vstar o h)(xbar) per entry for the composite
+        value = -(cert.vstar @ table.hbar) if blk.kind == "comp" else blk.value
         height = blk.of(tab, blk.star) @ blk.base + cert.gamma - value
         if blk.row is None:
             out[blk.height] = height
@@ -826,13 +813,10 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
     result with an "unsupported data" reason, distinct from a genuinely
     infeasible multiplier system.
     """
-    xbar = np.asarray(xbar, float).reshape(-1)
-    if not feasible(prob, xbar):
-        raise PointOutsideDomain("candidate point is not feasible")
-    lam = np.ones(prob.m) if lam is None else np.asarray(lam, float).reshape(-1)
-    lam = _check_lambda(lam, prob.m)
+    lam = _check_lambda(np.ones(prob.m) if lam is None else lam, prob.m)
+    cand = candidate(prob, xbar)
     try:
-        table = _Blocks(prob, xbar, lam)
+        table = _Blocks(cand, lam)
         polys = _polyhedral_data(table)
     except (ConjugateUnsupported, UnsupportedDomain, UnsupportedData) as exc:
         return KKTResult(holds=False, reason=f"unsupported data: {exc}")
@@ -840,7 +824,7 @@ def classical_kkt_check(prob: FractionalProblem, xbar, lam=None) -> KKTResult:
     lp, ex = _objective_lp(table, polys)
     ex["Y"] = add_polar_member(lp, prob.cone.G, sign=1.0)
     add_inner_product_eq(lp, ex["Y"], table.hbar, 0.0)  # complementarity
-    ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], xbar, weights=ex["Y"])
+    ex["comp"] = add_composite_subdiff_block(lp, polys["comp"], table.xbar, weights=ex["Y"])
     total = expr_sum(_dual_parts(ex))
     for coord in range(prob.n):
         lp.add_eq(total.idx, total.M[coord], 0.0)

@@ -52,7 +52,7 @@ from .errors import (
     PointOutsideDomain,
     SchemaError,
 )
-from .fractional import FractionalProblem, feasible, henig_check, nu_values
+from .fractional import FractionalProblem, candidate, feasible, henig_check
 from .grids import GridSpec
 from .tolerances import SELFTEST_TOL_CONV, TOL_CONV, TOL_FEAS
 
@@ -181,22 +181,23 @@ def _emit(doc, args, summary):
         serialization.dump_json_stream(doc, sys.stdout)
 
 
-def _check_feasible(prob, point):
-    if not feasible(prob, point):
-        raise PointOutsideDomain(f"candidate point is not feasible within tol_feas={TOL_FEAS:g}")
-
-
-def _check_ratios(prob, point):
+def _candidate(prob, point):
     # the oracle and every certificate rest on the reformulation
-    # f_i + nu_i (-g_i), which needs nu >= 0 (nu_values refuses a
-    # denominator near 0); returns nu, for the oracle to reuse
-    nu = nu_values(prob, point)
-    if (nu < 0).any():
+    # f_i + nu_i (-g_i), which needs nu >= 0
+    cand = candidate(prob, point)
+    if (cand.nu < 0).any():
         raise UsageError(
-            f"candidate point has a negative ratio, nu = {nu.tolist()}; "
+            f"candidate point has a negative ratio, nu = {cand.nu.tolist()}; "
             "the parametric reformulation needs nu >= 0"
         )
-    return nu
+    return cand
+
+
+def _lambda(args):
+    lam = None if args.lam is None else _parse_vector(args.lam, "lambda")
+    if lam is not None and (lam <= 0).any():
+        raise UsageError(f"lambda {args.lam!r} has a weight that is not strictly positive")
+    return lam
 
 
 def cmd_check(args):
@@ -204,10 +205,9 @@ def cmd_check(args):
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
     ladder = _ladder(args)
-    _check_feasible(prob, point)
-    nu = _check_ratios(prob, point)
+    cand = _candidate(prob, point)
     t0 = time.perf_counter()
-    verdict, equiv = henig_check(prob, point, grid, ladder, nu)
+    verdict, equiv = henig_check(prob, cand, grid, ladder)
     doc = {
         "command": "check",
         "problem": args.problem,
@@ -226,21 +226,20 @@ def cmd_check(args):
     return EXIT_INCONCLUSIVE
 
 
-def _generate_and_transfer(prob, point, args):
-    lam = None if args.lam is None else _parse_vector(args.lam, "lambda")
+def _generate_and_transfer(prob, cand, args):
+    lam = _lambda(args)
     gamma = _gamma_schedule(args.gamma, args.n)
     eps_cert, trace = generate_eps_certificate(
-        prob, point, lam=lam, gamma=gamma, pin_vstar=args.pin_vstar
+        prob, cand, lam=lam, gamma=gamma, pin_vstar=args.pin_vstar
     )
-    cert = transfer(prob, point, eps_cert, args.theorem)
-    return cert, trace, verify_certificate(prob, point, cert, tol_conv=args.tol_conv)
+    cert = transfer(prob, cand, eps_cert, args.theorem)
+    return cert, trace, verify_certificate(prob, cand, cert, tol_conv=args.tol_conv)
 
 
 def cmd_certify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
-    _check_feasible(prob, point)
-    nu = _check_ratios(prob, point)
+    cand = _candidate(prob, point)
     t0 = time.perf_counter()
     doc = {
         "command": "certify",
@@ -257,7 +256,7 @@ def cmd_certify(args):
         if args.grid is None:
             raise UsageError("certify needs --grid for the pre-check (or --force)")
         grid = _parse_grid(args.grid)
-        verdict = henig_check(prob, point, grid, _ladder(args), nu)[0]
+        verdict = henig_check(prob, cand, grid, _ladder(args))[0]
         doc["pre_check"] = _verdict_json(verdict)
         doc["grid"] = _grid_json(grid)
         if verdict.kind != "properly_efficient":
@@ -267,7 +266,7 @@ def cmd_certify(args):
             return (
                 EXIT_NEGATIVE if verdict.kind == "dominated" else EXIT_INCONCLUSIVE
             )
-    cert, trace, report = _generate_and_transfer(prob, point, args)
+    cert, trace, report = _generate_and_transfer(prob, cand, args)
     doc["generation"] = {
         "trace": trace,
         "trace_converged": converged(trace, args.tol_conv),
@@ -289,9 +288,9 @@ def cmd_verify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     cert = _load_certificate(args.certificate)
-    _check_ratios(prob, point)
+    cand = _candidate(prob, point)
     t0 = time.perf_counter()
-    report = verify_certificate(prob, point, cert, tol_conv=args.tol_conv)
+    report = verify_certificate(prob, cand, cert, tol_conv=args.tol_conv)
     doc = {
         "command": "verify",
         "problem": args.problem,
@@ -308,7 +307,9 @@ def cmd_kkt(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
-    _check_feasible(prob, point)
+    # the ratios only after the interior-point search, in classical_kkt_check
+    if not feasible(prob, point):
+        raise PointOutsideDomain(f"candidate point is not feasible within tol_feas={TOL_FEAS:g}")
     t0 = time.perf_counter()
     slater = slater_check(prob, grid)
     doc = {
@@ -323,8 +324,7 @@ def cmd_kkt(args):
         doc["seconds"] = time.perf_counter() - t0
         _emit(doc, args, "kkt: CQ fails - use sequential certificates")
         return EXIT_INCONCLUSIVE
-    lam = None if args.lam is None else _parse_vector(args.lam, "lambda")
-    result = classical_kkt_check(prob, point, lam=lam)
+    result = classical_kkt_check(prob, point, lam=_lambda(args))
     doc["verdict"] = "Holds" if result.holds else "Fails"
     doc["ystar"] = None if result.ystar is None else list(result.ystar)
     doc["reason"] = result.reason
@@ -377,7 +377,7 @@ def _toy_problem():
 def cmd_selftest(args):
     t0 = time.perf_counter()
     prob = _toy_problem()
-    xbar = np.zeros(1)
+    xbar = candidate(prob, np.zeros(1))
     checks = []
 
     grid = GridSpec(lows=(-1.0,), highs=(1.0,), counts=(201,))

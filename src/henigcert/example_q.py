@@ -23,7 +23,7 @@ import numpy as np
 from .certificates import EpiCertificate, slater_check, verify_epi_certificate
 from .cones import PolyhedralCone
 from .convex import BlackBoxFn, Polyhedron, PolyhedralFn
-from .fractional import FractionalProblem, feasible_mask, henig_check, nu_values
+from .fractional import FractionalProblem, candidate, feasible_mask, henig_check
 from .grids import GridSpec
 from .tolerances import TOL_CONV
 
@@ -73,12 +73,12 @@ def run(N: int = 1000, tol_conv: float = TOL_CONV, grid: GridSpec = DEFAULT_GRID
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    nu = nu_values(prob, XBAR)
+    cand = candidate(prob, XBAR)
     stages.append(
         {
             "stage": "ratio_values",
-            "ok": bool(np.array_equal(nu, np.zeros(2))),
-            "nu": nu.tolist(),
+            "ok": bool(np.array_equal(cand.nu, np.zeros(2))),
+            "nu": cand.nu.tolist(),
             "seconds": time.perf_counter() - t0,
         }
     )
@@ -112,7 +112,7 @@ def run(N: int = 1000, tol_conv: float = TOL_CONV, grid: GridSpec = DEFAULT_GRID
     )
 
     t0 = time.perf_counter()
-    verdict = henig_check(prob, XBAR, grid)[0]
+    verdict = henig_check(prob, cand, grid)[0]
     stages.append(
         {
             "stage": "efficiency_verdict",
@@ -125,7 +125,7 @@ def run(N: int = 1000, tol_conv: float = TOL_CONV, grid: GridSpec = DEFAULT_GRID
 
     t0 = time.perf_counter()
     cert = reference_certificate(N)
-    report = verify_epi_certificate(prob, XBAR, cert, tol_conv=tol_conv)
+    report = verify_epi_certificate(prob, cand, cert, tol_conv=tol_conv)
     dual_last = float(report.residuals["dual"][-1])
     y_max = float(np.abs(report.residuals["y"]).max())
     scalar_last = float(report.residuals["scalar"][-1])

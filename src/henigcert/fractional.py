@@ -15,11 +15,11 @@ available, or Dominated when a single sample refutes every rung.  Grid
 verdicts mean "no counterexample on this grid", never a proof over the
 continuum.
 
-The oracle has one path.  ``henig_check`` evaluates the candidate once
-(feasibility, the ratios nu, and the reformulation's phi at xbar, which
-must vanish) and hands the ``ParametricProblem`` to ``_grid_verdicts``,
-the one walk over the lattice, which always decides both the ratio
-problem and the reformulation; ``henig_check_bruteforce`` and
+The oracle has one path.  ``henig_check`` takes the ``candidate`` at xbar
+(the one test and evaluation of xbar, which every entry point here and in
+the certificate layer goes through) and hands its ``ParametricProblem``
+to ``_grid_verdicts``, the one walk over the lattice, which always decides
+both the ratio problem and the reformulation; ``henig_check_bruteforce`` and
 ``henig_check_parametric`` return one of the two verdicts.  The walk goes
 over the lattice in chunks of consecutive points, in lattice order, so
 its memory does not grow with the grid.  Per chunk it takes the
@@ -182,29 +182,53 @@ def feasible(prob: FractionalProblem, x) -> bool:
     return bool(_feasible_rows(prob, x[None])[0])
 
 
+def _ratio_values(prob: FractionalProblem, x):
+    """Every f_i(x), -g_i(x) and nu_i = f_i(x)/g_i(x); an infinite value
+    or an |g_i(x)| below TOL_DIV is refused."""
+    F, NG = np.empty((2, prob.m))
+    for i, (f, ng) in enumerate(prob.objectives):
+        NG[i] = ng.eval(x)
+        if not np.isfinite(NG[i]):
+            raise PointOutsideDomain(f"objective {i}: denominator infinite at xbar")
+        if abs(NG[i]) < TOL_DIV:
+            raise DenominatorNearZero(
+                f"objective {i}: |g(xbar)| = {abs(NG[i]):.3e} below {TOL_DIV:g}"
+            )
+        F[i] = f.eval(x)
+        if not np.isfinite(F[i]):
+            raise PointOutsideDomain(f"objective {i}: numerator infinite at xbar")
+    return F, NG, F / -NG + 0.0  # normalize -0.0 away
+
+
 def nu_values(prob: FractionalProblem, xbar) -> np.ndarray:
     """Ratio vector nu_i = f_i(xbar)/g_i(xbar), with g recovered as -neg_g."""
-    xbar = np.asarray(xbar, float).reshape(-1)
-    nu = np.empty(prob.m)
-    for i, (f, ng) in enumerate(prob.objectives):
-        g = -ng.eval(xbar)
-        if not np.isfinite(g):
-            raise PointOutsideDomain(f"objective {i}: denominator infinite at xbar")
-        if abs(g) < TOL_DIV:
-            raise DenominatorNearZero(
-                f"objective {i}: |g(xbar)| = {abs(g):.3e} below {TOL_DIV:g}"
-            )
-        fv = f.eval(xbar)
-        if not np.isfinite(fv):
-            raise PointOutsideDomain(f"objective {i}: numerator infinite at xbar")
-        nu[i] = fv / g
-    return nu + 0.0  # normalize -0.0 away
+    return _ratio_values(prob, np.asarray(xbar, float).reshape(-1))[2]
 
 
-def _candidate_ratios(prob: FractionalProblem, xbar) -> np.ndarray:
-    if not feasible(prob, xbar):
-        raise PointOutsideDomain("candidate point is not feasible")
-    return nu_values(prob, xbar)
+@dataclass(frozen=True, eq=False)
+class Candidate:
+    """A point x of one problem with every f_i(x), -g_i(x), nu_i and h_j(x)."""
+
+    prob: FractionalProblem
+    x: np.ndarray
+    f: np.ndarray
+    neg_g: np.ndarray
+    nu: np.ndarray
+    h: np.ndarray
+
+
+def candidate(prob: FractionalProblem, xbar) -> Candidate:
+    """The candidate at xbar, refusing a point of another dimension, not
+    feasible within TOL_FEAS, or where a ratio is not defined; a Candidate
+    of prob is returned as it is, one of another problem evaluated again."""
+    if isinstance(xbar, Candidate):
+        if xbar.prob is prob:
+            return xbar
+        xbar = xbar.x
+    x = np.array(xbar, float).reshape(-1)
+    if not feasible(prob, x):
+        raise PointOutsideDomain(f"candidate point is not feasible within tol_feas={TOL_FEAS:g}")
+    return Candidate(prob, x, *_ratio_values(prob, x), prob.h_values(x))
 
 
 def _objective_stacks(prob: FractionalProblem, X):
@@ -234,22 +258,18 @@ def ratio_matrix(prob: FractionalProblem, X):
 
 
 class ParametricProblem:
-    """The convex reformulation at xbar: objectives phi_i = f_i + nu_i*(-g_i),
-    stored as the summand pair, same constraints as the base problem."""
+    """The convex reformulation at a candidate: objectives phi_i = f_i +
+    nu_i*(-g_i), stored as the summand pair, same constraints as the base."""
 
-    def __init__(self, base: FractionalProblem, xbar, nu):
-        self.base = base
-        self.xbar = np.asarray(xbar, float).reshape(-1)
-        self.nu = np.asarray(nu, float).reshape(-1)
+    def __init__(self, cand: Candidate):
+        self.base, self.xbar, self.nu = cand.prob, cand.x, cand.nu
         if (self.nu < 0).any():
             raise UnsupportedData(
                 "parametric reformulation needs nonnegative ratios nu; "
                 f"got {self.nu.tolist()}"
             )
-        self.phi = [
-            (f, ScaledFn(v, ng)) for v, (f, ng) in zip(self.nu, base.objectives)
-        ]
-        vals = self.phi_values(self.xbar)
+        self.phi = [(f, ScaledFn(v, ng)) for v, (f, ng) in zip(self.nu, self.base.objectives)]
+        vals = self._phi_stack(cand.f[:, None], cand.neg_g[:, None])[:, 0]
         if np.abs(vals).max() > PHI_ZERO_TOL * (1.0 + np.abs(self.nu).max()):
             raise DimensionMismatch(
                 "parametric objectives do not vanish at xbar; got "
@@ -274,21 +294,19 @@ class ParametricProblem:
 
 
 def parametric_problem(prob: FractionalProblem, xbar) -> ParametricProblem:
-    """Build the reformulation at a feasible candidate point.
+    """Build the reformulation at a candidate point (``candidate``).
 
     Violations of the nonnegative-numerator / positive-denominator
     assumption are reported as warnings, not errors: the machinery only
     needs nu >= 0 and g(xbar) != 0 at the candidate itself.
     """
-    xbar = np.asarray(xbar, float).reshape(-1)
-    nu = _candidate_ratios(prob, xbar)
-    for i, (f, ng) in enumerate(prob.objectives):
-        fv, gv = f.eval(xbar), -ng.eval(xbar)
+    cand = candidate(prob, xbar)
+    for i, (fv, gv) in enumerate(zip(cand.f, -cand.neg_g)):
         if fv < 0:
             warnings.warn(f"objective {i}: numerator negative at xbar (f = {fv:g})")
         if gv <= 0:
             warnings.warn(f"objective {i}: denominator not positive at xbar (g = {gv:g})")
-    return ParametricProblem(prob, xbar, nu)
+    return ParametricProblem(cand)
 
 
 @dataclass(frozen=True)
@@ -754,22 +772,16 @@ def _check_grid(prob: FractionalProblem, grid: GridSpec):
         raise DimensionMismatch("grid dimension does not match problem")
 
 
-def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None, nu=None):
-    """The grid oracle at xbar: the ratio problem's verdict, and whether the
-    parametric reformulation at xbar agrees on the verdict kind.
-
-    The candidate is evaluated once: its feasibility and ratios nu give the
-    reformulation phi_i = f_i + nu_i * (-g_i) directly, which needs
-    nu >= 0 (``UnsupportedData`` otherwise).  A caller that has already
-    found xbar feasible and taken its ``nu_values`` (the CLI) passes them
-    as nu, and xbar is not evaluated for them again.  Both verdicts then
-    come from one walk over the lattice (``_grid_verdicts``).
-    """
+def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
+    """The grid oracle at xbar (a point or a ``Candidate`` of prob): the
+    ratio problem's verdict, and whether the parametric reformulation
+    phi_i = f_i + nu_i * (-g_i), which needs nu >= 0 (``UnsupportedData``
+    otherwise), agrees on its kind; both come from one walk over the
+    lattice (``_grid_verdicts``)."""
     ladder = _validate_ladder(ladder)
-    if nu is None:
-        nu = _candidate_ratios(prob, xbar)
+    cand = candidate(prob, xbar)
     _check_grid(prob, grid)
-    param = ParametricProblem(prob, xbar, nu)
+    param = ParametricProblem(cand)
     verdict, phi_verdict = _grid_verdicts(prob, grid, ladder, param)
     return verdict, phi_verdict.kind == verdict.kind
 

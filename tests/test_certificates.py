@@ -5,13 +5,16 @@ closed-form subdifferentials, so every expected value below is frozen
 from hand arithmetic before the implementation ran.
 """
 
+import dataclasses
+import pathlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from convex_oracles import weighted_sum_polyhedral
 
-from henigcert import certificates, cli, convex
+from henigcert import certificates, cli, convex, serialization
 from henigcert.certificates import (
     EpiCertificate,
     EpsCertificate,
@@ -22,6 +25,7 @@ from henigcert.certificates import (
     eps_to_exact,
     generate_eps_certificate,
     slater_check,
+    transfer,
     verify_epi_certificate,
     verify_eps_certificate,
     verify_certificate,
@@ -36,7 +40,8 @@ from henigcert.errors import (
     PointOutsideDomain,
     UnsupportedData,
 )
-from henigcert.fractional import FractionalProblem, feasible_mask, henig_check_bruteforce
+from henigcert.fractional import (FractionalProblem, candidate, feasible_mask, henig_check,
+                                  henig_check_bruteforce, parametric_problem)
 from henigcert.grids import GridSpec
 from henigcert.linprog import LpSession
 from henigcert.tolerances import TOL_CONV
@@ -574,6 +579,68 @@ def test_infeasible_candidate_is_refused(consumer):
     cert = generate_eps_certificate(prob, [0.0], N=10)[0]
     with pytest.raises(PointOutsideDomain, match="not feasible"):
         consumer(prob, [5.0], cert)
+
+
+def _bits(obj):
+    """obj with every float and array replaced by its bytes, dataclasses and
+    containers taken apart, for bitwise comparison."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, [_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    if isinstance(obj, dict):
+        return [(k, _bits(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+def _every_entry_point(prob, xbar, grid):
+    """The results of every function that takes a candidate point, at xbar."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = parametric_problem(prob, xbar)
+    eps, trace = generate_eps_certificate(prob, xbar, N=12)
+    epi, exact = epi_from_eps(prob, xbar, eps), eps_to_exact(prob, xbar, eps)
+    return [
+        henig_check(prob, xbar, grid), param.xbar, param.nu, [s.c for _, s in param.phi],
+        eps, trace, epi, exact, transfer(prob, xbar, eps, "4.2"), transfer(prob, xbar, eps, "4.4"),
+        verify_eps_certificate(prob, xbar, eps), verify_epi_certificate(prob, xbar, epi),
+        verify_exact_certificate(prob, xbar, exact),
+        *(verify_certificate(prob, xbar, cert) for cert in (eps, epi, exact)),
+        classical_kkt_check(prob, xbar),
+    ]
+
+
+@pytest.mark.parametrize("case", ["toy", "orthant"])
+def test_a_candidate_and_its_point_give_identical_results(case):
+    # every entry point takes a Candidate of the problem as it is, and a
+    # point through candidate(): verdicts, tables and reports agree bit for bit
+    if case == "toy":
+        prob, x, grid = toy_problem(), np.zeros(1), GridSpec.parse("21:[-1,1]")
+    else:
+        data = pathlib.Path(__file__).parent / "data" / "orthant_nonneg.json"
+        prob = serialization.problem_from_json(serialization.load_json(data))
+        x = np.array([0.9341692789968652, -0.08174416579588993])
+        grid = GridSpec.parse("41x41:[-1,1]x[-1,1]")
+    cand = candidate(prob, x)
+    assert candidate(prob, cand) is cand
+    assert _bits(_every_entry_point(prob, cand, grid)) == _bits(_every_entry_point(prob, x, grid))
+
+
+def test_a_candidate_of_another_problem_is_not_reused():
+    # the toy at 0.5 has nu = 0.5; with its numerators doubled, nu = 1
+    prob, x, grid = toy_problem(), np.array([0.5]), GridSpec.parse("21:[-1,1]")
+    double = PolyhedralFn([[2.0], [-2.0]], [0.0, 0.0])
+    other = FractionalProblem(1, [(double, ng) for _, ng in prob.objectives], prob.hmap,
+                              prob.cone, prob.C)
+    cand = candidate(prob, x)
+    moved = candidate(other, cand)
+    assert moved.prob is other and cand.nu.tolist() == [0.5, 0.5]
+    assert _bits(moved) == _bits(candidate(other, x)) and moved.nu.tolist() == [1.0, 1.0]
+    assert _bits(_every_entry_point(other, cand, grid)) == _bits(_every_entry_point(other, x, grid))
 
 
 def test_tolerance_monotonicity():

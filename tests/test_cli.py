@@ -10,6 +10,7 @@ import json
 import pathlib
 import re
 import shutil
+import sys
 import warnings
 
 import numpy as np
@@ -142,25 +143,35 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
     assert doc["parametric_equivalence"] is want
 
 
-@pytest.mark.parametrize("command", [["check"], ["certify", "--n", "10", "--tol-conv", "1"]])
+@pytest.mark.parametrize("command", [
+    ["check", "--grid", TOY_GRID],
+    *(["certify", "--grid", TOY_GRID, "--theorem", t, "--n", "10", "--tol-conv", "1"]
+      for t in ("4.3", "4.2", "4.4")),
+    ["verify", "--tol-conv", "1"],
+])
 def test_candidate_is_evaluated_once(files, capsys, monkeypatch, command):
-    # the CLI's feasibility and ratio checks hand nu to the oracle (check,
-    # and certify's pre-check), which takes neither again: one call of
-    # each per command (certificate generation and verification evaluate
-    # the candidate through their own imports)
-    from henigcert import fractional
-
+    # a command builds one Candidate and hands it to the oracle (check, and
+    # certify's pre-check), to generation, the transfer and the verifier,
+    # which take it as it is: over every module that binds them, the point
+    # gets one one-row feasibility test and one evaluation of its ratios
+    if command[0] == "verify":
+        cert = str(files["root"] / "once.cert.json")
+        certify = ["certify", "--problem", files["toy"], "--point", "0", "--force"]
+        assert cli.main([*certify, "--n", "10", "--tol-conv", "1", "--out", cert]) == 0
+        command = [*command, "--certificate", cert]
     calls = []
-    for module in (cli, fractional):
-        for name in ("feasible", "nu_values"):
-            def spy(*args, original=getattr(module, name), name=name):
-                calls.append(name)
-                return original(*args)
+    spied = {"feasible": "feasible", "nu_values": "ratios", "_ratio_values": "ratios"}
+    for key, module in list(sys.modules.items()):
+        if key.startswith("henigcert."):
+            for name in spied.keys() & vars(module).keys():
+                def spy(*args, original=getattr(module, name), what=spied[name]):
+                    calls.append(what)
+                    return original(*args)
 
-            monkeypatch.setattr(module, name, spy)
-    argv = command[:1] + ["--problem", files["toy"], "--point", "0", "--grid", TOY_GRID] + command[1:]
+                monkeypatch.setattr(module, name, spy)
+    argv = [command[0], "--problem", files["toy"], "--point", "0", *command[1:]]
     assert cli.main(argv) == 0
-    assert sorted(calls) == ["feasible", "nu_values"]
+    assert sorted(calls) == ["feasible", "ratios"]
 
 
 def test_check_infeasible_point_is_usage_error(files, capsys):
@@ -230,6 +241,55 @@ def test_verify_at_an_infeasible_candidate_is_usage_error(tmp_path, capsys):
     assert cli.main(["verify", "--problem", path, "--point", "5", "--certificate", cert]) == 64
     assert "not feasible" in capsys.readouterr().err
     assert cli.main(["check", "--problem", path, "--point", "5", "--grid", TOY_GRID]) == 64
+
+
+def test_refusals_of_the_point_read_alike(files, capsys):
+    # one decision refuses a point for every command: the same message for
+    # a point of the wrong dimension on all four, and for an infeasible
+    # point on check and verify
+    cert = str(files["root"] / "refusals.cert.json")
+    toy = ["--problem", files["toy"]]
+    assert cli.main(["certify", *toy, "--point", "0", "--force", "--out", cert]) == 0
+    capsys.readouterr()
+    tails = {"check": ["--grid", TOY_GRID], "certify": ["--force"],
+             "verify": ["--certificate", cert], "kkt": ["--grid", TOY_GRID]}
+    for command, tail in tails.items():
+        assert cli.main([command, *toy, "--point", "0,0", *tail]) == 65
+        assert capsys.readouterr().err == "henigcert: data error: point dimension does not match problem\n"
+    for command in ("check", "verify"):
+        assert cli.main([command, *toy, "--point", "5", *tails[command]]) == 64
+        assert capsys.readouterr().err == (
+            "henigcert: usage error: candidate point is not feasible within tol_feas=1e-09\n")
+
+
+def test_verify_refuses_the_point_before_a_short_certificate(files, capsys):
+    # verify takes its candidate before the verifier reads the certificate:
+    # an infeasible point with a 3-entry table is a usage error (64), the
+    # table alone a data error (65)
+    toy = ["--problem", files["toy"]]
+    assert cli.main(["certify", *toy, "--point", "0", "--force", "--n", "20", "--tol-conv", "1e-1"]) == 0
+    doc = json.loads(capsys.readouterr().out)["certificate"]
+    doc["entries"], doc["N"] = doc["entries"][:3], 3
+    path = files["root"] / "short3.cert.json"
+    serialization.dump_json(doc, path)
+    assert cli.main(["verify", *toy, "--point", "5", "--certificate", str(path)]) == 64
+    assert "not feasible" in capsys.readouterr().err
+    assert cli.main(["verify", *toy, "--point", "0", "--certificate", str(path)]) == 65
+    assert "horizon of at least 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["certify", "--force", "--n", "10"], ["kkt", "--grid", TOY_GRID]],
+                         ids=["certify", "kkt"])
+def test_lambda_weights_must_be_positive(files, capsys, command):
+    # a weight of 0 or below is a bad flag value (64), not an internal error
+    # (70); a weight vector of the wrong length stays a data error (65)
+    base = [command[0], "--problem", files["toy"], "--point", "0", *command[1:]]
+    for weights in ("0,1", "-1,1"):
+        assert cli.main([*base, f"--lambda={weights}"]) == 64
+        err = capsys.readouterr().err
+        assert "usage error" in err and "strictly positive" in err
+    assert cli.main([*base, "--lambda=1,1,1"]) == 65
+    assert "lambda length does not match" in capsys.readouterr().err
 
 
 def test_verify_and_kkt_at_bad_candidates(files, bad_candidates, capsys):

@@ -28,6 +28,7 @@ from henigcert.errors import (
 from henigcert.fractional import (
     DEFAULT_LADDER,
     ZERO_DIFF_TOL,
+    Candidate,
     EfficiencyVerdict,
     FractionalProblem,
     ParametricProblem,
@@ -946,7 +947,10 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
         # candidate's nu = 1 everywhere, so it is the first); the
         # constraint h = -1 leaves C alone to drop boxes
         in_box = FractionalProblem(n, prob.objectives, [const(-1.0, n)], prob.cone, C)
-        param = ParametricProblem(prob, x0, [1.0, 1.0])
+        # x0 need not be feasible, so its Candidate is built by hand:
+        # f = g = 1 and nu = 1 for both objectives
+        one = np.ones(2)
+        param = ParametricProblem(Candidate(prob, x0, one, -one, one, prob.h_values(x0)))
         with np.errstate(all="ignore"):
             code = np.maximum(*_BoundPass(in_box, grid, [1.0], param).box_codes())[ref.box_labels(grid)]
             codes = np.maximum(*_BoundPass(prob, grid, [1.0], param).box_codes())
