@@ -38,32 +38,35 @@ Before the walk over a lattice of more than one chunk, a bound pass
 costs).  The lattice is cut into boxes of at most ``grids._BOX`` points
 per axis, and every max-affine f_i, -g_i and h_j and every row of C is
 bounded on every box at once: a piece's least value over a box is
-b + sum_d min(a_d lo_d, a_d hi_d).  A box is dropped when a row of C or
-of the cone test fails on all of it, or when neither comparison can hit
-the first or the last rung: the hit test max(v) + eps*sum(v) <= TOL_CONE
-is linear in eps, and its computed value monotone in eps, so those two
-ends cover every rung.  The walk (``GridSpec.select``) then splits every
-kept box into its sub-boxes of at most ``grids._SUB`` points per axis,
-and bounds and drops them by the same rows, tests and margins: a sub-box
-bound is still an (n + 1)-term sum.  It refines a group of rows of boxes
-at a time, at most one group ahead, in one ``sub_codes`` call: a group
-closes at the first row end after its boxes fill one of ``sub_codes``'s
-slabs (``_BoundPass.slab`` boxes, 21 on the benchmark's 20^4 checks), as
-a call costs far more than a box.  A box or sub-box that passes C's test
-whole skips it.  Only the kept points are built and evaluated, in
-lattice order.  A dropped sample hits no rung, and a ``_LadderScan``
-changes only on samples that hit, so every verdict, witness and
-equivalence flag is the one of the full walk; only whether any sample
-was feasible, or fed a comparison, could differ, so when the walk ends
-without one the boxes and sub-boxes dropped for missing every rung are
-walked for it.  A box is dropped for missing only when both comparisons
-miss, and the ratios' bounds need every f_i and -g_i; without them the
-pass is skipped and the walk takes the plain chunks.  On the benchmark's
-seeded 20^4 checks an efficient check tests 208 lattice points (mean;
-6,741 with boxes alone) of 160,000 in 1.5 ``sub_codes`` calls, and a
-dominated one 2,884 (9,664 with boxes alone) in 1.3: a group's kept
-points go out as one piece, and the walk stops only after the piece
-that holds the witness.
+b + sum_d min(a_d lo_d, a_d hi_d).  Each box gets two booleans: some
+point of it may be feasible (no row of C or of the cone test fails on
+all of it), and some point of it may hit the first or the last rung of
+either comparison (the hit test max(v) + eps*sum(v) <= TOL_CONE is
+linear in eps, and its computed value monotone in eps, so those two ends
+cover every rung).  The walk (``GridSpec.select``) takes the boxes where
+both hold and splits each into its sub-boxes of at most ``grids._SUB``
+points per axis, which get the same two booleans by the same rows, tests
+and margins (a sub-box bound is still an (n + 1)-term sum), and keeps
+those where both hold.  It refines a group of rows of boxes at a time,
+at most one group ahead, in one ``sub_codes`` call: a group closes at
+the first row end after its boxes fill one of ``sub_codes``'s slabs
+(``_BoundPass.slab`` boxes, 21 on the benchmark's 20^4 checks), as a
+call costs far more than a box.  Only the kept points are built and
+evaluated, in lattice order.  A sample left out hits no rung, and a
+``_LadderScan`` changes only on samples that hit, so every verdict,
+witness and equivalence flag is the one of the full walk; only whether
+any sample was feasible, or fed a comparison, could differ, so when the
+walk ends without one it walks again every box and sub-box that may be
+feasible, whether or not it may hit.  A box is left out for missing
+only when both comparisons miss, and the ratios' bounds need every f_i
+and -g_i; without them the pass is skipped and the walk takes the plain
+chunks.  Whatever the path, C's test is skipped only when the box the
+lattice's axes span passes it whole (``_lattice_in_C``).  On the
+benchmark's seeded 20^4 checks an efficient check tests 208 lattice
+points (mean; 6,741 with boxes alone) of 160,000 in 1.5 ``sub_codes``
+calls, and a dominated one 2,884 (9,664 with boxes alone) in 1.3: a
+group's kept points go out as one piece, and the walk stops only after
+the piece that holds the witness.
 
 The bounds hold for the computed values, not just the exact ones.  Each
 piece bound is widened by twice (n + 2) eps times |b| + sum_d |a_d|
@@ -75,11 +78,6 @@ the nu subtraction and the reformulation's f + nu * (-g) need no margin:
 rounding is monotone, so the same operation on the bounds bounds the
 computed result.  A black-box or scaled function, or one on a restricted
 domain, has no bound, so a box is never dropped for what it might do.
-
-The kept points of a stretch of the lattice kept whole are a read-only
-view of one buffer that each such stretch overwrites
-(``GridSpec.select``); the scan keeps rows only through ``np.compress``
-copies, the counterexample among them.
 
 Every per-sample stack of the scan (constraint values, ratios, objective
 values, their differences) is stored (k, N), C-contiguous, one row per
@@ -154,14 +152,11 @@ class FractionalProblem:
 
 
 def feasible_mask(prob: FractionalProblem, X, in_C=False) -> np.ndarray:
-    """Feasibility at every row of X, within TOL_FEAS.  in_C, one flag or
-    one per row, marks the rows known to pass C's test (the grid oracle's
-    bound pass proves it for whole boxes), which skip it."""
+    """Feasibility at every row of X, within TOL_FEAS.  in_C marks every
+    row as known to pass C's test (the grid oracle proves it for a whole
+    lattice, ``_lattice_in_C``), which is then skipped."""
     X = np.asarray(X, float)
-    ok = np.ones(X.shape[0], dtype=bool)
-    test = ~np.broadcast_to(in_C, ok.shape)
-    if test.any():
-        ok[test] = prob.C.contains_batch(np.compress(test, X, axis=0))
+    ok = np.ones(X.shape[0], dtype=bool) if in_C else prob.C.contains_batch(X)
     H = prob.h_values_batch(X).T
     ok &= np.isfinite(H).all(axis=0)
     safe = np.where(ok, H, 0.0)  # keep NaN/inf out of the cone test
@@ -270,7 +265,7 @@ class ParametricProblem:
             )
         self.phi = [(f, ScaledFn(v, ng)) for v, (f, ng) in zip(self.nu, self.base.objectives)]
         vals = self._phi_stack(cand.f[:, None], cand.neg_g[:, None])[:, 0]
-        if np.abs(vals).max() > PHI_ZERO_TOL * (1.0 + np.abs(self.nu).max()):
+        if (np.abs(vals) > PHI_ZERO_TOL * (1.0 + np.abs(cand.f) + self.nu * np.abs(cand.neg_g))).any():
             raise DimensionMismatch(
                 "parametric objectives do not vanish at xbar; got "
                 f"{vals.tolist()}"
@@ -279,10 +274,6 @@ class ParametricProblem:
     @property
     def m(self) -> int:
         return self.base.m
-
-    def phi_values(self, x) -> np.ndarray:
-        x = np.asarray(x, float).reshape(-1)
-        return np.array([f.eval(x) + s.eval(x) for f, s in self.phi])
 
     def _phi_stack(self, F, NG) -> np.ndarray:
         """phi from the (m, N) stacks of f and -g, by ScaledFn's rule: the
@@ -430,7 +421,6 @@ def _keep(good, S, X):
 # bound by twice (n + 2) eps size, plus the smallest normal float for
 # products that underflow, covers both with room to spare; size is taken
 # over the lattice's box, so the widening is one offset per piece.
-_KEEP, _KEEP_IN_C = 1, 2  # codes of a box whose points are tested (C's test due, or passed)
 _SLAB_CELLS = 2 ** 17  # bound cells formed at a time, so the pass's memory is flat too
 # the sub-box bounds of a few boxes at a time: their broadcast sums and the
 # transposed copy stay small enough for numpy to reuse their memory
@@ -458,7 +448,7 @@ def _bound_rows(prob, reach):
     """The affine rows the bound pass bounds, with their lower and upper
     offsets: every f_i, then every -g_i, then every h_j, each padded to
     kmax pieces by cycling through its own (which leaves the max
-    unchanged), then C's inequality and equality rows with no offset, as
+    unchanged), then C's equality and inequality rows with no offset, as
     its test compares the product alone.  A function without piece data on
     all of R^n (a black box, a scaled function, a restricted domain) gets
     zero rows with offsets -inf and inf: no bound.  reach[d] bounds |x_d|
@@ -474,7 +464,7 @@ def _bound_rows(prob, reach):
     for fn, k in zip(fns, known):
         pick += [start + i % fn.npieces for i in range(kmax)] if k else [len(b) - 1] * kmax
         start += fn.npieces if k else 0
-    A = np.vstack([A[pick], prob.C.A, prob.C.E])
+    A = np.vstack([A[pick], prob.C.E, prob.C.A])
     b = np.concatenate([b[pick], np.zeros(prob.C.nrows)])
     unknown = np.repeat([not k for k in known] + [False], [kmax] * len(fns) + [prob.C.nrows])
     widen = _widening(np.abs(b) + np.abs(A) @ reach, prob.n)
@@ -503,14 +493,16 @@ class _BoundPass:
     bounds are its offsets plus one term per axis: an (n + 1)-term sum
     whatever the box's size, under the same widening.  A stack of bounds
     holds every row's lower bound, then the upper bounds of the rows from
-    the denominators' on (no test reads a numerator's upper bound)."""
+    the denominators' to C's equality rows (no test reads a numerator's
+    or an inequality row's upper bound)."""
 
     def __init__(self, prob: FractionalProblem, grid: GridSpec, ladder, param):
         m, C = prob.m, prob.C
         reach = np.array([np.abs(axis).max() for axis in grid.axes()])
         A, lo_off, hi_off, self.kmax = _bound_rows(prob, reach)
+        self.m, self.nf, self.nC, self.nE = m, 2 * m + prob.p, C.nrows, C.E.shape[0]
         self.upper = A.shape[0]  # where the upper bounds start in a stack
-        up = slice(m * self.kmax, None)
+        up = slice(m * self.kmax, self.nf * self.kmax + self.nE)
         self.offsets = np.concatenate([lo_off, hi_off[up]])[:, None]
         boxes = grid.boxes()
         terms = _axis_terms(A, up, boxes + grid.boxes(grids._SUB))
@@ -520,7 +512,6 @@ class _BoundPass:
         # only a place past the lattice's edge reads)
         self.pairs = [np.vstack([t.T, t.T[-1:]])[: 2 * count].reshape(count, 2, -1)
                       for t, count in zip(terms[grid.ndim :], self.shape)]
-        self.m, self.nf, self.nC = m, 2 * m + prob.p, C.nrows
         self.rhs, self.d = (C.b + TOL_FEAS)[:, None], C.d[:, None]
         H = prob.cone.H
         self.H_pos, self.H_neg, self.H_abs = np.maximum(H, 0.0), np.minimum(H, 0.0), np.abs(H)
@@ -531,11 +522,12 @@ class _BoundPass:
         self.slab = max(1, _SUB_SLAB_CELLS // (self.offsets.shape[0] * 2 ** grid.ndim))
 
     def box_codes(self):
-        """The codes (``_codes``) of every box of ``grid.boxes()``, in box
-        order.  The sums are formed by broadcasting the per-axis terms, a
-        slab of at most ``_SLAB_CELLS`` bounds at a time: the trailing axes
-        whose boxes fit an eighth of a slab are summed once, and each slab
-        adds the sums of the leading axes to them."""
+        """The two booleans (``_kept``) of every box of ``grid.boxes()``, in
+        box order, as two arrays (feasible, hit).  The sums are formed by
+        broadcasting the per-axis terms, a slab of at most ``_SLAB_CELLS``
+        bounds at a time: the trailing axes whose boxes fit an eighth of a
+        slab are summed once, and each slab adds the sums of the leading
+        axes to them."""
         terms = self.terms
         counts = [t.shape[1] for t in terms]
         cells = self.offsets.shape[0]
@@ -548,7 +540,7 @@ class _BoundPass:
             trail = _outer_sum(terms[d], trail)
         leading = int(np.prod(counts[:j], dtype=np.int64))
         per = max(1, _SLAB_CELLS // (cells * width))
-        keep, rest = np.empty((2, leading * width), dtype=np.int8)
+        feasible, hit = np.empty((2, leading * width), dtype=bool)
         strides = _strides(counts[:j])
         for l0 in range(0, leading, per):
             ls = np.arange(l0, min(l0 + per, leading))
@@ -557,15 +549,17 @@ class _BoundPass:
                 lead = sum(terms[d][:, (ls // strides[d]) % counts[d]] for d in range(j))
                 B = _outer_sum(lead, trail)
             sl = slice(l0 * width, (l0 + ls.size) * width)
-            keep[sl], rest[sl] = self._codes(self._reduce(B))
-        return keep, rest
+            feasible[sl], hit[sl] = self._kept(self._reduce(B))
+        return feasible, hit
 
-    def sub_codes(self, boxes):
-        """The two codes of every sub-box (of ``grid.boxes(grids._SUB)``)
-        of each box of ``grid.boxes()`` numbered in boxes: two
-        (len(boxes), r ** ndim) arrays, r = _BOX // _SUB, a box's
-        sub-boxes in C order over their place in it; a place past the
-        lattice's edge gets a code of no meaning.
+    def sub_codes(self, boxes, hit=True):
+        """Per box of ``grid.boxes()`` numbered in boxes, whether each of its
+        sub-boxes (of ``grid.boxes(grids._SUB)``) may hold a feasible point
+        that hits a rung (``_kept``'s two booleans both true), or with hit
+        False a feasible point at all: a (len(boxes), r ** ndim) boolean
+        array, r = _BOX // _SUB, a box's sub-boxes in C order over their
+        place in it; a place past the lattice's edge gets a value of no
+        meaning.
 
         A box's sub-box bounds are its per-axis pairs of terms summed by
         broadcasting, one row of terms per sub-box (so every sum runs
@@ -576,7 +570,7 @@ class _BoundPass:
         seg = np.unravel_index(boxes, self.shape)
         places = 2 ** len(seg)
         rows = self.offsets.shape[0]
-        R = np.empty((2 * (self.nf + self.nC) - self.m, len(boxes) * places))
+        R = np.empty((2 * self.nf - self.m + self.nC + self.nE, len(boxes) * places))
         for start in range(0, len(boxes), self.slab):
             sl = slice(start, start + self.slab)
             B = self.offsets.T[None]
@@ -585,14 +579,14 @@ class _BoundPass:
                 B = np.add(B[:, :, None], pair[:, None], order="C").reshape(pair.shape[0], -1, rows)
             B = np.ascontiguousarray(B.reshape(-1, rows).T)
             R[:, start * places : start * places + B.shape[1]] = self._reduce(B)
-        keep, rest = self._codes(R)
-        return keep.reshape(-1, places), rest.reshape(-1, places)
+        feasible, may_hit = self._kept(R)
+        return (feasible & may_hit if hit else feasible).reshape(-1, places)
 
     def _reduce(self, B):
         """The stack of the functions' lower bounds (the greatest of their
-        pieces'), C's rows' lower bounds, the denominators' and h's upper
-        bounds, then C's rows' upper bounds, one column per box, from the
-        stack B of every row's."""
+        pieces'), C's rows' lower bounds (equality rows first), the
+        denominators' and h's upper bounds, then C's equality rows' upper
+        bounds, one column per box, from the stack B of every row's."""
         nf, kmax, upper = self.nf, self.kmax, self.upper
         top = upper + (nf - self.m) * kmax
         return np.vstack([
@@ -600,32 +594,25 @@ class _BoundPass:
             B[upper:top].reshape(nf - self.m, kmax, -1).max(axis=1), B[top:],
         ])
 
-    def _codes(self, R):
-        """Two codes per box, from the stack R of ``_reduce``: for the walk
-        (``_KEEP`` or ``_KEEP_IN_C`` where some point may be feasible and
-        hit a rung, else 0) and for the rest (the same codes where some
-        point may be feasible but none hits a rung)."""
+    def _kept(self, R):
+        """Two booleans per box, from the stack R of ``_reduce``: whether
+        some point of it may be feasible, and whether some point of it may
+        hit a rung of either comparison."""
         with np.errstate(all="ignore"):
-            in_C, out, miss = self._decide(R)
-        code = np.where(in_C, _KEEP_IN_C, _KEEP)
-        return np.where(out | miss, 0, code), np.where(~out & miss, code, 0)
+            out, miss = self._decide(R)
+        return ~out, ~miss
 
     def _decide(self, R):
-        """Per box, from the stack R of ``_reduce``: (the whole box passes
-        C's test, no point of it is feasible, no point of it hits a rung of
-        either comparison)."""
-        m, nf, nC = self.m, self.nf, self.nC
+        """Per box, from the stack R of ``_reduce``: (no point of it is
+        feasible, no point of it hits a rung of either comparison)."""
+        m, nf, nC, nE = self.m, self.nf, self.nC, self.nE
         low, lower = R[:nf], R[nf : nf + nC]
-        high, upper = R[nf + nC : -nC or None], R[R.shape[0] - nC :]
-        # C: the test is fl(a.x) <= fl(b + tol) per inequality row and
-        # |fl(e.x) - d| <= tol per equality row
-        nA = self.rhs.shape[0]
-        out = (lower[:nA] > self.rhs).any(axis=0)
-        if self.d.size:
-            in_C = np.zeros(R.shape[1], dtype=bool)
-            out |= ((lower[nA:] - self.d > TOL_FEAS) | (upper[nA:] - self.d < -TOL_FEAS)).any(axis=0)
-        else:
-            in_C = (upper <= self.rhs).all(axis=0)
+        high, upper = R[nf + nC : 2 * nf + nC - m], R[2 * nf + nC - m :]
+        # C: the test is |fl(e.x) - d| <= tol per equality row and
+        # fl(a.x) <= fl(b + tol) per inequality row
+        out = (lower[nE:] > self.rhs).any(axis=0)
+        if nE:
+            out |= ((lower[:nE] - self.d > TOL_FEAS) | (upper - self.d < -TOL_FEAS)).any(axis=0)
         # h: the cone test is fl(H_r . h(x)) <= tol, a p-term product per
         # row, least where each term takes the bound its sign picks
         hl, hu = low[2 * m :], high[m:]
@@ -641,7 +628,7 @@ class _BoundPass:
         W[0] -= self.nu
         np.add(F, np.where(self.c != 0.0, self.c * NG, 0.0), out=W[1])
         miss = _no_rung(W, self.ends).all(axis=0) & (G_lo > 0).all(axis=0)
-        return in_C, out, miss
+        return out, miss
 
 
 def _axis_terms(A, up, segments):
@@ -662,48 +649,51 @@ def _outer_sum(a, b):
     return np.add(a[:, :, None], b[:, None, :], order="C").reshape(a.shape[0], -1)
 
 
-def _lattice_code(C: Polyhedron, grid: GridSpec):
-    """``_KEEP_IN_C`` when the box spanned by the lattice's axes passes C's
-    test whole, by the pass's test and widening (every inequality row's
-    greatest value at most fl(b + TOL_FEAS), no equality row), else
-    ``_KEEP``."""
+def _lattice_in_C(C: Polyhedron, grid: GridSpec) -> bool:
+    """Whether every lattice point passes C's test, by the bound pass's
+    test and widening on the box the lattice's axes span: no equality row,
+    and every inequality row's greatest value at most fl(b + TOL_FEAS)."""
+    if C.E.shape[0]:
+        return False
     lo, hi = (np.array([end(axis) for axis in grid.axes()]) for end in (np.min, np.max))
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.maximum(C.A * lo, C.A * hi).sum(axis=1)
         top += _widening(np.abs(C.A) @ np.maximum(np.abs(lo), np.abs(hi)), C.n)
-        return _KEEP_IN_C if C.E.shape[0] == 0 and (top <= C.b + TOL_FEAS).all() else _KEEP
+        return bool((top <= C.b + TOL_FEAS).all())
 
 
 def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: ParametricProblem):
-    """The grid oracle: one walk over the lattice chunks in lattice order,
-    feeding two ``_LadderScan``s, the ratio problem's (differences from the
+    """The grid oracle: one walk over the lattice in lattice order, feeding
+    two ``_LadderScan``s, the ratio problem's (differences from the
     candidate ratios param.nu) and the reformulation's (param's phi).
 
     On a lattice of more than one chunk whose f_i and -g_i all have
-    bounds, the bound pass (``_BoundPass``) first drops every box whose
-    points are provably infeasible or provably hit no rung of either
-    scan, and the walk (``GridSpec.select``) splits each kept box into
-    its sub-boxes when it reaches the box's group of rows (one
-    ``sub_codes`` call per group) and drops those sub-boxes the same way.
-    Per yield, then, over the rows left: the feasibility mask (without
-    C's test on rows whose sub-box passes it whole), then each f_i and
-    -g_i once at every feasible sample, from which both scans'
-    differences are formed.  A decided scan is fed no more, and the walk
-    stops once both are decided.  A dropped sample hits no rung, so it
-    would leave every ``_LadderScan`` as it is; but it may be the only
-    feasible one, so when the walk ends with no feasible sample, or a
-    scan fed none, the boxes and sub-boxes dropped for missing every rung
-    are walked too, in lattice order, to settle that.  Returns (ratio
-    verdict, reformulation verdict).
+    bounds, the bound pass (``_BoundPass``) first tells per box whether
+    some point may be feasible and whether some point may hit a rung of
+    either scan, and the walk (``GridSpec.select``) takes the boxes where
+    both may, splitting each into its sub-boxes when it reaches the box's
+    group of rows (one ``sub_codes`` call per group) and keeping those
+    where both may; other lattices are walked in plain chunks.  Per
+    yield: the feasibility mask (without C's test when the lattice's own
+    box passes it, ``_lattice_in_C``), then each f_i and -g_i once at
+    every feasible sample, from which both scans' differences are formed.
+    A decided scan is fed no more, and the walk stops once both are
+    decided.  A sample left out hits no rung, so it would leave every
+    ``_LadderScan`` as it is; but it may be the only feasible one, so
+    when the walk ends with no feasible sample, or a scan fed none, every
+    box and sub-box that may hold a feasible point is walked, in lattice
+    order, to settle that.  Returns (ratio verdict, reformulation
+    verdict).
     """
     ratio, phi = _LadderScan(ladder, grid), _LadderScan(ladder, grid)
     any_feasible = False
+    in_C = _lattice_in_C(prob.C, grid)
 
     def walk(chunks, done):
         nonlocal any_feasible
         # a row kept past its chunk is a compress copy
-        for X, code in chunks:
-            ok = feasible_mask(prob, X, in_C=code == _KEEP_IN_C)
+        for X in chunks:
+            ok = feasible_mask(prob, X, in_C=in_C)
             if not ok.any():
                 continue
             any_feasible = True
@@ -731,28 +721,17 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: Param
     def decided():
         return ratio.verdict is not None and phi.verdict is not None
 
-    if grid.size <= grids._CHUNK:
-        # one chunk is evaluated in one batch either way, and its per-row
-        # cost is below the bound pass's fixed cost
-        walk(((X, _KEEP) for X in grid.chunks()), decided)
-    elif not _has_bounds(prob):
-        # no box can miss every rung: only C's test is worth bounding, on
-        # the lattice's own box
-        code = _lattice_code(prob.C, grid)
-        walk(((X, code) for X in grid.chunks()), decided)
+    if grid.size <= grids._CHUNK or not _has_bounds(prob):
+        # one chunk is evaluated in one batch either way, for less than the
+        # bound pass's fixed cost; without bounds no box can miss every rung
+        walk(grid.chunks(), decided)
     else:
         bounds = _BoundPass(prob, grid, ladder, param)
-        keep, rest = bounds.box_codes()
-
-        def kept(boxes):
-            return bounds.sub_codes(boxes)[0]
-
-        def dropped(boxes):
-            return np.where((keep[boxes] != 0)[:, None], bounds.sub_codes(boxes)[1], rest[boxes][:, None])
-
-        walk(grid.select(keep, kept, bounds.slab), decided)
+        feasible, hit = bounds.box_codes()
+        walk(grid.select(feasible & hit, bounds.sub_codes, bounds.slab), decided)
         if not settled():
-            walk(grid.select(np.maximum(keep, rest), dropped, bounds.slab), settled)
+            walk(grid.select(feasible, lambda boxes: bounds.sub_codes(boxes, hit=False), bounds.slab),
+                 settled)
 
     def finish(scan, nothing_fed):
         if not any_feasible:

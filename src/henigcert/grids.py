@@ -23,15 +23,15 @@ For the grid oracle's bound pass the lattice is also cut into boxes of at
 most ``_BOX`` consecutive points per axis, and each box into sub-boxes of
 at most ``_SUB`` (``GridSpec.boxes``), both numbered in C order as the
 points are.  ``GridSpec.select`` walks the lattice in lattice order but
-keeps only the points of the boxes with a nonzero code whose sub-boxes a
-callback codes nonzero.  It goes by rows of boxes (one box segment on one
-axis, the earlier axes fixed) and looks up only the boxes of the rows it
-has reached.  It asks the callback about the coded ones once per group of
-consecutive rows, a group closing at the first row end after its coded
-boxes number a given slab, and builds only the kept points, from their
-multi-indices: the work follows the kept boxes, not the lattice, nothing
-is refined more than one group ahead of the caller, and no array of the
-lattice's size is built.
+yields only the points of the boxes a boolean array keeps whose sub-boxes
+a callback keeps.  It goes by rows of boxes (one box segment on one axis,
+the earlier axes fixed) and looks up only the boxes of the rows it has
+reached.  It asks the callback about the kept ones once per group of
+consecutive rows, a group closing at the first row end after its boxes
+number a given slab, and builds only the kept points, from their
+multi-indices, as fresh arrays: the work follows the kept boxes, not the
+lattice, nothing is refined more than one group ahead of the caller, and
+no array of the lattice's size is built.
 """
 
 from dataclasses import dataclass
@@ -50,12 +50,6 @@ _CHUNK = 16384
 # smaller ones more boxes to bound; _SUB divides _BOX
 _BOX = 4
 _SUB = 2
-
-
-def _read_only(block):
-    view = block.view()
-    view.flags.writeable = False
-    return view
 
 
 def _strides(counts) -> list:
@@ -197,7 +191,9 @@ class GridSpec:
         k = min(_CHUNK, size)
         fill = self._filler(k)
         for start in range(0, size, k):
-            yield _read_only(fill(start, min(start + k, size)))
+            block = fill(start, min(start + k, size)).view()
+            block.flags.writeable = False
+            yield block
 
     def boxes(self, edge: int = _BOX) -> list:
         """The lattice cut into boxes of at most ``edge`` consecutive points
@@ -211,33 +207,29 @@ class GridSpec:
             out.append((np.minimum.reduceat(axis, starts), np.maximum.reduceat(axis, starts)))
         return out
 
-    def select(self, codes, refine, slab: int):
-        """The points of the boxes (of ``boxes()``) with a nonzero entry in
-        ``codes`` (small nonnegative integers) whose sub-box (of
-        ``boxes(_SUB)``; a sub-box lies in one box) ``refine`` gives a
-        nonzero code, walked in lattice order, with that code.
-        ``refine(boxes)`` takes an array of box numbers and returns the codes
-        of each box's (_BOX // _SUB) ** ndim places for sub-boxes, in C
-        order (a place past the lattice's edge is never read).
+    def select(self, keep, refine, slab: int):
+        """The points of the boxes (of ``boxes()``) where the boolean array
+        ``keep`` holds whose sub-box (of ``boxes(_SUB)``; a sub-box lies in
+        one box) ``refine`` keeps, walked in lattice order.
+        ``refine(boxes)`` takes an array of box numbers and returns a
+        boolean for each box's (_BOX // _SUB) ** ndim places for sub-boxes,
+        in C order (a place past the lattice's edge is never read).
 
         The lattice is cut into rows of consecutive points: the points of
         one segment of ``_BOX`` points on axis a with the earlier axes
         fixed, a the first axis where a sub-box's row of ``_SUB`` points
         fits a chunk (else the last), so a row holds at most
         max(2 * ``_CHUNK``, ``_BOX``) points.  Rows are looked up a chunk's
-        worth at a time, and only the coded boxes that meet them are kept.
-        Those are refined in groups of
-        consecutive rows, one ``refine`` call per group: a group closes at
-        the end of the first row at which its coded boxes number ``slab``
-        or more, so it holds fewer than ``slab`` boxes plus one row's.  The
-        points of a group's kept sub-boxes are built from their
-        multi-indices, and their flat indices sorted into lattice order
-        with the codes in the low bits.  They are yielded ``_CHUNK`` at a
-        time; a piece that is a whole range of consecutive points is a
-        read-only view of the walk's buffer, any other a fresh array.  So
-        nothing is refined more than one group ahead of the caller, no
-        array of the lattice's size is built, and a caller that stops early
-        leaves the rest unrefined.
+        worth at a time, and only the kept boxes that meet them are held.
+        Those are refined in groups of consecutive rows, one ``refine``
+        call per group: a group closes at the end of the first row at
+        which its boxes number ``slab`` or more, so it holds fewer than
+        ``slab`` boxes plus one row's.  The flat indices of a group's kept
+        sub-boxes' points are sorted into lattice order, and the points
+        built from their multi-indices, as fresh arrays of at most
+        ``_CHUNK`` rows.  So nothing is refined more than one group ahead
+        of the caller, no array of the lattice's size is built, and a
+        caller that stops early leaves the rest unrefined.
         """
         r = _BOX // _SUB
         n, counts = self.ndim, self.counts
@@ -268,12 +260,12 @@ class GridSpec:
             return seg, pre, base
 
         def groups():
-            """Per group, the row and the tail offset of each coded box that
+            """Per group, the row and the tail offset of each kept box that
             meets one of its rows, in row order."""
             held = np.empty((2, 0), dtype=np.intp)
             for w0 in range(0, rows, per):
                 w = np.arange(w0, min(w0 + per, rows))
-                hit = (codes[(locate(w)[2][:, None] + tail_boxes).ravel()] != 0).nonzero()[0]
+                hit = keep[(locate(w)[2][:, None] + tail_boxes).ravel()].nonzero()[0]
                 row, t = np.divmod(hit, tail_boxes.size)
                 held = np.hstack([held, [w[row], t]])
                 while held.shape[1] >= slab:
@@ -284,38 +276,25 @@ class GridSpec:
                 yield held
 
         axes = self.axes()
-        fill = None
         for w, t in groups():
             seg, pre, base = locate(w)
-            code = refine(base + tail_boxes[t])
             # the kept sub-boxes that meet their row (on an axis before a,
             # the one that holds the row's point) and their points inside
-            # the lattice, as flat indices sorted into lattice order with
-            # the codes in the low bits
+            # the lattice, as flat indices sorted into lattice order
             J = r * np.vstack([p // _BOX for p in pre] + [seg, tail[:, t]])[:, :, None] + place
-            kept = code != 0
+            kept = np.array(refine(base + tail_boxes[t]), dtype=bool)
             for d, p in enumerate(pre):
                 kept &= J[d] == (p // _SUB)[:, None]
-            if not kept.any():
-                continue
             index = _SUB * J[a:, kept][:, :, None] + corner
             inside = (index < sizes).all(axis=0)
             prefix = [np.broadcast_to(p[:, None, None], kept.shape + corner.shape[-1:])[kept][inside]
                       for p in pre]
-            flat = np.ravel_multi_index(tuple(prefix) + tuple(index[:, inside]), counts)
-            key = np.sort((flat << 8) + np.broadcast_to(code[kept][:, None], inside.shape)[inside])
-            flat, code = key >> 8, (key & 255).astype(np.int8)
+            flat = np.sort(np.ravel_multi_index(tuple(prefix) + tuple(index[:, inside]), counts))
             for i in range(0, flat.size, _CHUNK):
-                piece = flat[i : i + _CHUNK]
-                lo, hi = int(piece[0]), int(piece[-1]) + 1
-                if hi - lo == piece.size:
-                    fill = fill or self._filler(min(_CHUNK, self.size))
-                    yield _read_only(fill(lo, hi)), code[i : i + _CHUNK]
-                    continue
-                X = np.empty((piece.size, n))
-                for d, on_axis in enumerate(np.unravel_index(piece, counts)):
+                X = np.empty((min(_CHUNK, flat.size - i), n))
+                for d, on_axis in enumerate(np.unravel_index(flat[i : i + _CHUNK], counts)):
                     X[:, d] = axes[d][on_axis]
-                yield X, code[i : i + _CHUNK]
+                yield X
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

@@ -22,7 +22,7 @@ EXACTNESS_GAP_TOL = 1e-6
 TOL_DIV = 1e-9
 # a sample whose ratio differences all lie within this ties the candidate
 ZERO_DIFF_TOL = 1e-12
-# phi_i = f_i - nu_i g_i must vanish at xbar within PHI_ZERO_TOL (1 + max nu)
+# phi_i = f_i - nu_i g_i must vanish at xbar within PHI_ZERO_TOL (1 + |f_i| + nu_i |g_i|)
 PHI_ZERO_TOL = 1e-9
 # -vstar may dip this far below 0 before the composite term is refused
 VSTAR_SIGN_TOL = 1e-9

@@ -110,36 +110,40 @@ def phi_values_batch(param, X) -> np.ndarray:
 
 
 def sub_box_codes(bounds, grid):
-    """The bound pass's two codes for every sub-box (of
-    ``grid.boxes(grids._SUB)``, in C order), from the codes of the places
-    in every box."""
-    keep, rest = bounds.box_codes()
-    sub_keep, sub_rest = bounds.sub_codes(np.arange(keep.size))
+    """The bound pass's booleans: per box, whether some point of it may be
+    feasible and whether some point may hit a rung (``box_codes``); per
+    sub-box (of ``grid.boxes(grids._SUB)``, in C order), whether it may
+    hold a feasible point that hits a rung and whether it may hold a
+    feasible point (``sub_codes`` with hit True and False), from the
+    places in every box."""
+    feasible, hit = bounds.box_codes()
+    boxes = np.arange(feasible.size)
     r = grids._BOX // grids._SUB
-    boxes = np.unravel_index(np.arange(keep.size), [lo.size for lo, _ in grid.boxes()])
-    places = np.unravel_index(np.arange(sub_keep.shape[1]), [r] * grid.ndim)
-    J = [r * b[:, None] + p[None, :] for b, p in zip(boxes, places)]
+    segments = np.unravel_index(boxes, [lo.size for lo, _ in grid.boxes()])
+    places = np.unravel_index(np.arange(r ** grid.ndim), [r] * grid.ndim)
+    J = [r * b[:, None] + p[None, :] for b, p in zip(segments, places)]
     halves = [lo.size for lo, _ in grid.boxes(grids._SUB)]
     inside = np.all([j < h for j, h in zip(J, halves)], axis=0)
     sub = np.ravel_multi_index([j[inside] for j in J], halves)
-    codes = np.zeros((2, int(np.prod(halves))), dtype=np.int8)
-    codes[0, sub], codes[1, sub] = sub_keep[inside], sub_rest[inside]
-    return keep, rest, codes[0], codes[1]
+    out = np.zeros((2, int(np.prod(halves))), dtype=bool)
+    out[0, sub] = bounds.sub_codes(boxes)[inside]
+    out[1, sub] = bounds.sub_codes(boxes, hit=False)[inside]
+    return feasible, hit, out[0], out[1]
 
 
-def whole_boxes(codes, ndim):
-    """A ``refine`` for ``GridSpec.select`` that gives every sub-box of a
-    box the box's code, so the walk keeps whole boxes."""
+def whole_boxes(keep, ndim):
+    """A ``refine`` for ``GridSpec.select`` that keeps every sub-box of
+    each box the boolean array keep keeps, so the walk keeps whole boxes."""
     places = (grids._BOX // grids._SUB) ** ndim
-    return lambda boxes: np.broadcast_to(codes[boxes][:, None], (boxes.size, places))
+    return lambda boxes: np.broadcast_to(keep[boxes][:, None], (boxes.size, places))
 
 
-def row_groups(grid, codes, slab):
+def row_groups(grid, keep, slab):
     """The box numbers ``GridSpec.select`` asks ``refine`` about, one array
     per call, from the lattice points: a row is the points of one segment
     of _BOX points on axis a with the earlier axes fixed, a the first axis
     whose _SUB points fit a chunk (the last axis if none); the rows in
-    lattice order, each with the coded boxes that meet it in box order;
+    lattice order, each with the kept boxes that meet it in box order;
     and a group of rows closing at the end of the first row that brings
     its boxes to slab."""
     strides = [int(np.prod(grid.counts[d + 1:], dtype=np.int64)) for d in range(grid.ndim)]
@@ -150,7 +154,7 @@ def row_groups(grid, codes, slab):
     label = box_labels(grid)
     calls, group = [], []
     for w in range(int(np.prod(row_shape))):
-        group += np.unique(label[(row == w) & (codes[label] != 0)]).tolist()
+        group += np.unique(label[(row == w) & keep[label]]).tolist()
         if len(group) >= slab:
             calls.append(group)
             group = []
@@ -159,28 +163,27 @@ def row_groups(grid, codes, slab):
 
 def dropped_rows_miss(prob, xbar, grid, ladder):
     """Check the oracle's bound pass on every lattice point against the
-    kernels above, which prune nothing: no point of a box or sub-box
-    dropped as infeasible is feasible, and no feasible point of any
+    kernels above, which prune nothing: no point of a box or sub-box whose
+    ``feasible`` is False is feasible, and no feasible point of any
     dropped box or sub-box hits a rung of either scan, ties included.
     Returns which lattice points the walk keeps: those whose box and
-    sub-box are both kept, or every point when the pass is skipped
-    because the scans have no bounds."""
+    sub-box may both hold a feasible point that hits a rung, or every
+    point when the pass is skipped because the scans have no bounds."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         param = parametric_problem(prob, xbar)
     if not _has_bounds(prob):
         return np.ones(grid.size, dtype=bool)
-    keep, rest, sub_keep, sub_rest = sub_box_codes(_BoundPass(prob, grid, ladder, param), grid)
+    feasible, hit, sub_kept, sub_feasible = sub_box_codes(_BoundPass(prob, grid, ladder, param), grid)
     box, sub = box_labels(grid), box_labels(grid, grids._SUB)
-    kept = (keep[box] != 0) & (sub_keep[sub] != 0)
-    settled = (rest[box] != 0) | ((keep[box] != 0) & (sub_rest[sub] != 0))
+    kept = feasible[box] & hit[box] & sub_kept[sub]
     X = grid.points()
-    feasible = feasible_mask(prob, X)
-    assert not (feasible & ~kept & ~settled).any()
-    Xd = X[feasible & ~kept]
-    R, ok = ratio_matrix(prob, Xd)
+    ok = feasible_mask(prob, X)
+    assert not (ok & ~(feasible[box] & sub_feasible[sub])).any()
+    Xd = X[ok & ~kept]
+    R, good = ratio_matrix(prob, Xd)
     P = phi_values_batch(param, Xd)
-    for V in (R[ok] - param.nu, P[np.isfinite(P).all(axis=1)]):
+    for V in (R[good] - param.nu, P[np.isfinite(P).all(axis=1)]):
         for eps in ladder:
             assert not in_minus_k_eps_polar_batch(HenigCone(prob.m, eps), V).any()
     return kept

@@ -137,8 +137,8 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             param = fractional.parametric_problem(prob, xbar)
-        keep, _ = fractional._BoundPass(prob, spec, fractional._validate_ladder(None), param).box_codes()
-        assert (len(outside), (keep[ref.box_labels(spec)] != 0).sum()) == (2, 4)
+        feasible, hit = fractional._BoundPass(prob, spec, fractional._validate_ladder(None), param).box_codes()
+        assert (len(outside), (feasible & hit)[ref.box_labels(spec)].sum()) == (2, 4)
     want = fractional.henig_check(prob, xbar, spec)[1]
     assert doc["parametric_equivalence"] is want
 
@@ -226,6 +226,25 @@ def test_bad_candidate_is_usage_error(bad_candidates, capsys, flags, kind):
     err = capsys.readouterr().err
     assert "usage error" in err
     assert {"negative": "negative ratio", "zero": "below 1e-09"}[kind] in err
+
+
+def test_check_takes_candidates_with_large_values(tmp_path, capsys):
+    # the toy with f_i = |x| + b_i over g_i = c_i, b and c drawn from
+    # U(1e7, 1e9): at 0.3, phi_i = f_i - nu_i g_i rounds to a few ulps of
+    # f_i, up to about 1.2e-7, which a bound in the ratios alone refused
+    # (exit 65) on about one draw in six; every draw is a candidate, and
+    # properly efficient on the one-point lattice at it
+    toy = cli._toy_problem()
+    path = str(tmp_path / "large.json")
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        b, c = rng.uniform(1e7, 1e9, size=(2, 2))
+        objectives = [(PolyhedralFn([[1.0], [-1.0]], [bi, bi]), PolyhedralFn([[0.0]], [-ci]))
+                      for bi, ci in zip(b, c)]
+        prob = FractionalProblem(1, objectives, toy.hmap, toy.cone, toy.C)
+        serialization.dump_json(serialization.problem_to_json(prob), path)
+        assert cli.main(["check", "--problem", path, "--point", "0.3", "--grid", "1:[0.3,0.3]"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["kind"] == "properly_efficient"
 
 
 def test_verify_at_an_infeasible_candidate_is_usage_error(tmp_path, capsys):

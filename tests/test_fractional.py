@@ -40,9 +40,9 @@ from henigcert.fractional import (
     nu_values,
     parametric_problem,
     ratio_matrix,
-    _KEEP_IN_C,
     _BoundPass,
     _LadderScan,
+    _lattice_in_C,
     _validate_ladder,
 )
 from henigcert.grids import GridSpec
@@ -214,6 +214,12 @@ def test_ratio_matrix_masks_bad_rows():
     assert R[2] == pytest.approx([-1.0, 0.5])
 
 
+def phi(param, x):
+    """phi at x as the oracle forms it: f and -g at x as (m, 1) stacks,
+    then ``_phi_stack``."""
+    return param._phi_stack(*fractional._objective_stacks(param.base, np.array([x], float)))[:, 0]
+
+
 def test_parametric_identity():
     # f(x) = x+1 over g = 1 at xbar = 1: nu = 2, phi(x) = x - 1
     prob = FractionalProblem(
@@ -228,9 +234,9 @@ def test_parametric_identity():
     )
     param = parametric_problem(prob, [1.0])
     assert param.nu == pytest.approx([2.0, 2.0])
-    assert param.phi_values([1.0]) == pytest.approx([0.0, 0.0])
-    assert param.phi_values([0.5]) == pytest.approx([-0.5, -0.5])
-    assert param.phi_values([2.0]) == pytest.approx([1.0, 1.0])
+    assert phi(param, [1.0]) == pytest.approx([0.0, 0.0])
+    assert phi(param, [0.5]) == pytest.approx([-0.5, -0.5])
+    assert phi(param, [2.0]) == pytest.approx([1.0, 1.0])
 
 
 def test_parametric_zero_nu_ignores_blackbox_domain():
@@ -248,7 +254,22 @@ def test_parametric_zero_nu_ignores_blackbox_domain():
     with pytest.warns(UserWarning, match="denominator not positive"):
         param = parametric_problem(prob, [0.0, 0.5])
     assert param.nu == pytest.approx([0.0, 0.0])
-    assert param.phi_values([0.7, 0.2]) == pytest.approx([0.7, -0.7])
+    assert phi(param, [0.7, 0.2]) == pytest.approx([0.7, -0.7])
+
+
+def test_inconsistent_candidate_is_refused():
+    # a Candidate built by hand with f = 1e8 and g = 1: phi at xbar is
+    # f - nu g, which must be within PHI_ZERO_TOL (1 + |f| + nu |g|), about
+    # 0.2; nu = 1e8 + 0.1 passes, nu = 1e8 + 1 is refused
+    prob = toy()
+    x = np.zeros(1)
+    for nu, refused in ((1e8 + 0.1, False), (1e8 + 1.0, True)):
+        cand = Candidate(prob, x, np.full(2, 1e8), -np.ones(2), np.full(2, nu), prob.h_values(x))
+        if refused:
+            with pytest.raises(DimensionMismatch, match="do not vanish"):
+                ParametricProblem(cand)
+        else:
+            assert ParametricProblem(cand).nu.tolist() == [nu, nu]
 
 
 def test_parametric_negative_nu_rejected():
@@ -765,11 +786,11 @@ def test_only_feasible_sample_in_a_dropped_sub_box(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         param = parametric_problem(prob, [0.0, 0.0])
-    keep, rest, sub_keep, sub_rest = ref.sub_box_codes(fractional._BoundPass(prob, grid, ladder, param), grid)
+    feasible, hit, sub_kept, sub_feasible = ref.sub_box_codes(fractional._BoundPass(prob, grid, ladder, param), grid)
     sub = ref.box_labels(grid, grids._SUB)
-    assert keep.tolist() == [fractional._KEEP] and not rest.any()
-    assert (sub_keep[sub] != 0).tolist() == [True, True, True, True, False, False, False, False]
-    assert (sub_rest[sub] != 0).tolist() == [False, False, False, False, True, True, True, True]
+    assert feasible.tolist() == hit.tolist() == [True]
+    assert sub_kept[sub].tolist() == [True, True, True, True, False, False, False, False]
+    assert (sub_feasible[sub] & ~sub_kept[sub]).tolist() == [False, False, False, False, True, True, True, True]
     want_ratio, want_phi = _whole_lattice_verdicts(prob, [0.0, 0.0], grid, ladder)
     assert want_ratio.kind == want_phi.kind == "properly_efficient"
     for chunk in (2, 4):
@@ -890,14 +911,14 @@ def test_grid_scan_memory_is_flat_in_grid_size():
 
 
 def test_lattice_in_C_skip_is_sound(monkeypatch):
-    # the bound pass lets a box skip C's test only when every point of it
-    # passes, and drops a box as infeasible only when none of its points is
-    # feasible: C has integer or Gaussian rows, with or without equality
-    # rows, and the lattice's box lies strictly inside C, spans it to its
-    # faces exactly (the benchmark's grids), pokes out of it by about
-    # 1e-12 (within TOL_FEAS), reaches its test's bound b + TOL_FEAS up to
-    # rounding, pokes past that bound by about 1e-12, or lies a unit
-    # beyond one of C's faces
+    # the oracle skips C's test only when every lattice point passes it
+    # (_lattice_in_C), and the bound pass calls a box infeasible only when
+    # none of its points is feasible: C has integer or Gaussian rows, with
+    # or without equality rows, and the lattice's box lies strictly inside
+    # C, spans it to its faces exactly (the benchmark's grids), pokes out
+    # of it by about 1e-12 (within TOL_FEAS), reaches its test's bound
+    # b + TOL_FEAS up to rounding, pokes past that bound by about 1e-12,
+    # or lies a unit beyond one of C's faces
     rng = np.random.default_rng(23)
     monkeypatch.setattr(grids, "_CHUNK", 7)
     decided = {}
@@ -942,33 +963,30 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
             PolyhedralCone.nonneg_orthant(1),
             C,
         )
-        # every box that may hold a feasible point is in one of the two
-        # code arrays, with its C code (the constant ratios tie the
-        # candidate's nu = 1 everywhere, so it is the first); the
-        # constraint h = -1 leaves C alone to drop boxes
+        # the constraint h = -1 leaves C alone to call boxes infeasible
         in_box = FractionalProblem(n, prob.objectives, [const(-1.0, n)], prob.cone, C)
         # x0 need not be feasible, so its Candidate is built by hand:
         # f = g = 1 and nu = 1 for both objectives
         one = np.ones(2)
         param = ParametricProblem(Candidate(prob, x0, one, -one, one, prob.h_values(x0)))
         with np.errstate(all="ignore"):
-            code = np.maximum(*_BoundPass(in_box, grid, [1.0], param).box_codes())[ref.box_labels(grid)]
-            codes = np.maximum(*_BoundPass(prob, grid, [1.0], param).box_codes())
+            meets_C = _BoundPass(in_box, grid, [1.0], param).box_codes()[0][ref.box_labels(grid)]
+            feasible_box = _BoundPass(prob, grid, [1.0], param).box_codes()[0]
         X = grid.points()
-        assert C.contains_batch(X[code == _KEEP_IN_C], tol=TOL_FEAS).all()
-        assert not C.contains_batch(X[code == 0], tol=TOL_FEAS).any()
-        assert not feasible_mask(prob, X[codes[ref.box_labels(grid)] == 0]).any()
-        in_C = bool((code == _KEEP_IN_C).all())
+        assert not C.contains_batch(X[~meets_C], tol=TOL_FEAS).any()
+        assert not feasible_mask(prob, X[~feasible_box[ref.box_labels(grid)]]).any()
+        in_C = _lattice_in_C(C, grid)
         decided.setdefault((kind, eq_rows), set()).add(in_C)
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         if in_C:
+            assert C.contains_batch(X, tol=TOL_FEAS).all()
             assert C.contains_batch(corners, tol=TOL_FEAS).all()
         if kind == "past tol":
             assert not C.contains_batch(corners, tol=TOL_FEAS).all()
         if kind == "beyond":
-            assert not code.any()
-        for X, c in grid.select(codes, ref.whole_boxes(codes, n), 1):
-            got = feasible_mask(prob, X, in_C=c == _KEEP_IN_C)
+            assert not meets_C.any()
+        for X in grid.select(feasible_box, ref.whole_boxes(feasible_box, n), 1):
+            got = feasible_mask(prob, X, in_C=in_C)
             assert got.tobytes() == feasible_mask(prob, X).tobytes()
     # taken wherever the box passes C's test with room for rounding and
     # there is no equality row, and refused wherever there is one or the

@@ -232,15 +232,12 @@ def test_in_place_chunks_are_the_chunks(monkeypatch):
 def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
     # boxes() cuts each axis into segments of at most _BOX points (or
     # _SUB) and gives their least and greatest coordinates; select()
-    # yields, in lattice order, exactly the points whose box has a nonzero
-    # code and whose sub-box refine codes nonzero, byte for byte with
-    # points(), with that code, for any chunk size and slab; with whole
-    # boxes refined (ref.whole_boxes), those of the coded boxes.  refine
-    # is asked only about coded boxes, once per group of rows cut at the
-    # end of the row that fills a slab (ref.row_groups).  A yield holds at
-    # most _CHUNK points, C-contiguous: a read-only view of the walk's
-    # buffer when they are a whole range of consecutive points (always so
-    # with every box kept), else a fresh array
+    # yields, in lattice order, exactly the points whose box it is told to
+    # keep and whose sub-box refine keeps, byte for byte with points(), for
+    # any chunk size and slab; with whole boxes refined (ref.whole_boxes),
+    # those of the kept boxes.  refine is asked only about kept boxes, once
+    # per group of rows cut at the end of the row that fills a slab
+    # (ref.row_groups).  A yield holds at most _CHUNK points, C-contiguous
     rng = np.random.default_rng(13)
     specs = ["6x6x6x6:[-1,1]x[-1,1]x[-1,1]x[-1,1]", "1:[0,0]", "1x5x1:[0,0]x[-2,3]x[1,1]"]
     for _ in range(12):
@@ -257,65 +254,59 @@ def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
         lattice = grid.points()
         shape, sub_shape = ([lo.size for lo, _ in grid.boxes(edge)] for edge in (grids._BOX, grids._SUB))
         boxes = int(np.prod(shape))
-        sub_codes = rng.integers(0, 3, int(np.prod(sub_shape))).astype(np.int8)
+        sub_keep = rng.integers(0, 3, int(np.prod(sub_shape))) != 0
         r = grids._BOX // grids._SUB
         places = np.array(np.unravel_index(np.arange(r ** grid.ndim), [r] * grid.ndim))
 
         def refine(box):
-            # the code of every place of each box, 0 past the lattice's edge
+            # whether every place of each box is kept, False past the lattice's edge
             J = r * np.array(np.unravel_index(box, shape))[:, :, None] + places[:, None, :]
             inside = (J < np.array(sub_shape)[:, None, None]).all(axis=0)
-            out = np.zeros(inside.shape, dtype=np.int8)
-            out[inside] = sub_codes[np.ravel_multi_index(tuple(J[:, inside]), sub_shape)]
+            out = np.zeros(inside.shape, dtype=bool)
+            out[inside] = sub_keep[np.ravel_multi_index(tuple(J[:, inside]), sub_shape)]
             return out
 
-        for codes in (rng.integers(0, 3, boxes), np.ones(boxes), (rng.random(boxes) < 0.1) * 2):
-            codes = codes.astype(np.int8)
-            in_box = codes[labels] != 0
+        for keep in (rng.integers(0, 3, boxes) != 0, np.ones(boxes, dtype=bool), rng.random(boxes) < 0.1):
+            in_box = keep[labels]
             for chunk, slab in ((1, 1), (7, 3), (64, 1), (16384, 5), (grid.size + 1, grid.size)):
                 monkeypatch.setattr(grids, "_CHUNK", chunk)
-                for how, kept, want in ((ref.whole_boxes(codes, grid.ndim), in_box, codes[labels]),
-                                        (refine, in_box & (sub_codes[sub_labels] != 0), sub_codes[sub_labels])):
+                for how, kept in ((ref.whole_boxes(keep, grid.ndim), in_box),
+                                  (refine, in_box & sub_keep[sub_labels])):
                     calls = []
 
                     def spy(box, how=how):
                         calls.append(box.tolist())
                         return how(box)
 
-                    rows, got, at, flat = [], [], 0, np.flatnonzero(kept)
-                    for X, code in grid.select(codes, spy, slab):
-                        assert X.flags.c_contiguous and 0 < len(X) == len(code) <= chunk
-                        piece = flat[at:at + len(X)]
-                        assert X.flags.writeable == bool(piece[-1] - piece[0] + 1 != len(X))
-                        at += len(X)
-                        rows.append(X.copy())
-                        got.append(code)
+                    rows = []
+                    for X in grid.select(keep, spy, slab):
+                        assert X.flags.c_contiguous and 0 < len(X) <= chunk
+                        rows.append(X)
                     same(np.concatenate(rows) if rows else lattice[:0], lattice[kept])
-                    same(np.concatenate(got) if got else codes[:0], want[kept])
-                    assert calls == ref.row_groups(grid, codes, slab)
+                    assert calls == ref.row_groups(grid, keep, slab)
 
 
 def test_select_refines_a_slab_of_boxes_per_call(monkeypatch):
     # an 8^3 lattice in chunks of 16 points walks 16 rows of 4 points on
-    # the middle axis, and each row meets one box coded nonzero (its box
+    # the middle axis, and each row meets one kept box (its box
     # segment 0 on the last axis): refine is called once per group of slab
     # rows, ceil(16 / slab) times, and a caller that stops at the first
     # yield leaves every group past the first unrefined
     monkeypatch.setattr(grids, "_CHUNK", 16)
     grid = GridSpec.parse("8x8x8:[-1,1]x[-1,1]x[-1,1]")
-    codes = np.zeros((2, 2, 2), dtype=np.int8)
-    codes[:, :, 0] = 1
-    codes = codes.ravel()
+    keep = np.zeros((2, 2, 2), dtype=bool)
+    keep[:, :, 0] = True
+    keep = keep.ravel()
     for slab in (1, 3, 5, 16, 100):
         calls = []
 
         def refine(box):
             calls.append(box.size)
-            return ref.whole_boxes(codes, grid.ndim)(box)
+            return ref.whole_boxes(keep, grid.ndim)(box)
 
-        kept = sum(len(X) for X, _ in grid.select(codes, refine, slab))
+        kept = sum(len(X) for X in grid.select(keep, refine, slab))
         assert kept == grid.size // 2
         assert len(calls) == -(-16 // slab) and calls[0] == min(slab, 16)
         calls.clear()
-        next(grid.select(codes, refine, slab))
+        next(grid.select(keep, refine, slab))
         assert len(calls) == 1
