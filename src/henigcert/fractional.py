@@ -21,52 +21,51 @@ the certificate layer goes through) and hands its ``ParametricProblem``
 to ``_grid_verdicts``, the one walk over the lattice, which always decides
 both the ratio problem and the reformulation; ``henig_check_bruteforce`` and
 ``henig_check_parametric`` return one of the two verdicts.  The walk goes
-over the lattice in chunks of consecutive points, in lattice order, so
-its memory does not grow with the grid.  Per chunk it takes the
-feasibility mask and evaluates each f_i and -g_i once at the feasible
-samples; the ratio verdict and the reformulation's share those values.
-Each verdict is accumulated by a ``_LadderScan``: rounding is monotone,
-so one sample's hits form a prefix of the descending ladder (sum(v) < 0)
-or a suffix (sum(v) > 0), and the rungs hit so far are two runs [0, lo)
-and [hi, R) tracked across chunks; a sample hitting both end rungs hits
-them all.  The first such sample in lattice order decides Dominated, and
-the walk stops once both verdicts are decided.
+over the lattice in batches, each the points of a range of lattice order
+past the one before, at most a chunk of points at a time, so its memory
+does not grow with the grid.  Per piece it takes the feasibility mask and
+evaluates each f_i and -g_i once at the feasible samples; the ratio
+verdict and the reformulation's share those values.  Each verdict is
+accumulated by a ``_LadderScan``: rounding is monotone, so one sample's
+hits form a prefix of the descending ladder (sum(v) < 0) or a suffix
+(sum(v) > 0), and the rungs hit so far are two runs [0, lo) and [hi, R)
+tracked across pieces; a sample hitting both end rungs hits them all.
+Of those, the one of least flat index decides Dominated (the first in
+lattice order), and the walk stops after the batch in which both
+verdicts are decided.
 
-Before the walk over a lattice of more than one chunk, a bound pass
-(``_BoundPass``) skips the lattice points that provably change nothing
-(one chunk is evaluated in one batch either way, for less than the pass
-costs).  The lattice is cut into boxes of at most ``grids._BOX`` points
-per axis, and every max-affine f_i, -g_i and h_j and every row of C is
-bounded on every box at once: a piece's least value over a box is
-b + sum_d min(a_d lo_d, a_d hi_d).  Each box gets two booleans: some
-point of it may be feasible (no row of C or of the cone test fails on
-all of it), and some point of it may hit the first or the last rung of
-either comparison (the hit test max(v) + eps*sum(v) <= TOL_CONE is
-linear in eps, and its computed value monotone in eps, so those two ends
-cover every rung).  The walk (``GridSpec.select``) takes the boxes where
-both hold and splits each into its sub-boxes of at most ``grids._SUB``
-points per axis, which get the same two booleans by the same rows, tests
-and margins (a sub-box bound is still an (n + 1)-term sum), and keeps
-those where both hold.  It refines a group of rows of boxes at a time,
-at most one group ahead, in one ``sub_codes`` call: a group closes at
-the first row end after its boxes fill one of ``sub_codes``'s slabs
-(``_BoundPass.slab`` boxes, 21 on the benchmark's 20^4 checks), as a
-call costs far more than a box.  Only the kept points are built and
-evaluated, in lattice order.  A sample left out hits no rung, and a
-``_LadderScan`` changes only on samples that hit, so every verdict,
-witness and equivalence flag is the one of the full walk; only whether
-any sample was feasible, or fed a comparison, could differ, so when the
-walk ends without one it walks again every box and sub-box that may be
-feasible, whether or not it may hit.  A box is left out for missing
-only when both comparisons miss, and the ratios' bounds need every f_i
-and -g_i; without them the pass is skipped and the walk takes the plain
-chunks.  Whatever the path, C's test is skipped only when the box the
-lattice's axes span passes it whole (``_lattice_in_C``).  On the
-benchmark's seeded 20^4 checks an efficient check tests 208 lattice
-points (mean; 6,741 with boxes alone) of 160,000 in 1.5 ``sub_codes``
-calls, and a dominated one 2,884 (9,664 with boxes alone) in 1.3: a
-group's kept points go out as one piece, and the walk stops only after
-the piece that holds the witness.
+On a lattice of more than one chunk a bound pass (``_BoundPass``) first
+skips the lattice points that provably change nothing.  The lattice is
+cut into boxes of at most ``grids._BOX`` points per axis, and every
+max-affine f_i, -g_i and h_j and every row of C is bounded on every box:
+a piece's least value over a box is b + sum_d min(a_d lo_d, a_d hi_d),
+its terms formed per axis for the segments a slab of boxes needs.  Each
+box gets two booleans: some point of it may be feasible (no row of C or
+of the cone test fails on all of it), and some point of it may hit the
+first or the last rung of either comparison (the hit test
+max(v) + eps*sum(v) <= TOL_CONE is linear in eps, and its computed value
+monotone in eps, so those two ends cover every rung).  The walk
+(``_BoundPass.walk``) takes the boxes where both hold in box order, a
+batch at a time: ``_BoundPass.slab`` boxes (21 on the benchmark's 20^4
+checks) and the rest of the last one's segment on the first axis, so
+the batch is a range of lattice order.  One ``sub_codes`` call per batch
+gives its boxes' sub-boxes of at most ``grids._SUB`` points per axis the
+same two booleans by the same rows, tests and margins (a sub-box bound is
+still an (n + 1)-term sum), and only the points of the sub-boxes where
+both hold are built, from their multi-indices, and evaluated.  A sample
+left out hits no rung, and a ``_LadderScan`` changes only on samples that
+hit, so every verdict, witness and equivalence flag is the one of the
+full walk; only whether any sample was feasible, or fed a comparison,
+could differ, so when the walk ends without one it walks again every box
+and sub-box that may be feasible, whether or not it may hit.  The pass
+is skipped, and the walk takes the plain chunks, on one chunk (evaluated
+in one batch for less than the pass costs), when a sub-box holds more
+than a chunk (2^n > ``grids._CHUNK``), or when an f_i or -g_i has no
+bounds (a box is left out for missing only when both comparisons miss).
+Whatever the path, C's test is skipped only when the box the lattice's
+axes span passes it whole (``_lattice_in_C``).  On the benchmark's
+seed-1 20^4 checks an efficient check tests 208 lattice points (mean) of
+160,000 in 1.4 ``sub_codes`` calls, and a dominated one 3,023 in 1.25.
 
 The bounds hold for the computed values, not just the exact ones.  Each
 piece bound is widened by twice (n + 2) eps times |b| + sum_d |a_d|
@@ -100,7 +99,7 @@ from .cones import PolyhedralCone, in_minus_cone_batch
 from .convex import Polyhedron, PolyhedralFn, ScaledFn
 from .errors import DenominatorNearZero, DimensionMismatch, PointOutsideDomain, UnsupportedData
 from . import grids
-from .grids import GridSpec, _strides
+from .grids import GridSpec
 from .tolerances import PHI_ZERO_TOL, TOL_CONE, TOL_DIV, TOL_FEAS, ZERO_DIFF_TOL
 
 DEFAULT_LADDER = tuple(2.0 ** -k for k in range(21))
@@ -345,8 +344,8 @@ def _validate_ladder(ladder):
 
 
 class _LadderScan:
-    """The ladder verdict of one comparison, fed a chunk of samples at a time
-    in lattice order.
+    """The ladder verdict of one comparison, fed a piece of samples at a
+    time with their flat indices.
 
     A sample with difference vector v hits rung eps when
     fl(max(v) + fl(eps*S)) <= TOL_CONE, S = sum(v); since rounding is
@@ -356,8 +355,8 @@ class _LadderScan:
     sample's hits form a prefix of the descending ladder, for S > 0 a
     suffix, and for S == 0 all rungs or none.  The rungs hit by some sample
     so far are therefore [0, lo) and [hi, R), and a sample that hits both
-    the top and the bottom rung hits all of them.  The first such sample in
-    lattice order is the Dominated witness, and the scan is decided there;
+    the top and the bottom rung hits all of them.  Such a sample decides
+    the scan, and the one of least flat index fed is the Dominated witness;
     without one, the first rung no sample hits, ladder[lo] when lo < hi, is
     the properly efficient eps.
     """
@@ -368,12 +367,12 @@ class _LadderScan:
         self.fed = False
         self.verdict = None
 
-    def feed(self, D, X):
-        """D holds one chunk's differences as a C-contiguous (m, k) stack,
-        X the k samples as rows.  The sum is a running add over the m rows,
-        equal to numpy's row sum of the (k, m) transpose for m <= 7; from
-        m = 8 on that row sum is pairwise and the two may differ in the
-        last bit."""
+    def feed(self, D, X, flat):
+        """D holds one piece's differences as a C-contiguous (m, k) stack,
+        X the k samples as rows and flat their flat indices.  The sum is a
+        running add over the m rows, equal to numpy's row sum of the (k, m)
+        transpose for m <= 7; from m = 8 on that row sum is pairwise and
+        the two may differ in the last bit."""
         self.fed = True
         vmax, S = D.max(axis=0), D.sum(axis=0)
         # a tie with the candidate (every |v_i| within ZERO_DIFF_TOL)
@@ -384,9 +383,12 @@ class _LadderScan:
             return vmax + eps * S <= TOL_CONE
 
         ladder = self.ladder
-        every = hits(ladder[0]) & hits(ladder[-1])
-        if every.any():
-            self.verdict = EfficiencyVerdict.dominated(X[np.argmax(every)], ladder[-1], self.grid)
+        every = (hits(ladder[0]) & hits(ladder[-1])).nonzero()[0]
+        if every.size:
+            i = every[np.argmin(flat[every])]
+            if self.verdict is None or flat[i] < self.first:
+                self.first = flat[i]
+                self.verdict = EfficiencyVerdict.dominated(X[i], ladder[-1], self.grid)
             return
         while self.lo < self.hi and hits(ladder[self.lo]).any():
             self.lo += 1
@@ -406,12 +408,13 @@ class _LadderScan:
         )
 
 
-def _keep(good, S, X):
-    """The columns of the (m, k) stack S and the rows of X where good holds
-    (``np.compress``, several times faster than boolean indexing here)."""
+def _keep(good, S, *rows):
+    """The columns of the (m, k) stack S and the entries along the first
+    axis of each of rows where good holds (``np.compress``, several times
+    faster than boolean indexing here)."""
     if good.all():
-        return S, X
-    return np.compress(good, S, axis=1), np.compress(good, X, axis=0)
+        return (S, *rows)
+    return (np.compress(good, S, axis=1), *(np.compress(good, a, axis=0) for a in rows))
 
 
 # The bound pass.  A computed max-affine piece, fl(fl(a.x) + b), is within
@@ -486,50 +489,56 @@ def _no_rung(W, ends):
 
 class _BoundPass:
     """The bound pass on one lattice: every affine row (the pieces of f, -g
-    and h, C's rows) with its offsets, and per axis the least and the
-    greatest a_d x_d of every row over each segment of ``grids._BOX`` and
-    of ``grids._SUB`` points.  A piece's least value over a box is
-    b + sum_d min(a_d lo_d, a_d hi_d), separable over the axes, so a box's
-    bounds are its offsets plus one term per axis: an (n + 1)-term sum
-    whatever the box's size, under the same widening.  A stack of bounds
+    and h, C's rows) with its offsets, and the walk over the boxes it keeps.
+    A piece's least value over a box is b + sum_d min(a_d lo_d, a_d hi_d),
+    separable over the axes, so a box's bounds are its offsets plus one
+    term per axis (``_terms``, the least and greatest a_d x_d over a
+    segment of ``grids._BOX`` or ``grids._SUB`` points): an (n + 1)-term
+    sum whatever the box's size, under the same widening.  A stack of bounds
     holds every row's lower bound, then the upper bounds of the rows from
     the denominators' to C's equality rows (no test reads a numerator's
     or an inequality row's upper bound)."""
 
     def __init__(self, prob: FractionalProblem, grid: GridSpec, ladder, param):
         m, C = prob.m, prob.C
-        reach = np.array([np.abs(axis).max() for axis in grid.axes()])
-        A, lo_off, hi_off, self.kmax = _bound_rows(prob, reach)
+        self.grid, self.axes = grid, grid.axes()
+        reach = np.array([max(-axis.min(), axis.max()) for axis in self.axes])
+        self.A, lo_off, hi_off, self.kmax = _bound_rows(prob, reach)
         self.m, self.nf, self.nC, self.nE = m, 2 * m + prob.p, C.nrows, C.E.shape[0]
-        self.upper = A.shape[0]  # where the upper bounds start in a stack
-        up = slice(m * self.kmax, self.nf * self.kmax + self.nE)
-        self.offsets = np.concatenate([lo_off, hi_off[up]])[:, None]
-        boxes = grid.boxes()
-        terms = _axis_terms(A, up, boxes + grid.boxes(grids._SUB))
-        self.terms, self.shape = terms[: grid.ndim], [lo.size for lo, _ in boxes]
-        # the sub-box terms a row per segment, as one pair of rows per box
-        # segment (an odd count padded with a copy of its last row, which
-        # only a place past the lattice's edge reads)
-        self.pairs = [np.vstack([t.T, t.T[-1:]])[: 2 * count].reshape(count, 2, -1)
-                      for t, count in zip(terms[grid.ndim :], self.shape)]
+        self.upper = self.A.shape[0]  # where the upper bounds start in a stack
+        self.up = slice(m * self.kmax, self.nf * self.kmax + self.nE)
+        self.offsets = np.concatenate([lo_off, hi_off[self.up]])[:, None]
+        # box and sub-box segments per axis
+        self.shape, self.halves = ([-(-c // edge) for c in grid.counts] for edge in (grids._BOX, grids._SUB))
         self.rhs, self.d = (C.b + TOL_FEAS)[:, None], C.d[:, None]
         H = prob.cone.H
         self.H_pos, self.H_neg, self.H_abs = np.maximum(H, 0.0), np.minimum(H, 0.0), np.abs(H)
         self.nu = param.nu[:, None]
         self.c = np.array([s.c for _, s in param.phi])[:, None]
         self.ends = (ladder[0], ladder[-1])
-        # boxes per slab of sub_codes, and so per refine call of the walk
+        # boxes per slab of sub_codes, and the fewest a batch of the walk takes
         self.slab = max(1, _SUB_SLAB_CELLS // (self.offsets.shape[0] * 2 ** grid.ndim))
 
+    def _terms(self, d, seg, edge):
+        """The least a_d x_d of every row a, then the greatest of the rows
+        with upper bounds, over each segment of ``edge`` consecutive points
+        on axis d numbered in seg: a (rows, len(seg)) stack.  A segment's
+        least and greatest coordinates are taken over its points (the last
+        segment may hold fewer)."""
+        axis = self.axes[d]
+        x = axis[np.minimum(seg[:, None] * edge + np.arange(edge), axis.size - 1)]
+        a = self.A[:, d, None]
+        p, q = a * x.min(axis=1), a * x.max(axis=1)
+        return np.vstack([np.minimum(p, q), np.maximum(p[self.up], q[self.up])])
+
     def box_codes(self):
-        """The two booleans (``_kept``) of every box of ``grid.boxes()``, in
-        box order, as two arrays (feasible, hit).  The sums are formed by
-        broadcasting the per-axis terms, a slab of at most ``_SLAB_CELLS``
-        bounds at a time: the trailing axes whose boxes fit an eighth of a
-        slab are summed once, and each slab adds the sums of the leading
-        axes to them."""
-        terms = self.terms
-        counts = [t.shape[1] for t in terms]
+        """The two booleans (``_kept``) of every box, in box order, as two
+        arrays (feasible, hit).  The sums are formed by broadcasting the
+        per-axis terms, a slab of at most ``_SLAB_CELLS`` bounds at a time:
+        the trailing axes whose boxes fit an eighth of a slab are summed
+        once, and each slab adds the sums of the leading axes to them, from
+        the terms of only the slab's segments."""
+        counts = self.shape
         cells = self.offsets.shape[0]
         j, width = len(counts), 1
         while j > 0 and 8 * width * counts[j - 1] * cells <= _SLAB_CELLS:
@@ -537,50 +546,112 @@ class _BoundPass:
             width *= counts[j]
         trail = self.offsets
         for d in range(len(counts) - 1, j - 1, -1):
-            trail = _outer_sum(terms[d], trail)
+            trail = _outer_sum(self._terms(d, np.arange(counts[d]), grids._BOX), trail)
         leading = int(np.prod(counts[:j], dtype=np.int64))
         per = max(1, _SLAB_CELLS // (cells * width))
         feasible, hit = np.empty((2, leading * width), dtype=bool)
-        strides = _strides(counts[:j])
+        strides = [int(np.prod(counts[d + 1 : j])) for d in range(j)]
+        # a leading axis's terms are formed once when they fit a slab, else
+        # per slab for the run of its segments the slab meets (fewer than
+        # the axis's: a slab holds at most _SLAB_CELLS // cells boxes)
+        whole = [self._terms(d, np.arange(c), grids._BOX) if c * cells <= _SLAB_CELLS else None
+                 for d, c in enumerate(counts[:j])]
+
+        def lead(d, ls):
+            s = ls // strides[d]
+            if whole[d] is not None:
+                return whole[d][:, s % counts[d]]
+            return self._terms(d, np.arange(s[0], s[-1] + 1) % counts[d], grids._BOX)[:, s - s[0]]
+
         for l0 in range(0, leading, per):
             ls = np.arange(l0, min(l0 + per, leading))
             B = trail
             if j:
-                lead = sum(terms[d][:, (ls // strides[d]) % counts[d]] for d in range(j))
-                B = _outer_sum(lead, trail)
+                B = _outer_sum(sum(lead(d, ls) for d in range(j)), trail)
             sl = slice(l0 * width, (l0 + ls.size) * width)
             feasible[sl], hit[sl] = self._kept(self._reduce(B))
         return feasible, hit
 
     def sub_codes(self, boxes, hit=True):
-        """Per box of ``grid.boxes()`` numbered in boxes, whether each of its
-        sub-boxes (of ``grid.boxes(grids._SUB)``) may hold a feasible point
-        that hits a rung (``_kept``'s two booleans both true), or with hit
-        False a feasible point at all: a (len(boxes), r ** ndim) boolean
-        array, r = _BOX // _SUB, a box's sub-boxes in C order over their
-        place in it; a place past the lattice's edge gets a value of no
-        meaning.
+        """Per box numbered in boxes, whether each of its sub-boxes may hold
+        a feasible point that hits a rung (``_kept``'s two booleans both
+        true), or with hit False a feasible point at all: a
+        (len(boxes), r ** ndim) boolean array, r = _BOX // _SUB, a box's
+        sub-boxes in C order over their place in it; a place past the
+        lattice's edge gets a value of no meaning.
 
         A box's sub-box bounds are its per-axis pairs of terms summed by
         broadcasting, one row of terms per sub-box (so every sum runs
         along the rows), and reduced at once to the functions' bounds:
-        only a few boxes' full bounds, at most ``_SUB_SLAB_CELLS``, exist
-        at a time, which keeps every array small enough for numpy to
-        reuse its memory."""
+        only a slab of boxes' pairs and full bounds, at most
+        ``_SUB_SLAB_CELLS`` bounds, exist at a time, which keeps every
+        array small enough for numpy to reuse its memory, and the reduced
+        bounds of at most ``_SLAB_CELLS`` cells are decided at once."""
+        r = grids._BOX // grids._SUB
         seg = np.unravel_index(boxes, self.shape)
-        places = 2 ** len(seg)
+        places = r ** len(seg)
         rows = self.offsets.shape[0]
-        R = np.empty((2 * self.nf - self.m + self.nC + self.nE, len(boxes) * places))
-        for start in range(0, len(boxes), self.slab):
-            sl = slice(start, start + self.slab)
+
+        def bounds(start):
             B = self.offsets.T[None]
-            for pairs, s in zip(self.pairs, seg):
-                pair = pairs[s[sl]]
+            for d, s in enumerate(seg):
+                # a place past the lattice's edge reads the last sub-box's terms
+                sub = np.minimum(r * s[start : start + self.slab, None] + np.arange(r), self.halves[d] - 1)
+                pair = self._terms(d, sub.ravel(), grids._SUB).T.reshape(-1, r, rows)
                 B = np.add(B[:, :, None], pair[:, None], order="C").reshape(pair.shape[0], -1, rows)
-            B = np.ascontiguousarray(B.reshape(-1, rows).T)
-            R[:, start * places : start * places + B.shape[1]] = self._reduce(B)
-        feasible, may_hit = self._kept(R)
-        return (feasible & may_hit if hit else feasible).reshape(-1, places)
+            return self._reduce(np.ascontiguousarray(B.reshape(-1, rows).T))
+
+        out = np.empty((len(boxes), places), dtype=bool)
+        # whole slabs decided at once, their reduced bounds at most _SLAB_CELLS
+        reduced = 2 * self.nf - self.m + self.nC + self.nE
+        group = self.slab * max(1, _SLAB_CELLS // (reduced * places * self.slab))
+        for g in range(0, len(boxes), group):
+            R = np.hstack([bounds(start) for start in range(g, min(g + group, len(boxes)), self.slab)])
+            feasible, may_hit = self._kept(R)
+            out[g : g + group] = (feasible & may_hit if hit else feasible).reshape(-1, places)
+        return out
+
+    def walk(self, keep, hit=True):
+        """The points of the boxes where the boolean array ``keep`` holds
+        whose sub-boxes ``sub_codes(boxes, hit)`` keeps, in batches: the
+        walk yields one batch at a time, an iterator of (points, their flat
+        indices).  A batch takes the next ``slab`` kept boxes in box order
+        (or the rest) and every further kept box of the last one's segment
+        on the first axis, so it holds whole first-axis box segments: the
+        points of a range of lattice order.  Per batch ``sub_codes`` is
+        called once, and its kept sub-boxes' points are built from their
+        multi-indices, at most ``_CHUNK // _SUB ** ndim`` sub-boxes (so
+        ``_CHUNK`` points) at a time."""
+        n, counts = len(self.shape), self.grid.counts
+        r = grids._BOX // grids._SUB
+        # every place of a sub-box in a box, and of a point in a sub-box
+        place = np.indices([r] * n).reshape(n, -1)
+        corner = np.indices([grids._SUB] * n).reshape(n, 1, -1)
+        halves = np.array(self.halves)[:, None]
+        sizes = np.array(counts)[:, None, None]
+        per = max(1, grids._CHUNK // grids._SUB ** n)
+
+        def batch(boxes):
+            kept = self.sub_codes(boxes, hit).ravel()
+            # a window of _CHUNK places at a time, so no array of the
+            # batch's sub-boxes is built
+            for w in range(0, kept.size, grids._CHUNK):
+                box, at = np.divmod(w + kept[w : w + grids._CHUNK].nonzero()[0], place.shape[1])
+                J = r * np.array(np.unravel_index(boxes[box], self.shape)) + place[:, at]
+                J = J[:, (J < halves).all(axis=0)]
+                for i in range(0, J.shape[1], per):
+                    index = grids._SUB * J[:, i : i + per, None] + corner
+                    index = tuple(index[:, (index < sizes).all(axis=0)])
+                    yield self.grid.at(index), np.ravel_multi_index(index, counts)
+
+        kept = np.flatnonzero(keep)
+        segment = int(np.prod(self.shape[1:], dtype=np.int64))  # boxes per first-axis segment
+        i = 0
+        while i < kept.size:
+            last = kept[min(i + self.slab, kept.size) - 1]
+            j = int(np.searchsorted(kept, (last // segment + 1) * segment))
+            yield batch(kept[i:j])
+            i = j
 
     def _reduce(self, B):
         """The stack of the functions' lower bounds (the greatest of their
@@ -631,18 +702,6 @@ class _BoundPass:
         return out, miss
 
 
-def _axis_terms(A, up, segments):
-    """Per axis, the stack of the least a_d x_d of every row a of A, then
-    the greatest of the rows in up, over each of the axis's segments
-    (given as (least, greatest) coordinates), one column per segment."""
-    counts = [lo.size for lo, _ in segments]
-    lo, hi = (np.concatenate(ends) for ends in zip(*segments))
-    a = A[:, np.repeat(np.tile(np.arange(A.shape[1]), len(counts) // A.shape[1]), counts)]
-    p, q = a * lo, a * hi
-    T = np.vstack([np.minimum(p, q), np.maximum(p[up], q[up])])
-    return [np.ascontiguousarray(t) for t in np.split(T, np.cumsum(counts)[:-1], axis=1)]
-
-
 def _outer_sum(a, b):
     """The (rows, i * j) stack a[:, s] + b[:, t] at column s * j + t, row
     major (a broadcast sum would take its layout from the inputs)."""
@@ -663,55 +722,59 @@ def _lattice_in_C(C: Polyhedron, grid: GridSpec) -> bool:
 
 
 def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: ParametricProblem):
-    """The grid oracle: one walk over the lattice in lattice order, feeding
-    two ``_LadderScan``s, the ratio problem's (differences from the
-    candidate ratios param.nu) and the reformulation's (param's phi).
+    """The grid oracle: one walk over the lattice in batches, each a range
+    of lattice order past the one before, feeding two ``_LadderScan``s,
+    the ratio problem's (differences from the candidate ratios param.nu)
+    and the reformulation's (param's phi).
 
-    On a lattice of more than one chunk whose f_i and -g_i all have
-    bounds, the bound pass (``_BoundPass``) first tells per box whether
-    some point may be feasible and whether some point may hit a rung of
-    either scan, and the walk (``GridSpec.select``) takes the boxes where
-    both may, splitting each into its sub-boxes when it reaches the box's
-    group of rows (one ``sub_codes`` call per group) and keeping those
-    where both may; other lattices are walked in plain chunks.  Per
-    yield: the feasibility mask (without C's test when the lattice's own
-    box passes it, ``_lattice_in_C``), then each f_i and -g_i once at
-    every feasible sample, from which both scans' differences are formed.
-    A decided scan is fed no more, and the walk stops once both are
-    decided.  A sample left out hits no rung, so it would leave every
-    ``_LadderScan`` as it is; but it may be the only feasible one, so
-    when the walk ends with no feasible sample, or a scan fed none, every
-    box and sub-box that may hold a feasible point is walked, in lattice
-    order, to settle that.  Returns (ratio verdict, reformulation
-    verdict).
+    On a lattice of more than one chunk whose f_i and -g_i all have bounds
+    and whose sub-boxes fit a chunk, the bound pass (``_BoundPass``) first
+    tells per box whether some point may be feasible and whether some
+    point may hit a rung of either scan, and its walk takes the boxes where
+    both may and of those the sub-boxes where both may; other lattices are
+    walked in plain chunks, a batch each.  Per piece: the feasibility mask
+    (without C's test when the lattice's own box passes it,
+    ``_lattice_in_C``), then each f_i and -g_i once at every feasible
+    sample, from which both scans' differences are formed.  A scan decided
+    in an earlier batch is fed no more (its witness precedes every later
+    sample), and the walk stops after the batch in which both are decided.
+    A sample left out hits no rung, so it would leave every ``_LadderScan``
+    as it is; but it may be the only feasible one, so when the walk ends
+    with no feasible sample, or a scan fed none, every box and sub-box that
+    may hold a feasible point is walked, to settle that.  Returns (ratio
+    verdict, reformulation verdict).
     """
     ratio, phi = _LadderScan(ladder, grid), _LadderScan(ladder, grid)
     any_feasible = False
     in_C = _lattice_in_C(prob.C, grid)
 
-    def walk(chunks, done):
+    def walk(batches, done):
         nonlocal any_feasible
-        # a row kept past its chunk is a compress copy
-        for X in chunks:
-            ok = feasible_mask(prob, X, in_C=in_C)
-            if not ok.any():
-                continue
-            any_feasible = True
-            Xf = np.compress(ok, X, axis=0)
-            F, NG = _objective_stacks(prob, Xf)
-            if ratio.verdict is None:
-                G = -NG
-                good = _well_defined(F, G).all(axis=0)
-                if good.any():
-                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                        D, Xg = _keep(good, F / G, Xf)
-                    D -= param.nu[:, None]
-                    ratio.feed(D, Xg)
-            if phi.verdict is None:
-                P = param._phi_stack(F, NG)
-                good = np.isfinite(P).all(axis=0)
-                if good.any():
-                    phi.feed(*_keep(good, P, Xf))
+        for batch in batches:
+            # a scan decided in this batch is fed to its end, for the
+            # witness of least flat index
+            feed_ratio, feed_phi = ratio.verdict is None, phi.verdict is None
+            for X, flat in batch:
+                ok = feasible_mask(prob, X, in_C=in_C)
+                if not ok.any():
+                    continue
+                any_feasible = True
+                if not ok.all():
+                    X, flat = np.compress(ok, X, axis=0), np.compress(ok, flat)
+                F, NG = _objective_stacks(prob, X)
+                if feed_ratio:
+                    G = -NG
+                    good = _well_defined(F, G).all(axis=0)
+                    if good.any():
+                        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                            D, Xg, fg = _keep(good, F / G, X, flat)
+                        D -= param.nu[:, None]
+                        ratio.feed(D, Xg, fg)
+                if feed_phi:
+                    P = param._phi_stack(F, NG)
+                    good = np.isfinite(P).all(axis=0)
+                    if good.any():
+                        phi.feed(*_keep(good, P, X, flat))
             if done():
                 return
 
@@ -721,17 +784,18 @@ def _grid_verdicts(prob: FractionalProblem, grid: GridSpec, ladder, param: Param
     def decided():
         return ratio.verdict is not None and phi.verdict is not None
 
-    if grid.size <= grids._CHUNK or not _has_bounds(prob):
+    if grid.size <= grids._CHUNK or 2 ** grid.ndim > grids._CHUNK or not _has_bounds(prob):
         # one chunk is evaluated in one batch either way, for less than the
-        # bound pass's fixed cost; without bounds no box can miss every rung
-        walk(grid.chunks(), decided)
+        # bound pass's fixed cost; a sub-box of more than a chunk's points
+        # does not fit a piece; without bounds no box can miss every rung
+        starts = range(0, grid.size, grids._CHUNK)
+        walk(([(X, np.arange(start, start + len(X)))] for start, X in zip(starts, grid.chunks())), decided)
     else:
         bounds = _BoundPass(prob, grid, ladder, param)
         feasible, hit = bounds.box_codes()
-        walk(grid.select(feasible & hit, bounds.sub_codes, bounds.slab), decided)
+        walk(bounds.walk(feasible & hit), decided)
         if not settled():
-            walk(grid.select(feasible, lambda boxes: bounds.sub_codes(boxes, hit=False), bounds.slab),
-                 settled)
+            walk(bounds.walk(feasible, hit=False), settled)
 
     def finish(scan, nothing_fed):
         if not any_feasible:

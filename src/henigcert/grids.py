@@ -1,37 +1,23 @@
 """Rectangular lattice specifications shared by the grid oracles and the CLI.
 
-A lattice is walked in blocks of consecutive flat indices: the point with
-flat index j sits at the multi-index ``np.unravel_index(j, counts)``, so
-block [start, stop) is read straight off the axes without building the
-rest of the lattice.  ``GridSpec.chunks`` yields the whole lattice that
-way, in lattice order, ``_CHUNK`` points at a time, and ``GridSpec.points``
-is the single block [0, size) of the same formula.  A scan over the
-chunks holds only one block's stacks at a time, so its memory stays flat
-in the grid size.
-
-A block is row-major, (rows, ndim) and C-contiguous, as the whole lattice
-always was.  The evaluators form their (rows of A, N) products as
+The point with flat index j sits at the multi-index
+``np.unravel_index(j, counts)``, and every point a walk yields is built
+from its multi-index (``GridSpec.at``), as a fresh row-major, (rows, ndim),
+C-contiguous array, the layout the whole lattice always had.
+``GridSpec.chunks`` yields the lattice in lattice order, ``_CHUNK`` points
+at a time, so a scan over the chunks holds one block at a time and its
+memory stays flat in the grid size; ``GridSpec.points`` is the whole
+lattice at once.  The evaluators form their (rows of A, N) products as
 ``X @ A.T`` written through the transposed view of the result
 (``_kernels.dot_rows``), which rounds as the row-major reference for
 N >= 2; a single row keeps ``A @ X.T``, because numpy hands it to gemv,
-whose summation order differs.  Every block of a walk overwrites one
-buffer, so a caller keeps rows of ``chunks`` only by copying them (the
-blocks are read-only views); ``points`` is a walk of one block, a fresh
-array per call.
+whose summation order differs.
 
-For the grid oracle's bound pass the lattice is also cut into boxes of at
-most ``_BOX`` consecutive points per axis, and each box into sub-boxes of
-at most ``_SUB`` (``GridSpec.boxes``), both numbered in C order as the
-points are.  ``GridSpec.select`` walks the lattice in lattice order but
-yields only the points of the boxes a boolean array keeps whose sub-boxes
-a callback keeps.  It goes by rows of boxes (one box segment on one axis,
-the earlier axes fixed) and looks up only the boxes of the rows it has
-reached.  It asks the callback about the kept ones once per group of
-consecutive rows, a group closing at the first row end after its boxes
-number a given slab, and builds only the kept points, from their
-multi-indices, as fresh arrays: the work follows the kept boxes, not the
-lattice, nothing is refined more than one group ahead of the caller, and
-no array of the lattice's size is built.
+For the grid oracle's bound pass (``fractional._BoundPass``) the lattice is
+cut into boxes of at most ``_BOX`` consecutive points per axis, and each
+box into sub-boxes of at most ``_SUB``, both numbered in C order as the
+points are; the pass's walk builds only the points of the sub-boxes it
+keeps, at most ``_CHUNK`` at a time.
 """
 
 from dataclasses import dataclass
@@ -50,54 +36,6 @@ _CHUNK = 16384
 # smaller ones more boxes to bound; _SUB divides _BOX
 _BOX = 4
 _SUB = 2
-
-
-def _strides(counts) -> list:
-    """Row-major strides, in elements, of an array of shape counts."""
-    strides, s = [], 1
-    for c in reversed(counts):
-        strides.insert(0, s)
-        s *= c
-    return strides
-
-
-def _index_grid(shape) -> np.ndarray:
-    """Every multi-index of an array of the given shape, as the columns of a
-    (len(shape), prod(shape)) array in C order."""
-    return np.indices(shape, dtype=np.intp).reshape(len(shape), int(np.prod(shape, dtype=np.int64)))
-
-
-def _columns(counts, values, k: int) -> list:
-    """Per axis d of a lattice of shape counts, a function of (start, stop)
-    that gives values[d][i_d] for the points of flat indices [start, stop),
-    i_d being the point's index on axis d; stop - start is at most k.
-
-    Axis d's index at flat index j is (j // s) % counts[d], with s the
-    product of the later counts: constant on runs of s points and periodic
-    in counts[d] * s.  An axis whose period fits in k points is sliced out
-    of one column (a view), precomputed over a period and long enough for
-    any offset; a longer one is built from the few runs that meet the
-    block.
-    """
-    size, columns = int(np.prod(counts)), []
-    for vals, c, s in zip(values, counts, _strides(counts)):
-        period = c * s
-        if period <= k:
-            span = k if k == size else k + period - 1  # one block starts at 0
-            col = np.tile(np.repeat(vals, s), -(-span // period))
-            columns.append(lambda start, stop, col=col, period=period:
-                           col[start % period : start % period + stop - start])
-            continue
-
-        def runs(start, stop, vals=vals, c=c, s=s):
-            idx = np.arange(start // s, (stop - 1) // s + 1)
-            reps = np.full(idx.size, s)
-            reps[0] -= start - idx[0] * s
-            reps[-1] -= (idx[-1] + 1) * s - stop
-            return np.repeat(vals[idx % c], reps)
-
-        columns.append(runs)
-    return columns
 
 
 @dataclass(frozen=True)
@@ -162,139 +100,24 @@ class GridSpec:
         """The coordinates of each axis, formed once per grid (read-only)."""
         return list(self._axes)
 
-    def _filler(self, k: int):
-        """fill(start, stop): the points of flat indices [start, stop), at
-        most k of them, as a C-contiguous (rows, ndim) block written into
-        the leading rows of one (min(k, size), ndim) buffer, so a block is
-        valid only until the next fill."""
-        columns = _columns(self.counts, self.axes(), k)
-        buffer = np.empty((min(k, self.size), self.ndim))
-
-        def fill(start, stop):
-            out = buffer[: stop - start]
-            for d, column in enumerate(columns):
-                out[:, d] = column(start, stop)
-            return out
-
-        return fill
+    def at(self, index) -> np.ndarray:
+        """The lattice points at a multi-index (one integer array per axis,
+        all of one length), as a fresh C-contiguous (rows, ndim) array."""
+        X = np.empty((len(index[0]), self.ndim))
+        for d, (axis, i) in enumerate(zip(self._axes, index)):
+            X[:, d] = axis[i]
+        return X
 
     def points(self) -> np.ndarray:
         """All lattice points, shape (size, ndim), lexicographic order."""
-        return self._filler(self.size)(0, self.size)
+        return self.at(np.unravel_index(np.arange(self.size), self.counts))
 
     def chunks(self):
         """The lattice points in lexicographic order, as consecutive blocks
-        of at most ``_CHUNK`` rows (the last one may be shorter), each
-        overwriting the one before in a single buffer: a caller keeps rows
-        only by copying them.  The blocks are read-only views of it."""
-        size = self.size
-        k = min(_CHUNK, size)
-        fill = self._filler(k)
-        for start in range(0, size, k):
-            block = fill(start, min(start + k, size)).view()
-            block.flags.writeable = False
-            yield block
-
-    def boxes(self, edge: int = _BOX) -> list:
-        """The lattice cut into boxes of at most ``edge`` consecutive points
-        per axis: per axis, the least and the greatest coordinate of each
-        of its ceil(count / edge) segments.  A box is one segment per axis;
-        boxes are numbered in C order over the segments, as the points are
-        over the axes."""
-        out = []
-        for axis in self.axes():
-            starts = np.arange(0, axis.size, edge)
-            out.append((np.minimum.reduceat(axis, starts), np.maximum.reduceat(axis, starts)))
-        return out
-
-    def select(self, keep, refine, slab: int):
-        """The points of the boxes (of ``boxes()``) where the boolean array
-        ``keep`` holds whose sub-box (of ``boxes(_SUB)``; a sub-box lies in
-        one box) ``refine`` keeps, walked in lattice order.
-        ``refine(boxes)`` takes an array of box numbers and returns a
-        boolean for each box's (_BOX // _SUB) ** ndim places for sub-boxes,
-        in C order (a place past the lattice's edge is never read).
-
-        The lattice is cut into rows of consecutive points: the points of
-        one segment of ``_BOX`` points on axis a with the earlier axes
-        fixed, a the first axis where a sub-box's row of ``_SUB`` points
-        fits a chunk (else the last), so a row holds at most
-        max(2 * ``_CHUNK``, ``_BOX``) points.  Rows are looked up a chunk's
-        worth at a time, and only the kept boxes that meet them are held.
-        Those are refined in groups of consecutive rows, one ``refine``
-        call per group: a group closes at the end of the first row at
-        which its boxes number ``slab`` or more, so it holds fewer than
-        ``slab`` boxes plus one row's.  The flat indices of a group's kept
-        sub-boxes' points are sorted into lattice order, and the points
-        built from their multi-indices, as fresh arrays of at most
-        ``_CHUNK`` rows.  So nothing is refined more than one group ahead
-        of the caller, no array of the lattice's size is built, and a
-        caller that stops early leaves the rest unrefined.
-        """
-        r = _BOX // _SUB
-        n, counts = self.ndim, self.counts
-        strides = _strides(counts)
-        box_counts = [-(-c // _BOX) for c in counts]
-        box_strides = _strides(box_counts)
-        a = next((d for d in range(n) if _SUB * strides[d] <= _CHUNK), n - 1)
-        per = max(1, _CHUNK // (_BOX * strides[a]))
-        # a row's boxes are its box number plus an offset per combination
-        # of box segments on the later axes; a box has r ** ndim places
-        # for sub-boxes, and a sub-box _SUB ** (ndim - a) points from a on
-        tail = _index_grid(box_counts[a + 1:])
-        tail_boxes = np.asarray(box_strides[a + 1:], dtype=np.intp) @ tail
-        place = _index_grid([r] * n)[:, None, :]
-        corner = _index_grid([_SUB] * (n - a))[:, None, :]
-        sizes = np.array(counts[a:], dtype=np.intp)[:, None, None]
-        pre_strides = _strides(counts[:a])
-        rows = int(np.prod(counts[:a], dtype=np.int64)) * box_counts[a]
-
-        def locate(w):
-            """Per row of w: its box segment on axis a, its indices on the
-            earlier axes, and the number of its first box."""
-            seg = w % box_counts[a]
-            pre = [w // box_counts[a] // s % c for s, c in zip(pre_strides, counts[:a])]
-            base = seg * box_strides[a]
-            for p, s in zip(pre, box_strides):
-                base = base + p // _BOX * s
-            return seg, pre, base
-
-        def groups():
-            """Per group, the row and the tail offset of each kept box that
-            meets one of its rows, in row order."""
-            held = np.empty((2, 0), dtype=np.intp)
-            for w0 in range(0, rows, per):
-                w = np.arange(w0, min(w0 + per, rows))
-                hit = keep[(locate(w)[2][:, None] + tail_boxes).ravel()].nonzero()[0]
-                row, t = np.divmod(hit, tail_boxes.size)
-                held = np.hstack([held, [w[row], t]])
-                while held.shape[1] >= slab:
-                    cut = np.searchsorted(held[0], held[0, slab - 1], side="right")
-                    yield held[:, :cut]
-                    held = held[:, cut:]
-            if held.size:
-                yield held
-
-        axes = self.axes()
-        for w, t in groups():
-            seg, pre, base = locate(w)
-            # the kept sub-boxes that meet their row (on an axis before a,
-            # the one that holds the row's point) and their points inside
-            # the lattice, as flat indices sorted into lattice order
-            J = r * np.vstack([p // _BOX for p in pre] + [seg, tail[:, t]])[:, :, None] + place
-            kept = np.array(refine(base + tail_boxes[t]), dtype=bool)
-            for d, p in enumerate(pre):
-                kept &= J[d] == (p // _SUB)[:, None]
-            index = _SUB * J[a:, kept][:, :, None] + corner
-            inside = (index < sizes).all(axis=0)
-            prefix = [np.broadcast_to(p[:, None, None], kept.shape + corner.shape[-1:])[kept][inside]
-                      for p in pre]
-            flat = np.sort(np.ravel_multi_index(tuple(prefix) + tuple(index[:, inside]), counts))
-            for i in range(0, flat.size, _CHUNK):
-                X = np.empty((min(_CHUNK, flat.size - i), n))
-                for d, on_axis in enumerate(np.unravel_index(flat[i : i + _CHUNK], counts)):
-                    X[:, d] = axes[d][on_axis]
-                yield X
+        of at most ``_CHUNK`` rows (the last one may be shorter), each a
+        fresh array."""
+        for start in range(0, self.size, _CHUNK):
+            yield self.at(np.unravel_index(np.arange(start, min(start + _CHUNK, self.size)), self.counts))
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

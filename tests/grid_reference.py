@@ -22,14 +22,20 @@ def lattice_points(grid):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
+def segments(grid, edge=grids._BOX):
+    """Per axis, the number of segments of at most ``edge`` consecutive
+    points the axis is cut into (the bound pass's boxes, or with
+    ``grids._SUB`` its sub-boxes)."""
+    return [-(-c // edge) for c in grid.counts]
+
+
 def box_labels(grid, edge=grids._BOX):
     """The number of the box of at most ``edge`` points per axis (the bound
     pass's boxes, or with ``grids._SUB`` its sub-boxes) that holds each
     lattice point, from its multi-index: axis d's index cut into segments
     of ``edge``, the segments numbered in C order."""
     index = np.unravel_index(np.arange(grid.size), grid.counts)
-    segments = [-(-c // edge) for c in grid.counts]
-    return np.ravel_multi_index([i // edge for i in index], segments)
+    return np.ravel_multi_index([i // edge for i in index], segments(grid, edge))
 
 
 def max_affine_batch(A, b, X):
@@ -112,17 +118,17 @@ def phi_values_batch(param, X) -> np.ndarray:
 def sub_box_codes(bounds, grid):
     """The bound pass's booleans: per box, whether some point of it may be
     feasible and whether some point may hit a rung (``box_codes``); per
-    sub-box (of ``grid.boxes(grids._SUB)``, in C order), whether it may
-    hold a feasible point that hits a rung and whether it may hold a
-    feasible point (``sub_codes`` with hit True and False), from the
-    places in every box."""
+    sub-box (numbered in C order, as ``box_labels(grid, grids._SUB)``),
+    whether it may hold a feasible point that hits a rung and whether it
+    may hold a feasible point (``sub_codes`` with hit True and False),
+    from the places in every box."""
     feasible, hit = bounds.box_codes()
     boxes = np.arange(feasible.size)
     r = grids._BOX // grids._SUB
-    segments = np.unravel_index(boxes, [lo.size for lo, _ in grid.boxes()])
+    box_segments = np.unravel_index(boxes, segments(grid))
     places = np.unravel_index(np.arange(r ** grid.ndim), [r] * grid.ndim)
-    J = [r * b[:, None] + p[None, :] for b, p in zip(segments, places)]
-    halves = [lo.size for lo, _ in grid.boxes(grids._SUB)]
+    J = [r * b[:, None] + p[None, :] for b, p in zip(box_segments, places)]
+    halves = segments(grid, grids._SUB)
     inside = np.all([j < h for j, h in zip(J, halves)], axis=0)
     sub = np.ravel_multi_index([j[inside] for j in J], halves)
     out = np.zeros((2, int(np.prod(halves))), dtype=bool)
@@ -131,34 +137,40 @@ def sub_box_codes(bounds, grid):
     return feasible, hit, out[0], out[1]
 
 
-def whole_boxes(keep, ndim):
-    """A ``refine`` for ``GridSpec.select`` that keeps every sub-box of
-    each box the boolean array keep keeps, so the walk keeps whole boxes."""
-    places = (grids._BOX // grids._SUB) ** ndim
-    return lambda boxes: np.broadcast_to(keep[boxes][:, None], (boxes.size, places))
-
-
-def row_groups(grid, keep, slab):
-    """The box numbers ``GridSpec.select`` asks ``refine`` about, one array
-    per call, from the lattice points: a row is the points of one segment
-    of _BOX points on axis a with the earlier axes fixed, a the first axis
-    whose _SUB points fit a chunk (the last axis if none); the rows in
-    lattice order, each with the kept boxes that meet it in box order;
-    and a group of rows closing at the end of the first row that brings
-    its boxes to slab."""
-    strides = [int(np.prod(grid.counts[d + 1:], dtype=np.int64)) for d in range(grid.ndim)]
-    a = next((d for d in range(grid.ndim) if grids._SUB * strides[d] <= grids._CHUNK), grid.ndim - 1)
-    index = np.unravel_index(np.arange(grid.size), grid.counts)
-    row_shape = list(grid.counts[:a]) + [-(-grid.counts[a] // grids._BOX)]
-    row = np.ravel_multi_index(tuple(index[:a]) + (index[a] // grids._BOX,), row_shape)
+def walk_batches(grid, keep, slab):
+    """The box numbers of each batch of ``_BoundPass.walk``, from the
+    lattice points: the boxes the boolean array keep keeps, in box order;
+    a batch that holds slab boxes closes at the first of them whose
+    successor lies in another segment of _BOX points on the first axis."""
     label = box_labels(grid)
-    calls, group = [], []
-    for w in range(int(np.prod(row_shape))):
-        group += np.unique(label[(row == w) & keep[label]]).tolist()
-        if len(group) >= slab:
-            calls.append(group)
-            group = []
-    return calls + ([group] if group else [])
+    first = np.unravel_index(np.arange(grid.size), grid.counts)[0] // grids._BOX
+    kept = np.unique(label[keep[label]])
+    segment = {b: first[label == b][0] for b in kept}
+    batches, batch = [], []
+    for i, b in enumerate(kept):
+        batch.append(int(b))
+        if len(batch) >= slab and (i + 1 == kept.size or segment[kept[i + 1]] != segment[b]):
+            batches.append(batch)
+            batch = []
+    return batches + ([batch] if batch else [])
+
+
+def walk_order(grid, kept, batches):
+    """The flat indices of the lattice points where kept holds, in the
+    order ``_BoundPass.walk`` yields them: batch by batch, and in a batch
+    by box, then by the sub-box's place in its box (C order over the
+    sub-box's index on each axis modulo _BOX // _SUB), then in lattice
+    order."""
+    label = box_labels(grid)
+    batch_of = np.full(label.max() + 1, -1)
+    for k, boxes in enumerate(batches):
+        batch_of[boxes] = k
+    r = grids._BOX // grids._SUB
+    index = np.unravel_index(np.arange(grid.size), grid.counts)
+    place = np.ravel_multi_index([i // grids._SUB % r for i in index], [r] * grid.ndim)
+    flat = np.arange(grid.size)
+    order = np.lexsort((flat, place, label, batch_of[label]))
+    return order[kept[order]]
 
 
 def dropped_rows_miss(prob, xbar, grid, ladder):

@@ -76,17 +76,20 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
     # the ratio problem and its reformulation share one walk over the
     # lattice, less the boxes and the sub-boxes the bound pass drops: the
     # rows tested for feasibility are the lattice rows outside those, in
-    # lattice order (all of them, or a prefix when a Dominated verdict
-    # ends the walk early), each f_i and -g_i is evaluated once at every
-    # feasible row tested, and no feasible row of a dropped box or
-    # sub-box hits a rung of either scan, by the row-major kernels.
-    # Chunks of 64 points make the 201-point toy lattice more than one
-    # chunk.
+    # the walk's order (box order by batch, ref.walk_order, or lattice
+    # order by chunk without the pass), all of them, or when a Dominated
+    # verdict ends the walk early those up to the end of the batch that
+    # holds the witness; each f_i and -g_i is evaluated once at every
+    # feasible row tested, and no feasible row of a dropped box or sub-box
+    # hits a rung of either scan, by the row-major kernels.  Chunks of 64
+    # points make the 201-point toy lattice more than one chunk, and slabs
+    # of 2^9 bounds cut its walk into batches of fewer boxes than it keeps.
     from henigcert import fractional, grids
     from henigcert.convex import BlackBoxFn, ScaledFn
     from henigcert.grids import GridSpec
 
     monkeypatch.setattr(grids, "_CHUNK", 64)
+    monkeypatch.setattr(fractional, "_SUB_SLAB_CELLS", 2 ** 9)
     tested, evaluated, checked = [], {}, []
     feasible_mask = fractional.feasible_mask
 
@@ -114,18 +117,34 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
     rc = cli.main(["check", "--problem", files[problem], "--point", point, "--grid", grid])
     doc = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
+    monkeypatch.setattr(fractional, "_SUB_SLAB_CELLS", 2 ** 9)  # for bounds.slab below
     (prob,) = checked
     spec, xbar = GridSpec.parse(grid), cli._parse_vector(point, "point")
-    kept = ref.dropped_rows_miss(prob, xbar, spec, fractional._validate_ladder(None))
-    outside = spec.points()[kept]
+    ladder = fractional._validate_ladder(None)
+    kept = ref.dropped_rows_miss(prob, xbar, spec, ladder)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        param = fractional.parametric_problem(prob, xbar)
+    if problem == "toy":
+        bounds = fractional._BoundPass(prob, spec, ladder, param)
+        batches = ref.walk_batches(spec, np.logical_and(*bounds.box_codes()), bounds.slab)
+        order = ref.walk_order(spec, kept, batches)
+        ends = np.cumsum([kept[np.isin(ref.box_labels(spec), boxes)].sum() for boxes in batches])
+    else:
+        order, ends = np.flatnonzero(kept), [*range(64, spec.size, 64), spec.size]
+    outside = spec.points()[order]
     visited = np.concatenate([X for X, _ in tested])
     feasible = np.concatenate([X[ok] for X, ok in tested])
     assert visited.tobytes() == outside[: len(visited)].tobytes()
+    assert len(visited) in ends
     for f, ng in prob.objectives:
         for fn in (f, ng):
             assert np.concatenate(evaluated[id(fn)]).tobytes() == feasible.tobytes()
     if point == "1":
         assert rc == 2 and len(visited) < len(outside)
+        # the witness is in the last batch walked
+        last = [0, *ends][list(ends).index(len(visited))]
+        assert (visited[last:] == doc["verdict"]["counterexample"]).all(axis=1).any()
     else:
         assert rc == 0 and len(visited) == len(outside)
     # at the toy's efficient point every box and sub-box without 0 misses
@@ -134,10 +153,7 @@ def test_check_scans_the_grid_once(files, capsys, monkeypatch, problem, point, g
     # Q's black-box denominator gives no bound, so the pass is skipped
     assert (len(outside) < spec.size) is (point == "0")
     if point == "0":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            param = fractional.parametric_problem(prob, xbar)
-        feasible, hit = fractional._BoundPass(prob, spec, fractional._validate_ladder(None), param).box_codes()
+        feasible, hit = bounds.box_codes()
         assert (len(outside), (feasible & hit)[ref.box_labels(spec)].sum()) == (2, 4)
     want = fractional.henig_check(prob, xbar, spec)[1]
     assert doc["parametric_equivalence"] is want

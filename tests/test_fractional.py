@@ -406,13 +406,17 @@ def assert_same_verdict(got, want):
         assert got.counterexample.tobytes() == want.counterexample.tobytes()
 
 
-def _chunked_ladder_verdict(D, X, ladder, bounds):
-    """Rows D[a:b] fed chunk by chunk for consecutive (a, b) in bounds,
-    stopping at a Dominated witness as the lattice walk does."""
+def _chunked_ladder_verdict(D, X, ladder, bounds, order=None):
+    """Rows D[a:b] fed chunk by chunk, with their row numbers as flat
+    indices, for consecutive (a, b) in bounds: in that order, stopping at a
+    Dominated witness as the lattice walk does, or all of them in the
+    given order of the chunks, as a batch of the walk is fed."""
     scan = _LadderScan(ladder, None)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if scan.verdict is None:
-            scan.feed(np.ascontiguousarray(D[a:b].T), X[a:b])
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    for k in range(len(chunks)) if order is None else order:
+        a, b = chunks[k]
+        if scan.verdict is None or order is not None:
+            scan.feed(np.ascontiguousarray(D[a:b].T), X[a:b], np.arange(a, b))
     return scan.result()
 
 
@@ -424,7 +428,9 @@ def test_ladder_scan_matches_per_rung_cone_tests():
     # reference's pairwise row sum differ in the last bit on some rows; the
     # cases with m in {8, 9} show the verdicts agree all the same.
     # Every case is also fed to the scan in chunks split at random places
-    # drawn from a third generator, as the lattice walk feeds it.
+    # drawn from a third generator, as the lattice walk feeds it, and those
+    # chunks fed all in a shuffled order: the witness is the sample of
+    # least flat index (here its row number) that hits every rung.
     narrow, wide = np.random.default_rng(2024), np.random.default_rng(2025)
     splits = np.random.default_rng(2026)
     chunked = 0
@@ -461,6 +467,8 @@ def test_ladder_scan_matches_per_rung_cone_tests():
             cuts = np.sort(splits.integers(0, N + 1, size=splits.integers(0, 8)))
             bounds = [0, *cuts.tolist(), N]
             assert_same_verdict(_chunked_ladder_verdict(D, X, ladder, bounds), want)
+            order = splits.permutation(len(bounds) - 1)
+            assert_same_verdict(_chunked_ladder_verdict(D, X, ladder, bounds, order), want)
             chunked += len(bounds) > 2
         sums_differ += int((np.ascontiguousarray(D.T).sum(axis=0) != D.sum(axis=1)).sum())
     assert min(kinds.values()) > 0, kinds
@@ -800,6 +808,31 @@ def test_only_feasible_sample_in_a_dropped_sub_box(monkeypatch):
         assert_same_verdict(phi, want_phi)
 
 
+def test_witness_is_lattice_first_across_a_batch(monkeypatch):
+    # f_1 = f_2 = |x_2 - 1| + 1.5 |x_1 - a|, g = 1, a the second point of
+    # the first axis, at xbar = (a, -0.5), f(xbar) = 1.5: on the 8x8
+    # lattice a point hits every rung where f < 1.5.  The first box holds
+    # hits only on its second row, (a, x_2) for j >= 2, and the box after
+    # it on the second axis the lattice-first hit, (-1, x_2) for j = 4.  In
+    # chunks of 4 points a batch of every box goes out one sub-box a piece,
+    # box by box, so the first box's hits come first; the witness is still
+    # the lattice-first one, and both verdicts are the reference's
+    a = -1.0 + 2.0 / 7.0
+    pieces = [[1.5 * s1, s2] for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+    f = PolyhedralFn(pieces, [-p1 * a - p2 for p1, p2 in pieces])
+    prob = FractionalProblem(2, [(f, const(-1.0, 2))] * 2, [const(-1.0, 2)],
+                             PolyhedralCone.nonneg_orthant(1), Polyhedron.box([-1.0, -1.0], [1.0, 1.0]))
+    grid = GridSpec.parse("8x8:[-1,1]x[-1,1]")
+    xbar = [a, -0.5]
+    want_ratio, want_phi = _whole_lattice_verdicts(prob, xbar, grid, _validate_ladder(None))
+    assert want_ratio.counterexample.tolist() == [-1.0, grid.axes()[1][4]]
+    for chunk in (4, 8):
+        monkeypatch.setattr(grids, "_CHUNK", chunk)
+        verdict, phi = _all_verdicts(prob, xbar, grid)
+        assert_same_verdict(verdict, want_ratio)
+        assert_same_verdict(phi, want_phi)
+
+
 def test_bound_pass_skipped_without_bounds(monkeypatch):
     # a box is dropped for missing every rung only when both scans miss,
     # and the ratios' bounds need every f_i and -g_i: with Q's black-box
@@ -910,6 +943,45 @@ def test_grid_scan_memory_is_flat_in_grid_size():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_grid_scan_memory_is_flat_at_every_lattice_shape():
+    # tracemalloc peak of one check at x = 0, the lattice's own axes
+    # included: at most 32 MB on a 1,000,000-point line (the toy: 250,000
+    # box segments on one axis, whose bound terms are formed a slab at a
+    # time), on 3^12 (a seeded n = 12 problem: one box of 4,096 sub-boxes)
+    # and on 2^16 (n = 16: a sub-box holds more than a chunk, so the pass
+    # is skipped), and every check gives a verdict
+    cases = [(toy(), "1000000:[-1,1]")]
+    for n, k in ((12, 3), (16, 2)):
+        cases.append((seeded_problem(1, n=n), "x".join([str(k)] * n) + ":" + "x".join(["[-1,1]"] * n)))
+    for prob, spec in cases:
+        grid = GridSpec.parse(spec)
+        tracemalloc.start()
+        try:
+            verdict, _ = henig_check(prob, np.zeros(prob.n), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind in ("properly_efficient", "dominated", "inconclusive")
+        assert peak <= 32 * 2 ** 20, (spec, peak)
+
+
+@pytest.mark.xfail(strict=True, reason="the cone test's tolerance TOL_CONE is absolute: a point worse "
+                   "in every ratio by about 1e-10 passes it (CHANGES.md FOUND on the absolute cone test)")
+def test_a_point_worse_in_every_ratio_is_no_witness():
+    # the toy with f_i = |x| + b_i over g_i = c_i, b and c drawn from
+    # U(1e7, 1e9): at 0.3 on 8:[0.3,1], x = 0.4 has ratio differences
+    # about +1.24e-10 and +1.71e-10, both worse, yet the oracle calls it a
+    # dominating witness (on 114 of 200 seeds such a draw ends dominated)
+    b, c = np.random.default_rng(3).uniform(1e7, 1e9, size=(2, 2))
+    base = toy()
+    objectives = [(PolyhedralFn([[1.0], [-1.0]], [bi, bi]), const(-ci)) for bi, ci in zip(b, c)]
+    prob = FractionalProblem(1, objectives, base.hmap, base.cone, base.C)
+    verdict = henig_check(prob, [0.3], GridSpec.parse("8:[0.3,1]"))[0]
+    if verdict.kind == "dominated":
+        worse = nu_values(prob, verdict.counterexample) - nu_values(prob, [0.3])
+        assert not (worse > 0).all(), (verdict.counterexample, worse)
+
+
 def test_lattice_in_C_skip_is_sound(monkeypatch):
     # the oracle skips C's test only when every lattice point passes it
     # (_lattice_in_C), and the bound pass calls a box infeasible only when
@@ -969,9 +1041,10 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
         # f = g = 1 and nu = 1 for both objectives
         one = np.ones(2)
         param = ParametricProblem(Candidate(prob, x0, one, -one, one, prob.h_values(x0)))
+        bounds = _BoundPass(prob, grid, [1.0], param)
         with np.errstate(all="ignore"):
             meets_C = _BoundPass(in_box, grid, [1.0], param).box_codes()[0][ref.box_labels(grid)]
-            feasible_box = _BoundPass(prob, grid, [1.0], param).box_codes()[0]
+            feasible_box = bounds.box_codes()[0]
         X = grid.points()
         assert not C.contains_batch(X[~meets_C], tol=TOL_FEAS).any()
         assert not feasible_mask(prob, X[~feasible_box[ref.box_labels(grid)]]).any()
@@ -985,9 +1058,10 @@ def test_lattice_in_C_skip_is_sound(monkeypatch):
             assert not C.contains_batch(corners, tol=TOL_FEAS).all()
         if kind == "beyond":
             assert not meets_C.any()
-        for X in grid.select(feasible_box, ref.whole_boxes(feasible_box, n), 1):
-            got = feasible_mask(prob, X, in_C=in_C)
-            assert got.tobytes() == feasible_mask(prob, X).tobytes()
+        for batch in bounds.walk(feasible_box, hit=False):
+            for X, _ in batch:
+                got = feasible_mask(prob, X, in_C=in_C)
+                assert got.tobytes() == feasible_mask(prob, X).tobytes()
     # taken wherever the box passes C's test with room for rounding and
     # there is no equality row, and refused wherever there is one or the
     # box leaves C's test

@@ -208,105 +208,103 @@ def test_grid_span_must_fit_a_float():
 
 
 def test_in_place_chunks_are_the_chunks(monkeypatch):
-    # the walk yields read-only C-contiguous views of one buffer, each
-    # overwriting the one before, that equal the slices of points() byte
-    # for byte; points() is a fresh, writable array per call
+    # the walk yields fresh, writable, C-contiguous arrays, no two sharing
+    # memory, that equal the slices of points() byte for byte; points() is
+    # a fresh array per call, and at() builds the points of any
+    # multi-index as points() holds them
     grid = GridSpec.parse("5x7x3:[-1,1]x[0,2]x[-3,3]")
+    lattice = grid.points()
     for chunk in (1, 7, 64, grid.size, grid.size + 1):
         monkeypatch.setattr(grids, "_CHUNK", chunk)
-        walked, bases = [], set()
-        for X in grid.chunks():
-            assert X.flags.c_contiguous and not X.flags.writeable
-            with pytest.raises(ValueError):
-                X[0, 0] = 0.0
-            bases.add(id(X.base))
-            walked.append(X.copy())
-        lattice = grid.points()
-        assert len(bases) == 1 and len(walked) == -(-grid.size // chunk)
-        for k, got in enumerate(walked):
-            same(got, lattice[k * chunk:(k + 1) * chunk])
-        assert not np.shares_memory(grid.points(), grid.points())
-        assert grid.points().flags.writeable
+        walked = list(grid.chunks())
+        assert len(walked) == -(-grid.size // chunk)
+        for k, X in enumerate(walked):
+            assert X.flags.c_contiguous and X.flags.writeable
+            same(X, lattice[k * chunk:(k + 1) * chunk])
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(walked + [lattice], 2))
+    assert not np.shares_memory(grid.points(), grid.points())
+    assert grid.points().flags.writeable
+    index = np.unravel_index(np.random.default_rng(12).permutation(grid.size), grid.counts)
+    same(grid.at(index), lattice[np.ravel_multi_index(index, grid.counts)])
 
 
-def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
-    # boxes() cuts each axis into segments of at most _BOX points (or
-    # _SUB) and gives their least and greatest coordinates; select()
-    # yields, in lattice order, exactly the points whose box it is told to
-    # keep and whose sub-box refine keeps, byte for byte with points(), for
-    # any chunk size and slab; with whole boxes refined (ref.whole_boxes),
-    # those of the kept boxes.  refine is asked only about kept boxes, once
-    # per group of rows cut at the end of the row that fills a slab
-    # (ref.row_groups).  A yield holds at most _CHUNK points, C-contiguous
+def walks(monkeypatch):
+    """Seeded cases of _BoundPass.walk(keep): per lattice, keep and (chunk,
+    slab), yields (grid, walk, kept, batches, calls, labels, chunk), where
+    kept marks the lattice points the walk must yield, batches are the box
+    numbers of its batches (ref.walk_batches) and calls records the boxes
+    of each sub_codes call.  sub_codes here keeps a seeded draw of
+    sub-boxes and says anything of a place past the lattice's edge, which
+    the walk must not read."""
     rng = np.random.default_rng(13)
-    specs = ["6x6x6x6:[-1,1]x[-1,1]x[-1,1]x[-1,1]", "1:[0,0]", "1x5x1:[0,0]x[-2,3]x[1,1]"]
-    for _ in range(12):
-        counts = rng.integers(1, 7, size=rng.integers(1, 5))
+    specs = ["6x6x6x6:[-1,1]x[-1,1]x[-1,1]x[-1,1]", "1:[0,0]", "1x5x1:[0,0]x[-2,3]x[1,1]", "13x3:[0,1]x[0,1]"]
+    for _ in range(8):
+        counts = rng.integers(1, 10, size=rng.integers(1, 5))
         specs.append("x".join(map(str, counts)) + ":" + "x".join(f"[{-i},{i + 0.3}]" for i in range(len(counts))))
+    r = grids._BOX // grids._SUB
     for spec in specs:
         grid = GridSpec.parse(spec)
-        for edge in (grids._BOX, grids._SUB):
-            for axis, (lo, hi) in zip(grid.axes(), grid.boxes(edge)):
-                segments = [axis[i:i + edge] for i in range(0, axis.size, edge)]
-                same(lo, np.array([s.min() for s in segments]))
-                same(hi, np.array([s.max() for s in segments]))
+        n = grid.ndim
+        one = PolyhedralFn(np.zeros((1, n)), [1.0])
+        minus_one = PolyhedralFn(np.zeros((1, n)), [-1.0])
+        prob = FractionalProblem(n, [(one, minus_one)] * 2, [minus_one], PolyhedralCone.nonneg_orthant(1),
+                                 Polyhedron.box([-9.0] * n, [9.0] * n))
+        bounds = fractional._BoundPass(prob, grid, [1.0], parametric_problem(prob, np.zeros(n)))
         labels, sub_labels = ref.box_labels(grid), ref.box_labels(grid, grids._SUB)
-        lattice = grid.points()
-        shape, sub_shape = ([lo.size for lo, _ in grid.boxes(edge)] for edge in (grids._BOX, grids._SUB))
-        boxes = int(np.prod(shape))
-        sub_keep = rng.integers(0, 3, int(np.prod(sub_shape))) != 0
-        r = grids._BOX // grids._SUB
-        places = np.array(np.unravel_index(np.arange(r ** grid.ndim), [r] * grid.ndim))
+        shape, sub_shape = ref.segments(grid), ref.segments(grid, grids._SUB)
+        sub_keep = rng.random(int(np.prod(sub_shape))) < 0.7
+        places = np.array(np.unravel_index(np.arange(r ** n), [r] * n))
+        calls = []
 
-        def refine(box):
-            # whether every place of each box is kept, False past the lattice's edge
-            J = r * np.array(np.unravel_index(box, shape))[:, :, None] + places[:, None, :]
+        def sub_codes(boxes, hit=True):
+            calls.append(boxes.tolist())
+            J = r * np.array(np.unravel_index(boxes, shape))[:, :, None] + places[:, None, :]
             inside = (J < np.array(sub_shape)[:, None, None]).all(axis=0)
-            out = np.zeros(inside.shape, dtype=bool)
+            out = rng.random(inside.shape) < 0.5
             out[inside] = sub_keep[np.ravel_multi_index(tuple(J[:, inside]), sub_shape)]
             return out
 
-        for keep in (rng.integers(0, 3, boxes) != 0, np.ones(boxes, dtype=bool), rng.random(boxes) < 0.1):
-            in_box = keep[labels]
-            for chunk, slab in ((1, 1), (7, 3), (64, 1), (16384, 5), (grid.size + 1, grid.size)):
+        monkeypatch.setattr(bounds, "sub_codes", sub_codes)
+        boxes = int(np.prod(shape))
+        for keep in (rng.random(boxes) < 0.7, np.ones(boxes, dtype=bool), rng.random(boxes) < 0.1):
+            kept = keep[labels] & sub_keep[sub_labels]
+            for chunk, slab in ((16, 1), (23, 3), (64, 2), (16384, 5), (16384, grid.size)):
                 monkeypatch.setattr(grids, "_CHUNK", chunk)
-                for how, kept in ((ref.whole_boxes(keep, grid.ndim), in_box),
-                                  (refine, in_box & sub_keep[sub_labels])):
-                    calls = []
+                monkeypatch.setattr(bounds, "slab", slab)
+                calls.clear()
+                yield grid, bounds.walk(keep), kept, ref.walk_batches(grid, keep, slab), calls, labels, chunk
 
-                    def spy(box, how=how):
-                        calls.append(box.tolist())
-                        return how(box)
 
-                    rows = []
-                    for X in grid.select(keep, spy, slab):
-                        assert X.flags.c_contiguous and 0 < len(X) <= chunk
-                        rows.append(X)
-                    same(np.concatenate(rows) if rows else lattice[:0], lattice[kept])
-                    assert calls == ref.row_groups(grid, keep, slab)
+def test_select_keeps_the_points_of_coded_boxes(monkeypatch):
+    # (named for GridSpec.select, which _BoundPass.walk replaced) the walk
+    # yields exactly the points of the sub-boxes sub_codes keeps in the
+    # boxes keep keeps, each with its flat index, byte for byte with
+    # points(), at most _CHUNK per yield and C-contiguous, in box order
+    # (ref.walk_order), for any chunk size and slab
+    for grid, walk, kept, batches, _, _, chunk in walks(monkeypatch):
+        lattice = grid.points()
+        flats = []
+        for batch in walk:
+            for X, flat in batch:
+                assert X.flags.c_contiguous and 0 < len(X) <= chunk
+                same(X, lattice[flat])
+                flats.append(flat)
+        same(np.concatenate(flats) if flats else np.zeros(0, np.intp), ref.walk_order(grid, kept, batches))
 
 
 def test_select_refines_a_slab_of_boxes_per_call(monkeypatch):
-    # an 8^3 lattice in chunks of 16 points walks 16 rows of 4 points on
-    # the middle axis, and each row meets one kept box (its box
-    # segment 0 on the last axis): refine is called once per group of slab
-    # rows, ceil(16 / slab) times, and a caller that stops at the first
-    # yield leaves every group past the first unrefined
-    monkeypatch.setattr(grids, "_CHUNK", 16)
-    grid = GridSpec.parse("8x8x8:[-1,1]x[-1,1]x[-1,1]")
-    keep = np.zeros((2, 2, 2), dtype=bool)
-    keep[:, :, 0] = True
-    keep = keep.ravel()
-    for slab in (1, 3, 5, 16, 100):
-        calls = []
-
-        def refine(box):
-            calls.append(box.size)
-            return ref.whole_boxes(keep, grid.ndim)(box)
-
-        kept = sum(len(X) for X in grid.select(keep, refine, slab))
-        assert kept == grid.size // 2
-        assert len(calls) == -(-16 // slab) and calls[0] == min(slab, 16)
-        calls.clear()
-        next(grid.select(keep, refine, slab))
-        assert len(calls) == 1
+    # (named for GridSpec.select, which _BoundPass.walk replaced) a batch
+    # is at least slab kept boxes extended to whole segments of boxes on
+    # the first axis (ref.walk_batches), so its boxes cover a range of
+    # lattice order after the batch before; it calls sub_codes once, about
+    # its boxes, when the walk reaches it, so a caller that stops after a
+    # batch leaves every later one unrefined
+    for _, walk, _, batches, calls, labels, _ in walks(monkeypatch):
+        for k, batch in enumerate(walk):
+            assert len(calls) == k
+            for _ in batch:
+                pass
+            assert len(calls) == k + 1
+        assert calls == batches
+        spans = [np.flatnonzero(np.isin(labels, b)) for b in batches]
+        assert all(a.max() < b.min() for a, b in zip(spans, spans[1:]))
