@@ -37,11 +37,11 @@ all walk that table, so membership names come out in table order:
   each i, normal_C, normal_Y, vstar_polar, subdiff_comp.
 
 Verifiers check every membership by LP and apply an explicit finite-
-horizon convergence rule to the residual traces.  Each block keeps one
-conjugate (or support) LP for all its entries; the composite, whose
-weights w = max(-vstar, 0) change per entry, keeps one per support
-pattern of w, since the weights enter only the objective of its
-separable conjugate LP.  The generator solves
+horizon convergence rule to the residual traces.  They take one
+conjugate LP per block for all its entries, C's as the conjugate of its
+indicator; the composite, whose weights w = max(-vstar, 0) change per
+entry, takes one per support pattern of w, since the weights enter only
+the objective of its separable conjugate LP.  The generator solves
 one small LP per entry, minimizing the dual residual over the membership
 encodings.  Transfers map an eps certificate up to the epigraph form
 (pure arithmetic) and down to the exact form (one nearby-pair search per
@@ -64,7 +64,6 @@ from .convex import (
     Polyhedron,
     PolyhedralFn,
     ScaledFn,
-    Support,
     as_polyhedral,
     br_regularize,
     is_zero_fn,
@@ -372,39 +371,35 @@ def _prepare(prob: FractionalProblem, xbar, cert, horizon: bool) -> _Blocks:
 
 
 class _Memo:
-    """Conjugate and support values memoized per evaluator name and
-    functional (with its weights, for the composite).  Each name holds one
-    evaluator (``Conjugate`` or ``Support``), made at its first lookup, so
-    its LP runs phase 1 once: once for each f and w block and for C, and
-    once per support pattern of the composite's weights, which enter only
-    the objective.  A lookup takes a stack of functionals; those not seen
-    before go to the evaluator in one batched call, in order of first
-    occurrence."""
+    """A block's conjugate values at a stack of functionals (with their
+    weights, for the composite), from one ``Conjugate`` per call, so one
+    LP and one phase 1: C's as the conjugate of its indicator, the
+    composite's per support pattern of its weights, which enter only the
+    objective.  Each distinct functional is priced once, in order of first
+    occurrence; nothing is kept between calls, since a verifier looks each
+    block up once.  A class so that perfbench's tracer can wrap ``conj``
+    and ``supp`` by name."""
 
-    def __init__(self):
-        self._values = {}
-        self._evaluators = {}
-
-    def _lookup(self, name, make, stars, weights=None):
-        rows = stars if weights is None else np.hstack([stars, weights])
-        keys = [(name, r.tobytes()) for r in rows]
-        first = {}
-        for i, key in enumerate(keys):
-            if key not in self._values:
-                first.setdefault(key, i)
-        if first:
-            if name not in self._evaluators:
-                self._evaluators[name] = make()
-            todo = list(first.values())
-            args = (stars[todo],) if weights is None else (stars[todo], weights[todo])
-            self._values.update(zip(first, self._evaluators[name].values(*args)))
-        return np.array([self._values[k] for k in keys], dtype=float)
-
-    def conj(self, name, fns, stars, weights=None):
-        return self._lookup(name, lambda: Conjugate(fns), stars, weights)
+    def conj(self, fns, stars, weights=None):
+        return _distinct_values(lambda: Conjugate(fns), stars, weights)
 
     def supp(self, C, stars):
-        return self._lookup("C", lambda: Support(C), stars)
+        return _distinct_values(lambda: Conjugate(PolyhedralFn.indicator(C)), stars)
+
+
+def _distinct_values(make, stars, weights=None):
+    # rows keyed by their bytes, so -0.0 and 0.0 stay apart; no LP for no row
+    rows = stars if weights is None else np.hstack([stars, weights])
+    keys = [r.tobytes() for r in rows]
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    if not first:
+        return np.empty(0)
+    todo = list(first.values())
+    args = (stars[todo],) if weights is None else (stars[todo], weights[todo])
+    values = dict(zip(first, make().values(*args)))
+    return np.array([values[k] for k in keys], dtype=float)
 
 
 def _polar_slacks(G, V):
@@ -445,12 +440,12 @@ def _verify(theorem, prob, xbar, cert, tol_conv, tol_points=None):
         if blk.kind == "C":
             return memo.supp(prob.C, stars)
         if blk.kind != "comp":
-            return memo.conj(blk.name, blk.fn, stars)
+            return memo.conj(blk.fn, stars)
         vals, w = np.empty(len(ks)), weights[ks]
         for pattern in np.unique(w > 0, axis=0):
             rows = ((w > 0) == pattern).all(axis=1)
             fns = [ScaledFn(float(a), h) for a, h in zip(pattern, prob.hmap)]
-            vals[rows] = memo.conj(("comp", *pattern.tolist()), fns, stars[rows], w[rows])
+            vals[rows] = memo.conj(fns, stars[rows], w[rows])
         return vals
 
     every = np.arange(N)

@@ -256,8 +256,9 @@ def cmd_certify(args):
         if args.grid is None:
             raise UsageError("certify needs --grid for the pre-check (or --force)")
         grid = _parse_grid(args.grid)
-        verdict = henig_check(prob, cand, grid, _ladder(args))[0]
+        verdict, equiv = henig_check(prob, cand, grid, _ladder(args))
         doc["pre_check"] = _verdict_json(verdict)
+        doc["parametric_equivalence"] = equiv
         doc["grid"] = _grid_json(grid)
         if verdict.kind != "properly_efficient":
             # no certificate to write, so --out stays untouched

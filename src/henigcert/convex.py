@@ -1,10 +1,11 @@
 """Exact convex analysis for piecewise-affine functions on polyhedra.
 
 Everything here reduces to small LPs solved by :mod:`henigcert.linprog`:
-Fenchel conjugates, support functions, epigraph-of-conjugate membership,
-eps-subdifferential and eps-normal membership (Young-Fenchel form), exact
-subgradient selection, and the nearby-exact-pair search behind the
-Brondsted-Rockafellar bounds.  That search is Ekeland's construction,
+Fenchel conjugates (``Conjugate``, the one evaluator: a support function
+is the conjugate of an indicator, sigma_C = delta_C*), epigraph-of-
+conjugate membership, eps-subdifferential and eps-normal membership
+(Young-Fenchel form), exact subgradient selection, and the nearby-exact-
+pair search behind the Brondsted-Rockafellar bounds.  That search is Ekeland's construction,
 exact for polyhedral functions: the Euclidean norm enters as Kelley
 cutting planes, and the nearby subgradient comes from the LP multipliers
 of the cut rows.  A weighted sum of max-affine components (the conjugate
@@ -385,7 +386,9 @@ class Conjugate:
     own weights w >= 0 (default all ones; a zero weight keeps its
     component's domain), against the last basis (``LpSession.values``); a
     call is the one-functional case at unit weights.  ``polys`` holds the
-    components that did not drop out, with their scales folded in.
+    components that did not drop out, with their scales folded in.  A
+    set's support function is the conjugate of its indicator
+    (``PolyhedralFn.indicator``): sigma_C = delta_C*.
     """
 
     def __init__(self, fns):
@@ -405,38 +408,19 @@ class Conjugate:
     def values(self, xstars, weights=None) -> np.ndarray:
         """The conjugate at each row of ``xstars``, in order (+inf off its
         domain), with row r's components weighted by ``weights[r]``."""
-        xstars = _functionals(xstars, self.dim, "function")
+        xstars = _functionals(xstars, self.dim)
         if self._session is None:
             return np.where(np.abs(xstars).max(axis=1, initial=0.0) <= ZERO_FN_TOL, 0.0, np.inf)
         w = np.ones((len(xstars), self._ncomp)) if weights is None else np.asarray(weights, float)
         if w.shape != (len(xstars), self._ncomp):
             raise DimensionMismatch("weights do not match functionals and components")
-        objs = np.hstack([xstars, -w[:, self._live]])
-        return _sup_values(self._session.values(objs),
-                           "conjugate LP reported infeasible on a nonempty domain")
+        values = self._session.values(np.hstack([xstars, -w[:, self._live]]))
+        if (values == -np.inf).any():  # -inf only on an empty feasible set
+            raise NumericalFailure("conjugate LP reported infeasible on a nonempty domain")
+        return values
 
     def __call__(self, xstar) -> float:
-        return float(self.values(_functional(xstar, self.dim, "function")[None])[0])
-
-
-class Support:
-    """sigma_C(x*) = sup_{x in C} <x*,x> for one polyhedron (+inf when
-    unbounded): one LpSession, phase 1 here; ``values`` prices a stack of
-    functionals, a call is the one-functional case."""
-
-    def __init__(self, C: Polyhedron):
-        self.dim = C.n
-        self._session = LpSession(
-            LinearProgram(c=np.zeros(C.n), A_ub=C.A, b_ub=C.b, A_eq=C.E, b_eq=C.d)
-        )
-
-    def values(self, xstars) -> np.ndarray:
-        """sigma_C at each row of ``xstars``, in order."""
-        return _sup_values(self._session.values(_functionals(xstars, self.dim, "set")),
-                           "support LP reported infeasible on a nonempty set")
-
-    def __call__(self, xstar) -> float:
-        return float(self.values(_functional(xstar, self.dim, "set")[None])[0])
+        return float(self.values(np.reshape(xstar, (1, -1)))[0])
 
 
 def _separable_lp(polys) -> LinearProgram:
@@ -455,36 +439,23 @@ def _separable_lp(polys) -> LinearProgram:
     return LinearProgram(c=np.zeros(polys[0].dim + k), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
 
 
-def _functional(xstar, dim: int, what: str) -> np.ndarray:
-    xstar = np.asarray(xstar, float).reshape(-1)
-    if xstar.shape[0] != dim:
-        raise DimensionMismatch(f"functional dimension does not match {what}")
-    return xstar
-
-
-def _functionals(xstars, dim: int, what: str) -> np.ndarray:
+def _functionals(xstars, dim: int) -> np.ndarray:
     xstars = np.asarray(xstars, float)
     if xstars.ndim != 2 or xstars.shape[1] != dim:
-        raise DimensionMismatch(f"functional dimension does not match {what}")
+        raise DimensionMismatch("functional dimension does not match function")
     return xstars
-
-
-def _sup_values(values, infeasible: str) -> np.ndarray:
-    # a session's values are -inf only on an empty feasible set
-    if (values == -np.inf).any():
-        raise NumericalFailure(infeasible)
-    return values
 
 
 def conjugate(fn: ConvexFn, xstar) -> float:
     """Fenchel conjugate f*(x*), one LP; see ``Conjugate``."""
-    xstar = _functional(xstar, fn.dim, "function")  # before ConjugateUnsupported
-    return Conjugate(fn)(xstar)
+    xstars = _functionals(np.reshape(xstar, (1, -1)), fn.dim)  # before ConjugateUnsupported
+    return float(Conjugate(fn).values(xstars)[0])
 
 
 def support_function(C: Polyhedron, xstar) -> float:
-    """sigma_C(x*) = sup_{x in C} <x*,x> via one LP (+inf when unbounded)."""
-    return Support(C)(xstar)
+    """sigma_C(x*) = sup_{x in C} <x*,x> = delta_C*(x*), the conjugate of
+    C's indicator: one LP (+inf when unbounded)."""
+    return Conjugate(PolyhedralFn.indicator(C))(xstar)
 
 
 def epi_conjugate_contains(fn: ConvexFn, xstar, r: float, tol: float = TOL_MEMBERSHIP) -> Verdict:

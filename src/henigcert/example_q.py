@@ -112,13 +112,14 @@ def run(N: int = 1000, tol_conv: float = TOL_CONV, grid: GridSpec = DEFAULT_GRID
     )
 
     t0 = time.perf_counter()
-    verdict = henig_check(prob, cand, grid)[0]
+    verdict, equiv = henig_check(prob, cand, grid)
     stages.append(
         {
             "stage": "efficiency_verdict",
             "ok": verdict.kind == "properly_efficient",
             "kind": verdict.kind,
             "eps_witness": verdict.eps_witness,
+            "parametric_equivalence": equiv,
             "seconds": time.perf_counter() - t0,
         }
     )

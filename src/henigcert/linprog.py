@@ -14,7 +14,10 @@ Its batched calls take a stack at once: ``values`` prices many
 objectives against the current basis in one product, and
 ``resolve_path`` reads many right-hand sides off it (ranging under a
 fixed basis); only the rows the basis does not serve run the simplex,
-so both take the pivots of the same calls made one at a time.
+so both take the pivots of the same calls made one at a time.  Every
+point read off a basis, by any of these calls, goes through one checked
+read that raises NumericalFailure unless the point satisfies the program
+with its own right-hand side.
 Determinism is per session call history: the same sequence of calls
 takes the same pivots, and ``lp_solve`` takes the same pivots for the
 same program.
@@ -179,6 +182,8 @@ class LpSession:
     ``values(C)`` and ``resolve_path(B)`` are ``maximize`` and
     ``resolve_rhs`` for a stack of objectives or right-hand sides; rows
     the current basis already serves are read off it without a pivot.
+    All four read their points through ``_vertices``, the one read of
+    basis points, which checks each against its right-hand side.
 
     Outcomes are deterministic per call history: the same sequence of
     calls takes the same pivots, but an optimum reached from another
@@ -282,9 +287,8 @@ class LpSession:
         if self._run("phase 2", simplex_core, TOL_OBJ) == 1:
             return LpOutcome(UNBOUNDED, value=np.inf)
         self._optimal = True
-        x = self._points(T[None, :m, -1])[0]
+        x = self._vertices(T[None, :m, -1], self.lp.b_ub[None])[0]
         value = float(self.lp.c @ x)
-        self._check_feasible(x[None], self.lp.b_ub[None])
         # a row's multiplier is minus the reduced profit of its slack column; a
         # row negated for a negative rhs negated its slack too, so the sign holds
         duals = 0.0 - T[m, nu:nu + self.lp.A_ub.shape[0]]
@@ -313,9 +317,8 @@ class LpSession:
             clear = self._priced_optimal(C[k:])
             j = clear.shape[0] if clear.all() else int(np.argmin(clear))
             if j:
-                x = self._points(self._T[None, :-1, -1])[0]
                 self._last = ("phase 2", 0)
-                self._check_feasible(x[None], self.lp.b_ub[None])
+                x = self._vertices(self._T[None, :-1, -1], self.lp.b_ub[None])[0]
                 out[k:k + j] = C[k:k + j] @ x
                 k += j
                 if k == C.shape[0]:  # leave the objective row as maximize would
@@ -342,8 +345,7 @@ class LpSession:
             return self.maximize()
         self.lp = lp
         T, m = self._T, self._T.shape[0] - 1
-        rhs = np.concatenate([lp.b_ub - lp.A_ub @ self._offset, self._bex,
-                              self._eq_sign * (lp.b_eq - lp.A_eq @ self._offset)])
+        rhs = self._rhs(b_ub[None])[0]
         T[:m, -1] = T[:m, self._unit] @ rhs
         # B^-1 b leaves rounding where a fresh solve reads an exact 0
         band = TOL_FEAS * (1.0 + float(np.abs(rhs).max(initial=0.0)))
@@ -379,9 +381,8 @@ class LpSession:
                 V, clear = self._basic_values(B[k:])
                 j = clear.shape[0] if clear.all() else int(np.argmin(clear))
                 if j:
-                    X[k:k + j] = self._points(V[:j])
                     self._last = ("phase 2", 0)
-                    self._check_feasible(X[k:k + j], B[k:k + j])
+                    X[k:k + j] = self._vertices(V[:j], B[k:k + j])
                     values[k:k + j] = X[k:k + j] @ self.lp.c
                     self._T[:-1, -1] = V[j - 1]
                     self.lp = copy.copy(self.lp)
@@ -409,13 +410,30 @@ class LpSession:
         T[m] = obj2
         _reduce_objective(T, self._basis, m)
 
-    def _points(self, V) -> np.ndarray:
+    def _vertices(self, V, B_ub) -> np.ndarray:
         """The points whose basic values are the rows of ``V`` (the current
-        basis point is ``_points(T[None, :-1, -1])[0]``)."""
-        structural = self._basis < self._nu
+        basis point is ``_vertices(T[None, :-1, -1], b_ub[None])[0]``);
+        raises NumericalFailure unless each satisfies the program with the
+        inequality right-hand side of the same row of ``B_ub``."""
+        lp, structural = self.lp, self._basis < self._nu
         U = np.zeros((V.shape[0], self._nu))
         U[:, self._basis[structural]] = np.maximum(V[:, structural], 0.0)
-        return self._offset + U @ self._S.T
+        X = self._offset + U @ self._S.T
+        scale = 1.0 + np.abs(B_ub).max(axis=1, initial=0.0) + np.abs(X).max(axis=1, initial=0.0)
+        tol = 100.0 * TOL_FEAS * scale
+        for name, excess in (
+            ("an inequality row", X @ lp.A_ub.T - B_ub),
+            ("an equality row", np.abs(X @ lp.A_eq.T - lp.b_eq)),
+            ("a variable bound", np.hstack([lp.lb - X, X - lp.ub])),
+        ):
+            worst = excess.max(axis=1, initial=-np.inf)
+            bad = (worst > tol).nonzero()[0]
+            if bad.size:
+                i = bad[0]
+                raise self._failure(
+                    f"optimal point violates {name} by {worst[i]:.3g} > {tol[i]:.3g}"
+                )
+        return X
 
     def _priced_optimal(self, C) -> np.ndarray:
         """Which objectives (rows of ``C``) phase 2 would leave at the
@@ -439,14 +457,8 @@ class LpSession:
         when the dual simplex would take no pivot there.  A row is flagged
         only when no value lies within the rounding of the product of the
         band's edge, so the zeroing and the flag match ``resolve_rhs``."""
-        lp, T, m = self.lp, self._T, self._T.shape[0] - 1
-        K = B.shape[0]
-        rhs = np.hstack([
-            B - lp.A_ub @ self._offset,
-            np.broadcast_to(self._bex, (K, self._bex.shape[0])),
-            np.broadcast_to(self._eq_sign * (lp.b_eq - lp.A_eq @ self._offset),
-                            (K, lp.b_eq.shape[0])),
-        ])
+        T, m = self._T, self._T.shape[0] - 1
+        rhs = self._rhs(B)
         unit = T[:m, self._unit]
         V = rhs @ unit.T
         band = TOL_FEAS * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))[:, None]
@@ -455,6 +467,18 @@ class LpSession:
         clear = ~(edge | (V < -band)).any(axis=1)
         V[np.abs(V) <= band] = 0.0
         return V, clear
+
+    def _rhs(self, B) -> np.ndarray:
+        """The standardized right-hand side for each inequality rhs row of
+        ``B``: the bound offset taken off, the boxed bounds, then the
+        equality rows with the signs they were standardized with."""
+        lp, K = self.lp, B.shape[0]
+        return np.hstack([
+            B - lp.A_ub @ self._offset,
+            np.broadcast_to(self._bex, (K, self._bex.shape[0])),
+            np.broadcast_to(self._eq_sign * (lp.b_eq - lp.A_eq @ self._offset),
+                            (K, lp.b_eq.shape[0])),
+        ])
 
     def _run(self, phase, core, tol: float) -> int:
         """One run of ``core`` (the primal or the dual simplex); returns
@@ -477,25 +501,6 @@ class LpSession:
             f"{phase}: {what} after {pivots} of {self._budget} pivots "
             f"on a {rows}x{cols} tableau"
         )
-
-    def _check_feasible(self, X: np.ndarray, B_ub: np.ndarray):
-        """Raise unless each point (row of ``X``) satisfies the program with
-        the inequality right-hand side of the same row of ``B_ub``."""
-        lp = self.lp
-        scale = 1.0 + np.abs(B_ub).max(axis=1, initial=0.0) + np.abs(X).max(axis=1, initial=0.0)
-        tol = 100.0 * TOL_FEAS * scale
-        for name, excess in (
-            ("an inequality row", X @ lp.A_ub.T - B_ub),
-            ("an equality row", np.abs(X @ lp.A_eq.T - lp.b_eq)),
-            ("a variable bound", np.hstack([lp.lb - X, X - lp.ub])),
-        ):
-            worst = excess.max(axis=1, initial=-np.inf)
-            bad = (worst > tol).nonzero()[0]
-            if bad.size:
-                i = bad[0]
-                raise self._failure(
-                    f"optimal point violates {name} by {worst[i]:.3g} > {tol[i]:.3g}"
-                )
 
 
 def _reduce_objective(T, basis, m):

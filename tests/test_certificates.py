@@ -1080,47 +1080,48 @@ def test_warm_generation_entries_match_cold_solves(monkeypatch):
 
 
 def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
-    # the verifier keeps one Conjugate (or Support) per block, and for the
-    # composite one per support pattern of its weights, so one LpSession
-    # and one phase 1 each, and asks it for a block's values in batched
-    # calls; each value must equal a one-shot call (for the composite, on
-    # the weighted sum of its components)
+    # the verifier makes one Conjugate per block (C's of its indicator), and
+    # for the composite one per support pattern of its weights, so one
+    # LpSession and one phase 1 each, and asks it for a block's values in
+    # one batched call; each distinct functional (with its weights, for the
+    # composite) reaches it once, in order of first occurrence, and each
+    # value must equal a one-shot call (for C, support_function; for the
+    # composite, the conjugate of the weighted sum of its components)
     made, sessions, calls = [], [], []
+    rng = np.random.default_rng(8)
+    prob = blocks_problem(rng)
 
-    def one_shot_conjugate(fn, x, w=None):
+    def one_shot(fn, x, w=None):
+        if isinstance(fn, PolyhedralFn) and fn.domain is prob.C:
+            return convex.support_function(prob.C, x)
         return convex.conjugate(fn if w is None else weighted_sum_polyhedral(w, fn), x)
 
-    def recorded(base, one_shot):
-        class Recorded(base):
-            def __init__(self, fn):
-                before = len(sessions)
-                super().__init__(fn)
-                assert len(sessions) == before + 1
-                self.fn = fn
-                made.append(self)
+    class Recorded(convex.Conjugate):
+        def __init__(self, fn):
+            before = len(sessions)
+            super().__init__(fn)
+            assert len(sessions) == before + 1
+            self.fn, self.rows = fn, []
+            made.append(self)
 
-            def values(self, xs, *weights):
-                before = len(sessions)
-                got = super().values(xs, *weights)
-                assert len(sessions) == before  # no new session, no phase 1
-                for r, (x, value) in enumerate(zip(xs, got)):
-                    want = one_shot(self.fn, x, *(w[r] for w in weights))
-                    assert value == want or abs(value - want) <= 1e-12, (value, want)
-                calls.extend(got)
-                return got
-
-        return Recorded
+        def values(self, xs, *weights):
+            before = len(sessions)
+            got = super().values(xs, *weights)
+            assert len(sessions) == before  # no new session, no phase 1
+            for r, (x, value) in enumerate(zip(xs, got)):
+                want = one_shot(self.fn, x, *(w[r] for w in weights))
+                assert value == want or abs(value - want) <= 1e-12, (value, want)
+            self.rows.append(np.hstack([xs, *weights]))
+            calls.extend(got)
+            return got
 
     class Counted(LpSession):
         def __init__(self, lp):
             super().__init__(lp)
             sessions.append(self)
 
-    monkeypatch.setattr(certificates, "Conjugate", recorded(convex.Conjugate, one_shot_conjugate))
-    monkeypatch.setattr(certificates, "Support", recorded(convex.Support, convex.support_function))
+    monkeypatch.setattr(certificates, "Conjugate", Recorded)
     monkeypatch.setattr(convex, "LpSession", Counted)
-    rng = np.random.default_rng(8)
-    prob = blocks_problem(rng)
     xbar, N = np.array([0.25, -0.15]), 12
     # functionals: mixes of the pieces (finite conjugates) and, every
     # fourth entry, a random vector (infinite); vstar takes three nonzero
@@ -1131,14 +1132,37 @@ def test_memoized_conjugates_match_one_shot_calls(monkeypatch):
                        for k in range(N)]) for p in polys]
     vstar = np.repeat([[-0.5, -0.2], [-0.1, -0.7], [-0.4, 0.0]], N // 3, axis=0)
     comps = [weighted_sum_polyhedral(-v, prob.hmap).A for v in vstar]
+    ustar = np.array([rng.dirichlet(np.ones(A.shape[0])) @ A for A in comps])
+    cstar = rng.normal(size=(N, 2))
+    # repeats, priced once: an f functional, a C functional twice, and a
+    # composite one with the same weights; apart stay a composite functional
+    # under other weights, and two C functionals that differ in a zero's sign
+    stars[0][6] = stars[0][1]
+    cstar[[2, 9]] = cstar[5]
+    ustar[[1, 4]] = ustar[0]
+    cstar[3], cstar[4] = [0.0, 0.5], [-0.0, 0.5]
     cert = EpsCertificate(
         lam=np.ones(3), gamma=1.0 / np.arange(1, N + 1),
         xstar=np.array(stars[0::2]), wstar=np.array(stars[1::2]),
-        cstar=rng.normal(size=(N, 2)), ystar=np.abs(rng.normal(size=(N, 2))), vstar=vstar,
-        ustar=np.array([rng.dirichlet(np.ones(A.shape[0])) @ A for A in comps]),
+        cstar=cstar, ystar=np.abs(rng.normal(size=(N, 2))), vstar=vstar, ustar=ustar,
     )
     verify_eps_certificate(prob, xbar, cert)
-    # f[i], w[i] for three objectives, C, two composite support patterns
+
+    def first_occurrences(rows):
+        first = {}
+        for r in rows:
+            first.setdefault(r.tobytes(), r)
+        return np.array(list(first.values()))
+
+    # in table order: f[i], w[i] for three objectives, C, then the
+    # composite's support patterns in np.unique's order, (1, 0) before (1, 1)
+    comp = np.hstack([ustar, np.maximum(-vstar, 0.0)])
+    tables = [*stars, cstar, comp[vstar[:, 1] == 0], comp[vstar[:, 1] != 0]]
     assert len(made) == 9
-    assert len(calls) == 8 * N
+    for evaluator, table in zip(made, tables):
+        assert len(evaluator.rows) == 1
+        assert evaluator.rows[0].tobytes() == first_occurrences(table).tobytes()
+    assert len(made[6].rows[0]) == N - 2  # both signs of zero kept
+    assert len(made[8].rows[0]) == 2 * N // 3 - 1  # ustar[4] has other weights than ustar[0]
+    assert len(calls) == 8 * N - 4
     assert np.isinf(calls).any() and np.isfinite(calls).any()

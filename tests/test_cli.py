@@ -506,6 +506,7 @@ def test_certify_verify_round_trip(files, capsys):
     assert doc["generation"]["trace_converged"] is True
     assert max(doc["generation"]["trace"]) <= 1e-9
     assert doc["pre_check"]["kind"] == "properly_efficient"
+    assert doc["parametric_equivalence"] is True
 
     # written certificate re-loads byte-identically
     raw = json.loads(cert_path.read_text())
@@ -550,6 +551,7 @@ def test_certify_without_out_embeds_certificate(files, capsys):
     assert rc == 0
     assert doc["certificate"]["theorem"] == "4.3"
     assert doc["certificate"]["N"] == 20
+    assert doc["pre_check"] == "skipped (--force)" and "parametric_equivalence" not in doc
 
 
 def test_certify_dominated_stops_at_precheck(files, capsys):
@@ -561,6 +563,8 @@ def test_certify_dominated_stops_at_precheck(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 2
     assert doc["pre_check"]["kind"] == "dominated"
+    # the reformulation's verdict, which henig_check computes with the ratio one
+    assert doc["parametric_equivalence"] is True
     assert not cert_path.exists()
 
 

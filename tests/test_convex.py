@@ -283,6 +283,38 @@ def test_support_function_values():
     assert support_function(ray, [-1.0]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_support_function_against_highs():
+    # sigma_C, the conjugate of C's indicator, against HiGHS (run without
+    # presolve, which can call an unbounded LP infeasible) on seeded
+    # polyhedra with inequality and equality rows around a feasible point;
+    # half the directions are nonnegative combinations of the rows, where
+    # sigma_C is finite, the rest are random and often unbounded
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    seen = {"bounded": 0, "unbounded": 0}
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        A = rng.normal(size=(int(rng.integers(1, 6)), n))
+        E = rng.normal(size=(int(rng.integers(0, n)), n))
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        C = Polyhedron(A=A, b=A @ x0 + rng.uniform(0.0, 1.0, size=len(A)), E=E, d=E @ x0, n=n)
+        for k in range(4):
+            s = (rng.uniform(0.0, 1.0, size=len(A)) @ A + rng.normal(size=len(E)) @ E
+                 if k % 2 else rng.normal(size=n))
+            ref = linprog(-s, A_ub=A, b_ub=C.b, A_eq=E if len(E) else None,
+                          b_eq=C.d if len(E) else None, bounds=[(None, None)] * n,
+                          method="highs", options={"presolve": False})
+            assert ref.status in (0, 3), ref.message
+            got = support_function(C, s)
+            if ref.status == 3:
+                assert got == np.inf
+                seen["unbounded"] += 1
+            else:
+                assert got == pytest.approx(-ref.fun, abs=1e-7)
+                seen["bounded"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_epi_conjugate_contains():
     f = absfn()  # f* = indicator of [-1,1]
     assert epi_conjugate_contains(f, [0.5], 0.0)

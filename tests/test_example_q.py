@@ -60,6 +60,7 @@ def test_stage_details():
     assert by_name["feasible_set_collapse"]["max_first_coordinate"] == 0.0
     assert by_name["interior_point_fails"]["slater"] is False
     assert by_name["efficiency_verdict"]["eps_witness"] >= 2.0 ** -20
+    assert by_name["efficiency_verdict"]["parametric_equivalence"] is True
 
 
 def test_tight_tolerance_rejects():
