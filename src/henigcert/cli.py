@@ -193,10 +193,15 @@ def _candidate(prob, point):
     return cand
 
 
-def _lambda(args):
-    lam = None if args.lam is None else _parse_vector(args.lam, "lambda")
-    if lam is not None and (lam <= 0).any():
+def _lambda(args, m):
+    # checked before any work, so that a bad --lambda fails on every path
+    if args.lam is None:
+        return None
+    lam = _parse_vector(args.lam, "lambda")
+    if (lam <= 0).any():
         raise UsageError(f"lambda {args.lam!r} has a weight that is not strictly positive")
+    if lam.shape[0] != m:
+        raise DimensionMismatch("lambda length does not match objective count")
     return lam
 
 
@@ -226,9 +231,7 @@ def cmd_check(args):
     return EXIT_INCONCLUSIVE
 
 
-def _generate_and_transfer(prob, cand, args):
-    lam = _lambda(args)
-    gamma = _gamma_schedule(args.gamma, args.n)
+def _generate_and_transfer(prob, cand, lam, gamma, args):
     eps_cert, trace = generate_eps_certificate(
         prob, cand, lam=lam, gamma=gamma, pin_vstar=args.pin_vstar
     )
@@ -239,6 +242,7 @@ def _generate_and_transfer(prob, cand, args):
 def cmd_certify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
+    lam, gamma = _lambda(args, prob.m), _gamma_schedule(args.gamma, args.n)
     cand = _candidate(prob, point)
     t0 = time.perf_counter()
     doc = {
@@ -267,7 +271,7 @@ def cmd_certify(args):
             return (
                 EXIT_NEGATIVE if verdict.kind == "dominated" else EXIT_INCONCLUSIVE
             )
-    cert, trace, report = _generate_and_transfer(prob, cand, args)
+    cert, trace, report = _generate_and_transfer(prob, cand, lam, gamma, args)
     doc["generation"] = {
         "trace": trace,
         "trace_converged": converged(trace, args.tol_conv),
@@ -308,6 +312,7 @@ def cmd_kkt(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
+    lam = _lambda(args, prob.m)
     # the ratios only after the interior-point search, in classical_kkt_check
     if not feasible(prob, point):
         raise PointOutsideDomain(f"candidate point is not feasible within tol_feas={TOL_FEAS:g}")
@@ -325,7 +330,7 @@ def cmd_kkt(args):
         doc["seconds"] = time.perf_counter() - t0
         _emit(doc, args, "kkt: CQ fails - use sequential certificates")
         return EXIT_INCONCLUSIVE
-    result = classical_kkt_check(prob, point, lam=_lambda(args))
+    result = classical_kkt_check(prob, point, lam=lam)
     doc["verdict"] = "Holds" if result.holds else "Fails"
     doc["ystar"] = None if result.ystar is None else list(result.ystar)
     doc["reason"] = result.reason

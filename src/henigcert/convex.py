@@ -577,7 +577,7 @@ def _exactness_lp(poly: PolyhedralFn, x):
     A_eq = np.zeros((1, nv))
     A_eq[0, :K] = 1.0
     out = lp_solve(
-        LinearProgram(c=c, A_eq=A_eq, b_eq=[1.0], lb=np.zeros(nv))
+        LinearProgram(c=c, A_eq=A_eq, b_eq=[1.0], nonneg=np.ones(nv, dtype=bool))
     )
     if out.status != OPTIMAL:
         raise NumericalFailure("subgradient exactness LP failed")

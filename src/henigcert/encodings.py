@@ -64,10 +64,11 @@ def expr_sum(exprs) -> LinExpr:
 
 
 class BlockLP:
-    """Incremental LP: nonneg or free variables, sparse <= and == rows,
-    solved by maximizing a sparse objective.  A <= row added with
-    ``plus_eps`` has right-hand side ``rhs + eps`` for the eps the LP is
-    materialized with (``program``, ``b_ub``)."""
+    """Incremental LP, solved by maximizing a sparse objective: each
+    variable is nonnegative or free (``add_vars``), the two kinds
+    ``LinearProgram`` has, and the rows are sparse <= and == rows.  A <=
+    row added with ``plus_eps`` has right-hand side ``rhs + eps`` for the
+    eps the LP is materialized with (``program``, ``b_ub``)."""
 
     def __init__(self):
         self.nv = 0
@@ -107,15 +108,14 @@ class BlockLP:
         c = np.zeros(self.nv)
         if obj_idx is not None:
             np.add.at(c, np.asarray(obj_idx, dtype=int), np.asarray(obj_coef, float))
-        lb = np.zeros(self.nv)
-        if self._free:
-            lb[self._free] = -np.inf
+        nonneg = np.ones(self.nv, dtype=bool)
+        nonneg[self._free] = False
         A_ub, b_ub = (self._densify(self._ub), self.b_ub(eps)) if self._ub else (None, None)
         A_eq, b_eq = (
             (self._densify(self._eq), np.array([rhs for *_, rhs in self._eq]))
             if self._eq else (None, None)
         )
-        return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb)
+        return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
 
     def solve(self, obj_idx=None, obj_coef=None):
         return lp_solve(self.program(obj_idx, obj_coef))

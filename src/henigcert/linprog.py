@@ -5,7 +5,7 @@ the solver favors predictability over scale: maximization convention,
 explicit Infeasible/Unbounded outcomes, Bland's entering/leaving rule (which
 guarantees termination), and fixed tolerances.  Problem sizes are desk scale
 (tens of variables and rows); there is no factorization, pricing, or
-presolve beyond the bound substitution.
+presolve.
 
 An ``LpSession`` keeps the tableau and basis of one program between calls,
 for loops that solve it again with another objective or another
@@ -25,11 +25,11 @@ same program.
 Conventions
 -----------
 maximize  c @ x
-subject to  A_ub @ x <= b_ub,  A_eq @ x == b_eq,  lb <= x <= ub
+subject to  A_ub @ x <= b_ub,  A_eq @ x == b_eq,  x_j >= 0 where nonneg[j]
 
-Bounds use ``-numpy.inf`` / ``numpy.inf`` as the sentinel extended reals;
-finite bounds are substituted away so the tableau only ever sees
-nonnegative variables.
+A variable is of one of two kinds: nonnegative, one tableau column, or
+free, a split pair of nonnegative columns; any other bound is a row of
+``A_ub``.
 """
 
 import copy
@@ -80,7 +80,7 @@ def _as_stack(M, ncols: int, name: str) -> np.ndarray:
 
 @dataclass
 class LinearProgram:
-    """Data for ``maximize c@x  s.t.  A_ub x <= b_ub, A_eq x == b_eq, lb<=x<=ub``.
+    """Data for ``maximize c@x  s.t.  A_ub x <= b_ub, A_eq x == b_eq, x[nonneg] >= 0``.
 
     Parameters
     ----------
@@ -90,10 +90,9 @@ class LinearProgram:
         Inequality block; empty when omitted.
     A_eq, b_eq : arrays, optional
         Equality block; empty when omitted.
-    lb, ub : arrays, optional
-        Per-variable bounds.  Default is free (-inf, +inf).  Infinities
-        are the only way to express an absent bound; large finite floats
-        are taken literally.
+    nonneg : boolean array, shape (n,), optional
+        Which variables are nonnegative; the others are free, as all are
+        when omitted.  Any other bound is a row of ``A_ub``.
     """
 
     c: np.ndarray
@@ -101,8 +100,7 @@ class LinearProgram:
     b_ub: Optional[np.ndarray] = None
     A_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
-    lb: Optional[np.ndarray] = None
-    ub: Optional[np.ndarray] = None
+    nonneg: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).reshape(-1)
@@ -113,20 +111,18 @@ class LinearProgram:
         self.b_ub = _as_vector(self.b_ub, self.A_ub.shape[0], "b_ub")
         self.A_eq = _as_matrix(self.A_eq, n, "A_eq")
         self.b_eq = _as_vector(self.b_eq, self.A_eq.shape[0], "b_eq")
-        if self.lb is None:
-            self.lb = np.full(n, -np.inf)
+        if self.nonneg is None:
+            self.nonneg = np.zeros(n, dtype=bool)
         else:
-            self.lb = _as_vector(self.lb, n, "lb")
-        if self.ub is None:
-            self.ub = np.full(n, np.inf)
-        else:
-            self.ub = _as_vector(self.ub, n, "ub")
+            self.nonneg = np.asarray(self.nonneg).reshape(-1)
+            if self.nonneg.shape[0] != n:
+                raise DimensionMismatch(f"nonneg has length {self.nonneg.shape[0]}, expected {n}")
+            if self.nonneg.dtype != bool:
+                raise ValueError(f"nonneg must be a boolean mask, got dtype {self.nonneg.dtype}")
         for name, arr in (("c", self.c), ("A_ub", self.A_ub), ("b_ub", self.b_ub),
                           ("A_eq", self.A_eq), ("b_eq", self.b_eq)):
             if arr.size and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
-            raise ValueError("bounds contain NaN")
 
     @property
     def nvars(self) -> int:
@@ -169,13 +165,14 @@ def lp_solve(lp: LinearProgram, max_pivots: Optional[int] = None) -> LpOutcome:
 class LpSession:
     """One LP, standardized once and re-solved from its last basis.
 
-    The constructor substitutes the bounds, builds the tableau and runs
+    The constructor standardizes the program (one column per nonnegative
+    variable, a split pair per free one), builds the tableau and runs
     phase 1.  ``maximize(c)`` then runs phase 2 for the objective ``c``
     (default: the last one) from the last basis.  ``resolve_rhs(b_ub)``
     recomputes the basic values for a new inequality right-hand side from
     the columns that started as the identity (B^-1 b), restores primal
     feasibility with a Bland-rule dual simplex from the last basis and
-    runs phase 2; ``A_ub``, the equality rows and the bounds never change.
+    runs phase 2; ``A_ub``, the equality rows and ``nonneg`` never change.
     A session whose phase 1 found no feasible point has no basis to keep,
     so its next ``resolve_rhs`` starts a new session.
 
@@ -202,43 +199,31 @@ class LpSession:
     def _start(self, lp: LinearProgram):
         self.lp = lp
         self._phase1_ok = self._feasible = self._optimal = False
-        self._T = None
-        n = lp.nvars
-        lo, hi = lp.lb, lp.ub
-        if np.any(lo > hi):
-            return
-
-        # Substitute bounds so that internal variables are all >= 0:
-        # x_j = offset_j + sign_j * u_k, one column per variable in order
-        # (+1 from a finite lower bound, -1 from an upper bound alone) and
-        # a split pair (+1, -1) per free variable.
-        ljf, ujf = np.isfinite(lo), np.isfinite(hi)
-        var = np.repeat(np.arange(n), 1 + ~(ljf | ujf))  # the variable of each column
+        # x = S u with u >= 0: one column per nonnegative variable and a
+        # split pair (+1, -1) per free one, in the order of the variables
+        var = np.repeat(np.arange(lp.nvars), 1 + ~lp.nonneg)  # the variable of each column
         nu = var.shape[0]
-        sign = np.where(ljf | ~ujf, 1.0, -1.0)[var]
+        sign = np.ones(nu)
         sign[1:][var[1:] == var[:-1]] = -1.0  # the second column of a free pair
-        S = np.zeros((n, nu))
+        S = np.zeros((lp.nvars, nu))
         S[var, np.arange(nu)] = sign
-        offset = np.where(ljf, lo, np.where(ujf, hi, 0.0))
-        boxed = ljf & ujf  # one more <= row, u_k <= hi_j - lo_j, on its one column
-        bex = hi[boxed] - lo[boxed]
 
-        # Rows: the <= rows (A_ub, then the boxed bounds), then the == rows.
+        # Rows: the <= rows, then the == rows.
         # Column layout: structural | slack(one per <= row) | artificial.
         # Rows with negative rhs are negated first; <= rows then carry either a
         # slack basis (+1) or a surplus (-1) plus an artificial, and every ==
         # row an artificial; artificials follow their rows' order.
-        A = np.vstack([lp.A_ub @ S, S[boxed], lp.A_eq @ S])
-        b = np.concatenate([lp.b_ub - lp.A_ub @ offset, bex, lp.b_eq - lp.A_eq @ offset])
-        m, m_le = b.shape[0], lp.A_ub.shape[0] + bex.shape[0]
-        n_slack = m_le
+        A = np.vstack([lp.A_ub @ S, lp.A_eq @ S])
+        b = np.concatenate([lp.b_ub, lp.b_eq])
+        m, m_le = b.shape[0], lp.A_ub.shape[0]
+        first_art = nu + m_le  # one slack column per <= row
         sgn = np.where(b >= 0, 1.0, -1.0)
         art = b < 0
         art[m_le:] = True
         art_rows = art.nonzero()[0]
         n_art = art_rows.shape[0]
-        ncols = nu + n_slack + n_art
-        art_cols = nu + n_slack + np.arange(n_art, dtype=np.int64)
+        ncols = first_art + n_art
+        art_cols = first_art + np.arange(n_art, dtype=np.int64)
         rows = np.arange(m, dtype=np.int64)
         T = np.zeros((m + 1, ncols + 1))
         T[:m, :nu] = sgn[:, None] * A
@@ -247,10 +232,9 @@ class LpSession:
         T[art_rows, art_cols] = 1.0
         basis = nu + rows
         basis[art_rows] = art_cols
-        eq_sign = sgn[m_le:]
 
         self._T, self._basis = T, basis
-        self._S, self._offset, self._nu, self._bex, self._eq_sign = S, offset, nu, bex, eq_sign
+        self._S, self._nu, self._eq_rhs = S, nu, sgn[m_le:] * b[m_le:]
         # B^-1 e_i for row i: its slack column times the row's sign for a
         # <= row (the signs cancel against the signed rhs), its artificial
         # for an == row
@@ -261,15 +245,15 @@ class LpSession:
         if n_art:
             # Phase 1: maximize -(sum of artificials).
             obj1 = np.zeros(ncols + 1)
-            obj1[nu + n_slack:ncols] = -1.0
+            obj1[first_art:ncols] = -1.0
             T[m] = obj1
             _reduce_objective(T, basis, m)
             self._run("phase 1", simplex_core, TOL_OBJ)
             phase1 = -T[m, ncols]
             if phase1 < -TOL_PHASE1 * (1.0 + float(np.abs(T[:, ncols]).max(initial=0.0))):
                 return
-            _pivot_out_artificials(T, basis, nu + n_slack, m)
-        self._allowed[nu + n_slack:] = False
+            _pivot_out_artificials(T, basis, first_art, m)
+        self._allowed[first_art:] = False
         self._phase1_ok = self._feasible = True
 
     def maximize(self, c=None) -> LpOutcome:
@@ -418,13 +402,12 @@ class LpSession:
         lp, structural = self.lp, self._basis < self._nu
         U = np.zeros((V.shape[0], self._nu))
         U[:, self._basis[structural]] = np.maximum(V[:, structural], 0.0)
-        X = self._offset + U @ self._S.T
+        X = U @ self._S.T
         scale = 1.0 + np.abs(B_ub).max(axis=1, initial=0.0) + np.abs(X).max(axis=1, initial=0.0)
         tol = 100.0 * TOL_FEAS * scale
         for name, excess in (
             ("an inequality row", X @ lp.A_ub.T - B_ub),
             ("an equality row", np.abs(X @ lp.A_eq.T - lp.b_eq)),
-            ("a variable bound", np.hstack([lp.lb - X, X - lp.ub])),
         ):
             worst = excess.max(axis=1, initial=-np.inf)
             bad = (worst > tol).nonzero()[0]
@@ -470,15 +453,9 @@ class LpSession:
 
     def _rhs(self, B) -> np.ndarray:
         """The standardized right-hand side for each inequality rhs row of
-        ``B``: the bound offset taken off, the boxed bounds, then the
-        equality rows with the signs they were standardized with."""
-        lp, K = self.lp, B.shape[0]
-        return np.hstack([
-            B - lp.A_ub @ self._offset,
-            np.broadcast_to(self._bex, (K, self._bex.shape[0])),
-            np.broadcast_to(self._eq_sign * (lp.b_eq - lp.A_eq @ self._offset),
-                            (K, lp.b_eq.shape[0])),
-        ])
+        ``B``: the row, then the equality rows with the signs they were
+        standardized with."""
+        return np.hstack([B, np.broadcast_to(self._eq_rhs, (B.shape[0], self._eq_rhs.shape[0]))])
 
     def _run(self, phase, core, tol: float) -> int:
         """One run of ``core`` (the primal or the dual simplex); returns

@@ -66,8 +66,9 @@ class SubdiffPolytope:
         A_ub, b_ub, A_eq, b_eq = self._constraints()
         K = self.npieces
         proj = self.A @ direction
-        hi = lp_solve(LinearProgram(c=proj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(K)))
-        lo = lp_solve(LinearProgram(c=-proj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(K)))
+        rows = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, nonneg=np.ones(K, dtype=bool))
+        hi = lp_solve(LinearProgram(c=proj, **rows))
+        lo = lp_solve(LinearProgram(c=-proj, **rows))
         if not (hi.is_optimal and lo.is_optimal):
             raise NumericalFailure("projection LP failed")
         return (-lo.value, hi.value)
@@ -92,7 +93,8 @@ class SubdiffPolytope:
         b_ub = np.concatenate([b_ub] + rhs)
         A_eq = np.hstack([A_eq, np.zeros((1, 1))])
         out = lp_solve(
-            LinearProgram(c=-np.eye(nv)[-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=np.zeros(nv))
+            LinearProgram(c=-np.eye(nv)[-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                          nonneg=np.ones(nv, dtype=bool))
         )
         if not out.is_optimal:
             raise NumericalFailure("membership LP failed")

@@ -1,6 +1,7 @@
 """The dense Bland-rule simplex as a one-shot solve, kept verbatim as a
 reference: ``lp_solve`` below standardizes, runs phase 1 and phase 2 and
-returns, with no session state.  ``tests/test_linprog.py`` requires the
+returns, with no session state, reading each variable's bounds off its
+kind (``_bounds``).  ``tests/test_linprog.py`` requires the
 package's ``lp_solve`` (one ``LpSession`` and one ``maximize``) to match it
 bit for bit.  The ``row_loop_*`` kernels at the end are verbatim copies of
 the row-loop ``_kernels.pivot``, ``simplex_core`` (returning ``(code,
@@ -91,7 +92,7 @@ def lp_solve(lp: LinearProgram, max_pivots: Optional[int] = None) -> LpOutcome:
     failing the post-solve feasibility check) raises NumericalFailure.
     """
     n = lp.nvars
-    lo, hi = lp.lb, lp.ub
+    lo, hi = _bounds(lp)
     if np.any(lo > hi):
         return LpOutcome(INFEASIBLE)
 
@@ -242,6 +243,12 @@ def _pivot_out_artificials(T, basis, first_art: int, m: int, ncols: int):
                     break
 
 
+def _bounds(lp: LinearProgram):
+    # lp_solve and _check_feasible were written for general bounds; a
+    # program's are 0 below a nonnegative variable and none otherwise
+    return np.where(lp.nonneg, 0.0, -np.inf), np.full(lp.nvars, np.inf)
+
+
 def _check_feasible(lp: LinearProgram, x: np.ndarray):
     scale = 1.0 + float(np.abs(lp.b_ub).max(initial=0.0)) + float(np.abs(x).max(initial=0.0))
     tol = 100.0 * TOL_FEAS * scale
@@ -249,7 +256,8 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray):
         raise NumericalFailure("optimal point violates an inequality row")
     if lp.A_eq.shape[0] and float(np.abs(lp.A_eq @ x - lp.b_eq).max()) > tol:
         raise NumericalFailure("optimal point violates an equality row")
-    if float((lp.lb - x).max(initial=-np.inf)) > tol or float((x - lp.ub).max(initial=-np.inf)) > tol:
+    lo, hi = _bounds(lp)
+    if float((lo - x).max(initial=-np.inf)) > tol or float((x - hi).max(initial=-np.inf)) > tol:
         raise NumericalFailure("optimal point violates a variable bound")
 
 

@@ -244,6 +244,42 @@ def test_bad_candidate_is_usage_error(bad_candidates, capsys, flags, kind):
     assert {"negative": "negative ratio", "zero": "below 1e-09"}[kind] in err
 
 
+@pytest.fixture(scope="module")
+def no_interior(tmp_path_factory):
+    # the toy with h = |x|: x = 0 is its one feasible point, so no grid
+    # holds an interior point
+    toy = cli._toy_problem()
+    prob = FractionalProblem(1, toy.objectives, [PolyhedralFn([[1.0], [-1.0]], [0.0, 0.0])],
+                             toy.cone, toy.C)
+    path = tmp_path_factory.mktemp("pinned") / "pinned.json"
+    serialization.dump_json(serialization.problem_to_json(prob), path)
+    return str(path)
+
+
+BAD_FLAGS = [("--lambda=-1,1", 64), ("--lambda=abc", 64), ("--lambda=1,2,3", 65)]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag", "code"),
+    [(command, *bad) for command in ("certify", "kkt") for bad in BAD_FLAGS]
+    + [("certify", "--gamma=1/x", 64)],
+    ids=str,
+)
+def test_bad_flags_are_refused_before_any_work(files, no_interior, capsys, command, flag, code):
+    # certify at a dominated point stops at its pre-check (exit 2), and kkt
+    # with no interior point at the qualification (exit 3); a bad --lambda
+    # (sign or parse 64, length 65) or --gamma is refused before either,
+    # with no report
+    argv = {"certify": ["certify", "--problem", files["toy"], "--point", "0.5", "--grid", TOY_GRID],
+            "kkt": ["kkt", "--problem", no_interior, "--point", "0", "--grid", TOY_GRID]}[command]
+    assert cli.main(argv) == {"certify": 2, "kkt": 3}[command]
+    capsys.readouterr()
+    assert cli.main([*argv, flag]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("henigcert: data error:" if code == 65 else "henigcert: usage error:")
+
+
 def test_check_takes_candidates_with_large_values(tmp_path, capsys):
     # the toy with f_i = |x| + b_i over g_i = c_i, b and c drawn from
     # U(1e7, 1e9): at 0.3, phi_i = f_i - nu_i g_i rounds to a few ulps of

@@ -50,7 +50,8 @@ def test_k_eps_membership_matches_lp():
         K = HenigCone(m, eps)
         v = rng.normal(size=m)
         want = lp_solve(
-            LinearProgram(c=np.zeros(m), A_eq=K.generators().T, b_eq=v, lb=np.zeros(m))
+            LinearProgram(c=np.zeros(m), A_eq=K.generators().T, b_eq=v,
+                          nonneg=np.ones(m, dtype=bool))
         ).is_optimal
         assert k_eps_contains(K, v) == want
 

@@ -22,7 +22,7 @@ from henigcert.linprog import (
 
 def test_simple_bounded():
     # maximize x s.t. x <= 3, x >= 0
-    out = lp_solve(LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[3.0], lb=[0.0]))
+    out = lp_solve(LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[3.0], nonneg=[True]))
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(3.0, abs=1e-9)
     assert out.x[0] == pytest.approx(3.0, abs=1e-9)
@@ -31,62 +31,65 @@ def test_simple_bounded():
 def test_degenerate_face_value():
     # maximize x+y s.t. x+y <= 1, x,y >= 0: any point of the face is optimal
     out = lp_solve(
-        LinearProgram(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], lb=[0.0, 0.0])
+        LinearProgram(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], nonneg=[True, True])
     )
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible():
-    out = lp_solve(LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[-1.0], lb=[0.0]))
+    out = lp_solve(LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[-1.0], nonneg=[True]))
     assert out.status == INFEASIBLE
     assert out.x is None
 
 
 def test_unbounded():
-    out = lp_solve(LinearProgram(c=[1.0], lb=[0.0]))
+    out = lp_solve(LinearProgram(c=[1.0], nonneg=[True]))
     assert out.status == UNBOUNDED
     assert out.value == np.inf
 
 
 def test_equality_rows():
     out = lp_solve(
-        LinearProgram(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.0, 0.0])
+        LinearProgram(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], nonneg=[True, True])
     )
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(2.0, abs=1e-9)
     np.testing.assert_allclose(out.x, [0.0, 1.0], atol=1e-9)
 
 
-def test_lower_bound_substitution():
-    # maximize -x with x >= -5
-    out = lp_solve(LinearProgram(c=[-1.0], lb=[-5.0]))
+def test_lower_bound_row():
+    # maximize -x with x >= -5, a row on a free variable
+    out = lp_solve(LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[5.0]))
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(5.0, abs=1e-9)
 
 
 def test_upper_bound_only_variable():
     # maximize x with x <= 7 and x otherwise free
-    out = lp_solve(LinearProgram(c=[1.0], ub=[7.0]))
+    out = lp_solve(LinearProgram(c=[1.0], A_ub=[[1.0]], b_ub=[7.0]))
     assert out.status == OPTIMAL
     assert out.x[0] == pytest.approx(7.0, abs=1e-9)
 
 
 def test_two_sided_bounds():
-    out = lp_solve(LinearProgram(c=[1.0], lb=[1.0], ub=[4.0]))
+    # 1 <= x <= 4 as two rows
+    box = dict(A_ub=[[-1.0], [1.0]], b_ub=[-1.0, 4.0])
+    out = lp_solve(LinearProgram(c=[1.0], **box))
     assert out.x[0] == pytest.approx(4.0, abs=1e-9)
-    out = lp_solve(LinearProgram(c=[-1.0], lb=[1.0], ub=[4.0]))
+    out = lp_solve(LinearProgram(c=[-1.0], **box))
     assert out.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_crossed_bounds_infeasible():
-    out = lp_solve(LinearProgram(c=[1.0], lb=[2.0], ub=[1.0]))
+    # 2 <= x <= 1 as two rows
+    out = lp_solve(LinearProgram(c=[1.0], A_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0]))
     assert out.status == INFEASIBLE
 
 
 def test_negative_rhs_row():
     # x >= 2 written as -x <= -2; maximize -x
-    out = lp_solve(LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[-2.0], lb=[0.0]))
+    out = lp_solve(LinearProgram(c=[-1.0], A_ub=[[-1.0]], b_ub=[-2.0], nonneg=[True]))
     assert out.status == OPTIMAL
     assert out.x[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -122,6 +125,22 @@ def test_nonfinite_data_rejected():
         LinearProgram(c=[1.0], A_ub=[[np.inf]], b_ub=[1.0])
 
 
+def test_nonneg_mask_is_checked():
+    # a mask of the wrong length is a dimension error and one that is not
+    # boolean (floats, NaN, integers) a value error; without a mask every
+    # variable is free
+    with pytest.raises(DimensionMismatch, match="^nonneg has length 1, expected 2$"):
+        LinearProgram(c=[1.0, 2.0], nonneg=[True])
+    for mask in ([1.0, 0.0], [np.nan, 1.0], [1, 0]):
+        with pytest.raises(ValueError, match="^nonneg must be a boolean mask"):
+            LinearProgram(c=[1.0, 2.0], nonneg=mask)
+    lp = LinearProgram(c=[-1.0, -1.0])
+    assert lp.nonneg.dtype == bool and not lp.nonneg.any()
+    # maximize -x - y: unbounded when free, 0 at the origin when nonnegative
+    assert lp_solve(lp).status == UNBOUNDED
+    assert lp_solve(replace(lp, nonneg=[True, True])).value == 0.0
+
+
 def test_beale_cycling_instance_terminates():
     # Classic cycling example for naive pivoting; Bland's rule must finish.
     lp = LinearProgram(
@@ -132,11 +151,17 @@ def test_beale_cycling_instance_terminates():
             [0.0, 0.0, 1.0, 0.0],
         ],
         b_ub=[0.0, 0.0, 1.0],
-        lb=[0.0, 0.0, 0.0, 0.0],
+        nonneg=np.ones(4, dtype=bool),
     )
     out = lp_solve(lp)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(0.05, abs=1e-9)
+
+
+def _box_rows(A, b, n):
+    # the rows A x <= b with the box [-10, 10]^n below them
+    return dict(A_ub=np.vstack([A, np.eye(n), -np.eye(n)]),
+                b_ub=np.concatenate([b, np.full(2 * n, 10.0)]))
 
 
 def test_random_instances_feasible_and_locally_best():
@@ -148,9 +173,7 @@ def test_random_instances_feasible_and_locally_best():
         x0 = rng.uniform(-2.0, 2.0, size=n)
         b = A @ x0 + rng.uniform(0.0, 1.5, size=mrows)
         c = rng.normal(size=n)
-        lp = LinearProgram(
-            c=c, A_ub=A, b_ub=b, lb=np.full(n, -10.0), ub=np.full(n, 10.0)
-        )
+        lp = LinearProgram(c=c, **_box_rows(A, b, n))
         out = lp_solve(lp)
         assert out.status == OPTIMAL
         assert (A @ out.x <= b + 1e-7).all()
@@ -171,7 +194,7 @@ def test_redundant_equality_rows():
             c=[1.0, 0.0],
             A_eq=[[1.0, 1.0], [1.0, 1.0]],
             b_eq=[1.0, 1.0],
-            lb=[0.0, 0.0],
+            nonneg=[True, True],
         )
     )
     assert out.status == OPTIMAL
@@ -179,21 +202,28 @@ def test_redundant_equality_rows():
 
 
 def _random_integer_lp(rng):
+    # each variable is free, bounded below or boxed; a lower bound of 0
+    # makes it nonnegative, and any other bound is a row after the others
     n = int(rng.integers(1, 6))
     m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(0, 3))
-    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
+    nonneg, rows, rhs = np.zeros(n, dtype=bool), [], []
     for j, kind in enumerate(rng.integers(0, 3, size=n)):  # free, lower, boxed
         if kind:
-            lb[j] = float(rng.integers(-3, 2))
+            lo = float(rng.integers(-3, 2))
+            nonneg[j] = lo == 0.0
+            if not nonneg[j]:
+                rows.append(-np.eye(n)[j])
+                rhs.append(-lo)
         if kind == 2:
-            ub[j] = lb[j] + float(rng.integers(0, 5))
+            rows.append(np.eye(n)[j])
+            rhs.append(lo + float(rng.integers(0, 5)))
     return LinearProgram(
         c=rng.integers(-3, 4, size=n).astype(float),
-        A_ub=rng.integers(-3, 4, size=(m_ub, n)).astype(float),
-        b_ub=rng.integers(-2, 6, size=m_ub).astype(float),
+        A_ub=np.vstack([rng.integers(-3, 4, size=(m_ub, n)).astype(float), *rows]),
+        b_ub=np.concatenate([rng.integers(-2, 6, size=m_ub).astype(float), rhs]),
         A_eq=rng.integers(-2, 3, size=(m_eq, n)).astype(float),
         b_eq=rng.integers(-3, 4, size=m_eq).astype(float),
-        lb=lb, ub=ub,
+        nonneg=nonneg,
     )
 
 
@@ -202,7 +232,8 @@ def _highs(linprog, lp):
         -lp.c,
         A_ub=lp.A_ub if lp.A_ub.size else None, b_ub=lp.b_ub if lp.b_ub.size else None,
         A_eq=lp.A_eq if lp.A_eq.size else None, b_eq=lp.b_eq if lp.b_eq.size else None,
-        bounds=list(zip(lp.lb, lp.ub)), method="highs", options={"presolve": False},
+        bounds=[(0, None) if nn else (None, None) for nn in lp.nonneg],
+        method="highs", options={"presolve": False},
     )
     status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
     return status, (-ref.fun if status == OPTIMAL else None)
@@ -213,8 +244,9 @@ def test_status_value_and_duals_against_highs():
     # calls some feasible, unbounded LPs of this family infeasible.  The row
     # duals are not compared entry by entry (degenerate LPs have many); they
     # must certify optimality: y >= 0, complementary slackness, and some
-    # equality multipliers z giving reduced costs r = c - A^T y - E^T z of the
-    # sign each variable's active bound allows.
+    # equality multipliers z giving reduced costs r = c - A^T y - E^T z that
+    # are 0 on every variable but a nonnegative one at 0, where they may be
+    # negative.
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(7)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
@@ -234,11 +266,11 @@ def test_status_value_and_duals_against_highs():
         assert (y >= -1e-9).all()
         assert np.abs(y * (lp.b_ub - lp.A_ub @ x)).max(initial=0.0) <= tol
         r0 = lp.c - lp.A_ub.T @ y
-        at_lb, at_ub = x <= lp.lb + 1e-9, x >= lp.ub - 1e-9
-        # r <= tol unless at the upper bound, r >= -tol unless at the lower
-        # one: rows G z <= h for r = r0 - E^T z
-        G = np.vstack([-lp.A_eq.T[~at_ub], lp.A_eq.T[~at_lb]])
-        h = np.concatenate([tol - r0[~at_ub], tol + r0[~at_lb]])
+        at_lb = lp.nonneg & (x <= 1e-9)
+        # r <= tol, and r >= -tol unless at the lower bound 0: rows G z <= h
+        # for r = r0 - E^T z
+        G = np.vstack([-lp.A_eq.T, lp.A_eq.T[~at_lb]])
+        h = np.concatenate([tol - r0, tol + r0[~at_lb]])
         if lp.A_eq.shape[0] == 0:
             assert (h >= 0).all()
             continue
@@ -255,8 +287,7 @@ def _random_box_lp(rng):
     mrows = int(rng.integers(0, 5))
     A = rng.normal(size=(mrows, n))
     b = A @ rng.uniform(-2.0, 2.0, size=n) + rng.uniform(0.0, 1.5, size=mrows)
-    return LinearProgram(c=rng.normal(size=n), A_ub=A, b_ub=b,
-                         lb=np.full(n, -10.0), ub=np.full(n, 10.0))
+    return LinearProgram(c=rng.normal(size=n), **_box_rows(A, b, n))
 
 
 def test_lp_solve_matches_the_one_shot_reference_bit_for_bit():
@@ -373,7 +404,8 @@ def test_kernels_match_the_row_loops_bit_for_bit():
 def test_pivot_budget_failure_reports_phase_pivots_and_shape():
     # phase 2: three columns enter, one pivot allowed; 3 rows, 3 structural
     # and 3 slack columns, so the tableau is 4x7 with the objective and rhs
-    lp = LinearProgram(c=[1.0, 1.0, 1.0], A_ub=np.eye(3), b_ub=[1.0, 1.0, 1.0], lb=np.zeros(3))
+    lp = LinearProgram(c=[1.0, 1.0, 1.0], A_ub=np.eye(3), b_ub=[1.0, 1.0, 1.0],
+                       nonneg=np.ones(3, dtype=bool))
     with pytest.raises(NumericalFailure, match=r"^phase 2: pivot budget exhausted after 1 of 1 "
                        r"pivots on a 4x7 tableau$"):
         lp_solve(lp, max_pivots=1)
@@ -397,7 +429,7 @@ def test_resolve_rhs_validates_only_the_new_rhs():
     # raises what LinearProgram raises for it and leaves the session as it
     # was; a good one replaces b_ub alone, on a copy of the program, and
     # the caller's program stays as given
-    lp = LinearProgram(c=[1.0, 1.0], A_ub=np.eye(2), b_ub=[1.0, 2.0], lb=np.zeros(2))
+    lp = LinearProgram(c=[1.0, 1.0], A_ub=np.eye(2), b_ub=[1.0, 2.0], nonneg=np.ones(2, dtype=bool))
     session = LpSession(lp)
     assert session.maximize().value == 3.0
     bad = [
@@ -504,7 +536,7 @@ def test_session_sequences_against_highs():
                 assert out.value == pytest.approx(lp.c @ out.x, abs=1e-9)
                 assert (lp.A_ub @ out.x <= lp.b_ub + 1e-7).all()
                 assert np.abs(lp.A_eq @ out.x - lp.b_eq).max(initial=0.0) <= 1e-7
-                assert (out.x >= lp.lb - 1e-7).all() and (out.x <= lp.ub + 1e-7).all()
+                assert (out.x[lp.nonneg] >= -1e-7).all()
             seen[(call, status, out.status)] += 1
             status = out.status
         if trial % 2:
