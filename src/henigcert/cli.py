@@ -2,15 +2,18 @@
 
 Commands: check | certify | verify | kkt | example-q | selftest.
 
-Exit codes follow one fixed scheme across commands:
+Exit codes follow one fixed scheme across commands; ``_EXIT`` maps each
+outcome word a command reports to its code, and no other place does:
     0   positive outcome (properly efficient / Accept / Holds / all stages pass)
     2   negative outcome (dominated / Reject / Fails / a stage failed)
     3   inconclusive outcome (oracle inconclusive, or the interior-point
         qualification fails so the classical multiplier route does not apply)
     64  usage errors: bad flags or flag values, unreadable input files,
         a candidate point that is infeasible, has a denominator near 0
-        or (but for kkt) a negative ratio, or an operation that needs
-        --pin-vstar to proceed
+        or (but for kkt) a negative ratio, an operation that needs
+        --pin-vstar to proceed, or data the operation does not support
+        (a restricted objective domain for certificates, a composite
+        weight -vstar with a negative entry)
     65  data errors: malformed JSON, schema violations, dimension
         mismatches, certificates too short to apply the convergence rule
     70  internal errors: LP failures and anything unexpected
@@ -51,6 +54,8 @@ from .errors import (
     HorizonTooShort,
     PointOutsideDomain,
     SchemaError,
+    UnsupportedData,
+    UnsupportedDomain,
 )
 from .fractional import FractionalProblem, candidate, feasible, henig_check
 from .grids import GridSpec
@@ -173,24 +178,23 @@ def _ladder(args):
     return tuple(2.0 ** -k for k in range(args.eps_ladder + 1))
 
 
-def _emit(doc, args, summary):
-    if args.out:
-        serialization.dump_json(doc, args.out)
-        print(f"{summary} (report: {args.out})")
+# the one map from a command's outcome word to its exit code
+_EXIT = {
+    **dict.fromkeys(("properly_efficient", "Accept", "Holds", "pass"), EXIT_OK),
+    **dict.fromkeys(("dominated", "Reject", "Fails", "FAIL"), EXIT_NEGATIVE),
+    **dict.fromkeys(("inconclusive", "CQ fails - use sequential certificates"), EXIT_INCONCLUSIVE),
+}
+
+
+def _finish(doc, outcome, out=None):
+    """Write the report ``doc`` to ``out`` with a one-line summary on stdout,
+    or else to stdout; the exit code of ``outcome``."""
+    if out:
+        serialization.dump_json(doc, out)
+        print(f"{doc['command']}: {outcome} (report: {out})")
     else:
         serialization.dump_json_stream(doc, sys.stdout)
-
-
-def _candidate(prob, point):
-    # the oracle and every certificate rest on the reformulation
-    # f_i + nu_i (-g_i), which needs nu >= 0
-    cand = candidate(prob, point)
-    if (cand.nu < 0).any():
-        raise UsageError(
-            f"candidate point has a negative ratio, nu = {cand.nu.tolist()}; "
-            "the parametric reformulation needs nu >= 0"
-        )
-    return cand
+    return _EXIT[outcome]
 
 
 def _lambda(args, m):
@@ -210,7 +214,7 @@ def cmd_check(args):
     point = _parse_vector(args.point, "point")
     grid = _parse_grid(args.grid)
     ladder = _ladder(args)
-    cand = _candidate(prob, point)
+    cand = candidate(prob, point)
     t0 = time.perf_counter()
     verdict, equiv = henig_check(prob, cand, grid, ladder)
     doc = {
@@ -223,12 +227,7 @@ def cmd_check(args):
         "tol_feas": TOL_FEAS,
         "seconds": time.perf_counter() - t0,
     }
-    _emit(doc, args, f"check: {verdict.kind}")
-    if verdict.kind == "properly_efficient":
-        return EXIT_OK
-    if verdict.kind == "dominated":
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE
+    return _finish(doc, verdict.kind, args.out)
 
 
 def _generate_and_transfer(prob, cand, lam, gamma, args):
@@ -243,7 +242,12 @@ def cmd_certify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     lam, gamma = _lambda(args, prob.m), _gamma_schedule(args.gamma, args.n)
-    cand = _candidate(prob, point)
+    if args.grid is None and not args.force:
+        raise UsageError("certify needs --grid for the pre-check (or --force)")
+    # --grid and --eps-ladder are parsed with --force too, which ignores them
+    grid = None if args.grid is None else _parse_grid(args.grid)
+    ladder = _ladder(args)
+    cand = candidate(prob, point)
     t0 = time.perf_counter()
     doc = {
         "command": "certify",
@@ -257,20 +261,14 @@ def cmd_certify(args):
     if args.force:
         doc["pre_check"] = "skipped (--force)"
     else:
-        if args.grid is None:
-            raise UsageError("certify needs --grid for the pre-check (or --force)")
-        grid = _parse_grid(args.grid)
-        verdict, equiv = henig_check(prob, cand, grid, _ladder(args))
+        verdict, equiv = henig_check(prob, cand, grid, ladder)
         doc["pre_check"] = _verdict_json(verdict)
         doc["parametric_equivalence"] = equiv
         doc["grid"] = _grid_json(grid)
         if verdict.kind != "properly_efficient":
             # no certificate to write, so --out stays untouched
             doc["seconds"] = time.perf_counter() - t0
-            serialization.dump_json_stream(doc, sys.stdout)
-            return (
-                EXIT_NEGATIVE if verdict.kind == "dominated" else EXIT_INCONCLUSIVE
-            )
+            return _finish(doc, verdict.kind)
     cert, trace, report = _generate_and_transfer(prob, cand, lam, gamma, args)
     doc["generation"] = {
         "trace": trace,
@@ -282,18 +280,16 @@ def cmd_certify(args):
     if args.out:
         serialization.dump_json(cert_json, args.out)
         doc["certificate_file"] = args.out
-        serialization.dump_json_stream(doc, sys.stdout)
     else:
         doc["certificate"] = cert_json
-        serialization.dump_json_stream(doc, sys.stdout)
-    return EXIT_OK if report.verdict == "Accept" else EXIT_NEGATIVE
+    return _finish(doc, report.verdict)
 
 
 def cmd_verify(args):
     prob = _load_problem(args.problem)
     point = _parse_vector(args.point, "point")
     cert = _load_certificate(args.certificate)
-    cand = _candidate(prob, point)
+    cand = candidate(prob, point)
     t0 = time.perf_counter()
     report = verify_certificate(prob, cand, cert, tol_conv=args.tol_conv)
     doc = {
@@ -304,8 +300,7 @@ def cmd_verify(args):
         "report": serialization.report_to_json(report),
         "seconds": time.perf_counter() - t0,
     }
-    _emit(doc, args, f"verify: {report.verdict}")
-    return EXIT_OK if report.verdict == "Accept" else EXIT_NEGATIVE
+    return _finish(doc, report.verdict, args.out)
 
 
 def cmd_kkt(args):
@@ -327,16 +322,13 @@ def cmd_kkt(args):
     }
     if not slater:
         doc["verdict"] = "CQ fails - use sequential certificates"
-        doc["seconds"] = time.perf_counter() - t0
-        _emit(doc, args, "kkt: CQ fails - use sequential certificates")
-        return EXIT_INCONCLUSIVE
-    result = classical_kkt_check(prob, point, lam=lam)
-    doc["verdict"] = "Holds" if result.holds else "Fails"
-    doc["ystar"] = None if result.ystar is None else list(result.ystar)
-    doc["reason"] = result.reason
+    else:
+        result = classical_kkt_check(prob, point, lam=lam)
+        doc["verdict"] = "Holds" if result.holds else "Fails"
+        doc["ystar"] = None if result.ystar is None else list(result.ystar)
+        doc["reason"] = result.reason
     doc["seconds"] = time.perf_counter() - t0
-    _emit(doc, args, f"kkt: {doc['verdict']}")
-    return EXIT_OK if result.holds else EXIT_NEGATIVE
+    return _finish(doc, doc["verdict"], args.out)
 
 
 def cmd_example_q(args):
@@ -360,10 +352,10 @@ def cmd_example_q(args):
         print(f"report: {args.out}")
     if rep["ok"]:
         print("example-q: all five stages pass")
-        return EXIT_OK
-    failing = [s["stage"] for s in rep["stages"] if not s["ok"]]
-    print(f"example-q: failing stages: {', '.join(failing)}")
-    return EXIT_NEGATIVE
+    else:
+        failing = [s["stage"] for s in rep["stages"] if not s["ok"]]
+        print(f"example-q: failing stages: {', '.join(failing)}")
+    return _EXIT["pass" if rep["ok"] else "FAIL"]
 
 
 def _toy_problem():
@@ -406,7 +398,7 @@ def cmd_selftest(args):
     for name, flag in checks:
         print(f"selftest: {name}: {'pass' if flag else 'FAIL'}")
     print(f"selftest: {'ok' if ok else 'FAILED'} ({time.perf_counter() - t0:.2f}s)")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return _EXIT["pass" if ok else "FAIL"]
 
 
 def _add_common(p, problem=True, point=True):
@@ -467,7 +459,8 @@ def main(argv=None) -> int:
         # the handler is looked up per call, not kept in the cached parser,
         # so a rebinding of a cmd_* function in this module takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (UsageError, PointOutsideDomain, DenominatorNearZero, ConjugateUnsupported) as exc:
+    except (UsageError, PointOutsideDomain, DenominatorNearZero, ConjugateUnsupported,
+            UnsupportedData, UnsupportedDomain) as exc:
         print(f"henigcert: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, DimensionMismatch, HorizonTooShort) as exc:

@@ -64,23 +64,20 @@ def expr_sum(exprs) -> LinExpr:
 
 
 class BlockLP:
-    """Incremental LP, solved by maximizing a sparse objective: each
-    variable is nonnegative or free (``add_vars``), the two kinds
-    ``LinearProgram`` has, and the rows are sparse <= and == rows.  A <=
-    row added with ``plus_eps`` has right-hand side ``rhs + eps`` for the
-    eps the LP is materialized with (``program``, ``b_ub``)."""
+    """Incremental LP, solved by maximizing a sparse objective: every
+    variable is nonnegative (``add_vars``), and the rows are sparse <=
+    and == rows.  A <= row added with ``plus_eps`` has right-hand side
+    ``rhs + eps`` for the eps the LP is materialized with (``program``,
+    ``b_ub``)."""
 
     def __init__(self):
         self.nv = 0
-        self._free = []
         self._ub = []
         self._eq = []
 
-    def add_vars(self, k: int, nonneg: bool = True) -> np.ndarray:
+    def add_vars(self, k: int) -> np.ndarray:
         idx = np.arange(self.nv, self.nv + k)
         self.nv += k
-        if not nonneg:
-            self._free.extend(idx.tolist())
         return idx
 
     def add_ub(self, idx, coef, rhs: float, plus_eps: bool = False):
@@ -108,14 +105,13 @@ class BlockLP:
         c = np.zeros(self.nv)
         if obj_idx is not None:
             np.add.at(c, np.asarray(obj_idx, dtype=int), np.asarray(obj_coef, float))
-        nonneg = np.ones(self.nv, dtype=bool)
-        nonneg[self._free] = False
         A_ub, b_ub = (self._densify(self._ub), self.b_ub(eps)) if self._ub else (None, None)
         A_eq, b_eq = (
             (self._densify(self._eq), np.array([rhs for *_, rhs in self._eq]))
             if self._eq else (None, None)
         )
-        return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, nonneg=nonneg)
+        return LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                             nonneg=np.ones(self.nv, dtype=bool))
 
     def solve(self, obj_idx=None, obj_coef=None):
         return lp_solve(self.program(obj_idx, obj_coef))

@@ -259,8 +259,8 @@ class ParametricProblem:
         self.base, self.xbar, self.nu = cand.prob, cand.x, cand.nu
         if (self.nu < 0).any():
             raise UnsupportedData(
-                "parametric reformulation needs nonnegative ratios nu; "
-                f"got {self.nu.tolist()}"
+                f"candidate point has a negative ratio, nu = {self.nu.tolist()}; "
+                "the parametric reformulation needs nu >= 0"
             )
         self.phi = [(f, ScaledFn(v, ng)) for v, (f, ng) in zip(self.nu, self.base.objectives)]
         vals = self._phi_stack(cand.f[:, None], cand.neg_g[:, None])[:, 0]
@@ -822,9 +822,8 @@ def henig_check(prob: FractionalProblem, xbar, grid: GridSpec, ladder=None):
     otherwise), agrees on its kind; both come from one walk over the
     lattice (``_grid_verdicts``)."""
     ladder = _validate_ladder(ladder)
-    cand = candidate(prob, xbar)
+    param = ParametricProblem(candidate(prob, xbar))
     _check_grid(prob, grid)
-    param = ParametricProblem(cand)
     verdict, phi_verdict = _grid_verdicts(prob, grid, ladder, param)
     return verdict, phi_verdict.kind == verdict.kind
 

@@ -260,24 +260,55 @@ BAD_FLAGS = [("--lambda=-1,1", 64), ("--lambda=abc", 64), ("--lambda=1,2,3", 65)
 
 
 @pytest.mark.parametrize(
-    ("command", "flag", "code"),
+    ("command", "flags", "code"),
     [(command, *bad) for command in ("certify", "kkt") for bad in BAD_FLAGS]
-    + [("certify", "--gamma=1/x", 64)],
+    + [("certify", "--gamma=1/x", 64), ("certify", "--force --grid=oops", 64),
+       ("certify", "--force --eps-ladder=5000", 64)],
     ids=str,
 )
-def test_bad_flags_are_refused_before_any_work(files, no_interior, capsys, command, flag, code):
+def test_bad_flags_are_refused_before_any_work(files, no_interior, capsys, command, flags, code):
     # certify at a dominated point stops at its pre-check (exit 2), and kkt
     # with no interior point at the qualification (exit 3); a bad --lambda
     # (sign or parse 64, length 65) or --gamma is refused before either,
-    # with no report
+    # with no report, and so are a bad --grid or --eps-ladder that --force
+    # would leave unused
     argv = {"certify": ["certify", "--problem", files["toy"], "--point", "0.5", "--grid", TOY_GRID],
             "kkt": ["kkt", "--problem", no_interior, "--point", "0", "--grid", TOY_GRID]}[command]
     assert cli.main(argv) == {"certify": 2, "kkt": 3}[command]
     capsys.readouterr()
-    assert cli.main([*argv, flag]) == code
+    assert cli.main([*argv, *flags.split()]) == code
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("henigcert: data error:" if code == 65 else "henigcert: usage error:")
+
+
+@pytest.mark.parametrize("case", ["restricted-domain", "positive-vstar"])
+def test_unsupported_data_is_usage_error(files, tmp_path, capsys, case):
+    # valid data that an operation cannot handle exactly is a usage error
+    # (64) with the library's reason and no report, not an internal error
+    # (70): certificates need full-space objective domains, and the
+    # composite term needs -vstar >= 0
+    toy = ["--problem", files["toy"], "--point", "0"]
+    if case == "restricted-domain":
+        doc = serialization.problem_to_json(cli._toy_problem())
+        doc["objectives"][0]["f"]["domain"] = {"n": 1, "A": [[1.0], [-1.0]], "b": [2.0, 2.0]}
+        path = tmp_path / "restricted.json"
+        serialization.dump_json(doc, path)
+        argv = ["certify", "--problem", str(path), "--point", "0", "--force"]
+        reason = "certificate generation needs full-space objective domains"
+    else:
+        cert = tmp_path / "cert.json"
+        assert cli.main(["certify", *toy, "--force", "--n", "10", "--tol-conv", "1", "--out", str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        for entry in doc["entries"]:
+            entry["vstar"] = [0.5]
+        serialization.dump_json(doc, cert)
+        argv = ["verify", *toy, "--certificate", str(cert)]
+        reason = "composite term needs componentwise nonnegative -vstar"
+    capsys.readouterr()
+    assert cli.main(argv) == 64
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"henigcert: usage error: {reason}\n")
 
 
 def test_check_takes_candidates_with_large_values(tmp_path, capsys):
@@ -601,6 +632,20 @@ def test_certify_dominated_stops_at_precheck(files, capsys):
     assert doc["pre_check"]["kind"] == "dominated"
     # the reformulation's verdict, which henig_check computes with the ratio one
     assert doc["parametric_equivalence"] is True
+    assert not cert_path.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_lattice_without_feasible_points_is_inconclusive(files, capsys, command):
+    # no lattice point of [3, 4] is feasible: the oracle is inconclusive
+    # (exit 3), and certify stops at its pre-check without writing --out
+    cert_path = files["root"] / "inconclusive.cert.json"
+    argv = [command, "--problem", files["toy"], "--point", "0", "--grid", "5:[3,4]"]
+    rc = cli.main([*argv, "--out", str(cert_path)] if command == "certify" else argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    verdict = doc["verdict" if command == "check" else "pre_check"]
+    assert verdict["kind"] == "inconclusive" and verdict["reason"] == "no feasible samples"
     assert not cert_path.exists()
 
 
